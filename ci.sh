@@ -16,6 +16,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "==> benchmark build + self-tests (perfbench)"
+# perfbench is its own workspace linking the crates by path, so a public-API
+# change in any of them must keep it building; --locked fails instead of
+# rewriting perfbench/Cargo.lock.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> traced figure run + Chrome trace round-trip"
 TRACE_DIR="$(mktemp -d)"
 cargo run -q -p cdnc-experiments --release -- fig24 --scale smoke --trace --trace-dir "$TRACE_DIR"

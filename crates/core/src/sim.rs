@@ -26,10 +26,9 @@ use cdnc_geo::{IspId, WorldBuilder};
 use cdnc_net::{FaultPlane, Network, NodeId, Packet, PacketKind, PACKET_KINDS};
 use cdnc_obs::profile::{self, Subsystem};
 use cdnc_obs::{
-    Checkpoint, Counter, Digest, Gauge, HandlerTimer, Histogram, Level, Registry, SpanKind,
-    TraceCtx, Tracer,
+    Counter, Digest, Gauge, HandlerTimer, Histogram, Level, Registry, SpanKind, TraceCtx, Tracer,
 };
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::stats::OnlineStats;
 use cdnc_simcore::{stream_tag, Scheduler, SimDuration, SimRng, SimTime};
 use cdnc_trace::SnapshotId;
@@ -83,6 +82,9 @@ pub fn run_with_obs(config: &SimConfig, obs: &Registry) -> SimReport {
     sim.run()
 }
 
+/// Artifact kind tag of a simulation checkpoint.
+const SIM_KIND: &str = "cdn-sim";
+
 /// Runs `config` until simulation time `at` (inclusive) and serializes the
 /// paused simulation into a versioned checkpoint artifact.
 ///
@@ -104,7 +106,7 @@ pub fn checkpoint_with_obs(config: &SimConfig, obs: &Registry, at: SimTime) -> S
     };
     let _run = obs.span("sim_events");
     sim.run_until(at);
-    sim.ckpt_write()
+    Ckpt::write(SIM_KIND, |c| sim.persist(c))
 }
 
 /// Restores a [`checkpoint`] artifact on `config` and runs it to completion.
@@ -127,7 +129,7 @@ pub fn resume_with_obs(
         let _build = obs.span("sim_build");
         CdnSimulation::new(config, obs)
     };
-    sim.ckpt_read(artifact)?;
+    Ckpt::read(artifact, SIM_KIND, |c| sim.persist(c))?;
     let _run = obs.span("sim_events");
     Ok(sim.run())
 }
@@ -162,10 +164,10 @@ pub fn resume_until_with_obs(
         let _build = obs.span("sim_build");
         CdnSimulation::new(config, obs)
     };
-    sim.ckpt_read(artifact)?;
+    Ckpt::read(artifact, SIM_KIND, |c| sim.persist(c))?;
     let _run = obs.span("sim_events");
     sim.run_until(until);
-    Ok(sim.ckpt_write())
+    Ok(Ckpt::write(SIM_KIND, |c| sim.persist(c)))
 }
 
 #[derive(Debug, Clone)]
@@ -348,146 +350,152 @@ impl Msg {
         }
     }
 
-    /// Serializes this message (variant tag + payload). Trace contexts are
-    /// observation-only and are not stored — a restored message carries
-    /// [`TraceCtx::NONE`], which never affects handlers or the determinism
-    /// digest (whose tags are context-independent).
-    fn ckpt_write(&self, w: &mut CkptWriter) {
+    /// This message's checkpoint variant tag.
+    fn ckpt_tag(&self) -> u64 {
         match self {
-            Msg::Update { snap, modified_at, .. } => {
-                w.u64("msg", 0);
-                w.u64("a", u64::from(snap.0));
-                w.time("b", *modified_at);
-            }
-            Msg::Invalidate(snap, _) => {
-                w.u64("msg", 1);
-                w.u64("a", u64::from(snap.0));
-            }
-            Msg::Poll { from, have, conditional } => {
-                w.u64("msg", 2);
-                w.u64("a", u64::from(from.0));
-                w.u64("b", u64::from(have.0));
-                w.bool("c", *conditional);
-            }
-            Msg::Unchanged => w.u64("msg", 3),
-            Msg::SwitchMode { from, to_invalidation } => {
-                w.u64("msg", 4);
-                w.u64("a", u64::from(from.0));
-                w.bool("b", *to_invalidation);
-            }
-            Msg::TreeJoin { from, invalidation_mode } => {
-                w.u64("msg", 5);
-                w.u64("a", u64::from(from.0));
-                w.bool("b", *invalidation_mode);
-            }
-            Msg::Tracked { id, from, inner } => {
-                w.u64("msg", 6);
-                w.u64("a", *id);
-                w.u64("b", u64::from(from.0));
-                inner.ckpt_write(w);
-            }
-            Msg::Ack { id } => {
-                w.u64("msg", 7);
-                w.u64("a", *id);
-            }
+            Msg::Update { .. } => 0,
+            Msg::Invalidate(..) => 1,
+            Msg::Poll { .. } => 2,
+            Msg::Unchanged => 3,
+            Msg::SwitchMode { .. } => 4,
+            Msg::TreeJoin { .. } => 5,
+            Msg::Tracked { .. } => 6,
+            Msg::Ack { .. } => 7,
         }
     }
 
-    /// Restores a message written by [`Msg::ckpt_write`].
-    fn ckpt_read(r: &mut CkptReader) -> Result<Msg, CkptError> {
-        Ok(match r.u64("msg")? {
-            0 => Msg::Update {
-                snap: SnapshotId(r.u64("a")? as u32),
-                modified_at: r.time("b")?,
-                ctx: TraceCtx::NONE,
-            },
-            1 => Msg::Invalidate(SnapshotId(r.u64("a")? as u32), TraceCtx::NONE),
-            2 => Msg::Poll {
-                from: NodeId(r.u64("a")? as u32),
-                have: SnapshotId(r.u64("b")? as u32),
-                conditional: r.bool("c")?,
-            },
-            3 => Msg::Unchanged,
-            4 => {
-                Msg::SwitchMode { from: NodeId(r.u64("a")? as u32), to_invalidation: r.bool("b")? }
+    /// Walks this message (variant tag, then payload); `nodes` bounds the
+    /// node ids it carries. Trace contexts are observation-only and are not
+    /// stored — a read message carries [`TraceCtx::NONE`], which never
+    /// affects handlers or the determinism digest (whose tags are
+    /// context-independent).
+    fn persist(&mut self, c: &mut Ckpt, nodes: usize) -> Result<(), CkptError> {
+        let mut tag = self.ckpt_tag();
+        c.u64("msg", &mut tag)?;
+        if c.is_reading() {
+            *self = match tag {
+                0 => Msg::Update {
+                    snap: SnapshotId(0),
+                    modified_at: SimTime::ZERO,
+                    ctx: TraceCtx::NONE,
+                },
+                1 => Msg::Invalidate(SnapshotId(0), TraceCtx::NONE),
+                2 => Msg::Poll { from: NodeId(0), have: SnapshotId(0), conditional: false },
+                3 => Msg::Unchanged,
+                4 => Msg::SwitchMode { from: NodeId(0), to_invalidation: false },
+                5 => Msg::TreeJoin { from: NodeId(0), invalidation_mode: false },
+                6 => Msg::Tracked { id: 0, from: NodeId(0), inner: Box::default() },
+                7 => Msg::Ack { id: 0 },
+                t => return Err(CkptError(format!("unknown message tag {t}"))),
+            };
+        }
+        match self {
+            Msg::Update { snap, modified_at, .. } => {
+                c.u32("a", &mut snap.0)?;
+                c.time("b", modified_at)
             }
-            5 => {
-                Msg::TreeJoin { from: NodeId(r.u64("a")? as u32), invalidation_mode: r.bool("b")? }
+            Msg::Invalidate(snap, _) => c.u32("a", &mut snap.0),
+            Msg::Poll { from, have, conditional } => {
+                c.index("a", &mut from.0, nodes)?;
+                c.u32("b", &mut have.0)?;
+                c.bool("c", conditional)
             }
-            6 => Msg::Tracked {
-                id: r.u64("a")?,
-                from: NodeId(r.u64("b")? as u32),
-                inner: Box::new(Msg::ckpt_read(r)?),
-            },
-            7 => Msg::Ack { id: r.u64("a")? },
-            t => return Err(CkptError(format!("unknown message tag {t}"))),
-        })
+            Msg::Unchanged => Ok(()),
+            Msg::SwitchMode { from, to_invalidation: flag }
+            | Msg::TreeJoin { from, invalidation_mode: flag } => {
+                c.index("a", &mut from.0, nodes)?;
+                c.bool("b", flag)
+            }
+            Msg::Tracked { id, from, inner } => {
+                c.u64("a", id)?;
+                c.index("b", &mut from.0, nodes)?;
+                inner.persist(c, nodes)
+            }
+            Msg::Ack { id } => c.u64("a", id),
+        }
     }
 }
 
+/// A placeholder the checkpoint reader overwrites with the stored message.
+impl Default for Msg {
+    fn default() -> Self {
+        Msg::Unchanged
+    }
+}
+
+/// Table sizes the checkpoint walk checks stored node and user ids against.
+#[derive(Clone, Copy)]
+struct Bounds {
+    nodes: usize,
+    users: usize,
+}
+
 impl Event {
-    /// Serializes this event (its [`Event::obs_idx`] as the variant tag,
-    /// then the payload).
-    fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.usize("ev", self.obs_idx());
+    /// Walks this event (its [`Event::obs_idx`] as the variant tag, then
+    /// the payload); ids past `b` are rejected.
+    fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
+        let mut tag = self.obs_idx() as u64;
+        c.u64("ev", &mut tag)?;
+        if c.is_reading() {
+            let n = NodeId(0);
+            *self = match tag {
+                0 => Event::Publish(0),
+                1 => Event::PollTimer(n, 0),
+                2 => Event::Arrive(n, Msg::default()),
+                3 => Event::UserVisit(0),
+                4 => Event::Fail(n),
+                5 => Event::Recover(n),
+                6 => Event::FetchTimeout(n, 0),
+                7 => Event::Heartbeat(n, 0),
+                8 => Event::Retransmit(0, 0),
+                9 => Event::Probe(n, 0),
+                10 => Event::Request(0),
+                11 => Event::Fill(n, ObjectId::default(), 0),
+                12 => Event::Churn,
+                13 => Event::NodeLeave(n),
+                14 => Event::NodeCrash(n),
+                15 => Event::NodeJoin(n),
+                t => return Err(CkptError(format!("unknown event tag {t}"))),
+            };
+        }
         match self {
-            Event::Publish(idx) => w.u64("a", u64::from(*idx)),
+            Event::Publish(idx) => c.u32("a", idx),
             Event::PollTimer(node, gen)
             | Event::FetchTimeout(node, gen)
             | Event::Heartbeat(node, gen)
             | Event::Probe(node, gen) => {
-                w.u64("a", u64::from(node.0));
-                w.u64("b", *gen);
+                c.index("a", &mut node.0, b.nodes)?;
+                c.u64("b", gen)
             }
             Event::Arrive(node, msg) => {
-                w.u64("a", u64::from(node.0));
-                msg.ckpt_write(w);
+                c.index("a", &mut node.0, b.nodes)?;
+                msg.persist(c, b.nodes)
             }
-            Event::UserVisit(u) | Event::Request(u) => w.u64("a", u64::from(*u)),
+            Event::UserVisit(u) | Event::Request(u) => c.index("a", u, b.users),
             Event::Fail(node)
             | Event::Recover(node)
             | Event::NodeLeave(node)
             | Event::NodeCrash(node)
-            | Event::NodeJoin(node) => w.u64("a", u64::from(node.0)),
+            | Event::NodeJoin(node) => c.index("a", &mut node.0, b.nodes),
             Event::Retransmit(id, attempt) => {
-                w.u64("a", *id);
-                w.u64("b", u64::from(*attempt));
+                c.u64("a", id)?;
+                c.u32("b", attempt)
             }
             Event::Fill(edge, id, snap) => {
-                w.u64("a", u64::from(edge.0));
-                w.u64("b", u64::from(id.slot));
-                w.u64("c", u64::from(id.gen));
-                w.u64("d", u64::from(*snap));
+                c.index("a", &mut edge.0, b.nodes)?;
+                c.u32("b", &mut id.slot)?;
+                c.u32("c", &mut id.gen)?;
+                c.u32("d", snap)
             }
-            Event::Churn => {}
+            Event::Churn => Ok(()),
         }
     }
+}
 
-    /// Restores an event written by [`Event::ckpt_write`].
-    fn ckpt_read(r: &mut CkptReader) -> Result<Event, CkptError> {
-        Ok(match r.usize("ev")? {
-            0 => Event::Publish(r.u64("a")? as u32),
-            1 => Event::PollTimer(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            2 => Event::Arrive(NodeId(r.u64("a")? as u32), Msg::ckpt_read(r)?),
-            3 => Event::UserVisit(r.u64("a")? as u32),
-            4 => Event::Fail(NodeId(r.u64("a")? as u32)),
-            5 => Event::Recover(NodeId(r.u64("a")? as u32)),
-            6 => Event::FetchTimeout(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            7 => Event::Heartbeat(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            8 => Event::Retransmit(r.u64("a")?, r.u64("b")? as u32),
-            9 => Event::Probe(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            10 => Event::Request(r.u64("a")? as u32),
-            11 => {
-                let edge = NodeId(r.u64("a")? as u32);
-                let id = ObjectId { slot: r.u64("b")? as u32, gen: r.u64("c")? as u32 };
-                Event::Fill(edge, id, r.u64("d")? as u32)
-            }
-            12 => Event::Churn,
-            13 => Event::NodeLeave(NodeId(r.u64("a")? as u32)),
-            14 => Event::NodeCrash(NodeId(r.u64("a")? as u32)),
-            15 => Event::NodeJoin(NodeId(r.u64("a")? as u32)),
-            t => return Err(CkptError(format!("unknown event tag {t}"))),
-        })
+/// A placeholder the checkpoint reader overwrites with the stored event.
+impl Default for Event {
+    fn default() -> Self {
+        Event::Churn
     }
 }
 
@@ -571,6 +579,53 @@ impl NodeState {
             + self.pending_pubs.capacity() * std::mem::size_of::<(SnapshotId, SimTime)>())
             as u64
     }
+
+    /// Walks this node's protocol state. The trace context is
+    /// observation-only: it is not stored and reads back as
+    /// [`TraceCtx::NONE`].
+    fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
+        c.u32("n_content", &mut self.content.0)?;
+        let mut stale = self.known_stale.map_or(0, |s| u64::from(s.0) + 1);
+        c.u64("n_known_stale", &mut stale)?;
+        self.known_stale = match stale {
+            0 => None,
+            s => Some(SnapshotId(
+                u32::try_from(s - 1)
+                    .map_err(|_| CkptError(format!("n_known_stale={s} is not a snapshot")))?,
+            )),
+        };
+        let mut inval = matches!(self.mode, AdaptiveMode::Invalidation);
+        c.bool("n_mode_inval", &mut inval)?;
+        self.mode = if inval { AdaptiveMode::Invalidation } else { AdaptiveMode::Ttl };
+        c.bool("n_fetch_pending", &mut self.fetch_pending)?;
+        c.u64("n_timer_gen", &mut self.timer_gen)?;
+        c.u64("n_fetch_token", &mut self.fetch_token)?;
+        c.bool("n_absent", &mut self.absent)?;
+        c.time("n_modified_at", &mut self.content_modified_at)?;
+        c.f64("n_adaptive_s", &mut self.adaptive_interval_s)?;
+        c.seq("n_waiting_children", &mut self.waiting_children, |kid, c| {
+            c.index("n_wc", &mut kid.0, b.nodes)
+        })?;
+        c.seq("n_waiting_users", &mut self.waiting_users, |u, c| c.index("n_wu", u, b.users))?;
+        c.seq("n_inval_registry", &mut self.inval_registry, |kid, c| {
+            c.index("n_ir", &mut kid.0, b.nodes)
+        })?;
+        c.u32("n_last_invalidated", &mut self.last_invalidated.0)?;
+        c.seq("n_pending_pubs", &mut self.pending_pubs, |(snap, t), c| {
+            c.u32("n_pp_snap", &mut snap.0)?;
+            c.time("n_pp_t", t)
+        })?;
+        self.lag.persist(c, ["n_lag_count", "n_lag_mean", "n_lag_m2", "n_lag_min", "n_lag_max"])?;
+        if c.is_reading() {
+            self.content_ctx = TraceCtx::NONE;
+        }
+        let mut probe_wait = self.awaiting_probe.is_some();
+        let mut probe_t = self.awaiting_probe.unwrap_or(SimTime::ZERO);
+        c.bool("n_probe_wait", &mut probe_wait)?;
+        c.time("n_probe_t", &mut probe_t)?;
+        self.awaiting_probe = probe_wait.then_some(probe_t);
+        c.u64("n_probe_gen", &mut self.probe_gen)
+    }
 }
 
 #[derive(Debug)]
@@ -593,6 +648,20 @@ impl UserState {
         (std::mem::size_of::<Self>()
             + self.pending_pubs.capacity() * std::mem::size_of::<(SnapshotId, SimTime)>())
             as u64
+    }
+
+    /// Walks this user's observation state (home server and visit interval
+    /// are derived from the configuration, not stored).
+    fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
+        c.index("u_last_server", &mut self.last_server.0, b.nodes)?;
+        c.u32("u_seen_max", &mut self.seen_max.0)?;
+        c.seq("u_pending_pubs", &mut self.pending_pubs, |(snap, t), c| {
+            c.u32("u_pp_snap", &mut snap.0)?;
+            c.time("u_pp_t", t)
+        })?;
+        self.lag.persist(c, ["u_lag_count", "u_lag_mean", "u_lag_m2", "u_lag_min", "u_lag_max"])?;
+        c.u64("u_inconsistent", &mut self.inconsistent_obs)?;
+        c.u64("u_total", &mut self.total_obs)
     }
 }
 
@@ -911,7 +980,7 @@ impl SimObs {
 }
 
 /// One tracked delivery awaiting an ack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PendingDelivery {
     src: NodeId,
     dst: NodeId,
@@ -2794,473 +2863,143 @@ impl<'a> CdnSimulation<'a> {
         }
     }
 
-    /// Serializes the complete dynamic simulation state — scheduler clock
-    /// and pending queue, every RNG stream, per-node and per-user protocol
+    /// Walks the complete dynamic simulation state — scheduler clock and
+    /// pending queue, every RNG stream, per-node and per-user protocol
     /// state, reliable-delivery ledger, cluster/tree/topology wiring,
     /// request-plane caches, network backlogs, lifecycle bookkeeping, and
-    /// the determinism-digest segment — into a versioned text artifact.
+    /// the determinism-digest segment — in one pass: it writes the artifact
+    /// while `c` is writing and restores this freshly constructed
+    /// simulation (same configuration) while `c` is reading.
     ///
     /// Static structure (node placement, latency model, plan parameters) is
     /// *not* stored: restore reconstructs it from the same [`SimConfig`] and
     /// overlays the dynamic state, so an artifact is only meaningful
-    /// together with its configuration.
-    fn ckpt_write(&self) -> String {
-        let mut w = CkptWriter::new("cdn-sim");
-        // Scheduler: clock, processed count, and the full pending queue in
-        // deterministic pop order.
-        let (now, processed, entries, next_seq) = self.sched.state();
-        w.time("sched_now", now);
-        w.u64("sched_processed", processed);
-        w.u64("sched_next_seq", next_seq);
-        w.usize("sched_entries", entries.len());
-        for (t, seq, ev) in entries {
-            w.time("ev_t", t);
-            w.u64("ev_seq", seq);
-            ev.ckpt_write(&mut w);
+    /// together with its configuration. Reading fails when the artifact is
+    /// malformed, disagrees with the configuration about structure
+    /// (node/user counts, subsystem presence), or stores an id that is not
+    /// a node or user of this simulation.
+    fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let b = Bounds { nodes: self.nodes.len(), users: self.users.len() };
+        self.sched.persist(c, |ev, c| ev.persist(c, b))?;
+        c.rng("sim_rng", &mut self.rng)?;
+        c.fixed("nodes", b.nodes)?;
+        for node in &mut self.nodes {
+            node.persist(c, b)?;
         }
-        w.rng("sim_rng", &self.rng);
-        // Per-node protocol state (trace contexts are observation-only and
-        // restored as NONE).
-        w.usize("nodes", self.nodes.len());
-        for n in &self.nodes {
-            w.u64("n_content", u64::from(n.content.0));
-            w.u64("n_known_stale", n.known_stale.map_or(0, |s| u64::from(s.0) + 1));
-            w.bool("n_mode_inval", matches!(n.mode, AdaptiveMode::Invalidation));
-            w.bool("n_fetch_pending", n.fetch_pending);
-            w.u64("n_timer_gen", n.timer_gen);
-            w.u64("n_fetch_token", n.fetch_token);
-            w.bool("n_absent", n.absent);
-            w.time("n_modified_at", n.content_modified_at);
-            w.f64("n_adaptive_s", n.adaptive_interval_s);
-            w.usize("n_waiting_children", n.waiting_children.len());
-            for c in &n.waiting_children {
-                w.u64("n_wc", u64::from(c.0));
-            }
-            w.usize("n_waiting_users", n.waiting_users.len());
-            for &u in &n.waiting_users {
-                w.u64("n_wu", u64::from(u));
-            }
-            w.usize("n_inval_registry", n.inval_registry.len());
-            for c in &n.inval_registry {
-                w.u64("n_ir", u64::from(c.0));
-            }
-            w.u64("n_last_invalidated", u64::from(n.last_invalidated.0));
-            w.usize("n_pending_pubs", n.pending_pubs.len());
-            for (s, t) in &n.pending_pubs {
-                w.u64("n_pp_snap", u64::from(s.0));
-                w.time("n_pp_t", *t);
-            }
-            let (count, mean, m2, min, max) = n.lag.raw();
-            w.u64("n_lag_count", count);
-            w.f64("n_lag_mean", mean);
-            w.f64("n_lag_m2", m2);
-            w.f64("n_lag_min", min);
-            w.f64("n_lag_max", max);
-            w.bool("n_probe_wait", n.awaiting_probe.is_some());
-            w.time("n_probe_t", n.awaiting_probe.unwrap_or(SimTime::ZERO));
-            w.u64("n_probe_gen", n.probe_gen);
+        c.fixed("users", b.users)?;
+        for user in &mut self.users {
+            user.persist(c, b)?;
         }
-        // Per-user state (home server and visit interval are derived from
-        // the configuration, not stored).
-        w.usize("users", self.users.len());
-        for u in &self.users {
-            w.u64("u_last_server", u64::from(u.last_server.0));
-            w.u64("u_seen_max", u64::from(u.seen_max.0));
-            w.usize("u_pending_pubs", u.pending_pubs.len());
-            for (s, t) in &u.pending_pubs {
-                w.u64("u_pp_snap", u64::from(s.0));
-                w.time("u_pp_t", *t);
-            }
-            let (count, mean, m2, min, max) = u.lag.raw();
-            w.u64("u_lag_count", count);
-            w.f64("u_lag_mean", mean);
-            w.f64("u_lag_m2", m2);
-            w.f64("u_lag_min", min);
-            w.f64("u_lag_max", max);
-            w.u64("u_inconsistent", u.inconsistent_obs);
-            w.u64("u_total", u.total_obs);
-        }
-        w.u64("provider_update_messages", self.provider_update_messages);
-        w.u64("server_update_messages", self.server_update_messages);
-        w.u64("chaos_lost", self.chaos.lost_to_failed);
-        w.u64("chaos_rtx", self.chaos.retransmits);
-        w.u64("chaos_abandoned", self.chaos.abandoned);
-        w.u64("chaos_abandoned_dep", self.chaos.abandoned_to_departed);
-        w.u64("chaos_dup", self.chaos.dup_suppressed);
-        w.u64("chaos_failovers", self.chaos.failovers);
-        w.u64("chaos_ttl_fallbacks", self.chaos.ttl_fallbacks);
-        w.u64("chaos_conv", self.chaos.convergence_violations);
+        c.u64("provider_update_messages", &mut self.provider_update_messages)?;
+        c.u64("server_update_messages", &mut self.server_update_messages)?;
+        let chaos = &mut self.chaos;
+        c.u64("chaos_lost", &mut chaos.lost_to_failed)?;
+        c.u64("chaos_rtx", &mut chaos.retransmits)?;
+        c.u64("chaos_abandoned", &mut chaos.abandoned)?;
+        c.u64("chaos_abandoned_dep", &mut chaos.abandoned_to_departed)?;
+        c.u64("chaos_dup", &mut chaos.dup_suppressed)?;
+        c.u64("chaos_failovers", &mut chaos.failovers)?;
+        c.u64("chaos_ttl_fallbacks", &mut chaos.ttl_fallbacks)?;
+        c.u64("chaos_conv", &mut chaos.convergence_violations)?;
         // Reliable-delivery ledger (fault-plan runs only).
-        w.bool("reliable", self.reliable.is_some());
-        if let Some(rel) = &self.reliable {
-            w.u64("rel_next_id", rel.next_id);
-            w.usize("rel_pending", rel.pending.len());
-            for (id, p) in &rel.pending {
-                w.u64("rp_id", *id);
-                w.u64("rp_src", u64::from(p.src.0));
-                w.u64("rp_dst", u64::from(p.dst.0));
-                w.u64("rp_attempts", u64::from(p.attempts));
-                w.u64("rp_rto_us", p.rto.as_micros());
-                p.msg.ckpt_write(&mut w);
+        c.section("reliable", self.reliable.as_mut(), |rel, c| {
+            c.u64("rel_next_id", &mut rel.next_id)?;
+            c.seq("rel_pending", &mut rel.pending, |(id, p), c| {
+                c.u64("rp_id", id)?;
+                c.index("rp_src", &mut p.src.0, b.nodes)?;
+                c.index("rp_dst", &mut p.dst.0, b.nodes)?;
+                c.u32("rp_attempts", &mut p.attempts)?;
+                let mut rto = p.rto.as_micros();
+                c.u64("rp_rto_us", &mut rto)?;
+                p.rto = SimDuration::from_micros(rto);
+                p.msg.persist(c, b.nodes)
+            })?;
+            c.fixed("rel_seen", rel.seen.len())?;
+            for seen in &mut rel.seen {
+                c.seq("rs_len", seen, |id, c| c.u64("rs_id", id))?;
             }
-            w.usize("rel_seen", rel.seen.len());
-            for set in &rel.seen {
-                w.usize("rs_len", set.len());
-                for id in set {
-                    w.u64("rs_id", *id);
-                }
-            }
-            w.rng("rel_jitter", &rel.jitter_rng);
-        }
+            c.rng("rel_jitter", &mut rel.jitter_rng)
+        })?;
         // Cluster bookkeeping: only the supernode vector mutates (failover);
         // membership is rebuilt from the checkpointed topology.
-        w.bool("clusters", self.clusters.is_some());
-        if let Some(cl) = &self.clusters {
-            w.usize("cl_supernodes", cl.supernode.len());
-            for sn in &cl.supernode {
-                w.u64("cl_sn", u64::from(sn.0));
-            }
-        }
-        self.topo.ckpt_write(&mut w);
-        w.bool("tree", self.tree.is_some());
-        if let Some(tree) = &self.tree {
-            tree.ckpt_write(&mut w);
-        }
+        c.section("clusters", self.clusters.as_mut(), |cl, c| {
+            c.fixed("cl_supernodes", cl.supernode.len())?;
+            cl.supernode.iter_mut().try_for_each(|sn| c.index("cl_sn", &mut sn.0, b.nodes))
+        })?;
+        self.topo.persist(c)?;
+        c.section("tree", self.tree.as_mut(), |tree, c| tree.persist(c, b.nodes))?;
         // Request plane (publish times are derived from the configuration).
-        w.bool("workload", self.workload.is_some());
-        if let Some(wl) = &self.workload {
-            wl.catalog.ckpt_write(&mut w);
-            w.usize("wl_caches", wl.caches.len());
-            for c in &wl.caches {
-                c.ckpt_write(&mut w);
+        c.section("workload", self.workload.as_mut(), |wl, c| {
+            wl.catalog.persist(c)?;
+            c.fixed("wl_caches", wl.caches.len())?;
+            for cache in &mut wl.caches {
+                cache.persist(c)?;
             }
-            w.rng("wl_rng", &wl.rng);
-            w.u64("wl_requests", wl.stats.requests);
-            w.u64("wl_hits", wl.stats.hits);
-            w.u64("wl_delayed_hits", wl.stats.delayed_hits);
-            w.u64("wl_misses", wl.stats.misses);
-            w.u64("wl_evictions", wl.stats.evictions);
-            w.u64("wl_origin_fetches", wl.stats.origin_fetches);
-            w.f64("wl_origin_kb", wl.stats.origin_kb);
-            w.u64("wl_churn_events", wl.stats.churn_events);
-            w.u64("wl_waiters_aborted", wl.stats.waiters_aborted);
-            w.u64("wl_orphan_fills", wl.stats.orphan_fills);
-            w.usize("wl_latency", wl.stats.latency_s.len());
-            for &v in &wl.stats.latency_s {
-                w.f64("wl_lat", v);
-            }
-            w.usize("wl_staleness", wl.stats.staleness_served_s.len());
-            for &v in &wl.stats.staleness_served_s {
-                w.f64("wl_stale", v);
-            }
-        }
-        self.net.ckpt_write(&mut w);
+            c.rng("wl_rng", &mut wl.rng)?;
+            let st = &mut wl.stats;
+            c.u64("wl_requests", &mut st.requests)?;
+            c.u64("wl_hits", &mut st.hits)?;
+            c.u64("wl_delayed_hits", &mut st.delayed_hits)?;
+            c.u64("wl_misses", &mut st.misses)?;
+            c.u64("wl_evictions", &mut st.evictions)?;
+            c.u64("wl_origin_fetches", &mut st.origin_fetches)?;
+            c.f64("wl_origin_kb", &mut st.origin_kb)?;
+            c.u64("wl_churn_events", &mut st.churn_events)?;
+            c.u64("wl_waiters_aborted", &mut st.waiters_aborted)?;
+            c.u64("wl_orphan_fills", &mut st.orphan_fills)?;
+            c.seq("wl_latency", &mut st.latency_s, |v, c| c.f64("wl_lat", v))?;
+            c.seq("wl_staleness", &mut st.staleness_served_s, |v, c| c.f64("wl_stale", v))
+        })?;
+        self.net.persist(c)?;
         // Lifecycle bookkeeping (churn-plan runs only).
-        w.bool("lifecycle", self.lifecycle.is_some());
-        if let Some(lc) = &self.lifecycle {
-            w.usize("lc_nodes", lc.down_kind.len());
-            for k in &lc.down_kind {
-                w.u64(
-                    "lc_down",
-                    match k {
-                        None => 0,
-                        Some(ChurnKind::Leave) => 1,
-                        Some(ChurnKind::Crash) => 2,
-                    },
+        c.section("lifecycle", self.lifecycle.as_mut(), |lc, c| {
+            c.fixed("lc_nodes", lc.down_kind.len())?;
+            for kind in &mut lc.down_kind {
+                let mut tag = match kind {
+                    None => 0,
+                    Some(ChurnKind::Leave) => 1,
+                    Some(ChurnKind::Crash) => 2,
+                };
+                c.u64("lc_down", &mut tag)?;
+                *kind = match tag {
+                    0 => None,
+                    1 => Some(ChurnKind::Leave),
+                    2 => Some(ChurnKind::Crash),
+                    t => return Err(CkptError(format!("unknown churn-kind tag {t}"))),
+                };
+            }
+            c.u64("lc_joins", &mut lc.joins)?;
+            c.u64("lc_leaves", &mut lc.leaves)?;
+            c.u64("lc_crashes", &mut lc.crashes)
+        })?;
+        // Determinism-digest segment, so a restored run continues the saved
+        // run's chain and the audit trail stays bit-identical. Its presence
+        // follows the saving run's registry, not the configuration.
+        let registry = &self.obs.registry;
+        let mut digest = if c.is_reading() { None } else { registry.digest_local_state() };
+        let mut present = digest.is_some();
+        c.bool("digest", &mut present)?;
+        if present {
+            let (events, chain, stride, checkpoints) = digest.get_or_insert_with(Default::default);
+            c.u64("dg_events", events)?;
+            c.u64("dg_chain", chain)?;
+            c.u64("dg_stride", stride)?;
+            c.seq("dg_checkpoints", checkpoints, |cp, c| {
+                c.u64("dg_idx", &mut cp.index)?;
+                c.u64("dg_val", &mut cp.chain)
+            })?;
+            if c.is_reading() {
+                // `false` just means this run's registry has no digest armed
+                // — the chain continuation is then irrelevant, not an error.
+                let _ = registry.restore_digest_local(
+                    *events,
+                    *chain,
+                    *stride,
+                    std::mem::take(checkpoints),
                 );
             }
-            w.u64("lc_joins", lc.joins);
-            w.u64("lc_leaves", lc.leaves);
-            w.u64("lc_crashes", lc.crashes);
         }
-        // Determinism-digest segment, so a restored run continues the saved
-        // run's chain and the audit trail stays bit-identical.
-        match self.obs.registry.digest_local_state() {
-            Some((events, chain, stride, checkpoints)) => {
-                w.bool("digest", true);
-                w.u64("dg_events", events);
-                w.u64("dg_chain", chain);
-                w.u64("dg_stride", stride);
-                w.usize("dg_checkpoints", checkpoints.len());
-                for cp in &checkpoints {
-                    w.u64("dg_idx", cp.index);
-                    w.u64("dg_val", cp.chain);
-                }
-            }
-            None => w.bool("digest", false),
-        }
-        w.finish()
-    }
-
-    /// Restores state written by [`CdnSimulation::ckpt_write`] into this
-    /// freshly constructed simulation (same configuration).
-    ///
-    /// Errors when the artifact is malformed or disagrees with the
-    /// configuration about structure (node/user counts, subsystem
-    /// presence).
-    fn ckpt_read(&mut self, artifact: &str) -> Result<(), CkptError> {
-        let mut r = CkptReader::new(artifact, "cdn-sim")?;
-        let now = r.time("sched_now")?;
-        let processed = r.u64("sched_processed")?;
-        let next_seq = r.u64("sched_next_seq")?;
-        let n_entries = r.usize("sched_entries")?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let t = r.time("ev_t")?;
-            let seq = r.u64("ev_seq")?;
-            entries.push((t, seq, Event::ckpt_read(&mut r)?));
-        }
-        self.sched.restore_state(now, processed, entries, next_seq);
-        self.rng = r.rng("sim_rng")?;
-        let n = r.usize("nodes")?;
-        if n != self.nodes.len() {
-            return Err(CkptError(format!(
-                "simulation has {} nodes, checkpoint carries {n}",
-                self.nodes.len()
-            )));
-        }
-        for node in &mut self.nodes {
-            node.content = SnapshotId(r.u64("n_content")? as u32);
-            let stale = r.u64("n_known_stale")?;
-            node.known_stale = if stale == 0 { None } else { Some(SnapshotId((stale - 1) as u32)) };
-            node.mode = if r.bool("n_mode_inval")? {
-                AdaptiveMode::Invalidation
-            } else {
-                AdaptiveMode::Ttl
-            };
-            node.fetch_pending = r.bool("n_fetch_pending")?;
-            node.timer_gen = r.u64("n_timer_gen")?;
-            node.fetch_token = r.u64("n_fetch_token")?;
-            node.absent = r.bool("n_absent")?;
-            node.content_modified_at = r.time("n_modified_at")?;
-            node.adaptive_interval_s = r.f64("n_adaptive_s")?;
-            node.waiting_children.clear();
-            for _ in 0..r.usize("n_waiting_children")? {
-                node.waiting_children.push(NodeId(r.u64("n_wc")? as u32));
-            }
-            node.waiting_users.clear();
-            for _ in 0..r.usize("n_waiting_users")? {
-                node.waiting_users.push(r.u64("n_wu")? as u32);
-            }
-            node.inval_registry.clear();
-            for _ in 0..r.usize("n_inval_registry")? {
-                node.inval_registry.push(NodeId(r.u64("n_ir")? as u32));
-            }
-            node.last_invalidated = SnapshotId(r.u64("n_last_invalidated")? as u32);
-            node.pending_pubs.clear();
-            for _ in 0..r.usize("n_pending_pubs")? {
-                let snap = SnapshotId(r.u64("n_pp_snap")? as u32);
-                node.pending_pubs.push_back((snap, r.time("n_pp_t")?));
-            }
-            let count = r.u64("n_lag_count")?;
-            let mean = r.f64("n_lag_mean")?;
-            let m2 = r.f64("n_lag_m2")?;
-            let min = r.f64("n_lag_min")?;
-            let max = r.f64("n_lag_max")?;
-            node.lag = OnlineStats::from_raw(count, mean, m2, min, max);
-            node.content_ctx = TraceCtx::NONE;
-            let probe_wait = r.bool("n_probe_wait")?;
-            let probe_t = r.time("n_probe_t")?;
-            node.awaiting_probe = probe_wait.then_some(probe_t);
-            node.probe_gen = r.u64("n_probe_gen")?;
-        }
-        let n_users = r.usize("users")?;
-        if n_users != self.users.len() {
-            return Err(CkptError(format!(
-                "simulation has {} users, checkpoint carries {n_users}",
-                self.users.len()
-            )));
-        }
-        for user in &mut self.users {
-            user.last_server = NodeId(r.u64("u_last_server")? as u32);
-            user.seen_max = SnapshotId(r.u64("u_seen_max")? as u32);
-            user.pending_pubs.clear();
-            for _ in 0..r.usize("u_pending_pubs")? {
-                let snap = SnapshotId(r.u64("u_pp_snap")? as u32);
-                user.pending_pubs.push_back((snap, r.time("u_pp_t")?));
-            }
-            let count = r.u64("u_lag_count")?;
-            let mean = r.f64("u_lag_mean")?;
-            let m2 = r.f64("u_lag_m2")?;
-            let min = r.f64("u_lag_min")?;
-            let max = r.f64("u_lag_max")?;
-            user.lag = OnlineStats::from_raw(count, mean, m2, min, max);
-            user.inconsistent_obs = r.u64("u_inconsistent")?;
-            user.total_obs = r.u64("u_total")?;
-        }
-        self.provider_update_messages = r.u64("provider_update_messages")?;
-        self.server_update_messages = r.u64("server_update_messages")?;
-        self.chaos.lost_to_failed = r.u64("chaos_lost")?;
-        self.chaos.retransmits = r.u64("chaos_rtx")?;
-        self.chaos.abandoned = r.u64("chaos_abandoned")?;
-        self.chaos.abandoned_to_departed = r.u64("chaos_abandoned_dep")?;
-        self.chaos.dup_suppressed = r.u64("chaos_dup")?;
-        self.chaos.failovers = r.u64("chaos_failovers")?;
-        self.chaos.ttl_fallbacks = r.u64("chaos_ttl_fallbacks")?;
-        self.chaos.convergence_violations = r.u64("chaos_conv")?;
-        let has_reliable = r.bool("reliable")?;
-        match (&mut self.reliable, has_reliable) {
-            (Some(rel), true) => {
-                rel.next_id = r.u64("rel_next_id")?;
-                rel.pending.clear();
-                for _ in 0..r.usize("rel_pending")? {
-                    let id = r.u64("rp_id")?;
-                    let src = NodeId(r.u64("rp_src")? as u32);
-                    let dst = NodeId(r.u64("rp_dst")? as u32);
-                    let attempts = r.u64("rp_attempts")? as u32;
-                    let rto = SimDuration::from_micros(r.u64("rp_rto_us")?);
-                    let msg = Msg::ckpt_read(&mut r)?;
-                    rel.pending.insert(id, PendingDelivery { src, dst, msg, attempts, rto });
-                }
-                let n_seen = r.usize("rel_seen")?;
-                if n_seen != rel.seen.len() {
-                    return Err(CkptError(format!(
-                        "reliable ledger has {} nodes, checkpoint carries {n_seen}",
-                        rel.seen.len()
-                    )));
-                }
-                for set in &mut rel.seen {
-                    set.clear();
-                    for _ in 0..r.usize("rs_len")? {
-                        set.insert(r.u64("rs_id")?);
-                    }
-                }
-                rel.jitter_rng = r.rng("rel_jitter")?;
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "fault plan {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_reliable { "present" } else { "absent" },
-                )));
-            }
-        }
-        let has_clusters = r.bool("clusters")?;
-        match (&mut self.clusters, has_clusters) {
-            (Some(cl), true) => {
-                let n_sn = r.usize("cl_supernodes")?;
-                if n_sn != cl.supernode.len() {
-                    return Err(CkptError(format!(
-                        "cluster map has {} supernodes, checkpoint carries {n_sn}",
-                        cl.supernode.len()
-                    )));
-                }
-                for sn in &mut cl.supernode {
-                    *sn = NodeId(r.u64("cl_sn")? as u32);
-                }
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "cluster state {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_clusters { "present" } else { "absent" },
-                )));
-            }
-        }
-        self.topo.ckpt_read(&mut r)?;
-        let has_tree = r.bool("tree")?;
-        match (&mut self.tree, has_tree) {
-            (Some(tree), true) => tree.ckpt_read(&mut r)?,
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "distribution tree {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_tree { "present" } else { "absent" },
-                )));
-            }
-        }
-        let has_workload = r.bool("workload")?;
-        match (&mut self.workload, has_workload) {
-            (Some(wl), true) => {
-                wl.catalog.ckpt_read(&mut r)?;
-                let n_caches = r.usize("wl_caches")?;
-                if n_caches != wl.caches.len() {
-                    return Err(CkptError(format!(
-                        "workload has {} caches, checkpoint carries {n_caches}",
-                        wl.caches.len()
-                    )));
-                }
-                for c in &mut wl.caches {
-                    c.ckpt_read(&mut r)?;
-                }
-                wl.rng = r.rng("wl_rng")?;
-                wl.stats.requests = r.u64("wl_requests")?;
-                wl.stats.hits = r.u64("wl_hits")?;
-                wl.stats.delayed_hits = r.u64("wl_delayed_hits")?;
-                wl.stats.misses = r.u64("wl_misses")?;
-                wl.stats.evictions = r.u64("wl_evictions")?;
-                wl.stats.origin_fetches = r.u64("wl_origin_fetches")?;
-                wl.stats.origin_kb = r.f64("wl_origin_kb")?;
-                wl.stats.churn_events = r.u64("wl_churn_events")?;
-                wl.stats.waiters_aborted = r.u64("wl_waiters_aborted")?;
-                wl.stats.orphan_fills = r.u64("wl_orphan_fills")?;
-                wl.stats.latency_s.clear();
-                for _ in 0..r.usize("wl_latency")? {
-                    wl.stats.latency_s.push(r.f64("wl_lat")?);
-                }
-                wl.stats.staleness_served_s.clear();
-                for _ in 0..r.usize("wl_staleness")? {
-                    wl.stats.staleness_served_s.push(r.f64("wl_stale")?);
-                }
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "workload plan {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_workload { "present" } else { "absent" },
-                )));
-            }
-        }
-        self.net.ckpt_read(&mut r)?;
-        let has_lifecycle = r.bool("lifecycle")?;
-        match (&mut self.lifecycle, has_lifecycle) {
-            (Some(lc), true) => {
-                let n_lc = r.usize("lc_nodes")?;
-                if n_lc != lc.down_kind.len() {
-                    return Err(CkptError(format!(
-                        "lifecycle tracks {} nodes, checkpoint carries {n_lc}",
-                        lc.down_kind.len()
-                    )));
-                }
-                for k in &mut lc.down_kind {
-                    *k = match r.u64("lc_down")? {
-                        0 => None,
-                        1 => Some(ChurnKind::Leave),
-                        2 => Some(ChurnKind::Crash),
-                        t => return Err(CkptError(format!("unknown churn-kind tag {t}"))),
-                    };
-                }
-                lc.joins = r.u64("lc_joins")?;
-                lc.leaves = r.u64("lc_leaves")?;
-                lc.crashes = r.u64("lc_crashes")?;
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "churn plan {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_lifecycle { "present" } else { "absent" },
-                )));
-            }
-        }
-        if r.bool("digest")? {
-            let events = r.u64("dg_events")?;
-            let chain = r.u64("dg_chain")?;
-            let stride = r.u64("dg_stride")?;
-            let mut checkpoints = Vec::new();
-            for _ in 0..r.usize("dg_checkpoints")? {
-                let index = r.u64("dg_idx")?;
-                checkpoints.push(Checkpoint { index, chain: r.u64("dg_val")? });
-            }
-            // `false` just means this run's registry has no digest armed —
-            // the chain continuation is then irrelevant, not an error.
-            let _ = self.obs.registry.restore_digest_local(events, chain, stride, checkpoints);
-        }
-        r.done()
+        Ok(())
     }
 
     fn into_report(self) -> SimReport {
@@ -4423,5 +4162,83 @@ mod tests {
             slow.mean_server_lag_s(),
             fast.mean_server_lag_s()
         );
+    }
+
+    #[test]
+    fn ckpt_encodings_are_pinned() {
+        // One of each message (a tracked envelope wrapping an update) and
+        // each of the 16 events. The literal is the artifact format itself:
+        // a renumbered tag or a reordered field fails here.
+        const PINNED: &str = "ckpt_version=1\nckpt_kind=test\n\
+            msg=0\na=7\nb=1500000\n\
+            msg=1\na=8\n\
+            msg=2\na=3\nb=6\nc=1\n\
+            msg=3\n\
+            msg=4\na=4\nb=1\n\
+            msg=5\na=5\nb=0\n\
+            msg=6\na=42\nb=2\n\
+            msg=0\na=9\nb=2250000\n\
+            msg=7\na=43\n\
+            ev=0\na=3\n\
+            ev=1\na=1\nb=11\n\
+            ev=2\na=2\nmsg=7\na=44\n\
+            ev=3\na=5\n\
+            ev=4\na=3\n\
+            ev=5\na=4\n\
+            ev=6\na=5\nb=12\n\
+            ev=7\na=6\nb=13\n\
+            ev=8\na=45\nb=2\n\
+            ev=9\na=7\nb=14\n\
+            ev=10\na=6\n\
+            ev=11\na=8\nb=9\nc=2\nd=15\n\
+            ev=12\n\
+            ev=13\na=1\n\
+            ev=14\na=2\n\
+            ev=15\na=3\n";
+        let update = |snap, us| Msg::Update {
+            snap: SnapshotId(snap),
+            modified_at: SimTime::from_micros(us),
+            ctx: TraceCtx::NONE,
+        };
+        let mut msgs = vec![
+            update(7, 1_500_000),
+            Msg::Invalidate(SnapshotId(8), TraceCtx::NONE),
+            Msg::Poll { from: NodeId(3), have: SnapshotId(6), conditional: true },
+            Msg::Unchanged,
+            Msg::SwitchMode { from: NodeId(4), to_invalidation: true },
+            Msg::TreeJoin { from: NodeId(5), invalidation_mode: false },
+            Msg::Tracked { id: 42, from: NodeId(2), inner: Box::new(update(9, 2_250_000)) },
+            Msg::Ack { id: 43 },
+        ];
+        let mut events = vec![
+            Event::Publish(3),
+            Event::PollTimer(NodeId(1), 11),
+            Event::Arrive(NodeId(2), Msg::Ack { id: 44 }),
+            Event::UserVisit(5),
+            Event::Fail(NodeId(3)),
+            Event::Recover(NodeId(4)),
+            Event::FetchTimeout(NodeId(5), 12),
+            Event::Heartbeat(NodeId(6), 13),
+            Event::Retransmit(45, 2),
+            Event::Probe(NodeId(7), 14),
+            Event::Request(6),
+            Event::Fill(NodeId(8), ObjectId { slot: 9, gen: 2 }, 15),
+            Event::Churn,
+            Event::NodeLeave(NodeId(1)),
+            Event::NodeCrash(NodeId(2)),
+            Event::NodeJoin(NodeId(3)),
+        ];
+        assert_eq!(events.len(), EVENT_TIMER_LABELS.len(), "every event variant is pinned");
+        let b = Bounds { nodes: 9, users: 7 };
+        let walk = |msgs: &mut Vec<Msg>, events: &mut Vec<Event>, c: &mut Ckpt| {
+            msgs.iter_mut().try_for_each(|m| m.persist(c, b.nodes))?;
+            events.iter_mut().try_for_each(|e| e.persist(c, b))
+        };
+        assert_eq!(Ckpt::write("test", |c| walk(&mut msgs, &mut events, c)), PINNED);
+        let (mut read_msgs, mut read_events) =
+            (vec![Msg::default(); 8], vec![Event::default(); 16]);
+        Ckpt::read(PINNED, "test", |c| walk(&mut read_msgs, &mut read_events, c)).unwrap();
+        let rewritten = Ckpt::write("test", |c| walk(&mut read_msgs, &mut read_events, c));
+        assert_eq!(rewritten, PINNED, "read-back values re-write to the same text");
     }
 }

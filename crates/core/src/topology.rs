@@ -9,7 +9,7 @@ use crate::method::MethodKind;
 use crate::tree::DistributionTree;
 use cdnc_geo::{cluster_by_hilbert, GeoPoint};
 use cdnc_net::{Network, NodeId};
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimRng;
 
 /// The update topology of a deployment.
@@ -185,90 +185,45 @@ impl Topology {
         self.supernodes.contains(&node)
     }
 
-    /// Serializes the mutable wiring (upstream, downstream in live order,
-    /// methods, supernodes) into a checkpoint. Provider and server count
-    /// are written for verification; they are reconstructed, not restored.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.u64("topo_provider", u64::from(self.provider.0));
-        w.usize("topo_servers", self.servers.len());
-        w.usize("topo_nodes", self.upstream.len());
-        for up in &self.upstream {
-            match up {
-                Some(p) => w.u64("topo_up", u64::from(p.0) + 1),
-                None => w.u64("topo_up", 0),
-            }
-        }
-        for down in &self.downstream {
-            w.usize("topo_down", down.len());
-            for d in down {
-                w.u64("topo_kid", u64::from(d.0));
-            }
-        }
-        for m in &self.method {
-            let tag = match m {
-                None => 0,
-                Some(k) => {
-                    1 + MethodKind::ALL.iter().position(|&a| a == *k).expect("known method") as u64
-                }
-            };
-            w.u64("topo_method", tag);
-        }
-        w.usize("topo_supernodes", self.supernodes.len());
-        for sn in &self.supernodes {
-            w.u64("topo_sn", u64::from(sn.0));
-        }
-    }
-
-    /// Restores the wiring written by [`Topology::ckpt_write`]. Errors if
-    /// the artifact disagrees with this topology's shape (provider id,
-    /// server count, node count).
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        if r.u64("topo_provider")? != u64::from(self.provider.0) {
+    /// Walks the mutable wiring (upstream, downstream in live order,
+    /// methods, supernodes) as checkpoint state. Provider and server count
+    /// are stored for verification only: reading fails if they, or the node
+    /// count, disagree with this topology, or if a stored id is not a node.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let n = self.upstream.len();
+        let mut provider = self.provider;
+        c.u32("topo_provider", &mut provider.0)?;
+        if provider != self.provider {
             return Err(CkptError("checkpoint provider mismatch".to_owned()));
         }
-        if r.usize("topo_servers")? != self.servers.len() {
-            return Err(CkptError("checkpoint server count mismatch".to_owned()));
+        c.fixed("topo_servers", self.servers.len())?;
+        c.fixed("topo_nodes", n)?;
+        for up in &mut self.upstream {
+            let mut tag = up.map_or(0, |p| u64::from(p.0) + 1);
+            c.u64("topo_up", &mut tag)?;
+            *up = match tag {
+                0 => None,
+                t if t <= n as u64 => Some(NodeId((t - 1) as u32)),
+                t => return Err(CkptError(format!("topo_up={t} names no node of {n}"))),
+            };
         }
-        if r.usize("topo_nodes")? != self.upstream.len() {
-            return Err(CkptError("checkpoint node count mismatch".to_owned()));
+        for down in &mut self.downstream {
+            c.seq("topo_down", down, |kid, c| c.index("topo_kid", &mut kid.0, n))?;
         }
-        let n = self.upstream.len();
-        let mut upstream = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u64("topo_up")?;
-            upstream.push(if tag == 0 { None } else { Some(NodeId((tag - 1) as u32)) });
-        }
-        let mut downstream = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = r.usize("topo_down")?;
-            let mut kids = Vec::with_capacity(k);
-            for _ in 0..k {
-                kids.push(NodeId(r.u64("topo_kid")? as u32));
-            }
-            downstream.push(kids);
-        }
-        let mut method = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u64("topo_method")?;
-            method.push(match tag {
+        for m in &mut self.method {
+            let position = |k| MethodKind::ALL.iter().position(|&a| a == k).expect("known method");
+            let mut tag = m.map_or(0, |k| 1 + position(k) as u32);
+            c.u32("topo_method", &mut tag)?;
+            *m = match tag {
                 0 => None,
                 t => Some(
                     *MethodKind::ALL
                         .get(t as usize - 1)
                         .ok_or_else(|| CkptError(format!("unknown method tag {t}")))?,
                 ),
-            });
+            };
         }
-        let k = r.usize("topo_supernodes")?;
-        let mut supernodes = Vec::with_capacity(k);
-        for _ in 0..k {
-            supernodes.push(NodeId(r.u64("topo_sn")? as u32));
-        }
-        self.upstream = upstream;
-        self.downstream = downstream;
-        self.method = method;
-        self.supernodes = supernodes;
-        Ok(())
+        c.seq("topo_supernodes", &mut self.supernodes, |sn, c| c.index("topo_sn", &mut sn.0, n))
     }
 }
 

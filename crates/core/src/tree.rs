@@ -10,7 +10,7 @@
 
 use cdnc_geo::GeoPoint;
 use cdnc_net::NodeId;
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use std::collections::HashMap;
 
 /// A rooted d-ary tree over a subset of network nodes.
@@ -238,67 +238,48 @@ impl DistributionTree {
         parent
     }
 
-    /// Serializes the tree structure into a checkpoint artifact. Parent
-    /// entries are written in ascending node order (the backing map is
-    /// unordered); child lists keep their live order, which repair and
-    /// substitution iterate, so a restored tree replays them identically.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.u64("tree_root", self.root.0 as u64);
-        w.usize("tree_arity", self.arity);
-        let mut members: Vec<NodeId> = self.parent.keys().copied().collect();
-        members.sort_unstable();
-        w.usize("tree_members", members.len());
-        for m in &members {
-            w.u64("tree_node", m.0 as u64);
-            w.u64("tree_parent", self.parent[m].0 as u64);
-        }
-        let mut parents: Vec<NodeId> =
-            self.children.iter().filter(|(_, kids)| !kids.is_empty()).map(|(&p, _)| p).collect();
-        parents.sort_unstable();
-        w.usize("tree_branches", parents.len());
-        for p in &parents {
-            w.u64("tree_branch", p.0 as u64);
-            let kids = &self.children[p];
-            w.usize("tree_kids", kids.len());
-            for k in kids {
-                w.u64("tree_kid", k.0 as u64);
-            }
-        }
-    }
-
-    /// Restores structure written by [`DistributionTree::ckpt_write`],
-    /// replacing this tree's membership wholesale.
+    /// Walks the tree structure as checkpoint state; `nodes` bounds every
+    /// stored node id. The backing maps are unordered, so they are walked
+    /// as lists sorted by node — parents by member, child lists by parent —
+    /// and rebuilt on read. Each child list keeps its live order, which
+    /// repair and substitution iterate, so a restored tree replays them
+    /// identically.
     ///
-    /// Errors if the artifact's root or arity disagrees with this tree —
-    /// those are construction parameters, not dynamic state.
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let root = NodeId(r.u64("tree_root")? as u32);
-        let arity = r.usize("tree_arity")?;
-        if root != self.root || arity != self.arity {
+    /// Reading replaces the membership wholesale, and fails if the stored
+    /// root or arity disagrees with this tree — those are construction
+    /// parameters, not dynamic state.
+    pub fn persist(&mut self, c: &mut Ckpt, nodes: usize) -> Result<(), CkptError> {
+        let (mut root, mut arity) = (self.root, self.arity as u64);
+        c.u32("tree_root", &mut root.0)?;
+        c.u64("tree_arity", &mut arity)?;
+        if root != self.root || arity != self.arity as u64 {
             return Err(CkptError(format!(
                 "tree is root {} arity {}, checkpoint carries root {root} arity {arity}",
                 self.root, self.arity
             )));
         }
-        let members = r.usize("tree_members")?;
-        let mut parent = HashMap::with_capacity(members);
-        for _ in 0..members {
-            let node = NodeId(r.u64("tree_node")? as u32);
-            parent.insert(node, NodeId(r.u64("tree_parent")? as u32));
+        let mut members: Vec<(NodeId, NodeId)> =
+            self.parent.iter().map(|(&m, &p)| (m, p)).collect();
+        members.sort_unstable();
+        c.seq("tree_members", &mut members, |(member, parent), c| {
+            c.index("tree_node", &mut member.0, nodes)?;
+            c.index("tree_parent", &mut parent.0, nodes)
+        })?;
+        let mut branches: Vec<(NodeId, Vec<NodeId>)> = self
+            .children
+            .iter()
+            .filter(|(_, kids)| !kids.is_empty())
+            .map(|(&p, kids)| (p, kids.clone()))
+            .collect();
+        branches.sort_unstable();
+        c.seq("tree_branches", &mut branches, |(parent, kids), c| {
+            c.index("tree_branch", &mut parent.0, nodes)?;
+            c.seq("tree_kids", kids, |kid, c| c.index("tree_kid", &mut kid.0, nodes))
+        })?;
+        if c.is_reading() {
+            self.parent = members.into_iter().collect();
+            self.children = branches.into_iter().collect();
         }
-        let branches = r.usize("tree_branches")?;
-        let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::with_capacity(branches);
-        for _ in 0..branches {
-            let p = NodeId(r.u64("tree_branch")? as u32);
-            let kids = r.usize("tree_kids")?;
-            let mut list = Vec::with_capacity(kids);
-            for _ in 0..kids {
-                list.push(NodeId(r.u64("tree_kid")? as u32));
-            }
-            children.insert(p, list);
-        }
-        self.parent = parent;
-        self.children = children;
         Ok(())
     }
 
@@ -523,18 +504,14 @@ mod tests {
             .expect("some internal node exists");
         let locs = locations.clone();
         tree.remove_and_reattach(internal, move |id| locs[id.index()]);
-        let mut w = CkptWriter::new("test");
-        tree.ckpt_write(&mut w);
-        let text = w.finish();
+        let text = Ckpt::write("test", |c| tree.persist(c, 61));
         let (mut restored, _) = world_tree(60, 2, 14);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        restored.ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        Ckpt::read(&text, "test", |c| restored.persist(c, 61)).unwrap();
         assert_eq!(restored, tree, "restored tree is structurally identical");
         // Wrong construction parameters are rejected.
         let (mut quad, _) = world_tree(60, 4, 14);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        assert!(quad.ckpt_read(&mut r).is_err(), "arity mismatch rejected");
+        let read = Ckpt::read(&text, "test", |c| quad.persist(c, 61));
+        assert!(read.is_err(), "arity mismatch rejected");
     }
 
     #[test]

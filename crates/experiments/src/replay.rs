@@ -18,7 +18,7 @@ use crate::ext_figs::{churn_config, churn_scheme, CHURN_SCHEME_KEYS};
 use crate::{RunCtx, Scale};
 use cdnc_core::SimConfig;
 use cdnc_obs::{DigestConfig, Registry};
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
 
 /// Artifact kind tag of the experiments-level header.
@@ -30,7 +30,7 @@ const HEADER_LINES: usize = 7;
 
 /// Which `ext_churn` cell a replay artifact reproduces, and when the
 /// checkpoint was taken.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplaySpec {
     /// Scheme key, one of [`CHURN_SCHEME_KEYS`].
     pub scheme_key: String,
@@ -51,6 +51,26 @@ impl ReplaySpec {
     pub fn config(&self) -> Option<SimConfig> {
         let scheme = churn_scheme(&self.scheme_key)?;
         Some(churn_config(RunCtx::new(self.scale), scheme, self.intensity, self.flash))
+    }
+
+    /// Walks the spec as the replay header's checkpoint fields. Reading
+    /// fails on an unknown scheme key or scale name.
+    fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.str("scheme", &mut self.scheme_key)?;
+        if churn_scheme(&self.scheme_key).is_none() {
+            return Err(CkptError(format!(
+                "unknown scheme {:?} in replay header (one of: {})",
+                self.scheme_key,
+                CHURN_SCHEME_KEYS.join(", ")
+            )));
+        }
+        c.f64("intensity", &mut self.intensity)?;
+        c.bool("flash", &mut self.flash)?;
+        let mut scale = self.scale.arg_name().to_owned();
+        c.str("scale", &mut scale)?;
+        self.scale = Scale::parse(&scale)
+            .ok_or_else(|| CkptError(format!("unknown scale {scale:?} in replay header")))?;
+        c.time("at", &mut self.at)
     }
 }
 
@@ -95,13 +115,7 @@ pub fn take_checkpoint(spec: &ReplaySpec, obs: &Registry) -> String {
         &private
     };
     let core = cdnc_core::checkpoint_with_obs(&cfg, reg, spec.at);
-    let mut w = CkptWriter::new(REPLAY_KIND);
-    w.str("scheme", &spec.scheme_key);
-    w.f64("intensity", spec.intensity);
-    w.bool("flash", spec.flash);
-    w.str("scale", spec.scale.arg_name());
-    w.time("at", spec.at);
-    let mut text = w.finish();
+    let mut text = Ckpt::write(REPLAY_KIND, |c| spec.clone().persist(c));
     text.push_str(&core);
     text
 }
@@ -111,22 +125,9 @@ pub fn take_checkpoint(spec: &ReplaySpec, obs: &Registry) -> String {
 pub fn read_artifact(text: &str) -> Result<(ReplaySpec, &str), CkptError> {
     let (header, core) = split_after_line(text, HEADER_LINES)
         .ok_or_else(|| CkptError("artifact shorter than the replay header".to_owned()))?;
-    let mut r = CkptReader::new(header, REPLAY_KIND)?;
-    let scheme_key = r.str("scheme")?.to_owned();
-    let intensity = r.f64("intensity")?;
-    let flash = r.bool("flash")?;
-    let scale_name = r.str("scale")?;
-    let scale = Scale::parse(scale_name)
-        .ok_or_else(|| CkptError(format!("unknown scale {scale_name:?} in replay header")))?;
-    let at = r.time("at")?;
-    r.done()?;
-    if churn_scheme(&scheme_key).is_none() {
-        return Err(CkptError(format!(
-            "unknown scheme {scheme_key:?} in replay header (one of: {})",
-            CHURN_SCHEME_KEYS.join(", ")
-        )));
-    }
-    Ok((ReplaySpec { scheme_key, intensity, flash, scale, at }, core))
+    let mut spec = ReplaySpec::default();
+    Ckpt::read(header, REPLAY_KIND, |c| spec.persist(c))?;
+    Ok((spec, core))
 }
 
 /// Restores a replay artifact, runs it forward — to the horizon, or only

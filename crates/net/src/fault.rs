@@ -17,7 +17,7 @@
 
 use crate::node::NodeId;
 use cdnc_geo::IspId;
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{derive_stream, SimDuration, SimRng, SimTime};
 
 /// A window during which two specific nodes cannot exchange packets
@@ -234,34 +234,16 @@ impl FaultPlane {
         self.active_until = t;
     }
 
-    /// Serializes the plane's dynamic state — the settle fence and the
-    /// per-node rng streams — into a checkpoint artifact. The
-    /// [`FaultConfig`] is a construction parameter the caller rebuilds from
-    /// simulation config, so it is not stored.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.time("fault_active_until", self.active_until);
-        w.usize("fault_streams", self.streams.len());
-        for rng in &self.streams {
-            w.rng("fault_rng", rng);
-        }
-    }
-
-    /// Restores dynamic state written by [`FaultPlane::ckpt_write`] into
-    /// this freshly constructed plane.
-    ///
-    /// Errors if the artifact's stream count disagrees with this plane's
-    /// node count (the checkpoint was taken from a different topology).
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.active_until = r.time("fault_active_until")?;
-        let n = r.usize("fault_streams")?;
-        if n != self.streams.len() {
-            return Err(CkptError(format!(
-                "fault plane has {} node streams, checkpoint carries {n}",
-                self.streams.len()
-            )));
-        }
-        for stream in &mut self.streams {
-            *stream = r.rng("fault_rng")?;
+    /// Walks the plane's dynamic state — the settle fence and the per-node
+    /// rng streams — as checkpoint state. The [`FaultConfig`] is a
+    /// construction parameter the caller rebuilds from simulation config,
+    /// so it is not stored; reading fails if the stream count disagrees
+    /// with this plane's node count.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.time("fault_active_until", &mut self.active_until)?;
+        c.fixed("fault_streams", self.streams.len())?;
+        for rng in &mut self.streams {
+            c.rng("fault_rng", rng)?;
         }
         Ok(())
     }
@@ -537,25 +519,18 @@ mod tests {
         let mut p = FaultPlane::new(cfg.clone(), 6, 3);
         p.set_active_until(SimTime::from_secs(500));
         decide_n(&mut p, 40); // burn node 0's stream mid-run
-        let mut w = CkptWriter::new("test");
-        p.ckpt_write(&mut w);
-        let text = w.finish();
+        let text = Ckpt::write("test", |c| p.persist(c));
         let mut fresh = FaultPlane::new(cfg, 6, 3);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        fresh.ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        Ckpt::read(&text, "test", |c| fresh.persist(c)).unwrap();
         assert_eq!(fresh.active_until(), SimTime::from_secs(500));
         assert_eq!(decide_n(&mut p, 100), decide_n(&mut fresh, 100));
     }
 
     #[test]
     fn checkpoint_rejects_wrong_topology() {
-        let mut w = CkptWriter::new("test");
-        FaultPlane::new(FaultConfig::none(), 1, 2).ckpt_write(&mut w);
-        let text = w.finish();
+        let text = Ckpt::write("test", |c| FaultPlane::new(FaultConfig::none(), 1, 2).persist(c));
         let mut other = FaultPlane::new(FaultConfig::none(), 1, 5);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        assert!(other.ckpt_read(&mut r).is_err());
+        assert!(Ckpt::read(&text, "test", |c| other.persist(c)).is_err());
     }
 
     #[test]

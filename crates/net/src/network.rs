@@ -7,7 +7,7 @@ use crate::packet::{Packet, PacketKind, PACKET_KINDS};
 use crate::traffic::TrafficStats;
 use crate::uplink::Uplink;
 use cdnc_geo::{GeoPoint, IspId, World};
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{SimDuration, SimRng, SimTime};
 
 /// Static configuration of a [`Network`].
@@ -452,64 +452,21 @@ impl Network {
         self.departed[node.index()]
     }
 
-    /// Serializes the network's dynamic state — the latency-jitter rng, each
+    /// Walks the network's dynamic state — the latency-jitter rng, each
     /// node's uplink backlog and departure mark, traffic accounting, and the
-    /// fault plane's fence and decision streams — into a checkpoint
-    /// artifact. Static structure (node attributes, latency model, uplink
-    /// bandwidths) is rebuilt from config by fresh construction.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.rng("net_rng", &self.rng);
-        w.usize("net_nodes", self.nodes.len());
-        for (uplink, departed) in self.uplinks.iter().zip(&self.departed) {
-            let (busy_until, queued_packets, queued_kb) = uplink.dynamic_state();
-            w.time("net_uplink_busy_until", busy_until);
-            w.u64("net_uplink_queued_packets", queued_packets);
-            w.f64("net_uplink_queued_kb", queued_kb);
-            w.bool("net_node_departed", *departed);
+    /// fault plane's fence and decision streams — as checkpoint state.
+    /// Static structure (node attributes, latency model, uplink bandwidths)
+    /// is rebuilt from config by fresh construction, so reading fails if
+    /// the artifact disagrees about the node count or fault-plane presence.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.rng("net_rng", &mut self.rng)?;
+        c.fixed("net_nodes", self.nodes.len())?;
+        for (uplink, departed) in self.uplinks.iter_mut().zip(&mut self.departed) {
+            uplink.persist(c)?;
+            c.bool("net_node_departed", departed)?;
         }
-        self.traffic.ckpt_write(w);
-        w.bool("net_has_faults", self.faults.is_some());
-        if let Some(plane) = &self.faults {
-            plane.ckpt_write(w);
-        }
-    }
-
-    /// Restores dynamic state written by [`Network::ckpt_write`] into this
-    /// freshly constructed network (same topology, same config, same fault
-    /// plane presence).
-    ///
-    /// Errors if the artifact disagrees about the node count or fault-plane
-    /// presence.
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.rng = r.rng("net_rng")?;
-        let n = r.usize("net_nodes")?;
-        if n != self.nodes.len() {
-            return Err(CkptError(format!(
-                "network has {} nodes, checkpoint carries {n}",
-                self.nodes.len()
-            )));
-        }
-        for i in 0..n {
-            let busy_until = r.time("net_uplink_busy_until")?;
-            let queued_packets = r.u64("net_uplink_queued_packets")?;
-            let queued_kb = r.f64("net_uplink_queued_kb")?;
-            self.uplinks[i].restore_dynamic(busy_until, queued_packets, queued_kb);
-            self.departed[i] = r.bool("net_node_departed")?;
-        }
-        self.traffic = TrafficStats::ckpt_read(r)?;
-        let has_faults = r.bool("net_has_faults")?;
-        match (&mut self.faults, has_faults) {
-            (Some(plane), true) => plane.ckpt_read(r)?,
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "fault plane {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_faults { "present" } else { "absent" },
-                )));
-            }
-        }
-        Ok(())
+        self.traffic.persist(c)?;
+        c.section("net_has_faults", self.faults.as_mut(), |plane, c| plane.persist(c))
     }
 }
 
@@ -867,9 +824,7 @@ mod tests {
                 cdnc_obs::TraceCtx::NONE,
             );
         }
-        let mut w = CkptWriter::new("test");
-        net.ckpt_write(&mut w);
-        let text = w.finish();
+        let text = Ckpt::write("test", |c| net.persist(c));
         // Fresh construction with the same parameters, then restore.
         let (mut restored, _, _) = two_node_net();
         restored.set_fault_plane(crate::FaultPlane::new(
@@ -877,9 +832,7 @@ mod tests {
             9,
             2,
         ));
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        restored.ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
         assert!(restored.is_departed(a) && !restored.is_departed(b));
         assert_eq!(restored.traffic(), net.traffic());
         for i in 30..60 {
@@ -897,14 +850,11 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_mismatched_fault_presence() {
-        let (net, _, _) = two_node_net();
-        let mut w = CkptWriter::new("test");
-        net.ckpt_write(&mut w);
-        let text = w.finish();
+        let (mut net, _, _) = two_node_net();
+        let text = Ckpt::write("test", |c| net.persist(c));
         let (mut restored, _, _) = two_node_net();
         restored.set_fault_plane(crate::FaultPlane::new(crate::FaultConfig::none(), 1, 2));
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        assert!(restored.ckpt_read(&mut r).is_err());
+        assert!(Ckpt::read(&text, "test", |c| restored.persist(c)).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   message class.
 
 use crate::packet::{Packet, PacketKind};
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -148,44 +148,21 @@ impl TrafficStats {
         self.by_kind.get(&kind.to_string()).copied().unwrap_or(0)
     }
 
-    /// Serializes the accumulator into a checkpoint artifact.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.f64("traffic_km_kb", self.km_kb);
-        w.u64("traffic_update_messages", self.update_messages);
-        w.u64("traffic_light_messages", self.light_messages);
-        w.f64("traffic_update_km", self.update_km);
-        w.f64("traffic_light_km", self.light_km);
-        w.f64("traffic_update_kb", self.update_kb);
-        w.f64("traffic_light_kb", self.light_kb);
-        w.u64("traffic_inter_isp_messages", self.inter_isp_messages);
-        w.f64("traffic_inter_isp_km_kb", self.inter_isp_km_kb);
-        w.usize("traffic_kinds", self.by_kind.len());
-        for (kind, count) in &self.by_kind {
-            w.str("traffic_kind", kind);
-            w.u64("traffic_kind_count", *count);
-        }
-    }
-
-    /// Reads an accumulator back from a [`TrafficStats::ckpt_write`]
-    /// artifact.
-    pub fn ckpt_read(r: &mut CkptReader) -> Result<TrafficStats, CkptError> {
-        let mut t = TrafficStats {
-            km_kb: r.f64("traffic_km_kb")?,
-            update_messages: r.u64("traffic_update_messages")?,
-            light_messages: r.u64("traffic_light_messages")?,
-            update_km: r.f64("traffic_update_km")?,
-            light_km: r.f64("traffic_light_km")?,
-            update_kb: r.f64("traffic_update_kb")?,
-            light_kb: r.f64("traffic_light_kb")?,
-            inter_isp_messages: r.u64("traffic_inter_isp_messages")?,
-            inter_isp_km_kb: r.f64("traffic_inter_isp_km_kb")?,
-            by_kind: BTreeMap::new(),
-        };
-        for _ in 0..r.usize("traffic_kinds")? {
-            let kind = r.str("traffic_kind")?.to_string();
-            t.by_kind.insert(kind, r.u64("traffic_kind_count")?);
-        }
-        Ok(t)
+    /// Walks the accumulator as checkpoint state.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.f64("traffic_km_kb", &mut self.km_kb)?;
+        c.u64("traffic_update_messages", &mut self.update_messages)?;
+        c.u64("traffic_light_messages", &mut self.light_messages)?;
+        c.f64("traffic_update_km", &mut self.update_km)?;
+        c.f64("traffic_light_km", &mut self.light_km)?;
+        c.f64("traffic_update_kb", &mut self.update_kb)?;
+        c.f64("traffic_light_kb", &mut self.light_kb)?;
+        c.u64("traffic_inter_isp_messages", &mut self.inter_isp_messages)?;
+        c.f64("traffic_inter_isp_km_kb", &mut self.inter_isp_km_kb)?;
+        c.seq("traffic_kinds", &mut self.by_kind, |(kind, count), c| {
+            c.str("traffic_kind", kind)?;
+            c.u64("traffic_kind_count", count)
+        })
     }
 
     /// Merges another accumulator into this one.
@@ -289,12 +266,9 @@ mod tests {
         t.record_with_isp(&update(2.5), 123.456, true);
         t.record(&Packet::poll(NodeId(0), NodeId(1)), 7.0);
         t.record(&Packet::invalidation(NodeId(1), NodeId(0)), 0.125);
-        let mut w = CkptWriter::new("test");
-        t.ckpt_write(&mut w);
-        let text = w.finish();
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        let restored = TrafficStats::ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        let text = Ckpt::write("test", |c| t.persist(c));
+        let mut restored = TrafficStats::new();
+        Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
         assert_eq!(restored, t);
         assert_eq!(restored.km_kb().to_bits(), t.km_kb().to_bits());
     }

@@ -8,6 +8,7 @@
 //! to the package size and the number of children" (paper §4.5) and the
 //! Incast risk (§5.1).
 
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -87,20 +88,13 @@ impl Uplink {
         self.busy_until = now;
     }
 
-    /// The dynamic fields: `(busy_until, queued_packets, queued_kb)`.
-    ///
-    /// Bandwidth and processing are construction parameters rebuilt from
-    /// config on restore, so a checkpoint carries only these three.
-    pub fn dynamic_state(&self) -> (SimTime, u64, f64) {
-        (self.busy_until, self.queued_packets, self.queued_kb)
-    }
-
-    /// Overwrites the dynamic fields of a freshly constructed uplink with a
-    /// [`Uplink::dynamic_state`] snapshot.
-    pub fn restore_dynamic(&mut self, busy_until: SimTime, queued_packets: u64, queued_kb: f64) {
-        self.busy_until = busy_until;
-        self.queued_packets = queued_packets;
-        self.queued_kb = queued_kb;
+    /// Walks the dynamic fields as checkpoint state. Bandwidth and
+    /// processing are construction parameters rebuilt from config, so a
+    /// checkpoint carries only the backlog and the running totals.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.time("net_uplink_busy_until", &mut self.busy_until)?;
+        c.u64("net_uplink_queued_packets", &mut self.queued_packets)?;
+        c.f64("net_uplink_queued_kb", &mut self.queued_kb)
     }
 }
 

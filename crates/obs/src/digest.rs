@@ -82,7 +82,7 @@ impl Default for DigestConfig {
 }
 
 /// One periodic digest checkpoint: the chain value after `index` folds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Checkpoint {
     /// Number of folds absorbed into `chain` (1-based: the checkpoint after
     /// fold `index - 1`).

@@ -5,10 +5,12 @@
 //! instant therefore pop in insertion order, which makes whole-simulation runs
 //! reproducible regardless of heap internals.
 
+use crate::ckpt::{Ckpt, CkptError};
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+#[derive(Default)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -98,32 +100,43 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 
-    /// Ordered view of every pending entry as `(time, seq, event)` in pop
-    /// order, plus the insertion counter. Feeding the triples (with cloned
-    /// events) back through [`EventQueue::from_entries`] reproduces this
-    /// queue exactly — including FIFO tie-breaking among equal timestamps —
-    /// which is what checkpoint/restore needs for bit-identical replay.
-    pub fn entries(&self) -> (Vec<(SimTime, u64, &E)>, u64) {
-        let mut out: Vec<_> = self.heap.iter().map(|e| (e.time, e.seq, &e.event)).collect();
-        out.sort_by_key(|&(time, seq, _)| (time, seq));
-        (out, self.next_seq)
-    }
-
-    /// Rebuilds a queue from entry triples captured by [`EventQueue::entries`].
-    /// Sequence numbers are reinstated verbatim so same-time events keep their
-    /// original pop order, and fresh pushes continue from `next_seq`.
+    /// Walks the pending entries in pop order — `(time, seq, event)`, each
+    /// event through `event` — plus the insertion counter. Sequence numbers
+    /// are stored verbatim, so same-time events keep their pop order after a
+    /// read and fresh pushes continue from the stored counter: restored runs
+    /// pop exactly like the saved one.
     ///
-    /// # Panics
-    ///
-    /// Panics if an entry's `seq` is not below `next_seq` — such a queue could
-    /// hand out a duplicate sequence number and break the FIFO invariant.
-    pub fn from_entries(entries: Vec<(SimTime, u64, E)>, next_seq: u64) -> Self {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for (time, seq, event) in entries {
-            assert!(seq < next_seq, "entry seq {seq} not below next_seq {next_seq}");
-            heap.push(Entry { time, seq, event });
-        }
-        EventQueue { heap, next_seq }
+    /// Reading rejects an entry earlier than `not_before` (the clock it is
+    /// restored under) or with a sequence number not below the counter —
+    /// either would break the queue's ordering invariants.
+    pub fn persist<'a>(
+        &mut self,
+        c: &mut Ckpt<'a>,
+        not_before: SimTime,
+        mut event: impl FnMut(&mut E, &mut Ckpt<'a>) -> Result<(), CkptError>,
+    ) -> Result<(), CkptError>
+    where
+        E: Default,
+    {
+        c.u64("sched_next_seq", &mut self.next_seq)?;
+        let next_seq = self.next_seq;
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.sort_unstable_by_key(|e| (e.time, e.seq));
+        let walked = c.seq("sched_entries", &mut entries, |e: &mut Entry<E>, c| {
+            c.time("ev_t", &mut e.time)?;
+            c.u64("ev_seq", &mut e.seq)?;
+            if e.time < not_before || e.seq >= next_seq {
+                return Err(CkptError(format!(
+                    "queue entry (t={}us, seq={}) precedes the clock ({}us) or the counter ({next_seq})",
+                    e.time.as_micros(),
+                    e.seq,
+                    not_before.as_micros()
+                )));
+            }
+            event(&mut e.event, c)
+        });
+        self.heap = BinaryHeap::from(entries);
+        walked
     }
 }
 
@@ -192,22 +205,21 @@ mod tests {
     fn entries_round_trip_preserves_pop_order() {
         let mut q = EventQueue::new();
         for (secs, tag) in [(2u64, "b"), (1, "a"), (2, "c"), (1, "d")] {
-            q.push(SimTime::from_secs(secs), tag);
+            q.push(SimTime::from_secs(secs), tag.to_owned());
         }
         q.pop(); // consume "a" so restored seqs are non-contiguous
-        let (entries, next_seq) = q.entries();
-        assert_eq!(next_seq, 4);
-        let owned: Vec<_> = entries.into_iter().map(|(t, s, e)| (t, s, *e)).collect();
-        let mut restored = EventQueue::from_entries(owned, next_seq);
-        restored.push(SimTime::from_secs(2), "e");
+        let walk = |q: &mut EventQueue<String>, c: &mut Ckpt| {
+            q.persist(c, SimTime::ZERO, |e, c| c.str("e", e))
+        };
+        let text = Ckpt::write("test", |c| walk(&mut q, c));
+        assert!(text.contains("sched_next_seq=4\n"));
+        let mut restored = EventQueue::new();
+        Ckpt::read(&text, "test", |c| walk(&mut restored, c)).unwrap();
+        restored.push(SimTime::from_secs(2), "e".to_owned());
         let order: Vec<_> = std::iter::from_fn(|| restored.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, ["d", "b", "c", "e"], "tie order and fresh pushes survive");
-    }
-
-    #[test]
-    #[should_panic(expected = "not below next_seq")]
-    fn from_entries_rejects_stale_counter() {
-        EventQueue::from_entries(vec![(SimTime::ZERO, 5, ())], 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["d", "b", "c"], "writing leaves the queue's pop order intact");
     }
 
     proptest! {

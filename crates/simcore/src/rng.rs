@@ -5,6 +5,7 @@
 //! sub-streams are derived with [`SimRng::fork`], so adding a random draw to
 //! one component never perturbs another component's sequence.
 
+use crate::ckpt::{Ckpt, CkptError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -126,16 +127,18 @@ impl SimRng {
         self.forks + 1
     }
 
-    /// A mid-stream snapshot: `(seed, forks, generator state words)`.
-    /// Feeding it to [`SimRng::from_snapshot`] rebuilds a generator that
+    /// Walks the generator mid-stream as six checkpoint fields under `key`
+    /// (`<key>_seed`, `<key>_forks`, `<key>_s0..s3`); a read generator
     /// continues this one's draw *and* fork sequences exactly.
-    pub fn snapshot(&self) -> (u64, u64, [u64; 4]) {
-        (self.seed, self.forks, self.inner.state())
-    }
-
-    /// Rebuilds a generator from a [`SimRng::snapshot`].
-    pub fn from_snapshot(seed: u64, forks: u64, state: [u64; 4]) -> Self {
-        SimRng { inner: StdRng::from_state(state), seed, forks }
+    pub fn persist(&mut self, c: &mut Ckpt, key: &str) -> Result<(), CkptError> {
+        c.u64(&format!("{key}_seed"), &mut self.seed)?;
+        c.u64(&format!("{key}_forks"), &mut self.forks)?;
+        let mut state = self.inner.state();
+        for (i, word) in state.iter_mut().enumerate() {
+            c.u64(&format!("{key}_s{i}"), word)?;
+        }
+        self.inner = StdRng::from_state(state);
+        Ok(())
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -513,8 +516,9 @@ mod tests {
             a.uniform_f64();
         }
         a.fork();
-        let (seed, forks, state) = a.snapshot();
-        let mut b = SimRng::from_snapshot(seed, forks, state);
+        let text = Ckpt::write("test", |c| a.persist(c, "r"));
+        let mut b = SimRng::seed_from_u64(0);
+        Ckpt::read(&text, "test", |c| b.persist(c, "r")).unwrap();
         for _ in 0..64 {
             assert_eq!(a.uniform_f64().to_bits(), b.uniform_f64().to_bits());
         }

@@ -4,6 +4,7 @@
 //! the crawl simulator that synthesises the measurement trace and the CDN
 //! evaluation simulator that replays it under alternative update methods.
 
+use crate::ckpt::{Ckpt, CkptError};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use cdnc_obs::profile::{self, Subsystem};
@@ -161,30 +162,26 @@ impl<E> Scheduler<E> {
         self.queue.peek_time()
     }
 
-    /// Checkpoint view of the dynamic scheduler state: the clock, the
-    /// processed-event count, and every pending entry in pop order (see
-    /// [`EventQueue::entries`]). Instrumentation handles are not part of the
-    /// snapshot — they are rewired by [`Scheduler::set_obs`] on restore.
-    pub fn state(&self) -> (SimTime, u64, Vec<(SimTime, u64, &E)>, u64) {
-        let (entries, next_seq) = self.queue.entries();
-        (self.now, self.processed, entries, next_seq)
-    }
-
-    /// Overwrites the dynamic state with a snapshot captured by
-    /// [`Scheduler::state`]: clock, processed count, and the exact pending
-    /// queue including sequence numbers, so restored runs pop — and digest —
-    /// identically to the uninterrupted run.
-    pub fn restore_state(
+    /// Walks the dynamic scheduler state: the clock, the processed-event
+    /// count, and the exact pending queue (see [`EventQueue::persist`]), each
+    /// event through `event`. Restored runs pop — and digest — identically
+    /// to the saved one. Instrumentation handles are not part of the
+    /// artifact: they are rewired by [`Scheduler::set_obs`].
+    pub fn persist<'a>(
         &mut self,
-        now: SimTime,
-        processed: u64,
-        entries: Vec<(SimTime, u64, E)>,
-        next_seq: u64,
-    ) {
-        self.queue = EventQueue::from_entries(entries, next_seq);
-        self.now = now;
-        self.processed = processed;
-        self.obs_depth.set(self.queue.len() as u64);
+        c: &mut Ckpt<'a>,
+        event: impl FnMut(&mut E, &mut Ckpt<'a>) -> Result<(), CkptError>,
+    ) -> Result<(), CkptError>
+    where
+        E: Default,
+    {
+        c.time("sched_now", &mut self.now)?;
+        c.u64("sched_processed", &mut self.processed)?;
+        self.queue.persist(c, self.now, event)?;
+        if c.is_reading() {
+            self.obs_depth.set(self.queue.len() as u64);
+        }
+        Ok(())
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -408,17 +405,16 @@ mod tests {
         let mut straight = Scheduler::with_horizon(SimTime::from_secs(60));
         let t = SimTime::from_secs(5);
         for ev in ["a", "b", "c"] {
-            straight.schedule_at(t, ev);
+            straight.schedule_at(t, ev.to_owned());
         }
-        straight.schedule_at(SimTime::from_secs(1), "early");
+        straight.schedule_at(SimTime::from_secs(1), "early".to_owned());
         straight.next().unwrap();
         // Capture mid-run, then drain both the original and the restored copy.
-        let (now, processed, entries, next_seq) = straight.state();
-        assert_eq!((now, processed), (SimTime::from_secs(1), 1));
-        let owned: Vec<_> = entries.iter().map(|&(t, s, e)| (t, s, *e)).collect();
+        let walk = |s: &mut Scheduler<String>, c: &mut Ckpt| s.persist(c, |e, c| c.str("e", e));
+        let text = Ckpt::write("test", |c| walk(&mut straight, c));
         let mut resumed = Scheduler::with_horizon(SimTime::from_secs(60));
-        resumed.restore_state(now, processed, owned, next_seq);
-        assert_eq!(resumed.now(), now);
+        Ckpt::read(&text, "test", |c| walk(&mut resumed, c)).unwrap();
+        assert_eq!((resumed.now(), resumed.processed()), (SimTime::from_secs(1), 1));
         assert_eq!(resumed.peek_time(), Some(t));
         loop {
             match (straight.next(), resumed.next()) {

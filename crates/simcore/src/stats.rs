@@ -9,6 +9,7 @@
 //! * [`rmse`] — the trace-vs-theory deviation used to validate the inferred
 //!   TTL (Fig. 6(b): 0.0462 @ 60 s vs 0.0955 @ 80 s).
 
+use crate::ckpt::{Ckpt, CkptError};
 use serde::{Deserialize, Serialize};
 
 /// An empirical cumulative distribution function over `f64` samples.
@@ -202,18 +203,16 @@ impl OnlineStats {
         (self.count > 0).then_some(self.max)
     }
 
-    /// The raw accumulator words `(count, mean, m2, min, max)` — exactly
-    /// what [`OnlineStats::from_raw`] needs to rebuild this accumulator
-    /// bit-for-bit. For checkpointing; the analysis accessors above are the
-    /// API for reading results.
-    pub fn raw(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuilds an accumulator from [`OnlineStats::raw`] words. Subsequent
-    /// pushes continue the saved Welford recurrence exactly.
-    pub fn from_raw(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        OnlineStats { count, mean, m2, min, max }
+    /// Walks the raw accumulator words — count, mean, m2, min, max, under
+    /// those five `keys` — as checkpoint fields; pushes after a read
+    /// continue the saved Welford recurrence exactly.
+    pub fn persist(&mut self, c: &mut Ckpt, keys: [&str; 5]) -> Result<(), CkptError> {
+        let [count, mean, m2, min, max] = keys;
+        c.u64(count, &mut self.count)?;
+        c.f64(mean, &mut self.mean)?;
+        c.f64(m2, &mut self.m2)?;
+        c.f64(min, &mut self.min)?;
+        c.f64(max, &mut self.max)
     }
 
     /// Merges another accumulator into this one (parallel reduction).

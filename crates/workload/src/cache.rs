@@ -15,7 +15,7 @@
 //! cost at the next miss.
 
 use crate::catalog::ObjectId;
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
 use std::collections::BTreeMap;
 
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 const MAD_WINDOW: usize = 8;
 
 /// A request queued behind an in-flight origin fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Waiter {
     /// The requesting user's index.
     pub user: u32,
@@ -46,14 +46,14 @@ pub enum Lookup {
     Miss,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry {
     snap: u32,
     tick: u64,
     uses: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct InFlight {
     waiters: Vec<Waiter>,
 }
@@ -210,62 +210,30 @@ impl LruCache {
         self.abort_inflight()
     }
 
-    /// Serializes the cache's dynamic state — recency clock, cached entries,
-    /// and in-flight fetches with their waiter queues — into a checkpoint
-    /// artifact. Capacity and the eviction variant are construction
-    /// parameters rebuilt from config.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.u64("cache_tick", self.tick);
-        w.usize("cache_entries", self.entries.len());
-        for (id, entry) in &self.entries {
-            w.u64("cache_slot", id.slot as u64);
-            w.u64("cache_gen", id.gen as u64);
-            w.u64("cache_snap", entry.snap as u64);
-            w.u64("cache_entry_tick", entry.tick);
-            w.u64("cache_uses", entry.uses);
-        }
-        w.usize("cache_inflight", self.inflight.len());
-        for (id, fetch) in &self.inflight {
-            w.u64("cache_slot", id.slot as u64);
-            w.u64("cache_gen", id.gen as u64);
-            w.usize("cache_waiters", fetch.waiters.len());
-            for waiter in &fetch.waiters {
-                w.u64("cache_waiter_user", waiter.user as u64);
-                w.time("cache_waiter_at", waiter.requested_at);
-            }
-        }
-    }
-
-    /// Restores state written by [`LruCache::ckpt_write`] into this cache,
-    /// replacing whatever it held; the recency index is rebuilt from the
-    /// entries' ticks.
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.tick = r.u64("cache_tick")?;
-        self.entries.clear();
-        self.recency.clear();
-        self.inflight.clear();
-        for _ in 0..r.usize("cache_entries")? {
-            let id =
-                ObjectId { slot: r.u64("cache_slot")? as u32, gen: r.u64("cache_gen")? as u32 };
-            let entry = Entry {
-                snap: r.u64("cache_snap")? as u32,
-                tick: r.u64("cache_entry_tick")?,
-                uses: r.u64("cache_uses")?,
-            };
-            self.recency.insert(entry.tick, id);
-            self.entries.insert(id, entry);
-        }
-        for _ in 0..r.usize("cache_inflight")? {
-            let id =
-                ObjectId { slot: r.u64("cache_slot")? as u32, gen: r.u64("cache_gen")? as u32 };
-            let mut waiters = Vec::new();
-            for _ in 0..r.usize("cache_waiters")? {
-                waiters.push(Waiter {
-                    user: r.u64("cache_waiter_user")? as u32,
-                    requested_at: r.time("cache_waiter_at")?,
-                });
-            }
-            self.inflight.insert(id, InFlight { waiters });
+    /// Walks the cache's dynamic state — recency clock, cached entries, and
+    /// in-flight fetches with their waiter queues — as checkpoint state.
+    /// Capacity and the eviction variant are construction parameters
+    /// rebuilt from config. Reading replaces whatever the cache held and
+    /// rebuilds the recency index from the entries' ticks.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.u64("cache_tick", &mut self.tick)?;
+        c.seq("cache_entries", &mut self.entries, |(id, entry), c| {
+            c.u32("cache_slot", &mut id.slot)?;
+            c.u32("cache_gen", &mut id.gen)?;
+            c.u32("cache_snap", &mut entry.snap)?;
+            c.u64("cache_entry_tick", &mut entry.tick)?;
+            c.u64("cache_uses", &mut entry.uses)
+        })?;
+        c.seq("cache_inflight", &mut self.inflight, |(id, fetch), c| {
+            c.u32("cache_slot", &mut id.slot)?;
+            c.u32("cache_gen", &mut id.gen)?;
+            c.seq("cache_waiters", &mut fetch.waiters, |waiter, c| {
+                c.u32("cache_waiter_user", &mut waiter.user)?;
+                c.time("cache_waiter_at", &mut waiter.requested_at)
+            })
+        })?;
+        if c.is_reading() {
+            self.recency = self.entries.iter().map(|(&id, entry)| (entry.tick, id)).collect();
         }
         Ok(())
     }
@@ -417,13 +385,9 @@ mod tests {
         filled(&mut cache, 2);
         assert_eq!(cache.request(id(8), 4, SimTime::from_secs(2)), Lookup::Miss);
         assert_eq!(cache.request(id(8), 5, SimTime::from_secs(3)), Lookup::Delayed);
-        let mut w = CkptWriter::new("test");
-        cache.ckpt_write(&mut w);
-        let text = w.finish();
+        let text = Ckpt::write("test", |c| cache.persist(c));
         let mut restored = LruCache::new(2, true);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        restored.ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
         assert_eq!(restored.len(), cache.len());
         assert_eq!(restored.inflight(), 1);
         // The in-flight fetch still carries both waiters…
@@ -432,6 +396,33 @@ mod tests {
         assert_eq!(waiters, expect_waiters);
         // …and the MAD eviction decision sees identical uses/recency state.
         assert_eq!(evicted, expect_evicted);
+    }
+
+    #[test]
+    fn checkpoint_encoding_is_pinned() {
+        // Two entries (one touched since its fill) and one in-flight fetch
+        // with two waiters; the literal is the artifact format itself, so
+        // a renamed key, a reordered field or a re-encoded value fails here.
+        const PINNED: &str = "ckpt_version=1\nckpt_kind=test\ncache_tick=3\n\
+            cache_entries=2\n\
+            cache_slot=1\ncache_gen=1\ncache_snap=5\ncache_entry_tick=3\ncache_uses=1\n\
+            cache_slot=2\ncache_gen=1\ncache_snap=6\ncache_entry_tick=2\ncache_uses=0\n\
+            cache_inflight=1\ncache_slot=3\ncache_gen=1\ncache_waiters=2\n\
+            cache_waiter_user=7\ncache_waiter_at=1000000\n\
+            cache_waiter_user=8\ncache_waiter_at=2000000\n";
+        let id = |slot| ObjectId { slot, gen: 1 };
+        let mut cache = LruCache::new(4, false);
+        assert_eq!(cache.request(id(1), 0, SimTime::ZERO), Lookup::Miss);
+        cache.fill(id(1), 5, SimTime::ZERO);
+        assert_eq!(cache.request(id(2), 1, SimTime::ZERO), Lookup::Miss);
+        cache.fill(id(2), 6, SimTime::ZERO);
+        assert_eq!(cache.request(id(1), 2, SimTime::ZERO), Lookup::Hit { snap: 5 });
+        assert_eq!(cache.request(id(3), 7, SimTime::from_secs(1)), Lookup::Miss);
+        assert_eq!(cache.request(id(3), 8, SimTime::from_secs(2)), Lookup::Delayed);
+        assert_eq!(Ckpt::write("test", |c| cache.persist(c)), PINNED);
+        let mut restored = LruCache::new(4, false);
+        Ckpt::read(PINNED, "test", |c| restored.persist(c)).unwrap();
+        assert_eq!(Ckpt::write("test", |c| restored.persist(c)), PINNED);
     }
 
     #[test]

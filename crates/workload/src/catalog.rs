@@ -14,12 +14,14 @@
 //! staleness-served metric measures. The remaining ranks are immutable
 //! objects whose misses come only from churn and cache evictions.
 
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A catalog object: the `gen`-th occupant of popularity rank `slot`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct ObjectId {
     /// Popularity rank (0 = most popular).
     pub slot: u32,
@@ -127,31 +129,15 @@ impl Catalog {
         self.live_slots
     }
 
-    /// Serializes the churn state — each rank's generation and birth time —
-    /// into a checkpoint artifact. Size, skew, and the live prefix are
-    /// construction parameters rebuilt from config.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.usize("catalog_slots", self.slots.len());
-        for slot in &self.slots {
-            w.u64("catalog_gen", slot.gen as u64);
-            w.time("catalog_born", slot.born);
-        }
-    }
-
-    /// Restores state written by [`Catalog::ckpt_write`] into this catalog.
-    ///
-    /// Errors if the artifact's rank count disagrees with this catalog.
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let n = r.usize("catalog_slots")?;
-        if n != self.slots.len() {
-            return Err(CkptError(format!(
-                "catalog has {} ranks, checkpoint carries {n}",
-                self.slots.len()
-            )));
-        }
+    /// Walks the churn state — each rank's generation and birth time — as
+    /// checkpoint state. Size, skew, and the live prefix are construction
+    /// parameters rebuilt from config, so reading fails if the artifact's
+    /// rank count disagrees with this catalog.
+    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.fixed("catalog_slots", self.slots.len())?;
         for slot in &mut self.slots {
-            slot.gen = r.u64("catalog_gen")? as u32;
-            slot.born = r.time("catalog_born")?;
+            c.u32("catalog_gen", &mut slot.gen)?;
+            c.time("catalog_born", &mut slot.born)?;
         }
         Ok(())
     }
@@ -210,20 +196,16 @@ mod tests {
         for i in 1..=40u64 {
             catalog.churn(&mut rng, SimTime::from_secs(i));
         }
-        let mut w = CkptWriter::new("test");
-        catalog.ckpt_write(&mut w);
-        let text = w.finish();
+        let text = Ckpt::write("test", |c| catalog.persist(c));
         let mut restored = Catalog::new(32, 1.0, 4);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        restored.ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
         for slot in 0..32u32 {
             assert_eq!(restored.head(slot), catalog.head(slot));
             assert_eq!(restored.born(slot), catalog.born(slot));
         }
         let mut tiny = Catalog::new(8, 1.0, 2);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        assert!(tiny.ckpt_read(&mut r).is_err(), "rank-count mismatch rejected");
+        let read = Ckpt::read(&text, "test", |c| tiny.persist(c));
+        assert!(read.is_err(), "rank-count mismatch rejected");
     }
 
     #[test]

@@ -108,6 +108,35 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     let truncated: String = artifact.lines().take(40).map(|l| format!("{l}\n")).collect();
     assert!(resume(&base, &truncated).is_err(), "truncation must be rejected");
     assert!(resume(&base, "not an artifact").is_err(), "garbage must be rejected");
+
+    // One-line tampers of a request-plane churn cell: each must come back
+    // as an error from `resume`, never a panic or a silently wrong run.
+    let cell = cfg(0, 0.5, true);
+    let artifact = checkpoint(&cell, SimTime::from_secs(200));
+    for (key, value, why) in [
+        ("sched_next_seq", "0", "queued seqs not below the counter"),
+        ("sched_entries", "18446744073709551615", "queue count beyond the artifact"),
+        ("topo_down", "18446744073709551615", "child count beyond the artifact"),
+        ("topo_kid", "4000000000", "child id past the node table"),
+        ("ev_t", "0", "queued event before the restored clock"),
+        ("u_seen_max", "4294967296", "u32 field above u32::MAX"),
+    ] {
+        let tampered = tamper(&artifact, key, value);
+        assert!(resume(&cell, &tampered).is_err(), "{key}={value} ({why}) must be rejected");
+    }
+    assert!(resume(&cell, &artifact).is_ok(), "the untampered artifact still resumes");
+}
+
+/// `artifact` with the value of its first `key=` line replaced by `value`.
+fn tamper(artifact: &str, key: &str, value: &str) -> String {
+    let prefix = format!("{key}=");
+    let at = artifact
+        .lines()
+        .position(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("artifact has no {key:?} line"));
+    let mut lines: Vec<String> = artifact.lines().map(str::to_owned).collect();
+    lines[at] = format!("{prefix}{value}");
+    lines.iter().map(|l| format!("{l}\n")).collect()
 }
 
 #[test]
