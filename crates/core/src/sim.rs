@@ -364,12 +364,12 @@ impl Msg {
         }
     }
 
-    /// Walks this message (variant tag, then payload); `nodes` bounds the
-    /// node ids it carries. Trace contexts are observation-only and are not
-    /// stored — a read message carries [`TraceCtx::NONE`], which never
-    /// affects handlers or the determinism digest (whose tags are
+    /// Walks this message (variant tag, then payload); ids past `b` are
+    /// rejected. Trace contexts are observation-only and are not stored — a
+    /// read message carries [`TraceCtx::NONE`], which never affects
+    /// handlers or the determinism digest (whose tags are
     /// context-independent).
-    fn persist(&mut self, c: &mut Ckpt, nodes: usize) -> Result<(), CkptError> {
+    fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
         let mut tag = self.ckpt_tag();
         c.u64("msg", &mut tag)?;
         if c.is_reading() {
@@ -391,25 +391,25 @@ impl Msg {
         }
         match self {
             Msg::Update { snap, modified_at, .. } => {
-                c.u32("a", &mut snap.0)?;
+                c.index("a", &mut snap.0, b.snapshots)?;
                 c.time("b", modified_at)
             }
-            Msg::Invalidate(snap, _) => c.u32("a", &mut snap.0),
+            Msg::Invalidate(snap, _) => c.index("a", &mut snap.0, b.snapshots),
             Msg::Poll { from, have, conditional } => {
-                c.index("a", &mut from.0, nodes)?;
-                c.u32("b", &mut have.0)?;
+                c.index("a", &mut from.0, b.nodes)?;
+                c.index("b", &mut have.0, b.snapshots)?;
                 c.bool("c", conditional)
             }
             Msg::Unchanged => Ok(()),
             Msg::SwitchMode { from, to_invalidation: flag }
             | Msg::TreeJoin { from, invalidation_mode: flag } => {
-                c.index("a", &mut from.0, nodes)?;
+                c.index("a", &mut from.0, b.nodes)?;
                 c.bool("b", flag)
             }
             Msg::Tracked { id, from, inner } => {
                 c.u64("a", id)?;
-                c.index("b", &mut from.0, nodes)?;
-                inner.persist(c, nodes)
+                c.index("b", &mut from.0, b.nodes)?;
+                inner.persist(c, b)
             }
             Msg::Ack { id } => c.u64("a", id),
         }
@@ -423,11 +423,15 @@ impl Default for Msg {
     }
 }
 
-/// Table sizes the checkpoint walk checks stored node and user ids against.
+/// Table sizes the checkpoint walk checks stored ids against.
 #[derive(Clone, Copy)]
 struct Bounds {
     nodes: usize,
     users: usize,
+    /// Snapshots in the update sequence (snapshot ids index it).
+    snapshots: usize,
+    /// Catalog slots (0 without a request plane).
+    slots: usize,
 }
 
 impl Event {
@@ -459,7 +463,7 @@ impl Event {
             };
         }
         match self {
-            Event::Publish(idx) => c.u32("a", idx),
+            Event::Publish(idx) => c.index("a", idx, b.snapshots),
             Event::PollTimer(node, gen)
             | Event::FetchTimeout(node, gen)
             | Event::Heartbeat(node, gen)
@@ -469,7 +473,7 @@ impl Event {
             }
             Event::Arrive(node, msg) => {
                 c.index("a", &mut node.0, b.nodes)?;
-                msg.persist(c, b.nodes)
+                msg.persist(c, b)
             }
             Event::UserVisit(u) | Event::Request(u) => c.index("a", u, b.users),
             Event::Fail(node)
@@ -483,9 +487,9 @@ impl Event {
             }
             Event::Fill(edge, id, snap) => {
                 c.index("a", &mut edge.0, b.nodes)?;
-                c.u32("b", &mut id.slot)?;
+                c.index("b", &mut id.slot, b.slots)?;
                 c.u32("c", &mut id.gen)?;
-                c.u32("d", snap)
+                c.index("d", snap, b.snapshots)
             }
             Event::Churn => Ok(()),
         }
@@ -584,15 +588,15 @@ impl NodeState {
     /// observation-only: it is not stored and reads back as
     /// [`TraceCtx::NONE`].
     fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
-        c.u32("n_content", &mut self.content.0)?;
+        c.index("n_content", &mut self.content.0, b.snapshots)?;
         let mut stale = self.known_stale.map_or(0, |s| u64::from(s.0) + 1);
         c.u64("n_known_stale", &mut stale)?;
         self.known_stale = match stale {
             0 => None,
-            s => Some(SnapshotId(
-                u32::try_from(s - 1)
-                    .map_err(|_| CkptError(format!("n_known_stale={s} is not a snapshot")))?,
-            )),
+            s => match u32::try_from(s - 1) {
+                Ok(id) if (id as usize) < b.snapshots => Some(SnapshotId(id)),
+                _ => return Err(CkptError(format!("n_known_stale={s} is not a snapshot"))),
+            },
         };
         let mut inval = matches!(self.mode, AdaptiveMode::Invalidation);
         c.bool("n_mode_inval", &mut inval)?;
@@ -610,9 +614,9 @@ impl NodeState {
         c.seq("n_inval_registry", &mut self.inval_registry, |kid, c| {
             c.index("n_ir", &mut kid.0, b.nodes)
         })?;
-        c.u32("n_last_invalidated", &mut self.last_invalidated.0)?;
+        c.index("n_last_invalidated", &mut self.last_invalidated.0, b.snapshots)?;
         c.seq("n_pending_pubs", &mut self.pending_pubs, |(snap, t), c| {
-            c.u32("n_pp_snap", &mut snap.0)?;
+            c.index("n_pp_snap", &mut snap.0, b.snapshots)?;
             c.time("n_pp_t", t)
         })?;
         self.lag.persist(c, ["n_lag_count", "n_lag_mean", "n_lag_m2", "n_lag_min", "n_lag_max"])?;
@@ -654,9 +658,9 @@ impl UserState {
     /// are derived from the configuration, not stored).
     fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
         c.index("u_last_server", &mut self.last_server.0, b.nodes)?;
-        c.u32("u_seen_max", &mut self.seen_max.0)?;
+        c.index("u_seen_max", &mut self.seen_max.0, b.snapshots)?;
         c.seq("u_pending_pubs", &mut self.pending_pubs, |(snap, t), c| {
-            c.u32("u_pp_snap", &mut snap.0)?;
+            c.index("u_pp_snap", &mut snap.0, b.snapshots)?;
             c.time("u_pp_t", t)
         })?;
         self.lag.persist(c, ["u_lag_count", "u_lag_mean", "u_lag_m2", "u_lag_min", "u_lag_max"])?;
@@ -2877,9 +2881,14 @@ impl<'a> CdnSimulation<'a> {
     /// together with its configuration. Reading fails when the artifact is
     /// malformed, disagrees with the configuration about structure
     /// (node/user counts, subsystem presence), or stores an id that is not
-    /// a node or user of this simulation.
+    /// a node, user, snapshot or catalog slot of this simulation.
     fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
-        let b = Bounds { nodes: self.nodes.len(), users: self.users.len() };
+        let b = Bounds {
+            nodes: self.nodes.len(),
+            users: self.users.len(),
+            snapshots: self.config.updates.len(),
+            slots: self.workload.as_ref().map_or(0, |wl| wl.catalog.len()),
+        };
         self.sched.persist(c, |ev, c| ev.persist(c, b))?;
         c.rng("sim_rng", &mut self.rng)?;
         c.fixed("nodes", b.nodes)?;
@@ -2912,7 +2921,7 @@ impl<'a> CdnSimulation<'a> {
                 let mut rto = p.rto.as_micros();
                 c.u64("rp_rto_us", &mut rto)?;
                 p.rto = SimDuration::from_micros(rto);
-                p.msg.persist(c, b.nodes)
+                p.msg.persist(c, b)
             })?;
             c.fixed("rel_seen", rel.seen.len())?;
             for seen in &mut rel.seen {
@@ -2933,7 +2942,7 @@ impl<'a> CdnSimulation<'a> {
             wl.catalog.persist(c)?;
             c.fixed("wl_caches", wl.caches.len())?;
             for cache in &mut wl.caches {
-                cache.persist(c)?;
+                cache.persist(c, b.slots, b.snapshots, b.users)?;
             }
             c.rng("wl_rng", &mut wl.rng)?;
             let st = &mut wl.stats;
@@ -4229,9 +4238,9 @@ mod tests {
             Event::NodeJoin(NodeId(3)),
         ];
         assert_eq!(events.len(), EVENT_TIMER_LABELS.len(), "every event variant is pinned");
-        let b = Bounds { nodes: 9, users: 7 };
+        let b = Bounds { nodes: 9, users: 7, snapshots: 16, slots: 10 };
         let walk = |msgs: &mut Vec<Msg>, events: &mut Vec<Event>, c: &mut Ckpt| {
-            msgs.iter_mut().try_for_each(|m| m.persist(c, b.nodes))?;
+            msgs.iter_mut().try_for_each(|m| m.persist(c, b))?;
             events.iter_mut().try_for_each(|e| e.persist(c, b))
         };
         assert_eq!(Ckpt::write("test", |c| walk(&mut msgs, &mut events, c)), PINNED);

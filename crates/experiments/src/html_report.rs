@@ -87,7 +87,7 @@ fn collect_inputs(obs_dir: &Path) -> io::Result<BTreeMap<String, FigureInputs>> 
                 inputs.entry(id.to_owned()).or_default().health = Some(doc);
             }
         } else if let Some(id) = name.strip_suffix(".json") {
-            if id == "summary" || id.ends_with(".trace") || id.starts_with("BENCH_") {
+            if id == "summary" || id.ends_with(".trace") {
                 continue;
             }
             if let Some(doc) = parse_file(&path) {

@@ -12,7 +12,6 @@
 //! cargo run -p cdnc-experiments --release -- all  --scale smoke
 //! ```
 
-pub mod bench;
 pub mod ctx;
 pub mod divergence;
 pub mod eval_figs;
@@ -20,7 +19,6 @@ pub mod ext_figs;
 pub mod hat_figs;
 pub mod html_report;
 pub mod obs_out;
-pub mod perf;
 pub mod profile_out;
 pub mod replay;
 pub mod report;

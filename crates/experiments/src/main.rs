@@ -20,9 +20,6 @@
 //! experiments report [--obs-dir <d>] [--out <d>]     # render artifacts as static HTML
 //! experiments profile <figure-id>      [--scale …] [--jobs <n>] [--spike-multiple <f>]
 //! experiments timeprof <figure-id>     [--scale …] [--jobs <n>]  # time profile + flamegraph
-//! experiments bench [--out <f>] [--label <name>]     # run the perf workload
-//!                   [--figs <id,…>] [--scale-sweep]  # narrow stages / emit scale curve
-//! experiments bench-diff <base> <cand> [--threshold <f>]  # fail on regressions
 //! experiments trace summary <t.json>                 # store-wide tracing statistics
 //! experiments trace critical-path <t.json>           # per-method critical paths
 //! experiments trace inspect <update-id> <t.json>     # one update's propagation tree
@@ -51,10 +48,7 @@
 //! 0.25 s sim time) additionally records queue depth, in-flight traffic,
 //! staleness, and mode-occupancy trajectories into
 //! `<obs-dir>/<figure>.series.json`. `report` renders every artifact under
-//! an obs dir into a self-contained static HTML report; `bench` runs a
-//! fixed fully-instrumented workload into a `BENCH_<label>.json`, and
-//! `bench-diff` exits non-zero when a stage's wall time regresses past the
-//! threshold (default +30%).
+//! an obs dir into a self-contained static HTML report.
 //!
 //! `checkpoint` runs one node-lifecycle sweep cell (an `ext_churn`
 //! scheme × churn-intensity configuration; `--flash` arms the scheduled
@@ -78,9 +72,6 @@
 //! into `<obs-dir>/<figure>.health.json` and a stall watchdog flags silent
 //! runs; `watch <dir>` tails those files as a live status table.
 
-use cdnc_experiments::bench::{
-    bench_diff, bench_table, is_bench_stage, run_bench_with, BenchOptions, DEFAULT_BENCH_THRESHOLD,
-};
 use cdnc_experiments::divergence;
 use cdnc_experiments::ext_figs::{churn_scheme, CHURN_SCHEME_KEYS};
 use cdnc_experiments::html_report::generate_report;
@@ -88,7 +79,6 @@ use cdnc_experiments::obs_out::{
     diff_artifact_dirs, summary_entry, timing_table, write_figure_artifact, write_figure_digest,
     write_figure_series, write_figure_workload, write_summary, ObsSettings,
 };
-use cdnc_experiments::perf::CountingAlloc;
 use cdnc_experiments::profile_out::{profile_table, write_profile_artifact};
 use cdnc_experiments::replay::{self, ReplaySpec};
 use cdnc_experiments::report::aggregate_replicates;
@@ -102,16 +92,16 @@ use cdnc_experiments::{
     build_trace_ctx, run_figure_ctx, run_figure_replicated, FigureReport, RunCtx, Scale,
     EVAL_FIGURES, EXT_FIGURES, HAT_FIGURES, TRACE_FIGURES,
 };
-use cdnc_obs::Level;
+use cdnc_obs::{Level, ProfiledAlloc};
 use cdnc_par::Pool;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Counting allocator behind the total-allocation estimate reported in
-/// `summary.json` and `BENCH_*.json` (one relaxed atomic add per
-/// allocation; see `perf`).
+/// `summary.json` and the `profile` subcommand's attribution (one relaxed
+/// atomic add per allocation; see `cdnc_obs::profile`).
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: ProfiledAlloc = ProfiledAlloc;
 
 fn usage() -> ExitCode {
     eprintln!("usage: experiments <figure-id | all | list> [--scale smoke|default|paper]");
@@ -150,11 +140,6 @@ fn usage() -> ExitCode {
     eprintln!("                                                 hot-path time profile: frame");
     eprintln!("                                                 tree, handler timing, worker");
     eprintln!("                                                 use, flamegraph .folded");
-    eprintln!("       experiments bench [--out <file>] [--label <name>] [--scale …] [--jobs <n>]");
-    eprintln!("                         [--figs <id,…>] [--scale-sweep]");
-    eprintln!("                                                 run the performance workload");
-    eprintln!("       experiments bench-diff <baseline.json> <candidate.json> [--threshold <f>]");
-    eprintln!("                                                 fail on wall-time regressions");
     eprintln!("       experiments trace summary <t.json>        tracing statistics for a run");
     eprintln!("       experiments trace critical-path <t.json>  per-method critical paths");
     eprintln!("       experiments trace inspect <update> <t.json>  one update's full tree");
@@ -219,7 +204,7 @@ fn emit_trace(obs: &ObsSettings, id: &str, reg: &cdnc_obs::Registry) {
 }
 
 fn main() -> ExitCode {
-    CountingAlloc::mark_installed();
+    ProfiledAlloc::mark_installed();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional: Vec<String> = Vec::new();
     let mut scale = Scale::Default;
@@ -227,9 +212,6 @@ fn main() -> ExitCode {
     let mut seeds = 1u64;
     let mut obs = ObsSettings::off();
     let mut out: Option<PathBuf> = None;
-    let mut label: Option<String> = None;
-    let mut threshold = DEFAULT_BENCH_THRESHOLD;
-    let mut bench_opts = BenchOptions::default();
     let mut once = false;
     let mut scheme_key = "hat".to_owned();
     let mut intensity = 0.8f64;
@@ -434,11 +416,6 @@ fn main() -> ExitCode {
                 out = Some(PathBuf::from(value));
                 i += 2;
             }
-            "--label" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                label = Some(value.clone());
-                i += 2;
-            }
             "--spike-multiple" => {
                 let Some(value) = args.get(i + 1) else { return usage() };
                 let Ok(f) = value.parse::<f64>() else {
@@ -452,45 +429,11 @@ fn main() -> ExitCode {
                 obs.spike_multiple = f;
                 i += 2;
             }
-            "--figs" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let figs: Vec<String> = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-                if figs.is_empty() {
-                    eprintln!("--figs needs a comma-separated stage list, got: {value}");
-                    return usage();
-                }
-                if let Some(bad) = figs.iter().find(|id| !is_bench_stage(id)) {
-                    eprintln!("--figs: unknown stage {bad} (stages: crawl or any figure id)");
-                    return usage();
-                }
-                bench_opts.figs = Some(figs);
-                i += 2;
-            }
-            "--scale-sweep" => {
-                bench_opts.scale_sweep = true;
-                i += 1;
-            }
-            "--threshold" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(f) = value.parse::<f64>() else {
-                    eprintln!("--threshold needs a fraction (0.3 = 30% slower tolerated)");
-                    return usage();
-                };
-                threshold = f;
-                i += 2;
-            }
             other
                 if positional.len() < 2
                     || (positional.first().is_some_and(|p| p == "trace")
                         && positional.len() < 4)
                     || (positional.first().is_some_and(|p| p == "obs-diff")
-                        && positional.len() < 3)
-                    || (positional.first().is_some_and(|p| p == "bench-diff")
                         && positional.len() < 3)
                     || (positional.first().is_some_and(|p| p == "divergence")
                         && positional.len() < 3) =>
@@ -863,66 +806,6 @@ fn main() -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("cannot write timeprof artifact for {id}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "bench" => {
-            let label = label.unwrap_or_else(|| "local".to_owned());
-            println!("running bench workload at {scale:?} scale ({} worker(s))…", ctx.pool.jobs());
-            let doc = run_bench_with(ctx, &label, &bench_opts);
-            print!("{}", bench_table(&doc));
-            let path = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{label}.json")));
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("cannot create {}: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            match std::fs::write(&path, doc.to_pretty()) {
-                Ok(()) => {
-                    println!("bench results: {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "bench-diff" => {
-            let (Some(base_path), Some(cand_path)) = (positional.get(1), positional.get(2)) else {
-                eprintln!("bench-diff needs <baseline.json> <candidate.json>");
-                return usage();
-            };
-            let load = |p: &str| -> Result<cdnc_obs::Json, String> {
-                let text =
-                    std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-                cdnc_obs::parse(&text).map_err(|e| format!("cannot parse {p}: {e}"))
-            };
-            match (load(base_path), load(cand_path)) {
-                (Ok(base), Ok(cand)) => {
-                    let regressions = bench_diff(&base, &cand, threshold);
-                    if regressions.is_empty() {
-                        println!(
-                            "bench holds: {cand_path} within +{:.0}% of {base_path}",
-                            threshold * 100.0
-                        );
-                        ExitCode::SUCCESS
-                    } else {
-                        for regression in &regressions {
-                            eprintln!("{regression}");
-                        }
-                        eprintln!(
-                            "{} regression(s) beyond +{:.0}% vs {base_path}",
-                            regressions.len(),
-                            threshold * 100.0
-                        );
-                        ExitCode::FAILURE
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("{e}");
                     ExitCode::FAILURE
                 }
             }

@@ -555,7 +555,7 @@ pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
 /// Writes `<dir>/summary.json` consolidating every figure of an `all` run.
 /// Besides the per-figure rows it records the process's memory footprint:
 /// peak RSS (kernel accounting, Linux only) and the cumulative-allocation
-/// estimate (when the binary installed [`crate::perf::CountingAlloc`]).
+/// estimate (when the binary installed [`cdnc_obs::ProfiledAlloc`]).
 /// Both are volatile — see [`VOLATILE_KEYS`].
 pub fn write_summary(dir: &Path, scale: Scale, entries: Vec<Json>) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -567,8 +567,11 @@ pub fn write_summary(dir: &Path, scale: Scale, entries: Vec<Json>) -> io::Result
         .field("scale", format!("{scale:?}"))
         .field("total_wall_s", total_wall)
         .field("total_events", total_events)
-        .field("peak_rss_kb", crate::perf::peak_rss_kb())
-        .field("alloc_mb_estimate", crate::perf::total_allocated_mb())
+        .field("peak_rss_kb", cdnc_obs::vm_hwm_kb())
+        .field(
+            "alloc_mb_estimate",
+            cdnc_obs::profile::total_allocated_bytes().map(|b| b as f64 / (1024.0 * 1024.0)),
+        )
         .field("figures", Json::Arr(entries));
     let path = dir.join("summary.json");
     std::fs::write(&path, doc.to_pretty())?;

@@ -128,7 +128,7 @@ pub fn profile_doc(
                 .field("count", snap.counter("profile_mem_spikes"))
                 .field("multiple", reg.profile_config().map_or(0.0, |c| c.spike_multiple)),
         )
-        .field("peak_rss_kb", crate::perf::peak_rss_kb())
+        .field("peak_rss_kb", cdnc_obs::vm_hwm_kb())
 }
 
 /// Writes `<dir>/<figure-id>.profile.json`. Returns the artifact path.

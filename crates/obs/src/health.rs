@@ -129,16 +129,22 @@ impl HealthSnapshot {
 }
 
 /// Resident set size (`VmRSS`) of this process, kB — the live companion of
-/// the peak (`VmHWM`) readings the perf harness records. Linux-only; `None`
-/// elsewhere or on read failure.
+/// [`vm_hwm_kb`]. Linux-only; `None` elsewhere or on read failure.
 pub fn vm_rss_kb() -> Option<u64> {
+    proc_status_kb("VmRSS")
+}
+
+/// Peak resident set size (`VmHWM`, the kernel's high-water mark) of this
+/// process, kB. Linux-only; `None` elsewhere or on read failure.
+pub fn vm_hwm_kb() -> Option<u64> {
+    proc_status_kb("VmHWM")
+}
+
+/// The kB value of `<field>:` in `/proc/self/status`.
+fn proc_status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            return rest.trim().trim_end_matches(" kB").trim().parse().ok();
-        }
-    }
-    None
+    let value = status.lines().find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+    value.split_whitespace().next()?.parse().ok()
 }
 
 /// Heartbeat configuration for [`HealthMonitor::start`].
@@ -324,6 +330,13 @@ mod tests {
     fn vm_rss_reads_on_linux() {
         if cfg!(target_os = "linux") {
             assert!(vm_rss_kb().unwrap_or(0) > 0, "a running test has resident pages");
+        }
+    }
+
+    #[test]
+    fn rss_is_positive_on_linux() {
+        if let Some(kb) = vm_hwm_kb() {
+            assert!(kb > 0, "a running process has resident memory");
         }
     }
 

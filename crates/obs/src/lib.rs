@@ -61,8 +61,8 @@ pub use digest::{
 pub use events::{EventRecord, Level};
 pub use flight::{Anomaly, FlightRecorder, FlightReport};
 pub use health::{
-    vm_rss_kb, Health, HealthMonitor, HealthMonitorConfig, HealthSnapshot, DEFAULT_HEARTBEAT_MS,
-    DEFAULT_STALL_AFTER_MS,
+    vm_hwm_kb, vm_rss_kb, Health, HealthMonitor, HealthMonitorConfig, HealthSnapshot,
+    DEFAULT_HEARTBEAT_MS, DEFAULT_STALL_AFTER_MS,
 };
 pub use json::{parse, Json};
 pub use metrics::{

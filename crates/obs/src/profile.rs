@@ -744,6 +744,14 @@ mod tests {
     }
 
     #[test]
+    fn alloc_estimate_requires_installation() {
+        // Library tests run under the default allocator: the totals must
+        // report "not installed" rather than a misleading zero.
+        assert_eq!(total_allocated_bytes(), None);
+        assert_eq!(total_allocs(), None);
+    }
+
+    #[test]
     fn attribution_fraction_counts_named_buckets_only() {
         let c = ProfileCounters::new();
         c.set_enabled(true);

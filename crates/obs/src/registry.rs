@@ -764,6 +764,33 @@ mod tests {
     }
 
     #[test]
+    fn span_overhead_stays_flat_across_path_counts() {
+        // Mean nanoseconds per enter/exit over a few distinct paths versus
+        // many. Interned O(1) recording keeps the ratio near 1; a linear
+        // scan over recorded paths sits near the path-count quotient (64×).
+        const OPS: usize = 20_000;
+        let ns_per_op = |paths: usize| {
+            let reg = Registry::enabled();
+            let names: Vec<String> = (0..paths).map(|i| format!("span_{i}")).collect();
+            for name in &names {
+                let _warm = reg.span(name);
+            }
+            let started = std::time::Instant::now();
+            for i in 0..OPS {
+                let _g = reg.span(&names[i % paths]);
+            }
+            started.elapsed().as_nanos() as f64 / OPS as f64
+        };
+        let (small, large) = (ns_per_op(64), ns_per_op(4096));
+        let ratio = large / small.max(1e-9);
+        assert!(ratio > 0.0);
+        assert!(
+            ratio <= 8.0,
+            "interned span recording must not scale with distinct-path count: ratio {ratio:.2}"
+        );
+    }
+
+    #[test]
     fn tracing_gated_behind_enable() {
         let reg = Registry::enabled();
         assert!(!reg.tracer().is_enabled(), "tracing is opt-in even when enabled");

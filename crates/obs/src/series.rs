@@ -130,8 +130,8 @@ struct SeriesState {
     last_us: u64,
     /// Whether the current segment has sampled at least once.
     sampled: bool,
-    /// Points pushed since creation, before any compaction (throughput
-    /// accounting for the bench harness).
+    /// Points pushed since creation, before any compaction (the series
+    /// artifact's `total_points`).
     total_points: u64,
 }
 

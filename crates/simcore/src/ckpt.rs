@@ -195,8 +195,8 @@ impl<'a> Ckpt<'a> {
         self.number(key, v, "u32")
     }
 
-    /// Walks a 32-bit index into a table of `len` entries (a node or user
-    /// id); an index not below `len` is an error.
+    /// Walks a 32-bit index into a table of `len` entries (a node, user or
+    /// snapshot id, a catalog slot); an index not below `len` is an error.
     pub fn index(&mut self, key: &str, v: &mut u32, len: usize) -> Result<(), CkptError> {
         self.u32(key, v)?;
         if *v as usize >= len {

@@ -214,21 +214,29 @@ impl LruCache {
     /// in-flight fetches with their waiter queues — as checkpoint state.
     /// Capacity and the eviction variant are construction parameters
     /// rebuilt from config. Reading replaces whatever the cache held and
-    /// rebuilds the recency index from the entries' ticks.
-    pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+    /// rebuilds the recency index from the entries' ticks; it rejects a
+    /// catalog slot not below `slots`, a snapshot not below `snapshots` and
+    /// a waiting user not below `users`.
+    pub fn persist(
+        &mut self,
+        c: &mut Ckpt,
+        slots: usize,
+        snapshots: usize,
+        users: usize,
+    ) -> Result<(), CkptError> {
         c.u64("cache_tick", &mut self.tick)?;
         c.seq("cache_entries", &mut self.entries, |(id, entry), c| {
-            c.u32("cache_slot", &mut id.slot)?;
+            c.index("cache_slot", &mut id.slot, slots)?;
             c.u32("cache_gen", &mut id.gen)?;
-            c.u32("cache_snap", &mut entry.snap)?;
+            c.index("cache_snap", &mut entry.snap, snapshots)?;
             c.u64("cache_entry_tick", &mut entry.tick)?;
             c.u64("cache_uses", &mut entry.uses)
         })?;
         c.seq("cache_inflight", &mut self.inflight, |(id, fetch), c| {
-            c.u32("cache_slot", &mut id.slot)?;
+            c.index("cache_slot", &mut id.slot, slots)?;
             c.u32("cache_gen", &mut id.gen)?;
             c.seq("cache_waiters", &mut fetch.waiters, |waiter, c| {
-                c.u32("cache_waiter_user", &mut waiter.user)?;
+                c.index("cache_waiter_user", &mut waiter.user, users)?;
                 c.time("cache_waiter_at", &mut waiter.requested_at)
             })
         })?;
@@ -385,9 +393,9 @@ mod tests {
         filled(&mut cache, 2);
         assert_eq!(cache.request(id(8), 4, SimTime::from_secs(2)), Lookup::Miss);
         assert_eq!(cache.request(id(8), 5, SimTime::from_secs(3)), Lookup::Delayed);
-        let text = Ckpt::write("test", |c| cache.persist(c));
+        let text = Ckpt::write("test", |c| cache.persist(c, 16, 16, 16));
         let mut restored = LruCache::new(2, true);
-        Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
+        Ckpt::read(&text, "test", |c| restored.persist(c, 16, 16, 16)).unwrap();
         assert_eq!(restored.len(), cache.len());
         assert_eq!(restored.inflight(), 1);
         // The in-flight fetch still carries both waiters…
@@ -419,10 +427,18 @@ mod tests {
         assert_eq!(cache.request(id(1), 2, SimTime::ZERO), Lookup::Hit { snap: 5 });
         assert_eq!(cache.request(id(3), 7, SimTime::from_secs(1)), Lookup::Miss);
         assert_eq!(cache.request(id(3), 8, SimTime::from_secs(2)), Lookup::Delayed);
-        assert_eq!(Ckpt::write("test", |c| cache.persist(c)), PINNED);
+        assert_eq!(Ckpt::write("test", |c| cache.persist(c, 4, 7, 9)), PINNED);
         let mut restored = LruCache::new(4, false);
-        Ckpt::read(PINNED, "test", |c| restored.persist(c)).unwrap();
-        assert_eq!(Ckpt::write("test", |c| restored.persist(c)), PINNED);
+        Ckpt::read(PINNED, "test", |c| restored.persist(c, 4, 7, 9)).unwrap();
+        assert_eq!(Ckpt::write("test", |c| restored.persist(c, 4, 7, 9)), PINNED);
+        // The literal stores slot 3, snapshot 6 and user 8: one table short
+        // of any of them rejects the artifact.
+        for (slots, snapshots, users) in [(3, 7, 9), (4, 6, 9), (4, 7, 8)] {
+            let read = Ckpt::read(PINNED, "test", |c| {
+                LruCache::new(4, false).persist(c, slots, snapshots, users)
+            });
+            assert!(read.is_err(), "bounds {slots}/{snapshots}/{users} must reject it");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cdnc_core::{
 use cdnc_experiments::replay::{read_artifact, replay, take_checkpoint, ReplaySpec};
 use cdnc_experiments::Scale;
 use cdnc_obs::{DigestConfig, Registry};
-use cdnc_simcore::{SimRng, SimTime};
+use cdnc_simcore::{SimDuration, SimRng, SimTime};
 use cdnc_trace::UpdateSequence;
 use proptest::prelude::*;
 
@@ -113,6 +113,8 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     // as an error from `resume`, never a panic or a silently wrong run.
     let cell = cfg(0, 0.5, true);
     let artifact = checkpoint(&cell, SimTime::from_secs(200));
+    let catalog = cell.workload.as_ref().expect("request plane").catalog_size.to_string();
+    let users = cell.users().to_string();
     for (key, value, why) in [
         ("sched_next_seq", "0", "queued seqs not below the counter"),
         ("sched_entries", "18446744073709551615", "queue count beyond the artifact"),
@@ -120,11 +122,24 @@ fn structural_mismatch_and_tampering_fail_loudly() {
         ("topo_kid", "4000000000", "child id past the node table"),
         ("ev_t", "0", "queued event before the restored clock"),
         ("u_seen_max", "4294967296", "u32 field above u32::MAX"),
+        ("cache_slot", catalog.as_str(), "cached object past the catalog"),
+        ("cache_waiter_user", users.as_str(), "waiting user past the user table"),
     ] {
         let tampered = tamper(&artifact, key, value);
         assert!(resume(&cell, &tampered).is_err(), "{key}={value} ({why}) must be rejected");
     }
     assert!(resume(&cell, &artifact).is_ok(), "the untampered artifact still resumes");
+
+    // After the last publish the edges cache the final snapshot, so a
+    // provider head (node 0's content) past the update sequence would send
+    // staleness accounting past the publish-time table.
+    let last_publish =
+        SimTime::ZERO + cell.update_start + cell.updates.last_update().since(SimTime::ZERO);
+    let late = checkpoint(&cell, last_publish + SimDuration::from_secs(60));
+    let past_end = cell.updates.len().to_string();
+    let tampered = tamper(&late, "n_content", &past_end);
+    assert!(resume(&cell, &tampered).is_err(), "snapshot id past the updates must be rejected");
+    assert!(resume(&cell, &late).is_ok(), "the untampered late artifact still resumes");
 }
 
 /// `artifact` with the value of its first `key=` line replaced by `value`.
