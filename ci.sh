@@ -24,7 +24,7 @@ cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> traced figure run + Chrome trace round-trip"
 TRACE_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- fig24 --scale smoke --trace --trace-dir "$TRACE_DIR"
+cargo run -q -p cdnc-experiments --release -- fig24 --scale smoke --trace --obs-dir "$TRACE_DIR"
 test -s "$TRACE_DIR/fig24.trace.json"
 # `trace summary` re-parses the emitted Chrome trace through obs::json,
 # so a successful read is the round-trip check.
@@ -38,8 +38,8 @@ cargo test -p cdnc-experiments --test trace_ground_truth --quiet
 
 echo "==> serial vs --jobs 2 determinism diff"
 PAR_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/serial" --trace --trace-dir "$PAR_DIR/serial" > "$PAR_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/jobs2" --trace --trace-dir "$PAR_DIR/jobs2" --jobs 2 > "$PAR_DIR/jobs2.txt"
+cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/serial" --trace > "$PAR_DIR/serial.txt"
+cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/jobs2" --trace --jobs 2 > "$PAR_DIR/jobs2.txt"
 # Stdout must match line-for-line except output paths, wall-clock
 # "[fig: …s on N worker thread(s)]" lines, and phase-timing table rows.
 par_filter() {
@@ -50,10 +50,19 @@ diff <(par_filter "$PAR_DIR/serial.txt") <(par_filter "$PAR_DIR/jobs2.txt")
 cargo run -q -p cdnc-experiments --release -- obs-diff "$PAR_DIR/serial" "$PAR_DIR/jobs2"
 rm -rf "$PAR_DIR"
 
+echo "==> all figures: serial vs --jobs 4 artifact diff"
+ALL_DIR="$(mktemp -d)"
+cargo run -q -p cdnc-experiments --release -- all --scale smoke --obs --obs-dir "$ALL_DIR/serial" > "$ALL_DIR/serial.txt"
+cargo run -q -p cdnc-experiments --release -- all --scale smoke --obs --jobs 4 --obs-dir "$ALL_DIR/jobs4" > "$ALL_DIR/jobs4.txt"
+# Every figure's artifact — §3 trace analyses included — is bit-identical
+# across worker counts once wall-clock fields are scrubbed.
+cargo run -q -p cdnc-experiments --release -- obs-diff "$ALL_DIR/serial" "$ALL_DIR/jobs4"
+rm -rf "$ALL_DIR"
+
 echo "==> chaos smoke: convergence, traced round-trip, serial vs --jobs 4 diff"
 CHAOS_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- ext_chaos --scale smoke --obs --obs-dir "$CHAOS_DIR/serial" --trace --trace-dir "$CHAOS_DIR/serial" > "$CHAOS_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- ext_chaos --scale smoke --obs --obs-dir "$CHAOS_DIR/jobs4" --trace --trace-dir "$CHAOS_DIR/jobs4" --jobs 4 > "$CHAOS_DIR/jobs4.txt"
+cargo run -q -p cdnc-experiments --release -- ext_chaos --scale smoke --obs --obs-dir "$CHAOS_DIR/serial" --trace > "$CHAOS_DIR/serial.txt"
+cargo run -q -p cdnc-experiments --release -- ext_chaos --scale smoke --obs --obs-dir "$CHAOS_DIR/jobs4" --trace --jobs 4 > "$CHAOS_DIR/jobs4.txt"
 # Every sweep row — calm through storm — must satisfy the convergence
 # invariant (zero present-but-stale replicas at the horizon).
 if grep 'violations=' "$CHAOS_DIR/serial.txt" | grep -qv 'violations= 0'; then

@@ -7,7 +7,7 @@ use crate::inconsistency::{
 use cdnc_simcore::stats::{pearson, Cdf};
 use cdnc_simcore::{SimDuration, SimTime};
 use cdnc_trace::{DayTrace, SnapshotId, Trace};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 // --- §3.4.2 provider inconsistency --------------------------------------
 
@@ -214,10 +214,12 @@ fn accumulate_absence_bins(trace: &Trace, day_index: usize, bins: &mut [(f64, u6
     let absences = detect_absences(day, trace.poll_interval);
     let polls = corrected_polls_by_server(day, &trace.servers);
     let alpha = first_appearances_for(&polls, None);
-    let mut eps_by_server: HashMap<u32, Vec<Episode>> = HashMap::new();
-    for (&server, server_polls) in &polls {
-        eps_by_server.insert(server, episodes_of_server(server, server_polls, &alpha));
-    }
+    // Server order, not hash order: the baseline below is a float sum, so
+    // its bits depend on the order the episodes are added in.
+    let eps_by_server: BTreeMap<u32, Vec<Episode>> = polls
+        .iter()
+        .map(|(&server, server_polls)| (server, episodes_of_server(server, server_polls, &alpha)))
+        .collect();
     let mut absence_episode_ids: Vec<(u32, SimTime)> = Vec::new();
     for a in &absences {
         if a.length_s > 400.0 {
@@ -395,6 +397,19 @@ mod tests {
                 means[0],
                 max_abs
             );
+        }
+    }
+
+    #[test]
+    fn absence_bins_are_bit_reproducible() {
+        // The experiments binary's smoke-scale crawl: enough servers and
+        // episodes that a different summation order changes the low bits.
+        let trace =
+            crawl(&CrawlConfig { servers: 60, users: 30, days: 3, seed: 7, ..CrawlConfig::tiny() });
+        let bits = |means: Vec<f64>| means.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        let first = bits(inconsistency_by_absence_length_pooled(&trace).1);
+        for _ in 0..8 {
+            assert_eq!(bits(inconsistency_by_absence_length_pooled(&trace).1), first);
         }
     }
 

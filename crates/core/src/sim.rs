@@ -218,29 +218,36 @@ enum Event {
     NodeJoin(NodeId),
 }
 
-/// Dispatch-timer labels, one per [`Event`] kind, indexed by
-/// [`Event::obs_idx`].
-const EVENT_TIMER_LABELS: [&str; 16] = [
-    "ev_publish",
-    "ev_poll_timer",
-    "ev_arrive",
-    "ev_user_visit",
-    "ev_fail",
-    "ev_recover",
-    "ev_fetch_timeout",
-    "ev_heartbeat",
-    "ev_retransmit",
-    "ev_probe",
-    "ev_request",
-    "ev_fill",
-    "ev_churn",
-    "ev_node_leave",
-    "ev_node_crash",
-    "ev_node_join",
+/// Dispatch-counter names, one per [`Event`] kind, indexed by
+/// [`Event::obs_idx`]. Without the `sim_` prefix each is also the kind's
+/// dispatch-timer and digest label ([`event_label`]).
+const EVENT_COUNTERS: [&str; 16] = [
+    "sim_ev_publish",
+    "sim_ev_poll_timer",
+    "sim_ev_arrive",
+    "sim_ev_user_visit",
+    "sim_ev_fail",
+    "sim_ev_recover",
+    "sim_ev_fetch_timeout",
+    "sim_ev_heartbeat",
+    "sim_ev_retransmit",
+    "sim_ev_probe",
+    "sim_ev_request",
+    "sim_ev_fill",
+    "sim_ev_churn",
+    "sim_ev_node_leave",
+    "sim_ev_node_crash",
+    "sim_ev_node_join",
 ];
 
+/// The timer and digest label of event kind `idx` (`"ev_publish"`, …): a
+/// `'static` slice of its counter name, so labelling never allocates.
+fn event_label(idx: usize) -> &'static str {
+    &EVENT_COUNTERS[idx]["sim_".len()..]
+}
+
 impl Event {
-    /// This event's slot in [`EVENT_TIMER_LABELS`].
+    /// This event's slot in [`EVENT_COUNTERS`].
     fn obs_idx(&self) -> usize {
         match self {
             Event::Publish(..) => 0,
@@ -679,23 +686,9 @@ struct SimObs {
     registry: Registry,
     /// Messages sent, by class — indexed by `PacketKind as usize`.
     msgs: [Counter; PACKET_KINDS],
-    /// Event-loop dispatches, by event kind.
-    ev_publish: Counter,
-    ev_poll_timer: Counter,
-    ev_arrive: Counter,
-    ev_user_visit: Counter,
-    ev_fail: Counter,
-    ev_recover: Counter,
-    ev_fetch_timeout: Counter,
-    ev_heartbeat: Counter,
-    ev_retransmit: Counter,
-    ev_probe: Counter,
-    ev_request: Counter,
-    ev_fill: Counter,
-    ev_churn: Counter,
-    ev_node_leave: Counter,
-    ev_node_crash: Counter,
-    ev_node_join: Counter,
+    /// Event-loop dispatches, by event kind — indexed by
+    /// [`Event::obs_idx`].
+    events: [Counter; 16],
     /// Algorithm 1 transitions (paper lines 7–8 and 12–13).
     switch_to_invalidation: Counter,
     switch_to_ttl: Counter,
@@ -834,22 +827,7 @@ impl SimObs {
         SimObs {
             registry: registry.clone(),
             msgs: msg_names.map(|n| registry.counter(n)),
-            ev_publish: registry.counter("sim_ev_publish"),
-            ev_poll_timer: registry.counter("sim_ev_poll_timer"),
-            ev_arrive: registry.counter("sim_ev_arrive"),
-            ev_user_visit: registry.counter("sim_ev_user_visit"),
-            ev_fail: registry.counter("sim_ev_fail"),
-            ev_recover: registry.counter("sim_ev_recover"),
-            ev_fetch_timeout: registry.counter("sim_ev_fetch_timeout"),
-            ev_heartbeat: registry.counter("sim_ev_heartbeat"),
-            ev_retransmit: registry.counter("sim_ev_retransmit"),
-            ev_probe: registry.counter("sim_ev_probe"),
-            ev_request: registry.counter("sim_ev_request"),
-            ev_fill: registry.counter("sim_ev_fill"),
-            ev_churn: registry.counter("sim_ev_churn"),
-            ev_node_leave: registry.counter("sim_ev_node_leave"),
-            ev_node_crash: registry.counter("sim_ev_node_crash"),
-            ev_node_join: registry.counter("sim_ev_node_join"),
+            events: EVENT_COUNTERS.map(|n| registry.counter(n)),
             switch_to_invalidation: registry.counter("sim_switch_to_invalidation"),
             switch_to_ttl: registry.counter("sim_switch_to_ttl"),
             orphan_reattach: registry.counter("sim_orphan_reattach"),
@@ -892,7 +870,7 @@ impl SimObs {
                 Histogram::default()
             },
             tracer: registry.tracer(),
-            ev_timers: EVENT_TIMER_LABELS.map(|n| registry.handler_timer(n)),
+            ev_timers: std::array::from_fn(|i| registry.handler_timer(event_label(i))),
             msg_timers: [
                 "msg_update",
                 "msg_poll",
@@ -920,32 +898,28 @@ impl SimObs {
         if !self.digest.is_enabled() {
             return;
         }
-        let t = now.as_micros();
-        let d = &self.digest;
+        let fold = |node: u32, tags: &[u64]| {
+            self.digest.fold(event_label(ev.obs_idx()), node, now.as_micros(), tags);
+        };
         match ev {
-            Event::Publish(idx) => d.fold("ev_publish", 0, t, &[u64::from(*idx)]),
-            Event::PollTimer(node, gen) => d.fold("ev_poll_timer", node.0, t, &[*gen]),
-            Event::Arrive(node, msg) => {
-                d.fold("ev_arrive", node.0, t, &[msg.kind() as u64, msg.digest_tag()]);
+            Event::Publish(idx) => fold(0, &[u64::from(*idx)]),
+            Event::PollTimer(node, gen) | Event::Heartbeat(node, gen) | Event::Probe(node, gen) => {
+                fold(node.0, &[*gen])
             }
-            Event::UserVisit(u) => d.fold("ev_user_visit", *u, t, &[]),
-            Event::Fail(node) => d.fold("ev_fail", node.0, t, &[]),
-            Event::Recover(node) => d.fold("ev_recover", node.0, t, &[]),
-            Event::FetchTimeout(node, token) => d.fold("ev_fetch_timeout", node.0, t, &[*token]),
-            Event::Heartbeat(node, gen) => d.fold("ev_heartbeat", node.0, t, &[*gen]),
-            Event::Retransmit(id, attempt) => {
-                d.fold("ev_retransmit", 0, t, &[*id, u64::from(*attempt)]);
-            }
-            Event::Probe(node, gen) => d.fold("ev_probe", node.0, t, &[*gen]),
-            Event::Request(u) => d.fold("ev_request", *u, t, &[]),
+            Event::Arrive(node, msg) => fold(node.0, &[msg.kind() as u64, msg.digest_tag()]),
+            Event::UserVisit(u) | Event::Request(u) => fold(*u, &[]),
+            Event::Fail(node)
+            | Event::Recover(node)
+            | Event::NodeLeave(node)
+            | Event::NodeCrash(node)
+            | Event::NodeJoin(node) => fold(node.0, &[]),
+            Event::FetchTimeout(node, token) => fold(node.0, &[*token]),
+            Event::Retransmit(id, attempt) => fold(0, &[*id, u64::from(*attempt)]),
             Event::Fill(edge, id, snap) => {
                 let obj = (u64::from(id.slot) << 32) | u64::from(id.gen);
-                d.fold("ev_fill", edge.0, t, &[obj, u64::from(*snap)]);
+                fold(edge.0, &[obj, u64::from(*snap)]);
             }
-            Event::Churn => d.fold("ev_churn", 0, t, &[]),
-            Event::NodeLeave(node) => d.fold("ev_node_leave", node.0, t, &[]),
-            Event::NodeCrash(node) => d.fold("ev_node_crash", node.0, t, &[]),
-            Event::NodeJoin(node) => d.fold("ev_node_join", node.0, t, &[]),
+            Event::Churn => fold(0, &[]),
         }
     }
 
@@ -1423,21 +1397,12 @@ impl<'a> CdnSimulation<'a> {
             // so the handlers below can borrow `self` mutably.
             let _dispatch = self.obs.ev_timers[ev.obs_idx()].start();
             self.obs.fold_event(now, &ev);
+            self.obs.events[ev.obs_idx()].inc();
             match ev {
-                Event::Publish(idx) => {
-                    self.obs.ev_publish.inc();
-                    self.on_publish(now, SnapshotId(idx));
-                }
-                Event::PollTimer(node, gen) => {
-                    self.obs.ev_poll_timer.inc();
-                    self.on_poll_timer(now, node, gen);
-                }
-                Event::UserVisit(u) => {
-                    self.obs.ev_user_visit.inc();
-                    self.on_user_visit(now, u);
-                }
+                Event::Publish(idx) => self.on_publish(now, SnapshotId(idx)),
+                Event::PollTimer(node, gen) => self.on_poll_timer(now, node, gen),
+                Event::UserVisit(u) => self.on_user_visit(now, u),
                 Event::Arrive(node, msg) => {
-                    self.obs.ev_arrive.inc();
                     // Delivered or lost, the message leaves the wire.
                     self.obs.inflight[msg.kind() as usize].sub(1);
                     self.net.mark_delivered(msg.kind(), self.packet_kb(msg.kind()));
@@ -1451,16 +1416,9 @@ impl<'a> CdnSimulation<'a> {
                         self.on_arrive(now, node, msg);
                     }
                 }
-                Event::Fail(node) => {
-                    self.obs.ev_fail.inc();
-                    self.on_fail(now, node);
-                }
-                Event::Recover(node) => {
-                    self.obs.ev_recover.inc();
-                    self.on_recover(now, node);
-                }
+                Event::Fail(node) => self.on_fail(now, node),
+                Event::Recover(node) => self.on_recover(now, node),
                 Event::FetchTimeout(node, token) => {
-                    self.obs.ev_fetch_timeout.inc();
                     let state = &mut self.nodes[node.index()];
                     if state.fetch_pending && state.fetch_token == token {
                         // The upstream died mid-request; give up so the next
@@ -1468,42 +1426,15 @@ impl<'a> CdnSimulation<'a> {
                         state.fetch_pending = false;
                     }
                 }
-                Event::Heartbeat(node, gen) => {
-                    self.obs.ev_heartbeat.inc();
-                    self.on_heartbeat(now, node, gen);
-                }
-                Event::Retransmit(id, attempt) => {
-                    self.obs.ev_retransmit.inc();
-                    self.on_retransmit(now, id, attempt);
-                }
-                Event::Probe(node, gen) => {
-                    self.obs.ev_probe.inc();
-                    self.on_probe(now, node, gen);
-                }
-                Event::Request(u) => {
-                    self.obs.ev_request.inc();
-                    self.on_request(now, u);
-                }
-                Event::Fill(edge, id, snap) => {
-                    self.obs.ev_fill.inc();
-                    self.on_fill(now, edge, id, snap);
-                }
-                Event::Churn => {
-                    self.obs.ev_churn.inc();
-                    self.on_churn(now);
-                }
-                Event::NodeLeave(node) => {
-                    self.obs.ev_node_leave.inc();
-                    self.on_node_leave(now, node);
-                }
-                Event::NodeCrash(node) => {
-                    self.obs.ev_node_crash.inc();
-                    self.on_node_crash(now, node);
-                }
-                Event::NodeJoin(node) => {
-                    self.obs.ev_node_join.inc();
-                    self.on_node_join(now, node);
-                }
+                Event::Heartbeat(node, gen) => self.on_heartbeat(now, node, gen),
+                Event::Retransmit(id, attempt) => self.on_retransmit(now, id, attempt),
+                Event::Probe(node, gen) => self.on_probe(now, node, gen),
+                Event::Request(u) => self.on_request(now, u),
+                Event::Fill(edge, id, snap) => self.on_fill(now, edge, id, snap),
+                Event::Churn => self.on_churn(now),
+                Event::NodeLeave(node) => self.on_node_leave(now, node),
+                Event::NodeCrash(node) => self.on_node_crash(now, node),
+                Event::NodeJoin(node) => self.on_node_join(now, node),
             }
         }
         true
@@ -4237,7 +4168,7 @@ mod tests {
             Event::NodeCrash(NodeId(2)),
             Event::NodeJoin(NodeId(3)),
         ];
-        assert_eq!(events.len(), EVENT_TIMER_LABELS.len(), "every event variant is pinned");
+        assert_eq!(events.len(), EVENT_COUNTERS.len(), "every event variant is pinned");
         let b = Bounds { nodes: 9, users: 7, snapshots: 16, slots: 10 };
         let walk = |msgs: &mut Vec<Msg>, events: &mut Vec<Event>, c: &mut Ckpt| {
             msgs.iter_mut().try_for_each(|m| m.persist(c, b))?;

@@ -198,7 +198,7 @@ fn rerun_with_trap(
 /// Compares two digest docs and localizes the first diverging event,
 /// re-running both recorded scenarios with a trap when they disagree. The
 /// diverging re-run's registry gets a `digest_divergence` control span and
-/// a flight-recorder dump lands under `<trace-dir>/flightrec/`.
+/// a flight-recorder dump lands under `<obs-dir>/flightrec/`.
 pub fn run(path_a: &Path, path_b: &Path, settings: &ObsSettings) -> Result<Outcome, String> {
     let a = load_digest_doc(path_a)?;
     let b = load_digest_doc(path_b)?;
@@ -271,7 +271,7 @@ pub fn run(path_a: &Path, path_b: &Path, settings: &ObsSettings) -> Result<Outco
         reg_b.tracer().control(SpanKind::DigestDivergence, entry.node, entry.t_us, "bisect");
         let store = reg_b.tracer().store();
         let reports = FlightRecorder::new(settings.trace_threshold_s).scan(&store);
-        let flight_dir = settings.trace_dir().join(FLIGHTREC_SUBDIR);
+        let flight_dir = settings.dir.join(FLIGHTREC_SUBDIR);
         for report in reports.iter().filter(|r| r.file_stem().contains("digest_divergence")) {
             if std::fs::create_dir_all(&flight_dir).is_ok() {
                 let dump = flight_dir.join(format!("{}_{}.json", a.figure, report.file_stem()));

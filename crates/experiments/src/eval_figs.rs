@@ -47,15 +47,9 @@ pub fn run_batch_on(configs: Vec<SimConfig>, obs: &Registry, pool: &Pool) -> Vec
         let report = run_with_obs(cfg, &shard);
         (report, shard)
     };
-    // The timed map costs `Instant` reads per chunk, so the unobserved
-    // path keeps using the plain map.
-    let shards = if obs.timeprof_enabled() {
-        let (shards, stats) = pool.map_slice_timed(&configs, task);
-        obs.record_worker_use(&crate::timeprof_out::worker_use(&stats));
-        shards
-    } else {
-        pool.map_slice(&configs, task)
-    };
+    // Worker use is recorded only when timeprof is armed.
+    let (shards, stats) = pool.map_slice_timed(&configs, task);
+    obs.record_worker_use(&crate::timeprof_out::worker_use(&stats));
     shards
         .into_iter()
         .map(|(report, shard)| {

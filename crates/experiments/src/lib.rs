@@ -46,6 +46,11 @@ pub const HAT_FIGURES: [&str; 4] = ["fig22a", "fig22b", "fig23", "fig24"];
 pub const EXT_FIGURES: [&str; 6] =
     ["ext_failures", "ext_adaptive", "ext_policy", "ext_chaos", "ext_workload", "ext_churn"];
 
+/// Every figure id, in the order `experiments all` runs them.
+pub fn figure_ids() -> impl Iterator<Item = &'static str> {
+    TRACE_FIGURES.into_iter().chain(EVAL_FIGURES).chain(HAT_FIGURES).chain(EXT_FIGURES)
+}
+
 /// Builds the measurement trace for a scale (shared by all §3 figures).
 pub fn build_trace(scale: Scale) -> Trace {
     build_trace_with_obs(scale, &Registry::disabled())
@@ -150,56 +155,6 @@ pub fn run_figure_ctx(
         _ => return None,
     };
     Some(report)
-}
-
-/// Runs every figure at the given scale, in paper order.
-pub fn run_all(scale: Scale) -> Vec<FigureReport> {
-    run_all_ctx(RunCtx::new(scale), &Registry::disabled())
-}
-
-/// Runs every figure under an execution context, in paper order. The §3
-/// trace is built once per call and shared across the trace figures.
-pub fn run_all_ctx(ctx: RunCtx, obs: &Registry) -> Vec<FigureReport> {
-    let trace = build_trace_ctx(ctx, obs);
-    let mut out = Vec::new();
-    for id in TRACE_FIGURES {
-        out.push(run_figure_ctx(id, ctx, Some(&trace), obs).expect("known id"));
-    }
-    for id in EVAL_FIGURES.iter().chain(&HAT_FIGURES).chain(&EXT_FIGURES) {
-        out.push(run_figure_ctx(id, ctx, None, obs).expect("known id"));
-    }
-    out
-}
-
-/// Runs one figure `seeds` times — replicate 0 is the canonical run, each
-/// further replicate re-derives every seed through its index — and folds
-/// the runs into one report whose keyvals carry the mean plus a
-/// `<name>__spread` half-range. One replicate returns the plain report.
-pub fn run_figure_replicated(
-    id: &str,
-    ctx: RunCtx,
-    seeds: u64,
-    obs: &Registry,
-) -> Option<FigureReport> {
-    let runs: Vec<FigureReport> = (0..seeds.max(1))
-        .map(|r| run_figure_ctx(id, ctx.replicate(r), None, obs))
-        .collect::<Option<_>>()?;
-    Some(report::aggregate_replicates(&runs))
-}
-
-/// Runs every figure `seeds` times (one shared §3 trace per replicate) and
-/// aggregates each figure across replicates as [`run_figure_replicated`]
-/// does.
-pub fn run_all_replicated(ctx: RunCtx, seeds: u64, obs: &Registry) -> Vec<FigureReport> {
-    let per_replicate: Vec<Vec<FigureReport>> =
-        (0..seeds.max(1)).map(|r| run_all_ctx(ctx.replicate(r), obs)).collect();
-    (0..per_replicate[0].len())
-        .map(|i| {
-            let runs: Vec<FigureReport> =
-                per_replicate.iter().map(|reports| reports[i].clone()).collect();
-            report::aggregate_replicates(&runs)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! experiments <figure-id | all | list> [--scale smoke|default|paper]
 //!                                      [--jobs <n>] [--seeds <k>]
 //!                                      [--obs] [--obs-log <level>] [--obs-dir <dir>]
-//!                                      [--trace] [--trace-dir <dir>] [--trace-threshold <s>]
+//!                                      [--trace] [--trace-threshold <s>]
 //!                                      [--series] [--series-cadence <s>]
 //!                                      [--digest] [--digest-every <n>] [--digest-perturb <i>]
 //!                                      [--health] [--stall-after <s>]
@@ -18,8 +18,8 @@
 //! experiments divergence <a.digest.json> <b.digest.json>  # bisect to first diverging event
 //! experiments watch <dir> [--once]                   # live run-health status table
 //! experiments report [--obs-dir <d>] [--out <d>]     # render artifacts as static HTML
-//! experiments profile <figure-id>      [--scale …] [--jobs <n>] [--spike-multiple <f>]
-//! experiments timeprof <figure-id>     [--scale …] [--jobs <n>]  # time profile + flamegraph
+//! experiments profile <figure-id>      [--spike-multiple <f>] [figure flags]  # memory profile
+//! experiments timeprof <figure-id>     [figure flags]  # time profile + flamegraph
 //! experiments trace summary <t.json>                 # store-wide tracing statistics
 //! experiments trace critical-path <t.json>           # per-method critical paths
 //! experiments trace inspect <update-id> <t.json>     # one update's propagation tree
@@ -39,9 +39,9 @@
 //!
 //! With `--trace`, every simulation records a causal span per update journey
 //! (publish → hops → adoptions → user views); each figure writes
-//! `<trace-dir>/<figure>.trace.json` in Chrome trace-event format (loadable
+//! `<obs-dir>/<figure>.trace.json` in Chrome trace-event format (loadable
 //! in ui.perfetto.dev or chrome://tracing), anomalous updates are dumped in
-//! full under `<trace-dir>/flightrec/`, and a per-method critical-path table
+//! full under `<obs-dir>/flightrec/`, and a per-method critical-path table
 //! prints after the run. The `trace` subcommand re-reads those files.
 //!
 //! With `--series`, a sim-time sampler (cadence `--series-cadence`, default
@@ -71,27 +71,30 @@
 //! heartbeat thread samples throughput, sim-time progress, ETA, and RSS
 //! into `<obs-dir>/<figure>.health.json` and a stall watchdog flags silent
 //! runs; `watch <dir>` tails those files as a live status table.
+//!
+//! `profile` and `timeprof` run one figure like `<figure-id>` with the
+//! memory or time profiler armed, print its breakdown table, and write
+//! `<obs-dir>/<figure>.profile.json`, or `<figure>.timeprof.json` plus the
+//! `<figure>.folded` flamegraph stacks. They take every figure flag, and
+//! write every other armed plane's files too. `all`, `<figure-id>`,
+//! `profile` and `timeprof` all run and write through one pipeline,
+//! [`run_and_write`].
 
 use cdnc_experiments::divergence;
 use cdnc_experiments::ext_figs::{churn_scheme, CHURN_SCHEME_KEYS};
 use cdnc_experiments::html_report::generate_report;
 use cdnc_experiments::obs_out::{
-    diff_artifact_dirs, summary_entry, timing_table, write_figure_artifact, write_figure_digest,
-    write_figure_series, write_figure_workload, write_summary, ObsSettings,
+    diff_artifact_dirs, run_and_write, summary_entry, timing_table, write_summary, FigureRun,
+    ObsSettings,
 };
-use cdnc_experiments::profile_out::{profile_table, write_profile_artifact};
+use cdnc_experiments::profile_out::profile_table;
 use cdnc_experiments::replay::{self, ReplaySpec};
-use cdnc_experiments::report::aggregate_replicates;
-use cdnc_experiments::timeprof_out::{timeprof_table, write_timeprof_artifact};
+use cdnc_experiments::timeprof_out::timeprof_table;
 use cdnc_experiments::trace_out::{
-    critical_path_table, inspect_text, load_store, summary_text, write_figure_trace,
-    FLIGHTREC_SUBDIR,
+    critical_path_table, inspect_text, load_store, summary_text, FLIGHTREC_SUBDIR,
 };
 use cdnc_experiments::watch;
-use cdnc_experiments::{
-    build_trace_ctx, run_figure_ctx, run_figure_replicated, FigureReport, RunCtx, Scale,
-    EVAL_FIGURES, EXT_FIGURES, HAT_FIGURES, TRACE_FIGURES,
-};
+use cdnc_experiments::{build_trace_ctx, figure_ids, RunCtx, Scale};
 use cdnc_obs::{Level, ProfiledAlloc};
 use cdnc_par::Pool;
 use std::path::{Path, PathBuf};
@@ -107,7 +110,7 @@ fn usage() -> ExitCode {
     eprintln!("usage: experiments <figure-id | all | list> [--scale smoke|default|paper]");
     eprintln!("                   [--jobs <n>] [--seeds <k>]");
     eprintln!("                   [--obs] [--obs-log debug|info|warn] [--obs-dir <dir>]");
-    eprintln!("                   [--trace] [--trace-dir <dir>] [--trace-threshold <seconds>]");
+    eprintln!("                   [--trace] [--trace-threshold <seconds>]");
     eprintln!("                   [--series] [--series-cadence <seconds>]");
     eprintln!("                   [--digest] [--digest-every <events>] [--digest-perturb <index>]");
     eprintln!("                   [--health] [--stall-after <seconds>]");
@@ -134,72 +137,71 @@ fn usage() -> ExitCode {
     eprintln!("                                                 for *.health.json heartbeats");
     eprintln!("       experiments report [--obs-dir <dir>] [--out <dir>]");
     eprintln!("                                                 render artifacts as static HTML");
-    eprintln!("       experiments profile <figure-id> [--scale …] [--jobs <n>]");
-    eprintln!("                          [--spike-multiple <f>]   per-subsystem memory profile");
-    eprintln!("       experiments timeprof <figure-id> [--scale …] [--jobs <n>]");
+    eprintln!("       experiments profile <figure-id> [--spike-multiple <f>] [figure flags]");
+    eprintln!("                                                 per-subsystem memory profile");
+    eprintln!("       experiments timeprof <figure-id> [figure flags]");
     eprintln!("                                                 hot-path time profile: frame");
     eprintln!("                                                 tree, handler timing, worker");
     eprintln!("                                                 use, flamegraph .folded");
+    eprintln!("                                                 (both also write every other");
+    eprintln!("                                                 armed plane's files)");
     eprintln!("       experiments trace summary <t.json>        tracing statistics for a run");
     eprintln!("       experiments trace critical-path <t.json>  per-method critical paths");
     eprintln!("       experiments trace inspect <update> <t.json>  one update's full tree");
     eprintln!("scheme keys (checkpoint): {}", CHURN_SCHEME_KEYS.join(", "));
     eprintln!("figure ids:");
-    for id in TRACE_FIGURES.iter().chain(&EVAL_FIGURES).chain(&HAT_FIGURES).chain(&EXT_FIGURES) {
+    for id in figure_ids() {
         eprintln!("  {id}");
     }
     ExitCode::FAILURE
 }
 
-/// Starts the run-health heartbeat for one figure when `--health` armed
-/// the registry: `<obs-dir>/<figure>.health.json`, refreshed twice a
-/// second, with the stall watchdog at `--stall-after`. No-op (`None`)
-/// otherwise.
-fn start_health(
-    obs: &ObsSettings,
-    id: &str,
-    reg: &cdnc_obs::Registry,
-) -> Option<cdnc_obs::HealthMonitor> {
-    cdnc_obs::HealthMonitor::start(
-        reg,
-        cdnc_obs::HealthMonitorConfig {
-            figure: id.to_owned(),
-            path: obs.dir.join(format!("{id}.health.json")),
-            interval: std::time::Duration::from_millis(cdnc_obs::DEFAULT_HEARTBEAT_MS),
-            stall_after: std::time::Duration::from_secs_f64(obs.stall_after_s),
-        },
-    )
-}
-
-/// Writes one figure's determinism digest (when `--digest` armed the
-/// registry) and prints where it went.
-fn emit_digest(obs: &ObsSettings, id: &str, scale: Scale, reg: &cdnc_obs::Registry) {
-    match write_figure_digest(&obs.dir, id, scale, reg) {
-        Ok(Some(path)) => println!("digest: {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("cannot write digest for {id}: {e}"),
+/// Prints one figure run: its report and wall time, every file it wrote,
+/// and the armed planes' tables. `false` when writing failed.
+fn print_run(id: &str, run: &FigureRun, obs: &ObsSettings, workers: usize) -> bool {
+    print!("{}", run.report);
+    println!("[{id}: {:.2}s on {workers} worker thread(s)]", run.wall_s);
+    for (what, path) in &run.written {
+        println!("{what}: {}", path.display());
+    }
+    if run.dumps > 0 {
+        println!(
+            "flight recorder: {} anomalous update(s) dumped under {}",
+            run.dumps,
+            obs.dir.join(FLIGHTREC_SUBDIR).display()
+        );
+    }
+    if let Some(table) = obs.enabled.then(|| timing_table(&run.reg)).flatten() {
+        println!("--- phase timings ---\n{table}");
+    }
+    if let Some(window) = &run.window {
+        println!("--- memory profile ---\n{}", profile_table(window));
+    }
+    if let Some(snap) = run.reg.timeprof_snapshot() {
+        println!("--- time profile ---\n{}", timeprof_table(&snap));
+    }
+    if let Some(table) = run.spans.as_ref().and_then(critical_path_table) {
+        println!("--- critical paths ---\n{table}");
+    }
+    match &run.error {
+        None => true,
+        Some(e) => {
+            eprintln!("cannot write artifacts for {id}: {e}");
+            false
+        }
     }
 }
 
-/// Writes one figure's trace JSON and flight-recorder dumps, then prints
-/// where they went and the per-method critical-path table.
-fn emit_trace(obs: &ObsSettings, id: &str, reg: &cdnc_obs::Registry) {
-    let store = reg.tracer().store();
-    match write_figure_trace(obs, id, &store) {
-        Ok(Some((path, dumps))) => {
-            println!("trace: {}", path.display());
-            if dumps > 0 {
-                println!(
-                    "flight recorder: {dumps} anomalous update(s) dumped under {}",
-                    obs.trace_dir().join(FLIGHTREC_SUBDIR).display()
-                );
-            }
-            if let Some(table) = critical_path_table(&store) {
-                println!("--- critical paths ---\n{table}");
-            }
-        }
-        Ok(None) => {}
-        Err(e) => eprintln!("cannot write trace for {id}: {e}"),
+/// Runs and prints one figure (`<figure-id>`, `profile`, `timeprof`).
+fn figure_command(obs: &ObsSettings, id: &str, ctx: RunCtx, seeds: u64) -> ExitCode {
+    let Some(run) = run_and_write(obs, id, ctx, seeds, &[]) else {
+        eprintln!("unknown figure id: {id}");
+        return usage();
+    };
+    if print_run(id, &run, obs, ctx.pool.jobs()) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -274,12 +276,6 @@ fn main() -> ExitCode {
             "--trace" => {
                 obs.trace = true;
                 i += 1;
-            }
-            "--trace-dir" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                obs.trace = true;
-                obs.trace_dir = Some(PathBuf::from(value));
-                i += 2;
             }
             "--trace-threshold" => {
                 let Some(value) = args.get(i + 1) else { return usage() };
@@ -430,13 +426,11 @@ fn main() -> ExitCode {
                 i += 2;
             }
             other
-                if positional.len() < 2
-                    || (positional.first().is_some_and(|p| p == "trace")
-                        && positional.len() < 4)
-                    || (positional.first().is_some_and(|p| p == "obs-diff")
-                        && positional.len() < 3)
-                    || (positional.first().is_some_and(|p| p == "divergence")
-                        && positional.len() < 3) =>
+                if !other.starts_with("--")
+                    && (positional.len() < 2
+                        || (positional[0] == "trace" && positional.len() < 4)
+                        || (["obs-diff", "divergence"].contains(&positional[0].as_str())
+                            && positional.len() < 3)) =>
             {
                 positional.push(other.to_owned());
                 i += 1;
@@ -452,9 +446,7 @@ fn main() -> ExitCode {
 
     match target.as_str() {
         "list" => {
-            for id in
-                TRACE_FIGURES.iter().chain(&EVAL_FIGURES).chain(&HAT_FIGURES).chain(&EXT_FIGURES)
-            {
+            for id in figure_ids() {
                 println!("{id}");
             }
             ExitCode::SUCCESS
@@ -475,60 +467,29 @@ fn main() -> ExitCode {
             if obs.enabled {
                 entries.push(summary_entry("crawl", crawl_wall_s, workers, &crawl_reg));
             }
-            let mut run_one = |id: &str, use_trace: bool| {
-                let reg = obs.registry();
-                let health = start_health(&obs, id, &reg);
-                let fig_started = std::time::Instant::now();
-                let runs: Vec<FigureReport> = (0..seeds)
-                    .map(|r| {
-                        let shared = use_trace.then(|| &traces[r as usize]);
-                        run_figure_ctx(id, ctx.replicate(r), shared, &reg).expect("known id")
-                    })
-                    .collect();
-                if let Some(health) = health {
-                    health.stop();
-                }
-                let report = aggregate_replicates(&runs);
-                print!("{report}");
-                let wall_s = fig_started.elapsed().as_secs_f64();
-                println!("[{id}: {wall_s:.2}s on {workers} worker thread(s)]");
+            let mut ok = true;
+            for id in figure_ids() {
+                let run = run_and_write(&obs, id, ctx, seeds, &traces).expect("known id");
+                ok &= print_run(id, &run, &obs, workers);
                 if obs.enabled {
-                    entries.push(summary_entry(id, wall_s, workers, &reg));
-                    if let Err(e) =
-                        write_figure_artifact(&obs.dir, id, scale, &report, wall_s, &reg)
-                    {
-                        eprintln!("cannot write artifact for {id}: {e}");
-                    }
-                    if let Err(e) = write_figure_workload(&obs.dir, id, &report) {
-                        eprintln!("cannot write workload curves for {id}: {e}");
-                    }
+                    entries.push(summary_entry(id, run.wall_s, workers, &run.reg));
                 }
-                if obs.series {
-                    if let Err(e) = write_figure_series(&obs.dir, id, &reg) {
-                        eprintln!("cannot write series for {id}: {e}");
-                    }
-                }
-                if obs.digest {
-                    emit_digest(&obs, id, scale, &reg);
-                }
-                if obs.trace {
-                    emit_trace(&obs, id, &reg);
-                }
-            };
-            for id in TRACE_FIGURES {
-                run_one(id, true);
-            }
-            for id in EVAL_FIGURES.iter().chain(&HAT_FIGURES).chain(&EXT_FIGURES) {
-                run_one(id, false);
             }
             if obs.enabled {
                 match write_summary(&obs.dir, scale, entries) {
                     Ok(path) => println!("observability summary: {}", path.display()),
-                    Err(e) => eprintln!("cannot write summary: {e}"),
+                    Err(e) => {
+                        eprintln!("cannot write summary: {e}");
+                        ok = false;
+                    }
                 }
             }
             println!("all figures regenerated in {:.1?}", started.elapsed());
-            ExitCode::SUCCESS
+            if ok {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
         }
         "crawl" => {
             let Some(path) = positional.get(1) else {
@@ -728,87 +689,25 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "profile" => {
+        "profile" | "timeprof" => {
             let Some(id) = positional.get(1) else {
-                eprintln!("profile needs a figure id");
+                eprintln!("{target} needs a figure id");
                 return usage();
             };
-            obs.enabled = true;
-            obs.profile = true;
-            let reg = obs.registry();
-            if !cdnc_obs::profile::installed() {
+            obs.profile = target == "profile";
+            obs.timeprof = !obs.profile;
+            let verb = if obs.profile { "profiling" } else { "time-profiling" };
+            if obs.profile && !cdnc_obs::profile::installed() {
                 eprintln!(
                     "warning: counting allocator not installed in this binary; \
                      allocation attribution will be empty"
                 );
             }
             println!(
-                "profiling {id} at {scale:?} scale ({} worker(s), {seeds} seed(s))…",
+                "{verb} {id} at {scale:?} scale ({} worker(s), {seeds} seed(s))…",
                 ctx.pool.jobs()
             );
-            // Bracket the run: enable tagged attribution, reset window
-            // peaks, snapshot a base, and diff against it afterwards so the
-            // artifact covers exactly this figure's work.
-            cdnc_obs::profile::set_enabled(true);
-            cdnc_obs::profile::reset_window_peaks();
-            let base = cdnc_obs::profile::snapshot();
-            let started = std::time::Instant::now();
-            let result = run_figure_replicated(id, ctx, seeds, &reg);
-            cdnc_obs::profile::set_enabled(false);
-            let wall_s = started.elapsed().as_secs_f64();
-            let window = cdnc_obs::profile::snapshot().window_since(&base);
-            let Some(report) = result else {
-                eprintln!("unknown figure id: {id}");
-                return usage();
-            };
-            print!("{report}");
-            println!("[{id}: {wall_s:.2}s on {} worker thread(s)]", ctx.pool.jobs());
-            println!("--- memory profile ---\n{}", profile_table(&window));
-            match write_profile_artifact(&obs.dir, id, scale, &window, &reg, wall_s) {
-                Ok(path) => {
-                    println!("profile artifact: {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write profile artifact for {id}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "timeprof" => {
-            let Some(id) = positional.get(1) else {
-                eprintln!("timeprof needs a figure id");
-                return usage();
-            };
-            obs.enabled = true;
-            obs.timeprof = true;
-            let reg = obs.registry();
-            println!(
-                "time-profiling {id} at {scale:?} scale ({} worker(s), {seeds} seed(s))…",
-                ctx.pool.jobs()
-            );
-            let started = std::time::Instant::now();
-            let result = run_figure_replicated(id, ctx, seeds, &reg);
-            let wall_s = started.elapsed().as_secs_f64();
-            let Some(report) = result else {
-                eprintln!("unknown figure id: {id}");
-                return usage();
-            };
-            print!("{report}");
-            println!("[{id}: {wall_s:.2}s on {} worker thread(s)]", ctx.pool.jobs());
-            let snap = reg.timeprof_snapshot().expect("timeprof armed above");
-            println!("--- time profile ---\n{}", timeprof_table(&snap));
-            match write_timeprof_artifact(&obs.dir, id, scale, &reg, wall_s) {
-                Ok((json_path, folded_path)) => {
-                    println!("timeprof artifact: {}", json_path.display());
-                    println!("flamegraph stacks: {}", folded_path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write timeprof artifact for {id}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            figure_command(&obs, id, ctx, seeds)
         }
         "trace" => {
             let Some(action) = positional.get(1) else {
@@ -873,57 +772,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        id => {
-            let reg = obs.registry();
-            let health = start_health(&obs, id, &reg);
-            let started = std::time::Instant::now();
-            let result = run_figure_replicated(id, ctx, seeds, &reg);
-            if let Some(health) = health {
-                health.stop();
-            }
-            match result {
-                Some(report) => {
-                    print!("{report}");
-                    println!(
-                        "[{id}: {:.2}s on {} worker thread(s)]",
-                        started.elapsed().as_secs_f64(),
-                        ctx.pool.jobs()
-                    );
-                    if obs.enabled {
-                        let wall_s = started.elapsed().as_secs_f64();
-                        match write_figure_artifact(&obs.dir, id, scale, &report, wall_s, &reg) {
-                            Ok(path) => println!("run artifact: {}", path.display()),
-                            Err(e) => eprintln!("cannot write artifact for {id}: {e}"),
-                        }
-                        match write_figure_workload(&obs.dir, id, &report) {
-                            Ok(Some(path)) => println!("workload curves: {}", path.display()),
-                            Ok(None) => {}
-                            Err(e) => eprintln!("cannot write workload curves for {id}: {e}"),
-                        }
-                        if let Some(table) = timing_table(&reg) {
-                            println!("--- phase timings ---\n{table}");
-                        }
-                    }
-                    if obs.series {
-                        match write_figure_series(&obs.dir, id, &reg) {
-                            Ok(Some(path)) => println!("series: {}", path.display()),
-                            Ok(None) => {}
-                            Err(e) => eprintln!("cannot write series for {id}: {e}"),
-                        }
-                    }
-                    if obs.digest {
-                        emit_digest(&obs, id, scale, &reg);
-                    }
-                    if obs.trace {
-                        emit_trace(&obs, id, &reg);
-                    }
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!("unknown figure id: {id}");
-                    usage()
-                }
-            }
-        }
+        id => figure_command(&obs, id, ctx, seeds),
     }
 }

@@ -1,15 +1,24 @@
-//! Run-artifact output for the experiments binary: per-figure JSON
-//! artifacts, optional JSONL event logs, a consolidated summary, and the
-//! end-of-run phase-timing table printed under `--obs`.
+//! Run-artifact output for the experiments binary: the figure pipeline
+//! ([`run_and_write`]) that runs one figure under the armed observation
+//! planes and writes each plane's files, the per-plane writers it calls,
+//! a consolidated summary, the end-of-run phase-timing table printed
+//! under `--obs`, and the wall-clock-blind artifact diff behind `obs-diff`.
 
-use crate::report::FigureReport;
+use crate::profile_out::write_profile_artifact;
+use crate::report::{aggregate_replicates, FigureReport};
 use crate::scale::Scale;
+use crate::timeprof_out::write_timeprof_artifact;
+use crate::trace_out::write_figure_trace;
+use crate::{run_figure_ctx, RunCtx};
 use cdnc_obs::{
-    chain_hex, digest_str, json, write_event_log, DigestConfig, Json, Level, Registry, RunArtifact,
+    chain_hex, digest_str, json, write_event_log, DigestConfig, HealthMonitor, HealthMonitorConfig,
+    Json, Level, ProfileSnapshot, Registry, RunArtifact, SpanStore,
 };
+use cdnc_trace::Trace;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Default artifact directory, relative to the working directory.
 pub const DEFAULT_OBS_DIR: &str = "results/obs";
@@ -30,11 +39,9 @@ pub struct ObsSettings {
     /// Where artifacts go (`results/obs` unless overridden).
     pub dir: PathBuf,
     /// `--trace`: record causal update-propagation traces and write them as
-    /// Chrome trace-event JSON next to the figure artifacts.
+    /// Chrome trace-event JSON (plus flight-recorder dumps under
+    /// `flightrec/`) next to the figure artifacts.
     pub trace: bool,
-    /// `--trace-dir <dir>`: trace/flight-recorder output directory
-    /// (defaults to the artifact dir).
-    pub trace_dir: Option<PathBuf>,
     /// `--trace-threshold <s>`: flight-recorder adoption-lag threshold.
     pub trace_threshold_s: f64,
     /// `--series`: sample registered gauges/counters on a sim-time cadence
@@ -77,7 +84,6 @@ impl ObsSettings {
             log_level: None,
             dir: PathBuf::from(DEFAULT_OBS_DIR),
             trace: false,
-            trace_dir: None,
             trace_threshold_s: DEFAULT_TRACE_THRESHOLD_S,
             series: false,
             series_cadence_us: cdnc_obs::DEFAULT_CADENCE_US,
@@ -90,11 +96,6 @@ impl ObsSettings {
             health: false,
             stall_after_s: cdnc_obs::DEFAULT_STALL_AFTER_MS as f64 / 1e3,
         }
-    }
-
-    /// Where trace JSON and flight-recorder dumps go.
-    pub fn trace_dir(&self) -> PathBuf {
-        self.trace_dir.clone().unwrap_or_else(|| self.dir.clone())
     }
 
     /// A fresh registry per these settings: enabled (with the event log,
@@ -142,6 +143,131 @@ impl ObsSettings {
         }
         reg
     }
+}
+
+/// One figure run through [`run_and_write`].
+pub struct FigureRun {
+    /// The report, aggregated over replicates.
+    pub report: FigureReport,
+    /// Wall-clock seconds the replicates took.
+    pub wall_s: f64,
+    /// The registry every replicate recorded into.
+    pub reg: Registry,
+    /// The allocator window bracketing the run (profiling armed only).
+    pub window: Option<ProfileSnapshot>,
+    /// The recorded spans (tracing armed only).
+    pub spans: Option<SpanStore>,
+    /// Every file written, as `(what, path)` in writing order.
+    pub written: Vec<(&'static str, PathBuf)>,
+    /// Flight-recorder dumps written under `<dir>/flightrec/`.
+    pub dumps: usize,
+    /// The error that stopped the writing, if any.
+    pub error: Option<io::Error>,
+}
+
+/// The figure pipeline behind `all`, `<figure>`, `profile` and `timeprof`.
+///
+/// Runs figure `id` once per replicate (`seeds` of them, §3 figures
+/// reading `traces[r]` when given, building their trace otherwise) into
+/// one fresh registry under the `--health` heartbeat, and folds the
+/// replicates into one report. When profiling is armed, the allocator
+/// window brackets exactly the replicate runs. It then writes every armed
+/// plane's files into `obs.dir`:
+///
+/// * `--obs`: `<id>.json` (and `<id>.jsonl` under `--obs-log`), plus
+///   `<id>.workload.json` when the report carries curves;
+/// * `--series`: `<id>.series.json`; `--digest`: `<id>.digest.json`;
+/// * `--trace`: `<id>.trace.json` and `flightrec/` dumps;
+/// * profiling: `<id>.profile.json`;
+/// * timeprof: `<id>.timeprof.json` and `<id>.folded`.
+///
+/// Returns `None` for an unknown figure id, before running anything.
+pub fn run_and_write(
+    obs: &ObsSettings,
+    id: &str,
+    ctx: RunCtx,
+    seeds: u64,
+    traces: &[Trace],
+) -> Option<FigureRun> {
+    if !crate::figure_ids().any(|f| f == id) {
+        return None;
+    }
+    let reg = obs.registry();
+    let health = HealthMonitor::start(
+        &reg,
+        HealthMonitorConfig {
+            figure: id.to_owned(),
+            path: obs.dir.join(format!("{id}.health.json")),
+            interval: Duration::from_millis(cdnc_obs::DEFAULT_HEARTBEAT_MS),
+            stall_after: Duration::from_secs_f64(obs.stall_after_s),
+        },
+    );
+    let base = obs.profile.then(|| {
+        cdnc_obs::profile::set_enabled(true);
+        cdnc_obs::profile::reset_window_peaks();
+        cdnc_obs::profile::snapshot()
+    });
+    let started = Instant::now();
+    let runs: Vec<FigureReport> = (0..seeds.max(1))
+        .map(|r| {
+            run_figure_ctx(id, ctx.replicate(r), traces.get(r as usize), &reg).expect("known id")
+        })
+        .collect();
+    let window = base.map(|base| {
+        cdnc_obs::profile::set_enabled(false);
+        cdnc_obs::profile::snapshot().window_since(&base)
+    });
+    let wall_s = started.elapsed().as_secs_f64();
+    drop(health);
+    let mut run = FigureRun {
+        report: aggregate_replicates(&runs),
+        wall_s,
+        spans: obs.trace.then(|| reg.tracer().store()),
+        reg,
+        window,
+        written: Vec::new(),
+        dumps: 0,
+        error: None,
+    };
+    run.error = write_planes(obs, id, ctx.scale, &mut run).err();
+    Some(run)
+}
+
+/// Writes every armed plane's files for [`run_and_write`], recording each
+/// into `run.written`; stops at the first failure.
+fn write_planes(obs: &ObsSettings, id: &str, scale: Scale, run: &mut FigureRun) -> io::Result<()> {
+    let dir = obs.dir.as_path();
+    let (report, reg) = (&run.report, &run.reg);
+    let written = &mut run.written;
+    let mut put = |what, path: Option<PathBuf>| written.extend(path.map(|p| (what, p)));
+    if obs.enabled {
+        put("run artifact", Some(write_figure_artifact(dir, id, scale, report, run.wall_s, reg)?));
+        put("workload curves", write_figure_workload(dir, id, report)?);
+    }
+    if obs.series {
+        put("series", write_figure_series(dir, id, reg)?);
+    }
+    if obs.digest {
+        put("digest", write_figure_digest(dir, id, scale, reg)?);
+    }
+    if let Some(spans) = &run.spans {
+        if let Some((path, dumps)) = write_figure_trace(dir, id, spans, obs.trace_threshold_s)? {
+            put("trace", Some(path));
+            run.dumps = dumps;
+        }
+    }
+    if let Some(window) = &run.window {
+        put(
+            "profile artifact",
+            Some(write_profile_artifact(dir, id, scale, window, reg, run.wall_s)?),
+        );
+    }
+    if obs.timeprof {
+        let (json_path, folded_path) = write_timeprof_artifact(dir, id, scale, reg, run.wall_s)?;
+        put("timeprof artifact", Some(json_path));
+        put("flamegraph stacks", Some(folded_path));
+    }
+    Ok(())
 }
 
 /// Writes `<dir>/<figure-id>.digest.json` from one figure's registry: the
@@ -604,10 +730,6 @@ mod tests {
         let reg = s.registry();
         assert!(reg.is_enabled());
         assert!(reg.tracer().is_enabled());
-        assert_eq!(s.trace_dir(), PathBuf::from(DEFAULT_OBS_DIR));
-        let custom =
-            ObsSettings { trace: true, trace_dir: Some(PathBuf::from("/tmp/x")), ..s.clone() };
-        assert_eq!(custom.trace_dir(), PathBuf::from("/tmp/x"));
     }
 
     #[test]

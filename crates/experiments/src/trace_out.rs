@@ -3,7 +3,6 @@
 //! renderings behind the `trace` subcommand (`summary`, `critical-path`,
 //! `inspect <update-id>`).
 
-use crate::obs_out::ObsSettings;
 use cdnc_obs::{
     parse_chrome, to_chrome, FlightRecorder, PropagationTree, SpanId, SpanKind, SpanStore,
 };
@@ -11,29 +10,29 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Subdirectory of the trace dir holding flight-recorder dumps.
+/// Subdirectory of the artifact dir holding flight-recorder dumps.
 pub const FLIGHTREC_SUBDIR: &str = "flightrec";
 
-/// Writes `<trace-dir>/<id>.trace.json` (Chrome trace-event format, loads
-/// in ui.perfetto.dev) plus one flight-recorder dump per anomalous update
-/// under `<trace-dir>/flightrec/`. Returns the trace path and the number of
-/// dumps, or `None` when the store recorded nothing (figure without a
-/// simulation, or tracing off).
+/// Writes `<dir>/<id>.trace.json` (Chrome trace-event format, loads in
+/// ui.perfetto.dev) plus one flight-recorder dump per update whose
+/// adoption lag exceeds `threshold_s` under `<dir>/flightrec/`. Returns the
+/// trace path and the number of dumps, or `None` when the store recorded
+/// nothing (figure without a simulation, or tracing off).
 pub fn write_figure_trace(
-    settings: &ObsSettings,
+    dir: &Path,
     id: &str,
     store: &SpanStore,
+    threshold_s: f64,
 ) -> io::Result<Option<(PathBuf, usize)>> {
     if store.spans.is_empty() {
         return Ok(None);
     }
-    let dir = settings.trace_dir();
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{id}.trace.json"));
     // Compact: traces carry one event per hop/adoption/user view, so even a
     // smoke-scale figure produces hundreds of thousands of events.
     std::fs::write(&path, to_chrome(store).to_compact())?;
-    let reports = FlightRecorder::new(settings.trace_threshold_s).scan(store);
+    let reports = FlightRecorder::new(threshold_s).scan(store);
     if !reports.is_empty() {
         let flight_dir = dir.join(FLIGHTREC_SUBDIR);
         std::fs::create_dir_all(&flight_dir)?;
@@ -204,15 +203,15 @@ mod tests {
         let store = traced_store();
         let tmp = std::env::temp_dir().join("cdnc_trace_out_test");
         let _ = std::fs::remove_dir_all(&tmp);
-        let settings =
-            ObsSettings { trace: true, trace_dir: Some(tmp.clone()), ..ObsSettings::off() };
-        let (path, dumps) =
-            write_figure_trace(&settings, "figtest", &store).expect("write").expect("non-empty");
+        let threshold = crate::obs_out::DEFAULT_TRACE_THRESHOLD_S;
+        let (path, dumps) = write_figure_trace(&tmp, "figtest", &store, threshold)
+            .expect("write")
+            .expect("non-empty");
         assert_eq!(dumps, 0, "a healthy smoke run must not trip the flight recorder");
         let back = load_store(&path).expect("reload");
         assert_eq!(back, store, "disk round-trip must be lossless");
         // An empty store writes nothing.
-        assert!(write_figure_trace(&settings, "empty", &SpanStore::default())
+        assert!(write_figure_trace(&tmp, "empty", &SpanStore::default(), threshold)
             .expect("io ok")
             .is_none());
         let _ = std::fs::remove_dir_all(&tmp);

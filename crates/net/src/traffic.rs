@@ -8,10 +8,9 @@
 //! * **network load, km** (§5.3, Fig. 23): total transmission distance per
 //!   message class.
 
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Packet, PacketKind, PACKET_KINDS};
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Accumulated traffic statistics.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -25,7 +24,8 @@ pub struct TrafficStats {
     light_kb: f64,
     inter_isp_messages: u64,
     inter_isp_km_kb: f64,
-    by_kind: BTreeMap<String, u64>,
+    /// Message counts indexed by `PacketKind as usize`.
+    by_kind: [u64; PACKET_KINDS],
 }
 
 impl TrafficStats {
@@ -66,7 +66,7 @@ impl TrafficStats {
             self.light_km += distance_km;
             self.light_kb += packet.size_kb;
         }
-        *self.by_kind.entry(packet.kind.to_string()).or_insert(0) += 1;
+        self.by_kind[packet.kind as usize] += 1;
     }
 
     /// Total traffic cost in km·KB (paper Fig. 16/17 metric).
@@ -145,10 +145,12 @@ impl TrafficStats {
 
     /// Count of messages of one protocol kind.
     pub fn count_of(&self, kind: PacketKind) -> u64 {
-        self.by_kind.get(&kind.to_string()).copied().unwrap_or(0)
+        self.by_kind[kind as usize]
     }
 
-    /// Walks the accumulator as checkpoint state.
+    /// Walks the accumulator as checkpoint state. Kind counts travel as
+    /// `(name, count)` pairs, non-zero kinds only, in name order; reading
+    /// rejects an unknown, repeated or out-of-order name.
     pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         c.f64("traffic_km_kb", &mut self.km_kb)?;
         c.u64("traffic_update_messages", &mut self.update_messages)?;
@@ -159,10 +161,32 @@ impl TrafficStats {
         c.f64("traffic_light_kb", &mut self.light_kb)?;
         c.u64("traffic_inter_isp_messages", &mut self.inter_isp_messages)?;
         c.f64("traffic_inter_isp_km_kb", &mut self.inter_isp_km_kb)?;
-        c.seq("traffic_kinds", &mut self.by_kind, |(kind, count), c| {
+        let mut named: Vec<(String, u64)> = PacketKind::ALL
+            .iter()
+            .filter(|&&k| self.by_kind[k as usize] > 0)
+            .map(|&k| (k.name().to_owned(), self.by_kind[k as usize]))
+            .collect();
+        named.sort_unstable();
+        c.seq("traffic_kinds", &mut named, |(kind, count), c| {
             c.str("traffic_kind", kind)?;
             c.u64("traffic_kind_count", count)
-        })
+        })?;
+        if c.is_reading() {
+            self.by_kind = [0; PACKET_KINDS];
+            for (i, (name, count)) in named.iter().enumerate() {
+                if i > 0 && named[i - 1].0 >= *name {
+                    return Err(CkptError(format!(
+                        "traffic kind {name:?} repeated or out of order"
+                    )));
+                }
+                let kind = PacketKind::ALL
+                    .into_iter()
+                    .find(|k| k.name() == name)
+                    .ok_or_else(|| CkptError(format!("unknown traffic kind {name:?}")))?;
+                self.by_kind[kind as usize] = *count;
+            }
+        }
+        Ok(())
     }
 
     /// Merges another accumulator into this one.
@@ -176,8 +200,8 @@ impl TrafficStats {
         self.light_km += other.light_km;
         self.update_kb += other.update_kb;
         self.light_kb += other.light_kb;
-        for (k, v) in &other.by_kind {
-            *self.by_kind.entry(k.clone()).or_insert(0) += v;
+        for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind) {
+            *mine += theirs;
         }
     }
 }
@@ -271,5 +295,19 @@ mod tests {
         Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
         assert_eq!(restored, t);
         assert_eq!(restored.km_kb().to_bits(), t.km_kb().to_bits());
+        // Kinds are stored by name, non-zero only, in name order.
+        assert!(text.contains(
+            "traffic_kinds=3\ntraffic_kind=invalidation\ntraffic_kind_count=1\n\
+             traffic_kind=poll\ntraffic_kind_count=1\ntraffic_kind=update\ntraffic_kind_count=1\n"
+        ));
+        for (from, to) in [
+            ("traffic_kind=poll\n", "traffic_kind=junk\n"),
+            ("traffic_kind=poll\n", "traffic_kind=invalidation\n"),
+            ("traffic_kind=poll\n", "traffic_kind=ack\n"),
+        ] {
+            let tampered = text.replacen(from, to, 1);
+            let mut junk = TrafficStats::new();
+            assert!(Ckpt::read(&tampered, "test", |c| junk.persist(c)).is_err(), "{to:?}");
+        }
     }
 }

@@ -143,7 +143,7 @@ impl Pool {
     /// Maps `f` over the task indices `0..len` and returns the results in
     /// index order. `f` must be a pure function of the index for the
     /// determinism contract to hold (the pool guarantees ordered output
-    /// regardless).
+    /// regardless). [`Pool::map_timed`] without its worker accounting.
     ///
     /// # Panics
     ///
@@ -153,59 +153,22 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let workers = self.jobs.min(len);
-        if workers <= 1 {
-            return (0..len).map(f).collect();
-        }
-        let chunk = len.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        let queue = IndexQueue::new(len, chunk);
-        let f = &f;
-        let queue = &queue;
-        // Each worker owns the chunks it claimed; the ordered reduction
-        // below commits them into `slots` by task index, so the output is
-        // independent of which worker ran what.
-        let mut parts: Vec<Vec<(usize, Vec<R>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut claimed = Vec::new();
-                        while let Some(range) = queue.take() {
-                            let start = range.start;
-                            claimed.push((start, range.map(f).collect::<Vec<R>>()));
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(len);
-        slots.resize_with(len, || None);
-        for (start, results) in parts.drain(..).flatten() {
-            for (offset, r) in results.into_iter().enumerate() {
-                slots[start + offset] = Some(r);
-            }
-        }
-        slots.into_iter().map(|s| s.expect("every task index produced a result")).collect()
+        self.map_timed(len, f).0
     }
 
-    /// Like [`Pool::map`], but also measures per-worker utilization
-    /// (busy / steal / idle nanoseconds and the join-barrier wait).
+    /// Maps `f` over the task indices `0..len`, returning the results in
+    /// index order plus per-worker utilization (busy / steal / idle
+    /// nanoseconds and the join-barrier wait). The stats cost a few
+    /// `Instant` reads per chunk and are observation-only wall clock.
     ///
     /// Each worker returns its `(start, results)` chunks, its accounting,
-    /// and the instant it finished (for the join-wait computation).
+    /// and the instant it finished (for the join-wait computation); the
+    /// ordered reduction then commits the chunks into the output by task
+    /// index, so the output is independent of which worker ran what.
     ///
-    /// This is a separate entry point rather than a flag on `map` so the
-    /// unobserved hot path stays exactly as cheap as before: callers that
-    /// have not armed time profiling never pay for the `Instant` reads.
-    /// Results are in task order, identical to `map`; the stats are
-    /// observation-only wall clock.
+    /// # Panics
+    ///
+    /// Propagates the first panic raised by `f` (by task order).
     pub fn map_timed<R, F>(&self, len: usize, f: F) -> (Vec<R>, Vec<WorkerStat>)
     where
         R: Send,
@@ -290,7 +253,7 @@ impl Pool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.map(items.len(), |i| f(i, &items[i]))
+        self.map_slice_timed(items, f).0
     }
 
     /// Like [`Pool::map_slice`], with the per-worker utilization of

@@ -66,7 +66,7 @@ fn injected_perturbation_localizes_to_its_exact_index() {
     let clean = write("clean", None);
     let perturbed = write("perturbed", Some(PERTURB));
     let settings = cdnc_experiments::obs_out::ObsSettings {
-        trace_dir: Some(dir.join("traces")),
+        dir: dir.join("traces"),
         ..cdnc_experiments::obs_out::ObsSettings::off()
     };
     match divergence::run(&clean, &perturbed, &settings).expect("bisect succeeds") {

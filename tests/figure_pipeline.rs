@@ -1,0 +1,64 @@
+//! End-to-end checks of the `experiments` figure pipeline: whichever command
+//! runs a figure, every observation plane armed on its command line writes
+//! its files into `--obs-dir`. `profile` and `timeprof` arm their own plane
+//! on top of the figure flags; they must not drop the others.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("spawn the experiments binary")
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("cdnc-figure-pipeline-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs `args --obs-dir <dir>` and requires every file in `expected` to be
+/// written there, non-empty.
+fn assert_writes(args: &[&str], dir: &Path, expected: &[&str]) {
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let out = experiments(&[args, &["--obs-dir", dir_arg]].concat());
+    assert!(
+        out.status.success(),
+        "experiments {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for name in expected {
+        let len = std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+        assert!(len > 0, "experiments {args:?} did not write {name}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn profile_writes_every_armed_plane() {
+    assert_writes(
+        &["profile", "fig14", "--scale", "smoke", "--digest", "--series", "--trace"],
+        &scratch("profile"),
+        &["fig14.profile.json", "fig14.digest.json", "fig14.series.json", "fig14.trace.json"],
+    );
+}
+
+#[test]
+fn timeprof_writes_every_armed_plane() {
+    assert_writes(
+        &["timeprof", "fig14", "--scale", "smoke", "--digest", "--health"],
+        &scratch("timeprof"),
+        &["fig14.timeprof.json", "fig14.folded", "fig14.digest.json", "fig14.health.json"],
+    );
+}
+
+#[test]
+fn retired_trace_dir_flag_is_rejected_with_usage() {
+    let out = experiments(&["fig17", "--trace-dir", "x"]);
+    assert!(!out.status.success(), "--trace-dir must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: experiments"), "usage text expected:\n{stderr}");
+}
