@@ -1,8 +1,15 @@
 #!/usr/bin/env bash
-# Local CI gate — the same steps .github/workflows/ci.yml runs.
+# The CI gate: .github/workflows/ci.yml runs this script, and it runs the
+# same way locally.
 # Usage: ./ci.sh
+# The series-report and time-profile runs stay under target/ci/ (gitignored)
+# so the workflow can upload them; every other step cleans up after itself.
+# target/ci/ is emptied first, so a run that fails early leaves no files of
+# an earlier run there to upload.
 set -euo pipefail
 cd "$(dirname "$0")"
+CI_OUT="target/ci"
+rm -rf "$CI_OUT"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -129,13 +136,12 @@ grep -q 'Request plane' "$WL_DIR/report/ext_workload.html"
 rm -rf "$WL_DIR"
 
 echo "==> series emission + HTML report"
-SERIES_DIR="$(mktemp -d)"
+SERIES_DIR="$CI_OUT/series"
 cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --series --obs-dir "$SERIES_DIR"
 test -s "$SERIES_DIR/fig17.series.json"
 cargo run -q -p cdnc-experiments --release -- report --obs-dir "$SERIES_DIR" --out "$SERIES_DIR/report"
 test -s "$SERIES_DIR/report/index.html"
 test -s "$SERIES_DIR/report/fig17.html"
-rm -rf "$SERIES_DIR"
 
 echo "==> memory profile smoke: attribution + probes artifact"
 PROF_DIR="$(mktemp -d)"
@@ -149,7 +155,7 @@ grep -q 'Memory profile' "$PROF_DIR/report/fig20.html"
 rm -rf "$PROF_DIR"
 
 echo "==> time profile smoke: flamegraph export + structural serial vs --jobs 4 diff"
-TP_DIR="$(mktemp -d)"
+TP_DIR="$CI_OUT/timeprof"
 cargo run -q -p cdnc-experiments --release -- timeprof fig17 --scale smoke --obs-dir "$TP_DIR/serial"
 cargo run -q -p cdnc-experiments --release -- timeprof fig17 --scale smoke --obs-dir "$TP_DIR/jobs4" --jobs 4
 test -s "$TP_DIR/serial/fig17.folded"
@@ -160,7 +166,6 @@ cargo run -q -p cdnc-experiments --release -- obs-diff "$TP_DIR/serial" "$TP_DIR
 cargo run -q -p cdnc-experiments --release -- report --obs-dir "$TP_DIR/serial" --out "$TP_DIR/report"
 grep -q 'Time profile' "$TP_DIR/report/fig17.html"
 grep -q 'Worker utilization' "$TP_DIR/report/fig17.html"
-rm -rf "$TP_DIR"
 
 echo "==> determinism audit smoke: --jobs digest identity + perturbation self-test"
 DIG_DIR="$(mktemp -d)"

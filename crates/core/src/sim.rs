@@ -26,7 +26,7 @@ use cdnc_geo::{IspId, WorldBuilder};
 use cdnc_net::{FaultPlane, Network, NodeId, Packet, PacketKind, PACKET_KINDS};
 use cdnc_obs::profile::{self, Subsystem};
 use cdnc_obs::{
-    Counter, Digest, Gauge, HandlerTimer, Histogram, Level, Registry, SpanKind, TraceCtx, Tracer,
+    Counter, Digest, Gauge, HandlerTimer, Histogram, Registry, SpanKind, TraceCtx, Tracer,
 };
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::stats::OnlineStats;
@@ -1483,12 +1483,6 @@ impl<'a> CdnSimulation<'a> {
                 horizon_us,
                 "convergence",
             );
-            self.obs.registry.event(Level::Warn, "convergence_violation", || {
-                cdnc_obs::Json::obj()
-                    .field("node", s.index())
-                    .field("have", state.content.0)
-                    .field("head", head.0)
-            });
         }
         self.chaos.convergence_violations = violations;
     }
@@ -2060,12 +2054,6 @@ impl<'a> CdnSimulation<'a> {
                 now.as_micros(),
                 "to_ttl",
             );
-            self.obs.registry.event(Level::Info, "algo1_switch", || {
-                cdnc_obs::Json::obj()
-                    .field("node", node.index())
-                    .field("to", "ttl")
-                    .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-            });
             self.obs.inval_mode_nodes.sub(1);
             self.nodes[node.index()].mode = AdaptiveMode::Ttl;
             self.nodes[node.index()].timer_gen += 1;
@@ -2190,12 +2178,6 @@ impl<'a> CdnSimulation<'a> {
                 now.as_micros(),
                 "to_invalidation",
             );
-            self.obs.registry.event(Level::Info, "algo1_switch", || {
-                cdnc_obs::Json::obj()
-                    .field("node", node.index())
-                    .field("to", "invalidation")
-                    .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-            });
             self.obs.inval_mode_nodes.add(1);
             self.nodes[node.index()].mode = AdaptiveMode::Invalidation;
             self.nodes[node.index()].timer_gen += 1; // kill the poll chain
@@ -2250,12 +2232,6 @@ impl<'a> CdnSimulation<'a> {
             Some(sent) if now.since(sent) >= timeout => {
                 self.nodes[node.index()].awaiting_probe = None;
                 self.obs.upstream_suspects.inc();
-                self.obs.registry.event(Level::Warn, "upstream_suspect", || {
-                    cdnc_obs::Json::obj()
-                        .field("node", node.index())
-                        .field("upstream", up.index())
-                        .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-                });
                 self.on_upstream_suspect(now, node, up);
             }
             Some(_) => {} // still within the timeout; wait
@@ -2324,13 +2300,6 @@ impl<'a> CdnSimulation<'a> {
             now.as_micros(),
             "failover",
         );
-        self.obs.registry.event(Level::Warn, "hat_failover", || {
-            cdnc_obs::Json::obj()
-                .field("cluster", cluster)
-                .field("old", old.index())
-                .field("promoted", promoted.index())
-                .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-        });
         // Tree surgery: the promotee takes the old supernode's slot, or
         // joins fresh if a node failure already removed the old one. Child
         // supernodes under the old one in the tree follow it (when a node
@@ -2486,12 +2455,6 @@ impl<'a> CdnSimulation<'a> {
                 .expect("checked above")
                 .remove_and_reattach(node, |id| locations[id.index()]);
             self.topo.detach(node);
-            self.obs.registry.event(Level::Warn, "tree_repair", || {
-                cdnc_obs::Json::obj()
-                    .field("failed", node.index())
-                    .field("orphans", moves.len())
-                    .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-            });
             for (orphan, new_parent) in moves {
                 self.obs.orphan_reattach.inc();
                 self.obs.tracer.control(
@@ -2614,11 +2577,6 @@ impl<'a> CdnSimulation<'a> {
         lc.leaves += 1;
         lc.down_kind[node.index()] = Some(ChurnKind::Leave);
         self.obs.tracer.control(SpanKind::NodeChurn, node.index() as u32, now.as_micros(), "leave");
-        self.obs.registry.event(Level::Info, "node_leave", || {
-            cdnc_obs::Json::obj()
-                .field("node", node.index())
-                .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-        });
         // Graceful hand-off BEFORE going dark (an absent node sends
         // nothing): waiting children get our content, waiting users
         // observe it.
@@ -2654,11 +2612,6 @@ impl<'a> CdnSimulation<'a> {
         lc.crashes += 1;
         lc.down_kind[node.index()] = Some(ChurnKind::Crash);
         self.obs.tracer.control(SpanKind::NodeChurn, node.index() as u32, now.as_micros(), "crash");
-        self.obs.registry.event(Level::Warn, "node_crash", || {
-            cdnc_obs::Json::obj()
-                .field("node", node.index())
-                .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-        });
         // No hand-off: queued children are dropped; queued users time out
         // against the cached copy (like a plain failure).
         self.nodes[node.index()].waiting_children.clear();
@@ -2702,18 +2655,11 @@ impl<'a> CdnSimulation<'a> {
     /// from its parent), and restarts its timer chains. After a crash the
     /// node is cold — its resync fetches everything anew.
     fn on_node_join(&mut self, now: SimTime, node: NodeId) {
-        let Some(kind) = self.lifecycle.as_mut().and_then(|lc| lc.down_kind[node.index()].take())
-        else {
+        if self.lifecycle.as_mut().and_then(|lc| lc.down_kind[node.index()].take()).is_none() {
             return; // never departed (a duplicate or superseded join)
-        };
+        }
         self.lifecycle.as_mut().expect("checked above").joins += 1;
         self.obs.tracer.control(SpanKind::NodeChurn, node.index() as u32, now.as_micros(), "join");
-        self.obs.registry.event(Level::Info, "node_join", || {
-            cdnc_obs::Json::obj()
-                .field("node", node.index())
-                .field("cold", kind == ChurnKind::Crash)
-                .field("t_s", now.since(SimTime::ZERO).as_secs_f64())
-        });
         self.nodes[node.index()].absent = false;
         self.nodes[node.index()].awaiting_probe = None;
         self.net.rejoin(node, now);
@@ -3437,7 +3383,7 @@ mod tests {
             let cfg = chaotic(Scheme::hat(), 0.5);
             let plain = run(&cfg);
             let reg = Registry::enabled();
-            reg.enable_profiling(cdnc_obs::ProfileConfig::default());
+            reg.enable_profiling();
             let profiled = run_with_obs(&cfg, &reg);
             assert_eq!(plain, profiled, "profiling probes must be observation-only");
             let snap = reg.snapshot();
@@ -3466,7 +3412,6 @@ mod tests {
             let cfg = chaotic(Scheme::hat(), 0.7);
             let plain = run(&cfg);
             let reg = Registry::enabled();
-            reg.enable_events(Level::Debug, 4096);
             reg.enable_tracing();
             let observed = run_with_obs(&cfg, &reg);
             assert_eq!(plain, observed);
@@ -3793,7 +3738,6 @@ mod tests {
         let cfg = small(Scheme::hat());
         let plain = run(&cfg);
         let reg = Registry::enabled();
-        reg.enable_events(Level::Debug, 4096);
         reg.enable_tracing();
         let observed = run_with_obs(&cfg, &reg);
         assert_eq!(plain, observed);

@@ -21,7 +21,7 @@
 //! anomaly reports.
 
 use crate::ctx::RunCtx;
-use crate::obs_out::ObsSettings;
+use crate::obs_out::{ObsSettings, DEFAULT_TRACE_THRESHOLD_S};
 use crate::run_figure_ctx;
 use crate::scale::Scale;
 use crate::trace_out::FLIGHTREC_SUBDIR;
@@ -270,7 +270,7 @@ pub fn run(path_a: &Path, path_b: &Path, settings: &ObsSettings) -> Result<Outco
     if let Some(entry) = at {
         reg_b.tracer().control(SpanKind::DigestDivergence, entry.node, entry.t_us, "bisect");
         let store = reg_b.tracer().store();
-        let reports = FlightRecorder::new(settings.trace_threshold_s).scan(&store);
+        let reports = FlightRecorder::new(DEFAULT_TRACE_THRESHOLD_S).scan(&store);
         let flight_dir = settings.dir.join(FLIGHTREC_SUBDIR);
         for report in reports.iter().filter(|r| r.file_stem().contains("digest_divergence")) {
             if std::fs::create_dir_all(&flight_dir).is_ok() {

@@ -4,11 +4,8 @@
 //! ```text
 //! experiments <figure-id | all | list> [--scale smoke|default|paper]
 //!                                      [--jobs <n>] [--seeds <k>]
-//!                                      [--obs] [--obs-log <level>] [--obs-dir <dir>]
-//!                                      [--trace] [--trace-threshold <s>]
-//!                                      [--series] [--series-cadence <s>]
-//!                                      [--digest] [--digest-every <n>] [--digest-perturb <i>]
-//!                                      [--health] [--stall-after <s>]
+//!                                      [--obs] [--obs-dir <dir>] [--trace] [--series]
+//!                                      [--digest] [--digest-perturb <i>] [--health]
 //! experiments crawl <out.bin>          [--scale …] [--jobs <n>]   # save a crawl trace
 //! experiments verdict <trace.bin>                    # §3.6 verdict on a saved trace
 //! experiments checkpoint <out.ckpt>    [--scheme <key>] [--intensity <f>]
@@ -18,7 +15,7 @@
 //! experiments divergence <a.digest.json> <b.digest.json>  # bisect to first diverging event
 //! experiments watch <dir> [--once]                   # live run-health status table
 //! experiments report [--obs-dir <d>] [--out <d>]     # render artifacts as static HTML
-//! experiments profile <figure-id>      [--spike-multiple <f>] [figure flags]  # memory profile
+//! experiments profile <figure-id>      [figure flags]  # memory profile
 //! experiments timeprof <figure-id>     [figure flags]  # time profile + flamegraph
 //! experiments trace summary <t.json>                 # store-wide tracing statistics
 //! experiments trace critical-path <t.json>           # per-method critical paths
@@ -31,24 +28,25 @@
 //! figure `k` times on independently derived seed streams and reports
 //! mean ± half-range per headline number.
 //!
-//! With `--obs`, every figure run collects metrics and phase timings into a
-//! run artifact at `<obs-dir>/<figure>.json`, a phase-timing table prints at
-//! the end, and `all` additionally writes a consolidated
-//! `<obs-dir>/summary.json`. `--obs-log debug|info|warn` also streams
-//! structured events into `<obs-dir>/<figure>.jsonl`.
+//! Each observation plane is one on/off flag; its tuning is fixed (see
+//! `ObsSettings`). With `--obs`, every figure run collects metrics and phase
+//! timings into a run artifact at `<obs-dir>/<figure>.json`, a phase-timing
+//! table prints at the end, and `all` additionally writes a consolidated
+//! `<obs-dir>/summary.json`.
 //!
 //! With `--trace`, every simulation records a causal span per update journey
 //! (publish → hops → adoptions → user views); each figure writes
 //! `<obs-dir>/<figure>.trace.json` in Chrome trace-event format (loadable
-//! in ui.perfetto.dev or chrome://tracing), anomalous updates are dumped in
-//! full under `<obs-dir>/flightrec/`, and a per-method critical-path table
-//! prints after the run. The `trace` subcommand re-reads those files.
+//! in ui.perfetto.dev or chrome://tracing), updates adopted more than 60 s
+//! late are dumped in full under `<obs-dir>/flightrec/`, and a per-method
+//! critical-path table prints after the run. The `trace` subcommand
+//! re-reads those files.
 //!
-//! With `--series`, a sim-time sampler (cadence `--series-cadence`, default
-//! 0.25 s sim time) additionally records queue depth, in-flight traffic,
-//! staleness, and mode-occupancy trajectories into
-//! `<obs-dir>/<figure>.series.json`. `report` renders every artifact under
-//! an obs dir into a self-contained static HTML report.
+//! With `--series`, a sim-time sampler (every 0.25 s of simulated time)
+//! additionally records queue depth, in-flight traffic, staleness, and
+//! mode-occupancy trajectories into `<obs-dir>/<figure>.series.json`.
+//! `report` renders every artifact under an obs dir into a self-contained
+//! static HTML report.
 //!
 //! `checkpoint` runs one node-lifecycle sweep cell (an `ext_churn`
 //! scheme × churn-intensity configuration; `--flash` arms the scheduled
@@ -62,18 +60,19 @@
 //! `replay_report_match=` verdict lines (exit 0 = bit-identical).
 //!
 //! With `--digest`, every scheduled event folds into a chained 64-bit
-//! determinism digest with periodic checkpoints, written per figure to
-//! `<obs-dir>/<figure>.digest.json` (bit-identical for every `--jobs`
-//! count). `divergence` compares two such files and, when the chains
-//! disagree, binary-searches the checkpoints and re-runs both recorded
-//! scenarios with an event trap to print the exact first diverging event
-//! (exit 0 = identical, 1 = diverged, 2 = error). With `--health`, a
+//! determinism digest with a checkpoint every 4096 folds, written per
+//! figure to `<obs-dir>/<figure>.digest.json` (bit-identical for every
+//! `--jobs` count). `divergence` compares two such files and, when the
+//! chains disagree, binary-searches the checkpoints and re-runs both
+//! recorded scenarios with an event trap to print the exact first diverging
+//! event (exit 0 = identical, 1 = diverged, 2 = error). With `--health`, a
 //! heartbeat thread samples throughput, sim-time progress, ETA, and RSS
-//! into `<obs-dir>/<figure>.health.json` and a stall watchdog flags silent
-//! runs; `watch <dir>` tails those files as a live status table.
+//! into `<obs-dir>/<figure>.health.json` and a stall watchdog flags runs
+//! silent for 10 s; `watch <dir>` tails those files as a live status table.
 //!
 //! `profile` and `timeprof` run one figure like `<figure-id>` with the
-//! memory or time profiler armed, print its breakdown table, and write
+//! memory or time profiler armed (the memory profiler flags an allocation
+//! spike at 8× the running median), print its breakdown table, and write
 //! `<obs-dir>/<figure>.profile.json`, or `<figure>.timeprof.json` plus the
 //! `<figure>.folded` flamegraph stacks. They take every figure flag, and
 //! write every other armed plane's files too. `all`, `<figure-id>`,
@@ -95,7 +94,7 @@ use cdnc_experiments::trace_out::{
 };
 use cdnc_experiments::watch;
 use cdnc_experiments::{build_trace_ctx, figure_ids, RunCtx, Scale};
-use cdnc_obs::{Level, ProfiledAlloc};
+use cdnc_obs::ProfiledAlloc;
 use cdnc_par::Pool;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -109,11 +108,11 @@ static ALLOC: ProfiledAlloc = ProfiledAlloc;
 fn usage() -> ExitCode {
     eprintln!("usage: experiments <figure-id | all | list> [--scale smoke|default|paper]");
     eprintln!("                   [--jobs <n>] [--seeds <k>]");
-    eprintln!("                   [--obs] [--obs-log debug|info|warn] [--obs-dir <dir>]");
-    eprintln!("                   [--trace] [--trace-threshold <seconds>]");
-    eprintln!("                   [--series] [--series-cadence <seconds>]");
-    eprintln!("                   [--digest] [--digest-every <events>] [--digest-perturb <index>]");
-    eprintln!("                   [--health] [--stall-after <seconds>]");
+    eprintln!("                   [--obs] [--obs-dir <dir>] [--trace] [--series]");
+    eprintln!("                   [--digest] [--digest-perturb <index>] [--health]");
+    eprintln!("                   (fixed tuning: traces of updates adopted over 60 s late go");
+    eprintln!("                   to flightrec/, series every 0.25 s of sim time, a digest");
+    eprintln!("                   checkpoint every 4096 folds, a stall after 10 s silence)");
     eprintln!("       experiments crawl <out.bin> [--scale …]   write a crawl trace to disk");
     eprintln!("       experiments verdict <trace.bin>           analyse a saved trace (§3.6)");
     eprintln!("       experiments checkpoint <out.ckpt> [--scheme <key>] [--intensity <f>]");
@@ -137,8 +136,9 @@ fn usage() -> ExitCode {
     eprintln!("                                                 for *.health.json heartbeats");
     eprintln!("       experiments report [--obs-dir <dir>] [--out <dir>]");
     eprintln!("                                                 render artifacts as static HTML");
-    eprintln!("       experiments profile <figure-id> [--spike-multiple <f>] [figure flags]");
+    eprintln!("       experiments profile <figure-id> [figure flags]");
     eprintln!("                                                 per-subsystem memory profile");
+    eprintln!("                                                 (spike: 8× the running median)");
     eprintln!("       experiments timeprof <figure-id> [figure flags]");
     eprintln!("                                                 hot-path time profile: frame");
     eprintln!("                                                 tree, handler timing, worker");
@@ -258,16 +258,6 @@ fn main() -> ExitCode {
                 obs.enabled = true;
                 i += 1;
             }
-            "--obs-log" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Some(level) = Level::parse(value) else {
-                    eprintln!("unknown event level: {value}");
-                    return usage();
-                };
-                obs.enabled = true;
-                obs.log_level = Some(level);
-                i += 2;
-            }
             "--obs-dir" => {
                 let Some(value) = args.get(i + 1) else { return usage() };
                 obs.dir = PathBuf::from(value);
@@ -277,51 +267,13 @@ fn main() -> ExitCode {
                 obs.trace = true;
                 i += 1;
             }
-            "--trace-threshold" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(secs) = value.parse::<f64>() else {
-                    eprintln!("--trace-threshold needs seconds, got: {value}");
-                    return usage();
-                };
-                obs.trace = true;
-                obs.trace_threshold_s = secs;
-                i += 2;
-            }
             "--series" => {
                 obs.series = true;
                 i += 1;
             }
-            "--series-cadence" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(secs) = value.parse::<f64>() else {
-                    eprintln!("--series-cadence needs seconds of simulated time, got: {value}");
-                    return usage();
-                };
-                if !secs.is_finite() || secs <= 0.0 {
-                    eprintln!("--series-cadence must be positive, got: {value}");
-                    return usage();
-                }
-                obs.series = true;
-                obs.series_cadence_us = (secs * 1e6) as u64;
-                i += 2;
-            }
             "--digest" => {
                 obs.digest = true;
                 i += 1;
-            }
-            "--digest-every" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(n) = value.parse::<u64>() else {
-                    eprintln!("--digest-every needs an event count, got: {value}");
-                    return usage();
-                };
-                if n == 0 {
-                    eprintln!("--digest-every must be at least 1");
-                    return usage();
-                }
-                obs.digest = true;
-                obs.digest_every = n;
-                i += 2;
             }
             "--digest-perturb" => {
                 let Some(value) = args.get(i + 1) else { return usage() };
@@ -336,20 +288,6 @@ fn main() -> ExitCode {
             "--health" => {
                 obs.health = true;
                 i += 1;
-            }
-            "--stall-after" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(secs) = value.parse::<f64>() else {
-                    eprintln!("--stall-after needs seconds, got: {value}");
-                    return usage();
-                };
-                if !secs.is_finite() || secs <= 0.0 {
-                    eprintln!("--stall-after must be positive, got: {value}");
-                    return usage();
-                }
-                obs.health = true;
-                obs.stall_after_s = secs;
-                i += 2;
             }
             "--once" => {
                 once = true;
@@ -410,19 +348,6 @@ fn main() -> ExitCode {
             "--out" => {
                 let Some(value) = args.get(i + 1) else { return usage() };
                 out = Some(PathBuf::from(value));
-                i += 2;
-            }
-            "--spike-multiple" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(f) = value.parse::<f64>() else {
-                    eprintln!("--spike-multiple needs a factor, got: {value}");
-                    return usage();
-                };
-                if !f.is_finite() || f <= 1.0 {
-                    eprintln!("--spike-multiple must be a finite factor above 1, got: {value}");
-                    return usage();
-                }
-                obs.spike_multiple = f;
                 i += 2;
             }
             other

@@ -11,8 +11,8 @@ use crate::timeprof_out::write_timeprof_artifact;
 use crate::trace_out::write_figure_trace;
 use crate::{run_figure_ctx, RunCtx};
 use cdnc_obs::{
-    chain_hex, digest_str, json, write_event_log, DigestConfig, HealthMonitor, HealthMonitorConfig,
-    Json, Level, ProfileSnapshot, Registry, RunArtifact, SpanStore,
+    chain_hex, digest_str, json, DigestConfig, HealthMonitor, HealthMonitorConfig, Json,
+    ProfileSnapshot, Registry, RunArtifact, SpanStore,
 };
 use cdnc_trace::Trace;
 use std::collections::BTreeSet;
@@ -23,39 +23,37 @@ use std::time::{Duration, Instant};
 /// Default artifact directory, relative to the working directory.
 pub const DEFAULT_OBS_DIR: &str = "results/obs";
 
-/// Default flight-recorder anomaly threshold: adoption lag above this many
+/// Flight-recorder anomaly threshold: adoption lag above this many
 /// seconds retains the update's full trace.
 pub const DEFAULT_TRACE_THRESHOLD_S: f64 = 60.0;
 
-/// `--obs` / `--obs-log` / `--trace` / `--series` settings parsed from the
-/// command line.
+/// The observation planes the command line armed: one switch per plane.
+/// Each plane's tuning is a fixed constant: the flight recorder keeps
+/// updates adopted more than [`DEFAULT_TRACE_THRESHOLD_S`] (60 s) late, the
+/// series sampler and memory-spike probe tick every
+/// [`cdnc_obs::DEFAULT_CADENCE_US`] (0.25 s of simulated time), a spike is
+/// an interval allocating [`cdnc_obs::DEFAULT_SPIKE_MULTIPLE`] (8) times the
+/// running median, the digest checkpoints every
+/// [`cdnc_obs::DEFAULT_CHECKPOINT_EVERY`] (4096) folds, and the health
+/// watchdog declares a stall after [`cdnc_obs::DEFAULT_STALL_AFTER_MS`]
+/// (10 s) without an event.
 #[derive(Debug, Clone)]
 pub struct ObsSettings {
     /// `--obs`: collect metrics and write per-figure artifacts.
     pub enabled: bool,
-    /// `--obs-log <level>`: also collect a structured event log at this
-    /// minimum level and write it next to the artifact as JSONL.
-    pub log_level: Option<Level>,
     /// Where artifacts go (`results/obs` unless overridden).
     pub dir: PathBuf,
     /// `--trace`: record causal update-propagation traces and write them as
     /// Chrome trace-event JSON (plus flight-recorder dumps under
     /// `flightrec/`) next to the figure artifacts.
     pub trace: bool,
-    /// `--trace-threshold <s>`: flight-recorder adoption-lag threshold.
-    pub trace_threshold_s: f64,
     /// `--series`: sample registered gauges/counters on a sim-time cadence
     /// and write per-figure `<figure>.series.json` next to the artifacts.
     pub series: bool,
-    /// `--series-cadence <s>`: sampling cadence in simulated time.
-    pub series_cadence_us: u64,
     /// `profile` subcommand: arm the registry's profiling gate (structural
     /// probes: queue depth at pop, per-kind network accounting, state-size
     /// estimates, the memory-spike probe).
     pub profile: bool,
-    /// `--spike-multiple <f>`: an interval allocating more than this
-    /// multiple of the running median triggers a `MemorySpike` span.
-    pub spike_multiple: f64,
     /// `timeprof` subcommand: arm the registry's time-profiling gate
     /// (hierarchical span-frame attribution, per-kind dispatch timers,
     /// worker utilization).
@@ -63,17 +61,12 @@ pub struct ObsSettings {
     /// `--digest`: arm the determinism audit trail (chained event digests,
     /// periodic checkpoints) and write `<figure>.digest.json`.
     pub digest: bool,
-    /// `--digest-every <n>`: folds between digest checkpoints.
-    pub digest_every: u64,
     /// `--digest-perturb <idx>`: flip one bit of the folded word at this
     /// local fold index in every segment (divergence self-test).
     pub digest_perturb: Option<u64>,
     /// `--health`: arm the run-health counters and stream a live-updating
     /// `<figure>.health.json` heartbeat while figures run.
     pub health: bool,
-    /// `--stall-after <s>`: wall-clock event-counter silence before the
-    /// heartbeat's watchdog declares a stall.
-    pub stall_after_s: f64,
 }
 
 impl ObsSettings {
@@ -81,26 +74,19 @@ impl ObsSettings {
     pub fn off() -> Self {
         ObsSettings {
             enabled: false,
-            log_level: None,
             dir: PathBuf::from(DEFAULT_OBS_DIR),
             trace: false,
-            trace_threshold_s: DEFAULT_TRACE_THRESHOLD_S,
             series: false,
-            series_cadence_us: cdnc_obs::DEFAULT_CADENCE_US,
             profile: false,
-            spike_multiple: cdnc_obs::DEFAULT_SPIKE_MULTIPLE,
             timeprof: false,
             digest: false,
-            digest_every: cdnc_obs::DEFAULT_CHECKPOINT_EVERY,
             digest_perturb: None,
             health: false,
-            stall_after_s: cdnc_obs::DEFAULT_STALL_AFTER_MS as f64 / 1e3,
         }
     }
 
-    /// A fresh registry per these settings: enabled (with the event log,
-    /// tracer, and/or series sampler armed when requested) or the inert
-    /// disabled registry.
+    /// A fresh registry per these settings: enabled (with each requested
+    /// plane armed) or the inert disabled registry.
     pub fn registry(&self) -> Registry {
         if !self.enabled
             && !self.trace
@@ -113,29 +99,22 @@ impl ObsSettings {
             return Registry::disabled();
         }
         let reg = Registry::enabled();
-        if let Some(level) = self.log_level {
-            reg.enable_events(level, 65_536);
-        }
         if self.trace {
             reg.enable_tracing();
         }
         if self.series {
-            reg.enable_series(self.series_cadence_us);
+            reg.enable_series(cdnc_obs::DEFAULT_CADENCE_US);
         }
         if self.profile {
-            reg.enable_profiling(cdnc_obs::ProfileConfig {
-                spike_cadence_us: self.series_cadence_us,
-                spike_multiple: self.spike_multiple,
-            });
+            reg.enable_profiling();
         }
         if self.timeprof {
             reg.enable_timeprof();
         }
         if self.digest {
             reg.enable_digest(DigestConfig {
-                checkpoint_every: self.digest_every,
                 perturb: self.digest_perturb,
-                trap: None,
+                ..DigestConfig::default()
             });
         }
         if self.health {
@@ -174,8 +153,8 @@ pub struct FigureRun {
 /// window brackets exactly the replicate runs. It then writes every armed
 /// plane's files into `obs.dir`:
 ///
-/// * `--obs`: `<id>.json` (and `<id>.jsonl` under `--obs-log`), plus
-///   `<id>.workload.json` when the report carries curves;
+/// * `--obs`: `<id>.json`, plus `<id>.workload.json` when the report
+///   carries curves;
 /// * `--series`: `<id>.series.json`; `--digest`: `<id>.digest.json`;
 /// * `--trace`: `<id>.trace.json` and `flightrec/` dumps;
 /// * profiling: `<id>.profile.json`;
@@ -199,7 +178,7 @@ pub fn run_and_write(
             figure: id.to_owned(),
             path: obs.dir.join(format!("{id}.health.json")),
             interval: Duration::from_millis(cdnc_obs::DEFAULT_HEARTBEAT_MS),
-            stall_after: Duration::from_secs_f64(obs.stall_after_s),
+            stall_after: Duration::from_millis(cdnc_obs::DEFAULT_STALL_AFTER_MS),
         },
     );
     let base = obs.profile.then(|| {
@@ -251,7 +230,7 @@ fn write_planes(obs: &ObsSettings, id: &str, scale: Scale, run: &mut FigureRun) 
         put("digest", write_figure_digest(dir, id, scale, reg)?);
     }
     if let Some(spans) = &run.spans {
-        if let Some((path, dumps)) = write_figure_trace(dir, id, spans, obs.trace_threshold_s)? {
+        if let Some((path, dumps)) = write_figure_trace(dir, id, spans)? {
             put("trace", Some(path));
             run.dumps = dumps;
         }
@@ -352,8 +331,8 @@ pub fn figure_summary(report: &FigureReport, scale: Scale, wall_s: f64) -> Json 
         .field("keyvals", keyvals)
 }
 
-/// Writes `<dir>/<figure-id>.json` (and `<figure-id>.jsonl` when the event
-/// log is armed) from one figure's registry. Returns the artifact path.
+/// Writes `<dir>/<figure-id>.json` from one figure's registry. Returns the
+/// artifact path.
 pub fn write_figure_artifact(
     dir: &Path,
     id: &str,
@@ -365,9 +344,7 @@ pub fn write_figure_artifact(
     let seed = scale.crawl_config().seed;
     let artifact = RunArtifact::new(id, seed, digest_str(&format!("{id}:{scale:?}")))
         .with_summary(figure_summary(report, scale, wall_s));
-    let path = artifact.write_to_dir(dir, reg)?;
-    write_event_log(dir, id, reg)?;
-    Ok(path)
+    artifact.write_to_dir(dir, reg)
 }
 
 /// Formats the phase-timing table printed at the end of an `--obs` run.
@@ -605,8 +582,8 @@ pub fn diff_field_counts(a: &Json, b: &Json) -> Vec<(String, usize)> {
 /// mismatch reports the per-key count of differing fields), `.folded`
 /// flamegraph stacks are compared by their ordered stack paths (the
 /// self-nanosecond values are wall clock), `.health.json` heartbeats are
-/// skipped entirely (live wall-clock telemetry), all other files (event
-/// `.jsonl`, `.trace.json` in simulated time) compared byte-for-byte.
+/// skipped entirely (live wall-clock telemetry), all other files (such as
+/// `.trace.json` in simulated time) compared byte-for-byte.
 /// Returns one line per difference — empty means the runs produced
 /// identical observable output, the determinism contract `--jobs`
 /// promises.
@@ -715,13 +692,13 @@ mod tests {
     }
 
     #[test]
-    fn enabled_settings_arm_event_log() {
-        let s = ObsSettings { enabled: true, log_level: Some(Level::Debug), ..ObsSettings::off() };
+    fn obs_flag_arms_metrics_only() {
+        let s = ObsSettings { enabled: true, ..ObsSettings::off() };
         let reg = s.registry();
         assert!(reg.is_enabled());
-        reg.event(Level::Debug, "probe", Json::obj);
-        assert_eq!(reg.drain_events().len(), 1);
         assert!(!reg.tracer().is_enabled(), "tracing stays off without --trace");
+        assert!(!reg.sampler().is_enabled() && !reg.profiling_enabled());
+        assert!(!reg.timeprof_enabled() && !reg.digest_enabled() && !reg.health_enabled());
     }
 
     #[test]
@@ -908,17 +885,12 @@ mod tests {
 
     #[test]
     fn digest_flag_arms_audit_trail_and_writes_artifact() {
-        let s = ObsSettings {
-            digest: true,
-            digest_every: 16,
-            digest_perturb: Some(3),
-            ..ObsSettings::off()
-        };
+        let s = ObsSettings { digest: true, digest_perturb: Some(3), ..ObsSettings::off() };
         let reg = s.registry();
         assert!(reg.is_enabled());
         assert!(reg.digest_enabled());
         let config = reg.digest_config().expect("armed");
-        assert_eq!(config.checkpoint_every, 16);
+        assert_eq!(config.checkpoint_every, cdnc_obs::DEFAULT_CHECKPOINT_EVERY);
         assert_eq!(config.perturb, Some(3));
         assert!(!ObsSettings::off().registry().digest_enabled());
         reg.digest().fold("probe", 1, 10, &[7]);
@@ -932,7 +904,8 @@ mod tests {
         let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("figure").and_then(Json::as_str), Some("figX"));
         assert_eq!(doc.get("scale").and_then(Json::as_str), Some("smoke"));
-        assert_eq!(doc.get("checkpoint_every").and_then(Json::as_f64), Some(16.0));
+        let every = cdnc_obs::DEFAULT_CHECKPOINT_EVERY as f64;
+        assert_eq!(doc.get("checkpoint_every").and_then(Json::as_f64), Some(every));
         assert_eq!(doc.get("perturb").and_then(Json::as_f64), Some(3.0));
         assert_eq!(doc.get("events").and_then(Json::as_f64), Some(1.0));
         let chain = doc.get("chain").and_then(Json::as_str).expect("hex chain");

@@ -126,7 +126,7 @@ pub fn profile_doc(
             "spikes",
             Json::obj()
                 .field("count", snap.counter("profile_mem_spikes"))
-                .field("multiple", reg.profile_config().map_or(0.0, |c| c.spike_multiple)),
+                .field("multiple", cdnc_obs::DEFAULT_SPIKE_MULTIPLE),
         )
         .field("peak_rss_kb", cdnc_obs::vm_hwm_kb())
 }
@@ -179,7 +179,6 @@ pub fn profile_table(window: &ProfileSnapshot) -> String {
 mod tests {
     use super::*;
     use cdnc_obs::profile::ProfileCounters;
-    use cdnc_obs::ProfileConfig;
 
     fn synthetic_window() -> ProfileSnapshot {
         let counters = ProfileCounters::new();
@@ -193,7 +192,7 @@ mod tests {
     #[test]
     fn doc_splits_attribution_from_telemetry() {
         let reg = Registry::enabled();
-        reg.enable_profiling(ProfileConfig::default());
+        reg.enable_profiling();
         reg.counter("net_pkts_update").add(7);
         reg.histogram("sched_queue_depth_at_pop").record(3.0);
         let window = synthetic_window();
@@ -231,7 +230,7 @@ mod tests {
     #[test]
     fn volatile_sections_scrub_away() {
         let reg = Registry::enabled();
-        reg.enable_profiling(ProfileConfig::default());
+        reg.enable_profiling();
         let doc = profile_doc("figX", Scale::Smoke, &synthetic_window(), &reg, 1.5);
         let clean = crate::obs_out::scrub_volatile(&doc);
         assert!(clean.get("attribution").is_some(), "attribution is deterministic");

@@ -3,6 +3,7 @@
 //! renderings behind the `trace` subcommand (`summary`, `critical-path`,
 //! `inspect <update-id>`).
 
+use crate::obs_out::DEFAULT_TRACE_THRESHOLD_S;
 use cdnc_obs::{
     parse_chrome, to_chrome, FlightRecorder, PropagationTree, SpanId, SpanKind, SpanStore,
 };
@@ -15,14 +16,14 @@ pub const FLIGHTREC_SUBDIR: &str = "flightrec";
 
 /// Writes `<dir>/<id>.trace.json` (Chrome trace-event format, loads in
 /// ui.perfetto.dev) plus one flight-recorder dump per update whose
-/// adoption lag exceeds `threshold_s` under `<dir>/flightrec/`. Returns the
-/// trace path and the number of dumps, or `None` when the store recorded
-/// nothing (figure without a simulation, or tracing off).
+/// adoption lag exceeds [`DEFAULT_TRACE_THRESHOLD_S`] under
+/// `<dir>/flightrec/`. Returns the trace path and the number of dumps, or
+/// `None` when the store recorded nothing (figure without a simulation, or
+/// tracing off).
 pub fn write_figure_trace(
     dir: &Path,
     id: &str,
     store: &SpanStore,
-    threshold_s: f64,
 ) -> io::Result<Option<(PathBuf, usize)>> {
     if store.spans.is_empty() {
         return Ok(None);
@@ -32,7 +33,7 @@ pub fn write_figure_trace(
     // Compact: traces carry one event per hop/adoption/user view, so even a
     // smoke-scale figure produces hundreds of thousands of events.
     std::fs::write(&path, to_chrome(store).to_compact())?;
-    let reports = FlightRecorder::new(threshold_s).scan(store);
+    let reports = FlightRecorder::new(DEFAULT_TRACE_THRESHOLD_S).scan(store);
     if !reports.is_empty() {
         let flight_dir = dir.join(FLIGHTREC_SUBDIR);
         std::fs::create_dir_all(&flight_dir)?;
@@ -203,17 +204,13 @@ mod tests {
         let store = traced_store();
         let tmp = std::env::temp_dir().join("cdnc_trace_out_test");
         let _ = std::fs::remove_dir_all(&tmp);
-        let threshold = crate::obs_out::DEFAULT_TRACE_THRESHOLD_S;
-        let (path, dumps) = write_figure_trace(&tmp, "figtest", &store, threshold)
-            .expect("write")
-            .expect("non-empty");
+        let (path, dumps) =
+            write_figure_trace(&tmp, "figtest", &store).expect("write").expect("non-empty");
         assert_eq!(dumps, 0, "a healthy smoke run must not trip the flight recorder");
         let back = load_store(&path).expect("reload");
         assert_eq!(back, store, "disk round-trip must be lossless");
         // An empty store writes nothing.
-        assert!(write_figure_trace(&tmp, "empty", &SpanStore::default(), threshold)
-            .expect("io ok")
-            .is_none());
+        assert!(write_figure_trace(&tmp, "empty", &SpanStore::default()).expect("io ok").is_none());
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -570,7 +570,7 @@ mod tests {
     #[test]
     fn per_kind_accounting_tracks_sends_and_deliveries() {
         let reg = cdnc_obs::Registry::enabled();
-        reg.enable_profiling(cdnc_obs::ProfileConfig::default());
+        reg.enable_profiling();
         let (mut net, a, b) = two_node_net();
         net.set_obs(&reg);
         net.send(SimTime::ZERO, &Packet::update(a, b, 2.0));
@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn dropped_and_duplicated_packets_balance_inflight() {
         let reg = cdnc_obs::Registry::enabled();
-        reg.enable_profiling(cdnc_obs::ProfileConfig::default());
+        reg.enable_profiling();
         let (mut net, a, b) = two_node_net();
         net.set_obs(&reg);
         let cfg = crate::FaultConfig { loss_prob: 1.0, ..crate::FaultConfig::none() };

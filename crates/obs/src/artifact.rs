@@ -3,8 +3,7 @@
 //! A [`RunArtifact`] bundles everything needed to interpret one run after
 //! the fact — identity (run id, seed, config digest), the metrics and phase
 //! timings recorded by the [`Registry`], and a caller-supplied summary of
-//! the domain result — and serializes it to a JSON file. The optional event
-//! log drains to a sibling `.jsonl` file.
+//! the domain result — and serializes it to a JSON file.
 
 use crate::json::Json;
 use crate::registry::Registry;
@@ -56,7 +55,7 @@ impl RunArtifact {
     }
 
     /// The artifact as a JSON document, folding in everything `registry`
-    /// recorded (metrics, phase timings, event-log accounting).
+    /// recorded (metrics and phase timings).
     pub fn to_json(&self, registry: &Registry) -> Json {
         let snap = registry.snapshot();
         Json::obj()
@@ -79,33 +78,9 @@ impl RunArtifact {
     }
 }
 
-/// Drains `registry`'s event log into `<dir>/<run_id>.jsonl` (one event per
-/// line) and returns the path, or `None` when there were no events.
-pub fn write_event_log(
-    dir: impl AsRef<Path>,
-    run_id: &str,
-    registry: &Registry,
-) -> io::Result<Option<PathBuf>> {
-    let events = registry.drain_events();
-    if events.is_empty() {
-        return Ok(None);
-    }
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{run_id}.jsonl"));
-    let mut out = String::new();
-    for event in &events {
-        out.push_str(&event.to_json().to_compact());
-        out.push('\n');
-    }
-    std::fs::write(&path, out)?;
-    Ok(Some(path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::Level;
 
     #[test]
     fn digest_is_stable_and_sensitive() {
@@ -129,21 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn writes_artifact_and_event_log_files() {
+    fn writes_artifact_file() {
         let dir = std::env::temp_dir().join("cdnc-obs-artifact-test");
         let _ = std::fs::remove_dir_all(&dir);
         let reg = Registry::enabled();
-        reg.enable_events(Level::Info, 8);
-        reg.event(Level::Info, "hello", || Json::Null);
         let art = RunArtifact::new("unit", 1, digest_str("x"));
         let json_path = art.write_to_dir(&dir, &reg).unwrap();
-        let log_path = write_event_log(&dir, "unit", &reg).unwrap().unwrap();
+        assert!(json_path.ends_with("unit.json"));
         let body = std::fs::read_to_string(&json_path).unwrap();
         assert!(body.contains("\"run_id\": \"unit\""));
-        let log = std::fs::read_to_string(&log_path).unwrap();
-        assert_eq!(log.lines().count(), 1);
-        // A second drain has nothing left.
-        assert!(write_event_log(&dir, "unit", &reg).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

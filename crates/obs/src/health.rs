@@ -12,11 +12,10 @@
 //! The [`HealthMonitor`] heartbeat thread samples the state every tick into
 //! a live-updating `<fig>.health.json` (written to a temp file and renamed,
 //! so readers never see a torn document). When the event counter stops
-//! moving for `stall_after` wall time it records a stall: a `stall` warn
-//! event, a [`SpanKind::Stall`] control span for the flight recorder, and a
-//! bump of the stall counter surfaced in the health file and run summary.
+//! moving for `stall_after` wall time it records a stall: a
+//! [`SpanKind::Stall`] control span for the flight recorder and a bump of
+//! the stall counter surfaced in the health file and run summary.
 
-use crate::events::Level;
 use crate::json::Json;
 use crate::registry::Registry;
 use crate::trace::SpanKind;
@@ -227,16 +226,9 @@ fn heartbeat_loop(
             last_progress = now;
             stalled = false;
         } else if !finished && !stalled && now.duration_since(last_progress) >= config.stall_after {
-            // One stall episode per silence: warn + flight-recorder span.
+            // One stall episode per silence: count + flight-recorder span.
             stalled = true;
             state.stalls.fetch_add(1, Relaxed);
-            let silent_s = now.duration_since(last_progress).as_secs_f64();
-            registry.event(Level::Warn, "stall", || {
-                Json::obj()
-                    .field("figure", config.figure.as_str())
-                    .field("silent_s", silent_s)
-                    .field("events", snap.events)
-            });
             registry.tracer().control(SpanKind::Stall, 0, snap.sim_time_us, "watchdog");
         }
         last_sample = now;
@@ -381,7 +373,7 @@ mod tests {
     fn watchdog_flags_a_stall_once_per_silence() {
         let reg = Registry::enabled();
         reg.enable_health();
-        reg.enable_events(Level::Warn, 64);
+        reg.enable_tracing();
         reg.health().tick(50);
         let dir = std::env::temp_dir().join(format!("cdnc-stall-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -399,8 +391,8 @@ mod tests {
         mon.stop();
         let snap = reg.health_snapshot().unwrap();
         assert_eq!(snap.stalls, 1, "one episode despite many silent ticks");
-        let events = reg.drain_events();
-        assert_eq!(events.iter().filter(|e| e.label == "stall").count(), 1);
+        let spans = reg.tracer().store().spans;
+        assert_eq!(spans.iter().filter(|s| s.kind == SpanKind::Stall).count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

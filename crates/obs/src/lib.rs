@@ -11,14 +11,18 @@
 //! - **Run artifacts** ([`RunArtifact`]): hand-rolled JSON ([`Json`], no
 //!   serde_json) bundling run identity, metrics, phase timings, and a
 //!   domain summary into `results/obs/<run>.json`.
-//! - **Event log** ([`Registry::enable_events`]): ring-buffered,
-//!   level-filtered structured events drained to a JSONL file.
+//! - **Causal tracing** ([`Registry::enable_tracing`]): one span per hop
+//!   of every update's journey, exported as Chrome trace-event JSON, with
+//!   a [`FlightRecorder`] that keeps the full tree of anomalous updates.
 //! - **Time series** ([`Registry::enable_series`]): scheduler-driven
 //!   sim-time sampling of registered gauges/counters (and derived rates)
 //!   into fixed-capacity series with deterministic LTTB downsampling.
 //! - **Determinism audit trail** ([`Registry::enable_digest`]): a chained
 //!   64-bit digest over every fold point's structural identity, with
 //!   periodic checkpoints — the divergence-bisection substrate.
+//! - **Profiling** ([`Registry::enable_profiling`],
+//!   [`Registry::enable_timeprof`]): structural memory probes, and
+//!   per-handler dispatch timers with worker utilization.
 //! - **Run health** ([`Registry::enable_health`]): wall-clock progress
 //!   counters, a heartbeat file writer, and a stall watchdog.
 //!
@@ -40,7 +44,6 @@
 pub mod artifact;
 pub mod chrome;
 pub mod digest;
-pub mod events;
 pub mod flight;
 pub mod health;
 pub mod json;
@@ -48,17 +51,15 @@ pub mod metrics;
 pub mod profile;
 pub mod registry;
 pub mod series;
-pub mod span;
 pub mod timeprof;
 pub mod trace;
 
-pub use artifact::{digest_str, write_event_log, RunArtifact};
+pub use artifact::{digest_str, RunArtifact};
 pub use chrome::{from_chrome, parse_chrome, to_chrome};
 pub use digest::{
     chain_hex, parse_chain_hex, Checkpoint, Digest, DigestConfig, DigestSnapshot, SegmentSnapshot,
     TrapEntry, TrapWindow, DEFAULT_CHECKPOINT_EVERY,
 };
-pub use events::{EventRecord, Level};
 pub use flight::{Anomaly, FlightRecorder, FlightReport};
 pub use health::{
     vm_hwm_kb, vm_rss_kb, Health, HealthMonitor, HealthMonitorConfig, HealthSnapshot,
@@ -73,14 +74,14 @@ pub use profile::{
     MemProbe, ProfileSnapshot, ProfiledAlloc, SpikeDetector, SpikeRecord, Subsystem,
     SubsystemStats, DEFAULT_SPIKE_MULTIPLE, SUBSYSTEMS,
 };
-pub use registry::{GaugeSnapshot, MetricsSnapshot, ProfileConfig, Registry};
+pub use registry::{GaugeSnapshot, MetricsSnapshot, Registry};
 pub use series::{
     lttb, Sampler, SeriesEntry, SeriesKind, SeriesPoint, SeriesSnapshot, DEFAULT_CADENCE_US,
     SERIES_CAPACITY,
 };
-pub use span::{detach_spans, DetachedSpans, SpanGuard};
 pub use timeprof::{
-    parse_folded, to_folded, HandlerGuard, HandlerTimer, PhaseTiming, TimeProfSnapshot, WorkerUse,
+    detach_spans, parse_folded, to_folded, DetachedSpans, HandlerGuard, HandlerTimer, PhaseTiming,
+    SpanGuard, TimeProfSnapshot, WorkerUse,
 };
 pub use trace::{
     CriticalPath, PathStep, PropagationTree, SpanId, SpanKind, SpanRecord, SpanStore, StoreSummary,

@@ -1,5 +1,5 @@
-//! The metrics registry: named instruments, phase timers, and the event log
-//! behind one cloneable handle.
+//! The metrics registry: named instruments, phase timers, and the opt-in
+//! observation planes behind one cloneable handle.
 //!
 //! # Disabled mode
 //!
@@ -13,20 +13,28 @@
 //! Instruments are interned by name: two `counter("x")` calls return handles
 //! to the same cell, wherever they happen. Callers grab handles once and
 //! update through them on hot paths; name lookup is the cold path.
+//!
+//! # Planes
+//!
+//! Tracing, series, profiling, timeprof, digest and health are opt-in
+//! planes, each armed at most once through its `enable_*` method (the
+//! first arming wins) and read without a lock afterwards.
 
 use crate::digest::{Digest, DigestConfig, DigestCore, DigestSnapshot};
-use crate::events::{EventLog, EventRecord, Level};
 use crate::health::{Health, HealthSnapshot, HealthState};
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, GaugeCore, Histogram, HistogramCore, HistogramSnapshot};
-use crate::profile::MemProbe;
-use crate::series::{Sampler, SeriesCore, SeriesKind, SeriesSnapshot, SourceCell};
-use crate::span::SpanGuard;
-use crate::timeprof::{FrameTree, HandlerTimer, PhaseTiming, TimeProfCore, TimeProfSnapshot};
+use crate::profile::{MemProbe, DEFAULT_SPIKE_MULTIPLE};
+use crate::series::{
+    Sampler, SeriesCore, SeriesKind, SeriesSnapshot, SourceCell, DEFAULT_CADENCE_US,
+};
+use crate::timeprof::{
+    FrameTree, HandlerTimer, PhaseTiming, SpanGuard, TimeProfCore, TimeProfSnapshot,
+};
 use crate::trace::{Tracer, TracerCore};
 use parking_lot::Mutex;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 #[derive(Default)]
 struct Inner {
@@ -34,33 +42,12 @@ struct Inner {
     gauges: Mutex<Vec<(String, Arc<GaugeCore>)>>,
     histograms: Mutex<Vec<(String, Arc<HistogramCore>)>>,
     spans: Arc<FrameTree>,
-    events: Mutex<Option<Arc<EventLog>>>,
-    tracer: Mutex<Option<Arc<TracerCore>>>,
-    series: Mutex<Option<Arc<SeriesCore>>>,
-    profile: Mutex<Option<ProfileConfig>>,
-    timeprof: Mutex<Option<Arc<TimeProfCore>>>,
-    digest: Mutex<Option<Arc<DigestCore>>>,
-    health: Mutex<Option<Arc<HealthState>>>,
-}
-
-/// Arming parameters for the profiling structural probes; see
-/// [`Registry::enable_profiling`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileConfig {
-    /// Simulated-time interval between allocation-spike judgements, µs.
-    pub spike_cadence_us: u64,
-    /// An interval allocating more than this multiple of the running
-    /// median is a spike.
-    pub spike_multiple: f64,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            spike_cadence_us: crate::series::DEFAULT_CADENCE_US,
-            spike_multiple: crate::profile::DEFAULT_SPIKE_MULTIPLE,
-        }
-    }
+    tracer: OnceLock<Arc<TracerCore>>,
+    series: OnceLock<Arc<SeriesCore>>,
+    profile: OnceLock<()>,
+    timeprof: OnceLock<Arc<TimeProfCore>>,
+    digest: OnceLock<Arc<DigestCore>>,
+    health: OnceLock<Arc<HealthState>>,
 }
 
 fn intern<T: Default>(table: &Mutex<Vec<(String, Arc<T>)>>, name: &str) -> Arc<T> {
@@ -73,6 +60,12 @@ fn intern<T: Default>(table: &Mutex<Vec<(String, Arc<T>)>>, name: &str) -> Arc<T
             cell
         }
     }
+}
+
+/// A shard's slot for one plane: armed with `init(parent's value)` when
+/// the parent's slot is armed, empty otherwise.
+fn mirror<T>(parent: &OnceLock<T>, init: impl FnOnce(&T) -> T) -> OnceLock<T> {
+    parent.get().map(init).map_or_else(OnceLock::new, OnceLock::from)
 }
 
 /// A cloneable handle to one run's metrics. See the module docs.
@@ -101,6 +94,19 @@ impl Registry {
         self.0.is_some()
     }
 
+    /// Arms the plane in `slot` with `init()` unless it is already armed
+    /// (the first arming wins). No-op on a disabled registry.
+    fn arm<T>(&self, slot: fn(&Inner) -> &OnceLock<T>, init: impl FnOnce() -> T) {
+        if let Some(inner) = &self.0 {
+            slot(inner).get_or_init(init);
+        }
+    }
+
+    /// The plane in `slot`, if this registry is enabled and the plane armed.
+    fn armed<T>(&self, slot: fn(&Inner) -> &OnceLock<T>) -> Option<&T> {
+        self.0.as_deref().and_then(|inner| slot(inner).get())
+    }
+
     /// The counter named `name` (inert handle when disabled).
     pub fn counter(&self, name: &str) -> Counter {
         Counter(self.0.as_ref().map(|inner| intern(&inner.counters, name)))
@@ -125,102 +131,62 @@ impl Registry {
         }
     }
 
-    /// Attaches a ring-buffered event log accepting `min_level` and above,
-    /// holding at most `capacity` events.
-    pub fn enable_events(&self, min_level: Level, capacity: usize) {
-        if let Some(inner) = &self.0 {
-            *inner.events.lock() = Some(Arc::new(EventLog::new(min_level, capacity)));
-        }
-    }
-
-    /// Records a structured event if an event log is attached and accepts
-    /// `level`. `fields` is only built when the event will be kept.
-    pub fn event(&self, level: Level, label: &str, fields: impl FnOnce() -> Json) {
-        if let Some(inner) = &self.0 {
-            let log = inner.events.lock().clone();
-            if let Some(log) = log {
-                if log.accepts(level) {
-                    log.push(level, label, fields());
-                }
-            }
-        }
-    }
-
     /// Attaches the causal update tracer. Until this is called (and always
-    /// on a disabled registry) [`Registry::tracer`] hands out inert tracers,
-    /// so tracing follows the same opt-in gate as the event log.
+    /// on a disabled registry) [`Registry::tracer`] hands out inert tracers.
     pub fn enable_tracing(&self) {
-        if let Some(inner) = &self.0 {
-            let mut slot = inner.tracer.lock();
-            if slot.is_none() {
-                *slot = Some(Arc::new(TracerCore::default()));
-            }
-        }
+        self.arm(|i| &i.tracer, Arc::default);
     }
 
     /// The attached tracer (inert when disabled or tracing not enabled).
     pub fn tracer(&self) -> Tracer {
-        Tracer(self.0.as_ref().and_then(|inner| inner.tracer.lock().clone()))
+        Tracer(self.armed(|i| &i.tracer).cloned())
     }
 
     /// Attaches the sim-time series sampler with the given cadence (µs of
     /// simulated time). Until this is called (and always on a disabled
     /// registry) [`Registry::sampler`] hands out inert samplers and the
     /// `series_*` registration methods are no-ops — the same opt-in gate
-    /// the event log and tracer use.
+    /// the tracer uses.
     pub fn enable_series(&self, cadence_us: u64) {
-        if let Some(inner) = &self.0 {
-            let mut slot = inner.series.lock();
-            if slot.is_none() {
-                *slot = Some(Arc::new(SeriesCore::new(cadence_us)));
-            }
-        }
+        self.arm(|i| &i.series, || Arc::new(SeriesCore::new(cadence_us)));
     }
 
     /// Arms the profiling structural probes: the scheduler's queue-depth
     /// log-histogram at pop time, per-`PacketKind` packet/byte accounting
     /// in the network, per-node state-size estimation in the simulator,
     /// and the allocation-spike probe ([`Registry::mem_probe`]). Like
-    /// events/tracing/series this is an opt-in gate mirrored by
+    /// tracing/series this is an opt-in gate mirrored by
     /// [`Registry::shard`] — the probes record through ordinary interned
     /// instruments, so `--jobs N` merges bit-identically.
     ///
     /// This does *not* flip the process-global allocator attribution
     /// ([`crate::profile::set_enabled`]); binaries that installed
     /// [`crate::profile::ProfiledAlloc`] switch that separately.
-    pub fn enable_profiling(&self, config: ProfileConfig) {
-        if let Some(inner) = &self.0 {
-            let mut slot = inner.profile.lock();
-            if slot.is_none() {
-                *slot = Some(config);
-            }
-        }
+    pub fn enable_profiling(&self) {
+        self.arm(|i| &i.profile, || ());
     }
 
     /// Whether profiling probes are armed.
     pub fn profiling_enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| inner.profile.lock().is_some())
-    }
-
-    /// The armed profiling configuration, if any.
-    pub fn profile_config(&self) -> Option<ProfileConfig> {
-        self.0.as_ref().and_then(|inner| *inner.profile.lock())
+        self.armed(|i| &i.profile).is_some()
     }
 
     /// A fresh allocation-spike probe wired to this registry's
     /// `profile_mem_spikes` counter and tracer (inert unless profiling is
-    /// armed). Each scheduler mints its own probe in `set_obs`, so probe
-    /// state stays per-simulation while the instruments merge as usual.
+    /// armed). It judges every [`DEFAULT_CADENCE_US`] of simulated time
+    /// against [`DEFAULT_SPIKE_MULTIPLE`]. Each scheduler mints its own
+    /// probe in `set_obs`, so probe state stays per-simulation while the
+    /// instruments merge as usual.
     pub fn mem_probe(&self) -> MemProbe {
-        match self.profile_config() {
-            None => MemProbe::default(),
-            Some(cfg) => MemProbe::armed(
-                cfg.spike_cadence_us,
-                cfg.spike_multiple,
-                self.counter("profile_mem_spikes"),
-                self.tracer(),
-            ),
+        if !self.profiling_enabled() {
+            return MemProbe::default();
         }
+        MemProbe::armed(
+            DEFAULT_CADENCE_US,
+            DEFAULT_SPIKE_MULTIPLE,
+            self.counter("profile_mem_spikes"),
+            self.tracer(),
+        )
     }
 
     /// Arms the hot-path time profiler: per-event-kind dispatch timers
@@ -232,24 +198,19 @@ impl Registry {
     /// structure are bit-identical at any `--jobs`, while the nanosecond
     /// moments and worker stats are volatile wall-clock telemetry.
     pub fn enable_timeprof(&self) {
-        if let Some(inner) = &self.0 {
-            let mut slot = inner.timeprof.lock();
-            if slot.is_none() {
-                *slot = Some(Arc::new(TimeProfCore::default()));
-            }
-        }
+        self.arm(|i| &i.timeprof, Arc::default);
     }
 
     /// Whether the time profiler is armed.
     pub fn timeprof_enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| inner.timeprof.lock().is_some())
+        self.armed(|i| &i.timeprof).is_some()
     }
 
     /// The dispatch timer labelled `label` (inert unless timeprof is
     /// armed). Handles are minted once per run — typically one per event
     /// or message kind — and started on each dispatch.
     pub fn handler_timer(&self, label: &str) -> HandlerTimer {
-        match self.timeprof_core() {
+        match self.armed(|i| &i.timeprof) {
             None => HandlerTimer::default(),
             Some(core) => core.handlers.timer(label),
         }
@@ -258,7 +219,7 @@ impl Registry {
     /// Accumulates one parallel map's per-worker utilization. No-op
     /// unless timeprof is armed.
     pub fn record_worker_use(&self, stats: &[crate::timeprof::WorkerUse]) {
-        if let Some(core) = self.timeprof_core() {
+        if let Some(core) = self.armed(|i| &i.timeprof) {
             core.record_workers(stats);
         }
     }
@@ -268,16 +229,12 @@ impl Registry {
     /// tree, which records whenever the registry is enabled.
     pub fn timeprof_snapshot(&self) -> Option<TimeProfSnapshot> {
         let inner = self.0.as_ref()?;
-        let core = inner.timeprof.lock().clone()?;
+        let core = inner.timeprof.get()?;
         Some(TimeProfSnapshot {
             frames: inner.spans.snapshot(),
             handlers: core.handlers.snapshot(),
             workers: core.workers_snapshot(),
         })
-    }
-
-    fn timeprof_core(&self) -> Option<Arc<TimeProfCore>> {
-        self.0.as_ref().and_then(|inner| inner.timeprof.lock().clone())
     }
 
     /// Arms the determinism audit trail: [`Registry::digest`] handles start
@@ -287,39 +244,30 @@ impl Registry {
     /// run-level chain is bit-identical at any `--jobs`. Like the other
     /// opt-in gates, idempotent: the first configuration wins.
     pub fn enable_digest(&self, config: DigestConfig) {
-        if let Some(inner) = &self.0 {
-            let mut slot = inner.digest.lock();
-            if slot.is_none() {
-                *slot = Some(Arc::new(DigestCore::new(config)));
-            }
-        }
+        self.arm(|i| &i.digest, || Arc::new(DigestCore::new(config)));
     }
 
     /// Whether the digest audit trail is armed.
     pub fn digest_enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| inner.digest.lock().is_some())
+        self.armed(|i| &i.digest).is_some()
     }
 
     /// The armed digest configuration, if any.
     pub fn digest_config(&self) -> Option<DigestConfig> {
-        self.digest_core().map(|core| core.config())
+        self.armed(|i| &i.digest).map(|core| core.config())
     }
 
     /// A fold handle on the audit trail (inert when disabled or digest not
     /// armed). Fold points grab the handle once in their `set_obs` and fold
     /// through it on the hot path.
     pub fn digest(&self) -> Digest {
-        Digest::from_core(self.digest_core())
+        Digest::from_core(self.armed(|i| &i.digest).cloned())
     }
 
     /// The run-level audit trail so far (`None` when disabled or digest not
     /// armed). Non-destructive.
     pub fn digest_snapshot(&self) -> Option<DigestSnapshot> {
-        Some(self.digest_core()?.snapshot())
-    }
-
-    fn digest_core(&self) -> Option<Arc<DigestCore>> {
-        self.0.as_ref().and_then(|inner| inner.digest.lock().clone())
+        Some(self.armed(|i| &i.digest)?.snapshot())
     }
 
     /// Checkpoint view of the digest's currently-recording local segment as
@@ -328,7 +276,7 @@ impl Registry {
     /// this lets a restored simulation continue the saved run's chain, so a
     /// restore-then-run audit trail is bit-identical to the straight run.
     pub fn digest_local_state(&self) -> Option<(u64, u64, u64, Vec<crate::digest::Checkpoint>)> {
-        Some(self.digest_core()?.export_local())
+        Some(self.armed(|i| &i.digest)?.export_local())
     }
 
     /// Overwrites the digest's local segment with state captured by
@@ -341,7 +289,7 @@ impl Registry {
         stride: u64,
         checkpoints: Vec<crate::digest::Checkpoint>,
     ) -> bool {
-        match self.digest_core() {
+        match self.armed(|i| &i.digest) {
             Some(core) => {
                 core.restore_local(events, chain, stride, checkpoints);
                 true
@@ -356,34 +304,28 @@ impl Registry {
     /// aggregation across workers) and [`Registry::absorb`] has nothing to
     /// fold, so arming it never perturbs determinism artifacts.
     pub fn enable_health(&self) {
-        if let Some(inner) = &self.0 {
-            let mut slot = inner.health.lock();
-            if slot.is_none() {
-                *slot = Some(Arc::new(HealthState::default()));
-            }
-        }
+        self.arm(|i| &i.health, Arc::default);
     }
 
     /// Whether run-health counters are armed.
     pub fn health_enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| inner.health.lock().is_some())
+        self.armed(|i| &i.health).is_some()
     }
 
     /// A health handle (inert when disabled or health not armed).
     pub fn health(&self) -> Health {
-        Health::from_state(self.0.as_ref().and_then(|inner| inner.health.lock().clone()))
+        Health::from_state(self.armed(|i| &i.health).cloned())
     }
 
     /// A point-in-time reading of the health counters (`None` when disabled
     /// or health not armed).
     pub fn health_snapshot(&self) -> Option<HealthSnapshot> {
-        let state = self.0.as_ref().and_then(|inner| inner.health.lock().clone())?;
-        Some(HealthSnapshot::read(&state))
+        self.armed(|i| &i.health).map(|state| HealthSnapshot::read(state))
     }
 
     /// The attached sampler (inert when disabled or series not enabled).
     pub fn sampler(&self) -> Sampler {
-        Sampler(self.0.as_ref().and_then(|inner| inner.series.lock().clone()))
+        Sampler(self.armed(|i| &i.series).cloned())
     }
 
     /// Registers a series source sampling the gauge `name`'s level on
@@ -426,35 +368,12 @@ impl Registry {
     /// A point-in-time copy of every recorded series (empty when disabled
     /// or series not enabled).
     pub fn series_snapshot(&self) -> SeriesSnapshot {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.series.lock().clone())
-            .map(|core| core.snapshot())
-            .unwrap_or_default()
+        self.armed(|i| &i.series).map(|core| core.snapshot()).unwrap_or_default()
     }
 
-    fn series_core(&self) -> Option<(&Arc<Inner>, Arc<SeriesCore>)> {
-        let inner = self.0.as_ref()?;
-        let series = inner.series.lock().clone()?;
-        Some((inner, series))
-    }
-
-    /// Removes and returns buffered events (empty when disabled or no log).
-    pub fn drain_events(&self) -> Vec<EventRecord> {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.events.lock().clone())
-            .map(|log| log.drain())
-            .unwrap_or_default()
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn dropped_events(&self) -> u64 {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.events.lock().clone())
-            .map(|log| log.dropped())
-            .unwrap_or(0)
+    fn series_core(&self) -> Option<(&Inner, &SeriesCore)> {
+        let inner = self.0.as_deref()?;
+        Some((inner, inner.series.get()?))
     }
 
     /// A point-in-time copy of every instrument, names sorted.
@@ -491,9 +410,9 @@ impl Registry {
         MetricsSnapshot { counters, gauges, histograms, spans: inner.spans.snapshot() }
     }
 
-    /// A fresh registry configured like this one — same enabled state, same
-    /// event-log arming (level and capacity), same tracing arming — but with
-    /// empty instruments. Parallel tasks record into their own shard and the
+    /// A fresh registry configured like this one — same enabled state and
+    /// the same planes armed with the same parameters — but with empty
+    /// instruments. Parallel tasks record into their own shard and the
     /// runner folds shards back with [`Registry::absorb`] in task order, so
     /// the merged result is bit-identical to recording everything into one
     /// registry sequentially. Disabled registries shard to disabled handles,
@@ -502,42 +421,26 @@ impl Registry {
         let Some(inner) = &self.0 else {
             return Registry::disabled();
         };
-        let shard = Registry::enabled();
-        if let Some(log) = inner.events.lock().as_ref() {
-            shard.enable_events(log.min_level(), log.capacity());
-        }
-        if inner.tracer.lock().is_some() {
-            shard.enable_tracing();
-        }
-        if let Some(series) = inner.series.lock().as_ref() {
-            shard.enable_series(series.cadence_us);
-        }
-        if let Some(profile) = *inner.profile.lock() {
-            shard.enable_profiling(profile);
-        }
-        if inner.timeprof.lock().is_some() {
-            shard.enable_timeprof();
-        }
-        if let Some(digest) = inner.digest.lock().as_ref() {
+        Registry(Some(Arc::new(Inner {
+            tracer: mirror(&inner.tracer, |_| Arc::default()),
+            series: mirror(&inner.series, |series| Arc::new(SeriesCore::new(series.cadence_us))),
+            profile: inner.profile.clone(),
+            timeprof: mirror(&inner.timeprof, |_| Arc::default()),
             // Fresh segment chain, same configuration.
-            shard.enable_digest(digest.config());
-        }
-        if let Some(health) = inner.health.lock().as_ref() {
+            digest: mirror(&inner.digest, |digest| Arc::new(DigestCore::new(digest.config()))),
             // Shared state: health aggregates live across workers.
-            if let Some(shard_inner) = &shard.0 {
-                *shard_inner.health.lock() = Some(Arc::clone(health));
-            }
-        }
-        shard
+            health: mirror(&inner.health, Arc::clone),
+            ..Inner::default()
+        })))
     }
 
     /// Folds everything `shard` recorded into this registry: counters add,
     /// gauges take the shard's last level (skipping gauges the shard never
     /// touched) and raise the high-water mark, histograms merge, phase
-    /// timings accumulate, events renumber onto this log's sequence, and
-    /// traces renumber past everything already recorded. Instruments keep
-    /// shard-side first-use order, so absorbing shards in task order yields
-    /// exactly the state of a single registry that ran the tasks in order.
+    /// timings accumulate, and traces renumber past everything already
+    /// recorded. Instruments keep shard-side first-use order, so absorbing
+    /// shards in task order yields exactly the state of a single registry
+    /// that ran the tasks in order.
     ///
     /// No-op when either side is disabled or `shard` is this registry.
     pub fn absorb(&self, shard: &Registry) {
@@ -568,48 +471,28 @@ impl Registry {
         for (path, timing) in other.spans.snapshot() {
             inner.spans.absorb(&path, timing);
         }
-        let shard_timeprof = other.timeprof.lock().clone();
-        if let Some(shard_timeprof) = shard_timeprof {
-            let mine = inner.timeprof.lock().clone();
-            if let Some(mine) = mine {
-                mine.absorb(&shard_timeprof);
-            }
+        if let (Some(mine), Some(theirs)) = (inner.timeprof.get(), other.timeprof.get()) {
+            mine.absorb(theirs);
         }
-        let shard_log = other.events.lock().clone();
-        if let Some(shard_log) = shard_log {
-            let mine = inner.events.lock().clone();
-            if let Some(mine) = mine {
-                mine.absorb(shard_log.drain(), shard_log.dropped());
-            }
+        if let (Some(mine), Some(theirs)) = (inner.tracer.get(), other.tracer.get()) {
+            Tracer(Some(Arc::clone(mine))).absorb(&Tracer(Some(Arc::clone(theirs))).store());
         }
-        let shard_tracer = Tracer(other.tracer.lock().clone());
-        if shard_tracer.is_enabled() {
-            Tracer(inner.tracer.lock().clone()).absorb(&shard_tracer.store());
-        }
-        let shard_digest = other.digest.lock().clone();
-        if let Some(shard_digest) = shard_digest {
-            let mine = inner.digest.lock().clone();
-            if let Some(mine) = mine {
-                mine.absorb(&shard_digest);
-            }
+        if let (Some(mine), Some(theirs)) = (inner.digest.get(), other.digest.get()) {
+            mine.absorb(theirs);
         }
         // Health needs no absorb: shards share the parent's state.
-        let shard_series = other.series.lock().clone();
-        if let Some(shard_series) = shard_series {
-            let mine = inner.series.lock().clone();
-            if let Some(mine) = mine {
-                // Shard points replay through the normal push path against
-                // cells interned in *this* registry, so a later absorb or
-                // live sample cannot alias shard storage.
-                for (name, kind, points) in shard_series.export() {
-                    let cell = match kind {
-                        SeriesKind::Gauge => SourceCell::Gauge(intern(&inner.gauges, &name)),
-                        SeriesKind::Counter | SeriesKind::Rate => {
-                            SourceCell::Counter(intern(&inner.counters, &name))
-                        }
-                    };
-                    mine.append(&name, kind, cell, &points);
-                }
+        if let (Some(mine), Some(theirs)) = (inner.series.get(), other.series.get()) {
+            // Shard points replay through the normal push path against
+            // cells interned in *this* registry, so a later absorb or
+            // live sample cannot alias shard storage.
+            for (name, kind, points) in theirs.export() {
+                let cell = match kind {
+                    SeriesKind::Gauge => SourceCell::Gauge(intern(&inner.gauges, &name)),
+                    SeriesKind::Counter | SeriesKind::Rate => {
+                        SourceCell::Counter(intern(&inner.counters, &name))
+                    }
+                };
+                mine.append(&name, kind, cell, &points);
             }
         }
     }
@@ -720,13 +603,10 @@ mod tests {
         reg.gauge("g").add(10);
         reg.histogram("h").record(1.0);
         let _span = reg.span("phase");
-        reg.enable_events(Level::Debug, 8);
-        reg.event(Level::Warn, "e", || Json::Null);
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
-        assert!(reg.drain_events().is_empty());
     }
 
     #[test]
@@ -737,18 +617,6 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn event_fields_lazily_built() {
-        let reg = Registry::enabled();
-        // No log attached: closure must not run.
-        reg.event(Level::Warn, "e", || panic!("built without a log"));
-        reg.enable_events(Level::Info, 8);
-        // Below threshold: closure must not run.
-        reg.event(Level::Debug, "e", || panic!("built below threshold"));
-        reg.event(Level::Info, "kept", || Json::obj().field("k", 1u64));
-        assert_eq!(reg.drain_events().len(), 1);
     }
 
     #[test]
@@ -816,7 +684,6 @@ mod tests {
         {
             let _g = reg.span("task");
         }
-        reg.event(Level::Info, "task_done", || Json::obj().field("salt", salt));
         reg.tracer().publish(salt as u32, 0, salt * 100, "shard");
     }
 
@@ -826,7 +693,6 @@ mod tests {
     #[test]
     fn absorbing_shards_in_order_matches_sequential_recording() {
         let serial = Registry::enabled();
-        serial.enable_events(Level::Info, 8);
         serial.enable_tracing();
         let parallel = serial.shard();
         for salt in [3u64, 5, 9] {
@@ -844,27 +710,21 @@ mod tests {
             s.spans.iter().map(|(p, t)| (p.clone(), t.count)).collect::<Vec<_>>()
         };
         assert_eq!(phases(&a), phases(&b));
-
-        let fmt = |e: Vec<EventRecord>| {
-            e.into_iter().map(|r| r.to_json().to_compact()).collect::<Vec<_>>()
-        };
-        assert_eq!(fmt(serial.drain_events()), fmt(parallel.drain_events()));
         assert_eq!(serial.tracer().store(), parallel.tracer().store());
     }
 
     #[test]
-    fn shard_mirrors_arming_and_absorb_carries_event_drops() {
+    fn shard_mirrors_arming_and_first_arming_wins() {
         let reg = Registry::enabled();
-        reg.enable_events(Level::Warn, 2);
+        reg.enable_series(1_000);
+        reg.enable_series(5); // already armed: ignored
+        reg.enable_profiling();
+        assert_eq!(reg.series_snapshot().cadence_us, 1_000, "the first arming wins");
         let shard = reg.shard();
         assert!(!shard.tracer().is_enabled(), "tracing was not armed");
-        shard.event(Level::Info, "below", || Json::Null);
-        for i in 0..3u64 {
-            shard.event(Level::Warn, "kept", || Json::obj().field("i", i));
-        }
-        reg.absorb(&shard);
-        assert_eq!(reg.dropped_events(), 1, "shard-side eviction carries over");
-        assert_eq!(reg.drain_events().len(), 2);
+        assert!(!shard.timeprof_enabled() && !shard.digest_enabled() && !shard.health_enabled());
+        assert_eq!(shard.series_snapshot().cadence_us, 1_000, "same cadence");
+        assert!(shard.profiling_enabled(), "profiling was armed");
     }
 
     #[test]

@@ -3,6 +3,13 @@
 //! timers, worker-utilization accounting, and the collapsed-stack
 //! ("folded") flamegraph export.
 //!
+//! # Phase timers
+//!
+//! `registry.span("build_tree")` returns a [`SpanGuard`]; when it drops,
+//! the elapsed wall time is folded into the frame tree under the span's
+//! *path* — nested spans on the same thread compose their names with `/`,
+//! so a `flush` opened under `build_tree` records as `build_tree/flush`.
+//!
 //! # Frame tree
 //!
 //! Span paths are interned into frame ids once: every `(parent, name)`
@@ -30,7 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One open-span stack entry: the owning tree's token plus the frame id.
-pub(crate) type StackEntry = (u64, u32);
+type StackEntry = (u64, u32);
 
 thread_local! {
     /// The stack of open frames on this thread (across all trees).
@@ -40,16 +47,8 @@ thread_local! {
 /// Tree tokens distinguish registries sharing the thread-local stack.
 static NEXT_TREE_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-pub(crate) fn take_stack() -> Vec<StackEntry> {
-    FRAME_STACK.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-pub(crate) fn restore_stack(saved: Vec<StackEntry>) {
-    FRAME_STACK.with(|s| *s.borrow_mut() = saved);
-}
-
 #[cfg(test)]
-pub(crate) fn stack_is_empty() -> bool {
+fn stack_is_empty() -> bool {
     FRAME_STACK.with(|s| s.borrow().is_empty())
 }
 
@@ -213,6 +212,63 @@ impl FrameTree {
                 )
             })
             .collect()
+    }
+}
+
+/// A detached span-nesting context; restores the previous one on drop.
+#[derive(Debug)]
+#[must_use = "dropping immediately re-attaches the previous span context"]
+pub struct DetachedSpans {
+    saved: Vec<StackEntry>,
+}
+
+/// Detaches the current thread's span-nesting context until the guard
+/// drops: spans entered meanwhile record as top-level paths. Use when
+/// recording into a shard registry that will be absorbed into a parent —
+/// shard paths must not inherit the spawning thread's open spans, or
+/// inline (serial) task execution would nest where worker threads don't.
+pub fn detach_spans() -> DetachedSpans {
+    DetachedSpans { saved: FRAME_STACK.with(|s| std::mem::take(&mut *s.borrow_mut())) }
+}
+
+impl Drop for DetachedSpans {
+    fn drop(&mut self) {
+        let saved = std::mem::take(&mut self.saved);
+        FRAME_STACK.with(|s| *s.borrow_mut() = saved);
+    }
+}
+
+/// An open phase timer; records on drop.
+#[must_use = "a span measures the scope it is alive for"]
+#[derive(Debug)]
+pub struct SpanGuard {
+    inner: Option<OpenSpan>,
+}
+
+#[derive(Debug)]
+struct OpenSpan {
+    tree: Arc<FrameTree>,
+    frame: u32,
+    start: Instant,
+}
+
+impl SpanGuard {
+    pub(crate) fn disabled() -> SpanGuard {
+        SpanGuard { inner: None }
+    }
+
+    pub(crate) fn enter(tree: Arc<FrameTree>, name: &str) -> SpanGuard {
+        let frame = tree.enter(name);
+        SpanGuard { inner: Some(OpenSpan { tree, frame, start: Instant::now() }) }
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some(open) = self.inner.take() {
+            let elapsed = open.start.elapsed().as_nanos();
+            open.tree.exit(open.frame, elapsed);
+        }
     }
 }
 
@@ -494,6 +550,71 @@ mod tests {
             snap[1],
             WorkerUse { worker: 1, busy_ns: 17, chunks: 2, ..WorkerUse::default() }
         );
+    }
+
+    #[test]
+    fn nesting_composes_paths() {
+        let rec = Arc::new(FrameTree::default());
+        {
+            let _outer = SpanGuard::enter(Arc::clone(&rec), "outer");
+            for _ in 0..3 {
+                let _inner = SpanGuard::enter(Arc::clone(&rec), "inner");
+            }
+        }
+        let snap = rec.snapshot();
+        let paths: Vec<&str> = snap.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, ["outer/inner", "outer"]);
+        assert_eq!(snap[0].1.count, 3);
+        assert_eq!(snap[1].1.count, 1);
+        assert!(snap[1].1.self_ns <= snap[1].1.total_ns);
+    }
+
+    #[test]
+    fn sibling_after_nested_is_top_level() {
+        let rec = Arc::new(FrameTree::default());
+        {
+            let _a = SpanGuard::enter(Arc::clone(&rec), "a");
+        }
+        {
+            let _b = SpanGuard::enter(Arc::clone(&rec), "b");
+        }
+        let paths: Vec<String> = rec.snapshot().into_iter().map(|(p, _)| p).collect();
+        assert_eq!(paths, ["a", "b"]);
+    }
+
+    #[test]
+    fn detaching_makes_spans_top_level_and_restores() {
+        let rec = Arc::new(FrameTree::default());
+        {
+            let _outer = SpanGuard::enter(Arc::clone(&rec), "outer");
+            {
+                let _detached = detach_spans();
+                let _task = SpanGuard::enter(Arc::clone(&rec), "task");
+            }
+            let _inner = SpanGuard::enter(Arc::clone(&rec), "inner");
+        }
+        let paths: Vec<String> = rec.snapshot().into_iter().map(|(p, _)| p).collect();
+        assert_eq!(paths, ["task", "outer/inner", "outer"]);
+    }
+
+    #[test]
+    fn disabled_guard_is_inert() {
+        let g = SpanGuard::disabled();
+        drop(g);
+        assert!(stack_is_empty());
+    }
+
+    #[test]
+    fn forgotten_inner_guard_recovers() {
+        let rec = Arc::new(FrameTree::default());
+        {
+            let _outer = SpanGuard::enter(Arc::clone(&rec), "outer");
+            let inner = SpanGuard::enter(Arc::clone(&rec), "inner");
+            std::mem::forget(inner);
+        }
+        assert!(stack_is_empty(), "outer's drop truncates the leaked frame");
+        let paths: Vec<String> = rec.snapshot().into_iter().map(|(p, _)| p).collect();
+        assert_eq!(paths, ["outer"], "the forgotten span never records");
     }
 
     /// A random nesting script: each step either opens a frame (name from

@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn pop_depth_histogram_matches_ground_truth() {
         let reg = cdnc_obs::Registry::enabled();
-        reg.enable_profiling(cdnc_obs::ProfileConfig::default());
+        reg.enable_profiling();
         let mut s = Scheduler::new();
         s.set_obs(&reg);
         // Interleave schedules and pops, tracking the depth each pop sees.

@@ -81,10 +81,15 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
 
 /// Reads a trace previously written by [`write_trace`].
 ///
+/// Every id the analyses index by is range-checked: server and user ids
+/// must be dense (each equal to its position in its table), every poll's
+/// server and user must exist, and every poll's snapshot must exist on its
+/// day.
+///
 /// # Errors
 ///
 /// Returns `InvalidData` when the magic, version, or any embedded value is
-/// malformed, and any underlying I/O error.
+/// malformed or out of range, and any underlying I/O error.
 pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -97,9 +102,9 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
     }
     let n_servers = get_u32(&mut r)? as usize;
     let mut servers = Vec::with_capacity(n_servers.min(1 << 20));
-    for _ in 0..n_servers {
+    for position in 0..n_servers {
         servers.push(ServerMeta {
-            id: get_u32(&mut r)?,
+            id: dense_id("server", get_u32(&mut r)?, position)?,
             location: get_point(&mut r)?,
             isp: IspId(get_u16(&mut r)?),
             distance_to_provider_km: get_f64(&mut r)?,
@@ -109,8 +114,9 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
     }
     let n_users = get_u32(&mut r)? as usize;
     let mut users = Vec::with_capacity(n_users.min(1 << 20));
-    for _ in 0..n_users {
-        users.push(UserMeta { id: get_u32(&mut r)?, location: get_point(&mut r)? });
+    for position in 0..n_users {
+        let id = dense_id("user", get_u32(&mut r)?, position)?;
+        users.push(UserMeta { id, location: get_point(&mut r)? });
     }
     let provider_isp = IspId(get_u16(&mut r)?);
     let provider_location = get_point(&mut r)?;
@@ -131,10 +137,10 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
         let mut server_polls = Vec::with_capacity(n_sp.min(1 << 24));
         for _ in 0..n_sp {
             server_polls.push(ServerPoll {
-                server: get_u32(&mut r)?,
+                server: id_below("server", get_u32(&mut r)?, servers.len())?,
                 time: SimTime::from_micros(get_u64(&mut r)?),
                 reported_gmt_us: get_i64(&mut r)?,
-                snapshot: SnapshotId(get_u32(&mut r)?),
+                snapshot: SnapshotId(id_below("snapshot", get_u32(&mut r)?, updates.len())?),
                 response_time: SimDuration::from_micros(get_u64(&mut r)?),
             });
         }
@@ -144,7 +150,7 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
             provider_polls.push(ProviderPoll {
                 replica: get_u32(&mut r)?,
                 time: SimTime::from_micros(get_u64(&mut r)?),
-                snapshot: SnapshotId(get_u32(&mut r)?),
+                snapshot: SnapshotId(id_below("snapshot", get_u32(&mut r)?, updates.len())?),
                 response_time: SimDuration::from_micros(get_u64(&mut r)?),
             });
         }
@@ -152,10 +158,10 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
         let mut user_polls = Vec::with_capacity(n_up.min(1 << 24));
         for _ in 0..n_up {
             user_polls.push(UserPoll {
-                user: get_u32(&mut r)?,
+                user: id_below("user", get_u32(&mut r)?, users.len())?,
                 time: SimTime::from_micros(get_u64(&mut r)?),
-                server: get_u32(&mut r)?,
-                snapshot: SnapshotId(get_u32(&mut r)?),
+                server: id_below("server", get_u32(&mut r)?, servers.len())?,
+                snapshot: SnapshotId(id_below("snapshot", get_u32(&mut r)?, updates.len())?),
             });
         }
         days.push(DayTrace { day, updates, server_polls, provider_polls, user_polls });
@@ -165,6 +171,24 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// `id` when it equals its table `position`, `InvalidData` otherwise.
+fn dense_id(what: &str, id: u32, position: usize) -> io::Result<u32> {
+    if id as usize == position {
+        Ok(id)
+    } else {
+        Err(bad(format!("{what} id {id} at table position {position}: ids must be dense")))
+    }
+}
+
+/// `id` when it indexes a table of `len` entries, `InvalidData` otherwise.
+fn id_below(what: &str, id: u32, len: usize) -> io::Result<u32> {
+    if (id as usize) < len {
+        Ok(id)
+    } else {
+        Err(bad(format!("{what} id {id} out of range: only {len} exist")))
+    }
 }
 
 fn put_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
@@ -267,6 +291,33 @@ mod tests {
         buf[lat_offset..lat_offset + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         let err = read_trace(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn out_of_range_ids_rejected() {
+        let clean = crawl(&CrawlConfig { servers: 6, users: 4, days: 1, ..CrawlConfig::tiny() });
+        fn snaps(t: &Trace) -> SnapshotId {
+            SnapshotId(t.days[0].updates.len() as u32)
+        }
+        type Corruption = (&'static str, fn(&mut Trace));
+        let corruptions: [Corruption; 8] = [
+            ("server meta id", |t| t.servers[1].id = 0),
+            ("user meta id", |t| t.users[0].id = 1),
+            ("server poll server", |t| t.days[0].server_polls[0].server = t.servers.len() as u32),
+            ("user poll server", |t| t.days[0].user_polls[0].server = t.servers.len() as u32),
+            ("user poll user", |t| t.days[0].user_polls[0].user = t.users.len() as u32),
+            ("server poll snapshot", |t| t.days[0].server_polls[0].snapshot = snaps(t)),
+            ("provider poll snapshot", |t| t.days[0].provider_polls[0].snapshot = snaps(t)),
+            ("user poll snapshot", |t| t.days[0].user_polls[0].snapshot = snaps(t)),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut trace = clean.clone();
+            corrupt(&mut trace);
+            let mut buf = Vec::new();
+            write_trace(&trace, &mut buf).unwrap();
+            let err = read_trace(buf.as_slice()).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 
     #[test]

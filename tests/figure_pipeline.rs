@@ -57,8 +57,21 @@ fn timeprof_writes_every_armed_plane() {
 
 #[test]
 fn retired_trace_dir_flag_is_rejected_with_usage() {
-    let out = experiments(&["fig17", "--trace-dir", "x"]);
-    assert!(!out.status.success(), "--trace-dir must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("usage: experiments"), "usage text expected:\n{stderr}");
+    // Flags the CLI no longer takes must fail with usage, not be ignored.
+    // `list` runs nothing, so an accepted flag would exit 0 at once.
+    let retired: [&[&str]; 7] = [
+        &["fig17", "--trace-dir", "x"],
+        &["list", "--obs-log", "info"],
+        &["list", "--trace-threshold", "60"],
+        &["list", "--series-cadence", "0.25"],
+        &["list", "--digest-every", "4096"],
+        &["list", "--stall-after", "10"],
+        &["list", "--spike-multiple", "8"],
+    ];
+    for args in retired {
+        let out = experiments(args);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: experiments"), "{args:?}: usage text expected:\n{stderr}");
+    }
 }

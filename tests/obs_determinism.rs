@@ -7,14 +7,12 @@ use cdnc_experiments::{
     build_trace, build_trace_with_obs, run_figure, run_figure_ctx, run_figure_with_obs, RunCtx,
     Scale,
 };
-use cdnc_obs::{parse, Json, Level, Registry};
+use cdnc_obs::{parse, Json, Registry};
 use cdnc_par::Pool;
 
-/// A fully armed registry: metrics, spans, the event log, and the causal
-/// tracer all live.
+/// A fully armed registry: metrics, spans, and the causal tracer all live.
 fn armed() -> Registry {
     let reg = Registry::enabled();
-    reg.enable_events(Level::Debug, 65_536);
     reg.enable_tracing();
     reg
 }

@@ -2,12 +2,12 @@
 //! for any worker count and any seed, crawl traces and figure reports are
 //! bit-identical to the serial run — and so is everything a fully armed
 //! observability registry collects along the way (counters, gauges,
-//! histograms, span paths, the event log, and the causal trace store;
+//! histograms, span paths, and the causal trace store;
 //! wall-clock span *durations* are the one legitimately non-deterministic
 //! output).
 
 use cdnc_experiments::{run_figure_ctx, RunCtx, Scale};
-use cdnc_obs::{EventRecord, Level, MetricsSnapshot, Registry, SpanStore};
+use cdnc_obs::{MetricsSnapshot, Registry, SpanStore};
 use cdnc_par::Pool;
 use cdnc_trace::{crawl_with_obs_par, CrawlConfig};
 use proptest::prelude::*;
@@ -16,10 +16,9 @@ use proptest::prelude::*;
 /// task counts, and a ragged prime that doesn't.
 const JOBS: [usize; 4] = [1, 2, 4, 7];
 
-/// A fully armed registry: metrics, spans, event log, causal tracer.
+/// A fully armed registry: metrics, spans, causal tracer.
 fn armed() -> Registry {
     let reg = Registry::enabled();
-    reg.enable_events(Level::Debug, 65_536);
     reg.enable_tracing();
     reg
 }
@@ -27,12 +26,11 @@ fn armed() -> Registry {
 /// Everything deterministic a registry collected, extracted for comparison.
 struct Collected {
     snapshot: MetricsSnapshot,
-    events: Vec<EventRecord>,
     store: SpanStore,
 }
 
 fn collect(reg: &Registry) -> Collected {
-    Collected { snapshot: reg.snapshot(), events: reg.drain_events(), store: reg.tracer().store() }
+    Collected { snapshot: reg.snapshot(), store: reg.tracer().store() }
 }
 
 /// Asserts two registries collected identical deterministic state.
@@ -48,7 +46,6 @@ fn assert_collected_match(serial: &Collected, parallel: &Collected, label: &str)
         phases(&parallel.snapshot),
         "{label}: span paths and entry counts"
     );
-    assert_eq!(serial.events, parallel.events, "{label}: event log");
     assert_eq!(serial.store, parallel.store, "{label}: causal trace store");
 }
 
