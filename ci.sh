@@ -39,10 +39,6 @@ cargo run -q -p cdnc-experiments --release -- trace summary "$TRACE_DIR/fig24.tr
 cargo run -q -p cdnc-experiments --release -- trace critical-path "$TRACE_DIR/fig24.trace.json"
 rm -rf "$TRACE_DIR"
 
-echo "==> paired-run determinism with tracing on"
-cargo test -p cdnc-experiments --test obs_determinism --quiet
-cargo test -p cdnc-experiments --test trace_ground_truth --quiet
-
 echo "==> serial vs --jobs 2 determinism diff"
 PAR_DIR="$(mktemp -d)"
 cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/serial" --trace > "$PAR_DIR/serial.txt"
@@ -186,9 +182,6 @@ grep -q 'first diverging event: global index 123 (segment 0' "$DIG_DIR/divergenc
 test -s "$DIG_DIR/serial/fig14.health.json"
 cargo run -q -p cdnc-experiments --release -- watch "$DIG_DIR/serial" --once | grep -q 'done'
 rm -rf "$DIG_DIR"
-
-echo "==> paired-run time-profiling determinism"
-cargo test -p cdnc-experiments --test timeprof_determinism --quiet
 
 echo "==> benchmark correctness smoke (perfbench, every workload at full size)"
 # One untimed pass per workload: every simulation must run, match its own

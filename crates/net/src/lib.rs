@@ -47,7 +47,7 @@ pub mod uplink;
 pub use absence::{AbsenceConfig, AbsenceSchedule};
 pub use fault::{Brownout, FaultConfig, FaultDecision, FaultPlane, IspPartition, LinkPartition};
 pub use latency::LatencyModel;
-pub use network::{Network, NetworkConfig};
+pub use network::{Deliveries, Network, NetworkConfig};
 pub use node::{NetNode, NodeId};
 pub use packet::{Packet, PacketKind, PACKET_KINDS};
 pub use traffic::TrafficStats;

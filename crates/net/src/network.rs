@@ -92,6 +92,35 @@ pub struct Network {
     obs_digest: cdnc_obs::Digest,
 }
 
+/// What [`Network::send_faulted`] delivers: each copy's delivery instant and
+/// the trace context its receiver continues from. At most two copies, held
+/// inline so a send allocates nothing; derefs to a slice of them.
+#[derive(Debug, Clone, Copy)]
+pub struct Deliveries {
+    copies: [(SimTime, cdnc_obs::TraceCtx); 2],
+    len: usize,
+}
+
+impl Deliveries {
+    const NONE: Deliveries =
+        Deliveries { copies: [(SimTime::ZERO, cdnc_obs::TraceCtx::NONE); 2], len: 0 };
+
+    /// These deliveries plus `copy`.
+    fn and(mut self, copy: (SimTime, cdnc_obs::TraceCtx)) -> Self {
+        self.copies[self.len] = copy;
+        self.len += 1;
+        self
+    }
+}
+
+impl std::ops::Deref for Deliveries {
+    type Target = [(SimTime, cdnc_obs::TraceCtx)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.copies[..self.len]
+    }
+}
+
 impl Network {
     /// Creates an empty network.
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
@@ -317,9 +346,9 @@ impl Network {
 
     /// Sends `packet` through the attached fault plane. Returns the
     /// delivery instants paired with the contexts receivers continue their
-    /// traces from: empty when the packet is dropped, one entry for a
-    /// clean or delayed delivery, two when the network duplicates it.
-    /// Without a fault plane this is exactly [`Network::send_traced`].
+    /// traces from: none when the packet is dropped, one for a clean or
+    /// delayed delivery, two when the network duplicates it. Without a
+    /// fault plane this is exactly [`Network::send_traced`].
     ///
     /// Traffic and the sender's uplink are charged once per call — a
     /// dropped packet still left its sender, and a duplicate is copied
@@ -331,9 +360,9 @@ impl Network {
         now: SimTime,
         packet: &Packet,
         ctx: cdnc_obs::TraceCtx,
-    ) -> Vec<(SimTime, cdnc_obs::TraceCtx)> {
+    ) -> Deliveries {
         if self.faults.is_none() {
-            return vec![self.send_traced(now, packet, ctx)];
+            return Deliveries::NONE.and(self.send_traced(now, packet, ctx));
         }
         let src_isp = self.nodes[packet.src.index()].isp();
         let dst_isp = self.nodes[packet.dst.index()].isp();
@@ -364,7 +393,7 @@ impl Network {
                     now.as_micros(),
                     "fault-drop",
                 );
-                Vec::new()
+                Deliveries::NONE
             }
             FaultDecision::Deliver { extra, duplicate_extra } => {
                 let arrival = self.send(now, packet) + extra;
@@ -379,7 +408,7 @@ impl Network {
                     now.as_micros(),
                     arrival.as_micros(),
                 );
-                let mut out = vec![(arrival, hop)];
+                let mut out = Deliveries::NONE.and((arrival, hop));
                 if let Some(lag) = duplicate_extra {
                     self.obs_fault_duplicated.inc();
                     // The in-network copy is a second live message: count it
@@ -395,7 +424,7 @@ impl Network {
                         now.as_micros(),
                         dup_arrival.as_micros(),
                     );
-                    out.push((dup_arrival, dup_hop));
+                    out = out.and((dup_arrival, dup_hop));
                 }
                 out
             }
@@ -616,7 +645,7 @@ mod tests {
         let out =
             net.send_faulted(SimTime::ZERO, &Packet::update(a, b, 2.0), cdnc_obs::TraceCtx::NONE);
         assert_eq!(out.len(), 2);
-        for _ in &out {
+        for _ in out.iter() {
             net.mark_delivered(PacketKind::Update, 2.0);
         }
         let snap = reg.snapshot();

@@ -123,7 +123,8 @@ fn opt_field_u32(obj: &Json, key: &str) -> Option<u32> {
 /// Metadata events are skipped; spans are reconstructed from each event's
 /// `args` and re-sorted into record (id) order. Returns an error for
 /// documents that are not round-trippable (missing args, duplicate or
-/// non-dense span ids).
+/// non-dense span ids) or whose parent links do not all lead back to a
+/// root: every parent must be an earlier span of the same trace.
 pub fn from_chrome(doc: &Json) -> Result<SpanStore, String> {
     let events = match doc.get("traceEvents") {
         Some(Json::Arr(items)) => items,
@@ -169,6 +170,14 @@ pub fn from_chrome(doc: &Json) -> Result<SpanStore, String> {
     for (i, s) in spans.iter().enumerate() {
         if s.id.0 as usize != i {
             return Err(format!("span ids not dense at index {i} (id {})", s.id.0));
+        }
+    }
+    for s in &spans {
+        if s.parent.is_some() && (s.parent >= s.id || spans[s.parent.0 as usize].trace != s.trace) {
+            return Err(format!(
+                "span {} has parent {}, which is not an earlier span of its trace",
+                s.id.0, s.parent.0
+            ));
         }
     }
     traces.sort_by_key(|m| m.id);
@@ -266,6 +275,57 @@ mod tests {
             }
         }
         assert!(from_chrome(&doc).is_err(), "gap in span ids must be detected");
+    }
+
+    /// Exports `store` with `(span, key, value)` overrides applied to the
+    /// spans' `args`.
+    fn export_with(store: &SpanStore, edits: &[(u32, &str, u32)]) -> Json {
+        let mut doc = to_chrome(store);
+        let Json::Obj(fields) = &mut doc else { unreachable!("an object") };
+        let Some((_, Json::Arr(events))) = fields.iter_mut().find(|(k, _)| k == "traceEvents")
+        else {
+            unreachable!("traceEvents")
+        };
+        for event in events.iter_mut() {
+            let Json::Obj(event) = event else { continue };
+            let Some((_, Json::Obj(args))) = event.iter_mut().find(|(k, _)| k == "args") else {
+                continue;
+            };
+            let span = args.iter().find(|(k, _)| k == "span").and_then(|(_, v)| v.as_f64());
+            for &(target, key, value) in edits {
+                if span == Some(f64::from(target)) {
+                    let slot = args.iter_mut().find(|(k, _)| k == key).expect("arg exists");
+                    slot.1 = Json::from(value);
+                }
+            }
+        }
+        doc
+    }
+
+    #[test]
+    fn import_rejects_parent_links_that_do_not_lead_to_a_root() {
+        // One update: publish (span 0) → hop (1) → adopt (2).
+        let t = Tracer(Some(Arc::new(TracerCore::default())));
+        let root = t.publish(0, 0, 1_000, "unicast push");
+        let hop = t.hop(root, "update", 0, 2, 1_000, 45_000);
+        t.adopt(hop, 2, 45_000);
+        let one = t.store();
+        assert!(from_chrome(&export_with(&one, &[])).is_ok());
+        let dangling = export_with(&one, &[(1, "parent", 999)]);
+        assert!(from_chrome(&dangling).is_err(), "hop parent is no span");
+        let cycle = export_with(&one, &[(1, "parent", 2), (2, "parent", 1)]);
+        assert!(from_chrome(&cycle).is_err(), "hop and adopt parent each other");
+        // Two updates: publish 0 (span 0), then publish 1 (1) → hop (2) →
+        // adopt (3); re-parenting the hop onto update 0's root crosses traces.
+        let t = Tracer(Some(Arc::new(TracerCore::default())));
+        t.publish(0, 0, 1_000, "unicast push");
+        let root = t.publish(1, 0, 2_000, "unicast push");
+        let hop = t.hop(root, "update", 0, 2, 2_000, 45_000);
+        t.adopt(hop, 2, 45_000);
+        let two = t.store();
+        assert!(from_chrome(&export_with(&two, &[])).is_ok());
+        let crossed = export_with(&two, &[(2, "parent", 0)]);
+        assert!(from_chrome(&crossed).is_err(), "hop parent belongs to another trace");
     }
 
     #[test]

@@ -174,12 +174,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so deeper input is refused instead of overflowing the stack;
+/// written artifacts nest a handful of levels.
+const MAX_DEPTH: usize = 256;
+
 /// Parses a JSON document produced by [`Json::to_compact`] /
 /// [`Json::to_pretty`] (or any standard JSON text) back into a [`Json`]
 /// tree. Intended for tests that validate written artifacts; numbers all
-/// land in `f64`, so integers beyond 2^53 lose precision.
+/// land in `f64`, so integers beyond 2^53 lose precision. Documents nested
+/// deeper than [`MAX_DEPTH`] levels are an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -192,6 +198,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,11 +237,20 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -533,6 +550,19 @@ mod tests {
         }
         assert_eq!(parse(&j.to_compact()).unwrap(), j);
         assert_eq!(parse(&j.to_pretty()).unwrap(), j);
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_limit() {
+        let n = 100_000;
+        let arrays = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for deep in [arrays, objects] {
+            let err = parse(&deep).expect_err("100,000 levels must be refused");
+            assert!(err.contains("nesting deeper than 256 levels at byte"), "{err}");
+        }
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&limit).is_ok(), "exactly MAX_DEPTH levels still parse");
     }
 
     #[test]
