@@ -17,6 +17,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo fmt --check + clippy (perfbench)"
+# perfbench is its own workspace, so the two steps above do not reach it.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -57,9 +57,11 @@ impl CdnSimulation<'_> {
         push: bool,
     ) {
         let last_invalidated = self.nodes[node.index()].last_invalidated;
-        let children: Vec<NodeId> = self.topo.downstream_of(node).to_vec();
         let mut invalidated_any = false;
-        for child in children {
+        // Indexed, not iterated: the sends below borrow `self` mutably, and
+        // nothing in this loop rewires `topo`.
+        for i in 0..self.topo.downstream_of(node).len() {
+            let child = self.topo.downstream_of(node)[i];
             let expects = match self.topo.method_of(child) {
                 Some(MethodKind::Push) if push => {
                     self.send_reliable(now, node, child, self.content_msg(node));

@@ -8,10 +8,11 @@
 //! join rule; [`DistributionTree::remove_and_reattach`] implements the
 //! failure-repair rule and reports the maintenance traffic it would cost.
 
+use cdnc_geo::point::EARTH_RADIUS_KM;
 use cdnc_geo::GeoPoint;
 use cdnc_net::NodeId;
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A rooted d-ary tree over a subset of network nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,47 +43,66 @@ impl DistributionTree {
         let root_loc = location(root);
         // Closest-to-root first: near nodes occupy high layers, matching the
         // proximity-aware intent.
-        let mut order: Vec<NodeId> = members.to_vec();
-        order.sort_by(|&a, &b| {
-            let da = location(a).distance_km(&root_loc);
-            let db = location(b).distance_km(&root_loc);
-            da.partial_cmp(&db).expect("finite distance").then(a.cmp(&b))
-        });
-        for node in order {
+        let mut order: Vec<(f64, NodeId, GeoPoint)> = members
+            .iter()
+            .map(|&m| {
+                let loc = location(m);
+                (loc.distance_km(&root_loc), m, loc)
+            })
+            .collect();
+        order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distance").then(a.1.cmp(&b.1)));
+        // Position 0 is the root, position i + 1 the i-th member to join.
+        let points = std::iter::once((root, root_loc)).chain(order.iter().map(|&(_, m, l)| (m, l)));
+        let mut open = NearestOpen::new(points);
+        open.set_open(0, true);
+        for (i, &(_, node, loc)) in order.iter().enumerate() {
             assert!(node != root, "root cannot be a member");
             assert!(!tree.parent.contains_key(&node), "duplicate member {node}");
-            tree.attach(node, &location);
+            let at = open.nearest(&loc, &location).expect("some joined node has capacity");
+            let parent = open.node(at);
+            tree.link(node, parent);
+            if tree.children_of(parent).len() == arity {
+                open.set_open(at, false);
+            }
+            open.set_open(i + 1, true);
         }
         tree
     }
 
-    /// Attaches `node` to the nearest in-tree node with spare capacity.
-    fn attach<F>(&mut self, node: NodeId, location: &F)
+    /// Attaches `node` to the nearest in-tree node with spare capacity,
+    /// never choosing one from `excluded` (used during repair so an orphan
+    /// cannot attach inside its own subtree, which would create a cycle).
+    /// Returns the parent.
+    fn attach_nearest<F>(
+        &mut self,
+        node: NodeId,
+        location: &F,
+        excluded: &HashSet<NodeId>,
+    ) -> NodeId
     where
         F: Fn(NodeId) -> GeoPoint,
     {
-        self.attach_excluding(node, location, &[]);
-    }
-
-    /// Attaches `node`, never choosing a parent from `excluded` (used during
-    /// repair so an orphan cannot attach inside its own subtree, which would
-    /// create a cycle).
-    fn attach_excluding<F>(&mut self, node: NodeId, location: &F, excluded: &[NodeId])
-    where
-        F: Fn(NodeId) -> GeoPoint,
-    {
-        let loc = location(node);
-        let candidates = std::iter::once(self.root).chain(self.parent.keys().copied());
-        let parent = candidates
+        let mut candidates: Vec<NodeId> = std::iter::once(self.root)
+            .chain(self.parent.keys().copied())
             .filter(|&c| {
                 c != node && !excluded.contains(&c) && self.children_of(c).len() < self.arity
             })
-            .min_by(|&a, &b| {
-                let da = location(a).distance_km(&loc);
-                let db = location(b).distance_km(&loc);
-                da.partial_cmp(&db).expect("finite distance").then(a.cmp(&b))
-            })
+            .collect();
+        candidates.sort_unstable();
+        let mut open = NearestOpen::new(candidates.iter().map(|&c| (c, location(c))));
+        for at in 0..candidates.len() {
+            open.set_open(at, true);
+        }
+        let at = open
+            .nearest(&location(node), location)
             .expect("the root always has finite capacity or a descendant does");
+        let parent = candidates[at];
+        self.link(node, parent);
+        parent
+    }
+
+    /// Makes `node` the last child of `parent`.
+    fn link(&mut self, node: NodeId, parent: NodeId) {
         self.parent.insert(node, parent);
         self.children.entry(parent).or_default().push(node);
     }
@@ -182,9 +202,8 @@ impl DistributionTree {
             // Detach before re-attach so capacity checks see current truth,
             // and forbid the orphan's own subtree as a parent (cycle!).
             self.parent.remove(&orphan);
-            let subtree = self.subtree_of(orphan);
-            self.attach_excluding(orphan, &location, &subtree);
-            let new_parent = self.parent_of(orphan).expect("just attached");
+            let subtree: HashSet<NodeId> = self.subtree_of(orphan).into_iter().collect();
+            let new_parent = self.attach_nearest(orphan, &location, &subtree);
             moves.push((orphan, new_parent));
         }
         moves
@@ -202,8 +221,7 @@ impl DistributionTree {
         F: Fn(NodeId) -> GeoPoint,
     {
         assert!(!self.contains(node), "{node} already in tree");
-        self.attach(node, &location);
-        self.parent_of(node).expect("just attached")
+        self.attach_nearest(node, &location, &HashSet::new())
     }
 
     /// Replaces member `old` with `new` *in place*: `new` takes `old`'s
@@ -295,17 +313,291 @@ impl DistributionTree {
     }
 }
 
+/// The nodes a joining node may attach to, for "nearest node with spare
+/// capacity" queries: a k-d tree over the unit vectors of a fixed node set,
+/// in which nodes open and close as they gain and lose spare capacity.
+///
+/// The index only prunes. It skips a subtree only when the chord from the
+/// target to the subtree's bounding box exceeds the chord of the best exact
+/// distance so far, widened by more than rounding can explain (see
+/// [`reach2`]). Every open node it does not skip is compared exactly as a
+/// scan would compare it: by `location(candidate).distance_km(target)`, then
+/// by node id. So a query returns what a scan over all open nodes returns.
+struct NearestOpen {
+    /// Points in k-d order: the subtree over slots `lo..hi` is rooted at
+    /// slot `lo + (hi - lo) / 2`.
+    points: Vec<KdPoint>,
+    /// The slot of the point given at each position.
+    slot_of: Vec<usize>,
+}
+
+struct KdPoint {
+    node: NodeId,
+    /// Position in the order the points were given.
+    at: usize,
+    xyz: [f64; 3],
+    /// Bounding box of the subtree rooted here.
+    min: [f64; 3],
+    max: [f64; 3],
+    /// Open points in the subtree rooted here, this one included.
+    open_below: u32,
+    open: bool,
+}
+
+impl NearestOpen {
+    /// Indexes `points`, all closed; later calls name a point by its
+    /// position in this sequence.
+    fn new(points: impl Iterator<Item = (NodeId, GeoPoint)>) -> Self {
+        let mut points: Vec<KdPoint> = points
+            .enumerate()
+            .map(|(at, (node, loc))| {
+                let xyz = unit_vector(&loc);
+                KdPoint { node, at, xyz, min: xyz, max: xyz, open_below: 0, open: false }
+            })
+            .collect();
+        Self::split(&mut points);
+        let mut slot_of = vec![0; points.len()];
+        for (slot, p) in points.iter().enumerate() {
+            slot_of[p.at] = slot;
+        }
+        NearestOpen { points, slot_of }
+    }
+
+    /// Arranges `points` as a subtree split at the median of its widest axis.
+    fn split(points: &mut [KdPoint]) {
+        let Some(first) = points.first() else { return };
+        let (mut min, mut max) = (first.xyz, first.xyz);
+        for p in points.iter() {
+            for a in 0..3 {
+                min[a] = min[a].min(p.xyz[a]);
+                max[a] = max[a].max(p.xyz[a]);
+            }
+        }
+        let axis = (0..3).max_by(|&a, &b| (max[a] - min[a]).total_cmp(&(max[b] - min[b])));
+        let axis = axis.expect("three axes");
+        let mid = points.len() / 2;
+        points.select_nth_unstable_by(mid, |p, q| p.xyz[axis].total_cmp(&q.xyz[axis]));
+        points[mid].min = min;
+        points[mid].max = max;
+        let (below, rest) = points.split_at_mut(mid);
+        Self::split(below);
+        Self::split(&mut rest[1..]);
+    }
+
+    /// The node given at position `at`.
+    fn node(&self, at: usize) -> NodeId {
+        self.points[self.slot_of[at]].node
+    }
+
+    /// Opens or closes the point given at position `at`.
+    fn set_open(&mut self, at: usize, open: bool) {
+        let slot = self.slot_of[at];
+        if self.points[slot].open == open {
+            return;
+        }
+        self.points[slot].open = open;
+        let (mut lo, mut hi) = (0, self.points.len());
+        loop {
+            let mid = lo + (hi - lo) / 2;
+            let below = &mut self.points[mid].open_below;
+            *below = if open { *below + 1 } else { *below - 1 };
+            match slot.cmp(&mid) {
+                std::cmp::Ordering::Less => hi = mid,
+                std::cmp::Ordering::Greater => lo = mid + 1,
+                std::cmp::Ordering::Equal => break,
+            }
+        }
+    }
+
+    /// The position of the open point nearest `target` (ties to the lower
+    /// node id), or `None` when no point is open.
+    fn nearest<F>(&self, target: &GeoPoint, location: &F) -> Option<usize>
+    where
+        F: Fn(NodeId) -> GeoPoint,
+    {
+        let xyz = unit_vector(target);
+        let mut best = Best { target, location, found: None, reach2: f64::INFINITY };
+        if self.gap2(0, self.points.len(), &xyz).is_finite() {
+            self.search(0, self.points.len(), &xyz, &mut best);
+        }
+        best.found.map(|(_, _, at)| at)
+    }
+
+    /// Offers every open point of the subtree over `lo..hi` that pruning
+    /// keeps, nearer child subtree first.
+    fn search<F>(&self, lo: usize, hi: usize, xyz: &[f64; 3], best: &mut Best<'_, F>)
+    where
+        F: Fn(NodeId) -> GeoPoint,
+    {
+        let mid = lo + (hi - lo) / 2;
+        let p = &self.points[mid];
+        if p.open {
+            best.offer(p.node, p.at);
+        }
+        let mut kids = [(lo, mid), (mid + 1, hi)].map(|(l, h)| (self.gap2(l, h, xyz), l, h));
+        if kids[1].0 < kids[0].0 {
+            kids.swap(0, 1);
+        }
+        for (gap2, l, h) in kids {
+            if gap2.is_finite() && gap2 <= best.reach2 {
+                self.search(l, h, xyz, best);
+            }
+        }
+    }
+
+    /// The squared chord from `xyz` to the bounding box of the subtree over
+    /// `lo..hi`: a lower bound for every point in it. Infinite when the
+    /// subtree holds no open point.
+    fn gap2(&self, lo: usize, hi: usize, xyz: &[f64; 3]) -> f64 {
+        if lo >= hi {
+            return f64::INFINITY;
+        }
+        let p = &self.points[lo + (hi - lo) / 2];
+        if p.open_below == 0 {
+            return f64::INFINITY;
+        }
+        (0..3)
+            .map(|a| {
+                let d = (p.min[a] - xyz[a]).max(xyz[a] - p.max[a]).max(0.0);
+                d * d
+            })
+            .sum()
+    }
+}
+
+/// The best candidate of a [`NearestOpen::nearest`] query so far.
+struct Best<'a, F> {
+    target: &'a GeoPoint,
+    location: &'a F,
+    /// `(distance_km, node, position)` of the best candidate.
+    found: Option<(f64, NodeId, usize)>,
+    /// Squared chord beyond which no point can beat or tie `found`.
+    reach2: f64,
+}
+
+impl<F: Fn(NodeId) -> GeoPoint> Best<'_, F> {
+    fn offer(&mut self, node: NodeId, at: usize) {
+        let d = (self.location)(node).distance_km(self.target);
+        let better = self.found.is_none_or(|(best, best_node, _)| {
+            d.partial_cmp(&best).expect("finite distance").then(node.cmp(&best_node)).is_lt()
+        });
+        if better {
+            self.found = Some((d, node, at));
+            self.reach2 = reach2(d);
+        }
+    }
+}
+
+/// The squared chord (on the unit sphere) that bounds every point whose
+/// computed distance from the target can be at most `km`. It widens `km` by
+/// 1e-9 relative plus 1e-9 km, and the half chord by 1e-12, which covers
+/// the rounding of both the haversine and the unit vectors; the second
+/// margin matters near the antipode, where the haversine's arcsine is
+/// ill-conditioned. Infinite when the widened distance spans half the globe.
+fn reach2(km: f64) -> f64 {
+    let half_angle = (km * (1.0 + 1e-9) + 1e-9) / (2.0 * EARTH_RADIUS_KM);
+    if half_angle >= std::f64::consts::FRAC_PI_2 {
+        return f64::INFINITY;
+    }
+    let chord = 2.0 * (half_angle.sin() + 1e-12);
+    chord * chord
+}
+
+/// The point's position on the unit sphere.
+fn unit_vector(p: &GeoPoint) -> [f64; 3] {
+    let (lat, lon) = (p.lat_deg().to_radians(), p.lon_deg().to_radians());
+    [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdnc_geo::WorldBuilder;
     use proptest::prelude::*;
+    use std::cell::Cell;
 
-    /// A tree over a generated world; node 0 is the root (provider).
-    fn world_tree(n: usize, arity: usize, seed: u64) -> (DistributionTree, Vec<GeoPoint>) {
+    /// The reference builder, join and repair: each attachment scans every
+    /// in-tree node with spare capacity.
+    impl DistributionTree {
+        fn scan_build<F>(root: NodeId, members: &[NodeId], arity: usize, location: F) -> Self
+        where
+            F: Fn(NodeId) -> GeoPoint,
+        {
+            let mut tree =
+                DistributionTree { root, arity, parent: HashMap::new(), children: HashMap::new() };
+            let root_loc = location(root);
+            let mut order: Vec<NodeId> = members.to_vec();
+            order.sort_by(|&a, &b| {
+                let da = location(a).distance_km(&root_loc);
+                let db = location(b).distance_km(&root_loc);
+                da.partial_cmp(&db).expect("finite distance").then(a.cmp(&b))
+            });
+            for node in order {
+                tree.attach_excluding(node, &location, &[]);
+            }
+            tree
+        }
+
+        fn attach_excluding<F>(&mut self, node: NodeId, location: &F, excluded: &[NodeId])
+        where
+            F: Fn(NodeId) -> GeoPoint,
+        {
+            let loc = location(node);
+            let candidates = std::iter::once(self.root).chain(self.parent.keys().copied());
+            let parent = candidates
+                .filter(|&c| {
+                    c != node && !excluded.contains(&c) && self.children_of(c).len() < self.arity
+                })
+                .min_by(|&a, &b| {
+                    let da = location(a).distance_km(&loc);
+                    let db = location(b).distance_km(&loc);
+                    da.partial_cmp(&db).expect("finite distance").then(a.cmp(&b))
+                })
+                .expect("the root always has finite capacity or a descendant does");
+            self.parent.insert(node, parent);
+            self.children.entry(parent).or_default().push(node);
+        }
+
+        fn scan_join<F: Fn(NodeId) -> GeoPoint>(&mut self, node: NodeId, location: F) -> NodeId {
+            self.attach_excluding(node, &location, &[]);
+            self.parent_of(node).expect("just attached")
+        }
+
+        fn scan_remove_and_reattach<F>(
+            &mut self,
+            failed: NodeId,
+            location: F,
+        ) -> Vec<(NodeId, NodeId)>
+        where
+            F: Fn(NodeId) -> GeoPoint,
+        {
+            let old_parent = self.parent.remove(&failed).expect("a member");
+            if let Some(siblings) = self.children.get_mut(&old_parent) {
+                siblings.retain(|&c| c != failed);
+            }
+            let orphans = self.children.remove(&failed).unwrap_or_default();
+            let mut moves = Vec::with_capacity(orphans.len());
+            for orphan in orphans {
+                self.parent.remove(&orphan);
+                let subtree = self.subtree_of(orphan);
+                self.attach_excluding(orphan, &location, &subtree);
+                moves.push((orphan, self.parent_of(orphan).expect("just attached")));
+            }
+            moves
+        }
+    }
+
+    /// The provider (node 0) and then each server of a generated world.
+    fn world_locations(n: usize, seed: u64) -> Vec<GeoPoint> {
         let world = WorldBuilder::new(n).seed(seed).build();
         let mut locations: Vec<GeoPoint> = vec![world.provider_location()];
         locations.extend(world.nodes().iter().map(|w| w.location));
+        locations
+    }
+
+    /// A tree over a generated world; node 0 is the root (provider).
+    fn world_tree(n: usize, arity: usize, seed: u64) -> (DistributionTree, Vec<GeoPoint>) {
+        let locations = world_locations(n, seed);
         let members: Vec<NodeId> = (1..=n as u32).map(NodeId).collect();
         let locs = locations.clone();
         let tree = DistributionTree::build_proximity(NodeId(0), &members, arity, move |id| {
@@ -548,5 +840,111 @@ mod tests {
             }
             prop_assert!(tree.children_of(NodeId(0)).len() <= arity);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The indexed tree equals the scan's, parent for parent and child
+        /// list for child list, after the build and after every repair,
+        /// join and substitution. Points sit on a 0.25° grid around one to
+        /// three centres anywhere on the globe, so equal distances,
+        /// coincident nodes and near-antipodal pairs all occur.
+        #[test]
+        fn prop_index_matches_the_scan(
+            centres in proptest::collection::vec((0u32..721, 0u32..1440), 1..4),
+            offsets in proptest::collection::vec((0usize..3, 0u32..13, 0u32..13), 2..70),
+            arity in 1usize..9,
+            ops in proptest::collection::vec((0u8..3, 0usize..1000), 0..25),
+        ) {
+            let locations: Vec<GeoPoint> = offsets
+                .iter()
+                .map(|&(c, dlat, dlon)| {
+                    let (lat, lon) = centres[c % centres.len()];
+                    let lat = (f64::from(lat + dlat) * 0.25 - 91.5).clamp(-90.0, 90.0);
+                    let lon = f64::from(lon + dlon) * 0.25 - 181.5;
+                    let lon = match lon {
+                        l if l < -180.0 => l + 360.0,
+                        l if l > 180.0 => l - 360.0,
+                        l => l,
+                    };
+                    GeoPoint::new(lat, lon).unwrap()
+                })
+                .collect();
+            let location = |id: NodeId| locations[id.index()];
+            let pool = locations.len() as u32;
+            let members: Vec<NodeId> = (1..pool - pool / 3).map(NodeId).collect();
+            let mut tree = DistributionTree::build_proximity(NodeId(0), &members, arity, location);
+            let mut oracle = DistributionTree::scan_build(NodeId(0), &members, arity, location);
+            prop_assert_eq!(&tree, &oracle);
+            for (op, pick) in ops {
+                let mut inside: Vec<NodeId> = tree.parent.keys().copied().collect();
+                inside.sort_unstable();
+                let outside: Vec<NodeId> =
+                    (1..pool).map(NodeId).filter(|&n| !tree.contains(n)).collect();
+                match op {
+                    0 if !inside.is_empty() => {
+                        let victim = inside[pick % inside.len()];
+                        prop_assert_eq!(
+                            tree.remove_and_reattach(victim, location),
+                            oracle.scan_remove_and_reattach(victim, location)
+                        );
+                    }
+                    1 if !outside.is_empty() => {
+                        let node = outside[pick % outside.len()];
+                        prop_assert_eq!(tree.join(node, location), oracle.scan_join(node, location));
+                    }
+                    2 if !inside.is_empty() && !outside.is_empty() => {
+                        let (old, new) = (inside[pick % inside.len()], outside[pick % outside.len()]);
+                        prop_assert_eq!(tree.substitute(old, new), oracle.substitute(old, new));
+                    }
+                    _ => continue,
+                }
+                prop_assert_eq!(&tree, &oracle);
+            }
+        }
+    }
+
+    /// Both builders over a generated world of `servers`.
+    fn assert_index_matches_scan(servers: usize, arity: usize) {
+        let locations = world_locations(servers, 42);
+        let members: Vec<NodeId> = (1..=servers as u32).map(NodeId).collect();
+        let location = |id: NodeId| locations[id.index()];
+        let tree = DistributionTree::build_proximity(NodeId(0), &members, arity, location);
+        let oracle = DistributionTree::scan_build(NodeId(0), &members, arity, location);
+        assert!(tree == oracle, "{servers} servers, arity {arity}: trees differ");
+    }
+
+    #[test]
+    fn index_matches_the_scan_at_1020_servers() {
+        assert_index_matches_scan(1020, 2);
+        assert_index_matches_scan(1020, 4);
+    }
+
+    #[test]
+    fn index_matches_the_scan_at_4080_servers_arity_2() {
+        assert_index_matches_scan(4080, 2);
+    }
+
+    #[test]
+    fn index_matches_the_scan_at_4080_servers_arity_4() {
+        assert_index_matches_scan(4080, 4);
+    }
+
+    #[test]
+    fn build_compares_few_candidates_per_member() {
+        // The scan compared 3,233 locations per member at this size; an
+        // index that stopped pruning would show here, without a clock.
+        let n = 4096;
+        let locations = world_locations(n, 44);
+        let members: Vec<NodeId> = (1..=n as u32).map(NodeId).collect();
+        let calls = Cell::new(0usize);
+        let tree = DistributionTree::build_proximity(NodeId(0), &members, 2, |id| {
+            calls.set(calls.get() + 1);
+            locations[id.index()]
+        });
+        assert_eq!(tree.len(), n);
+        let per_member = calls.get() as f64 / n as f64;
+        assert!(per_member < 100.0, "{per_member:.1} location calls per member");
     }
 }
