@@ -22,6 +22,10 @@ echo "==> cargo fmt --check + clippy (perfbench)"
 cargo fmt --check --manifest-path perfbench/Cargo.toml
 cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Catches intra-doc links left dangling when an item is renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -1,6 +1,6 @@
 //! The event-driven CDN consistency simulator.
 //!
-//! Replays an update sequence through a deployment [`Scheme`](crate::Scheme) and measures
+//! Replays an update sequence through a deployment [`Scheme`] and measures
 //! the paper's §4/§5 quantities: per-server and per-user inconsistency,
 //! traffic cost, message counts, and user-observed inconsistency.
 //!
@@ -38,7 +38,7 @@ use crate::topology::Topology;
 use cdnc_geo::{IspId, WorldBuilder};
 use cdnc_net::{FaultPlane, Network, NodeId, Packet, PacketKind};
 use cdnc_obs::profile::{self, Subsystem};
-use cdnc_obs::Registry;
+use cdnc_obs::{EventHook, Registry};
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{stream_tag, Scheduler, SimDuration, SimRng, SimTime};
 use cdnc_trace::SnapshotId;
@@ -48,7 +48,7 @@ use reliable::ReliableState;
 use request::WorkloadState;
 use state::{NodeState, UserState};
 use survival::ClusterState;
-use wire::{Bounds, Event, Msg};
+use wire::{Bounds, Event, Msg, EVENT_KINDS};
 
 /// Runs one simulation and returns its report.
 ///
@@ -261,7 +261,7 @@ impl<'a> CdnSimulation<'a> {
             .collect();
 
         let mut sched = Scheduler::with_horizon(config.horizon());
-        sched.set_obs(registry);
+        let hook = EventHook::new(registry, &EVENT_KINDS, config.horizon().as_micros());
         // Publishes: snapshot 0 pre-exists everywhere; 1.. are events.
         for (id, t) in config.updates.iter().skip(1) {
             sched.schedule_at(
@@ -366,12 +366,13 @@ impl<'a> CdnSimulation<'a> {
             workload,
             lifecycle,
             chaos: ChaosStats::default(),
-            obs: SimObs::new(registry),
+            obs: SimObs::new(registry, hook),
         }
     }
 
     fn run(mut self) -> SimReport {
         while self.step() {}
+        self.obs.hook.close(self.sched.pending());
         self.finish()
     }
 
@@ -379,25 +380,20 @@ impl<'a> CdnSimulation<'a> {
     /// stop mid-run without consuming the remaining queue).
     fn run_until(&mut self, at: SimTime) {
         while self.sched.peek_time().is_some_and(|t| t <= at) && self.step() {}
+        self.obs.hook.close(self.sched.pending());
     }
 
     /// Dispatches one scheduled event; `false` when the queue is drained
     /// (or the horizon gate closed).
     fn step(&mut self) -> bool {
         let Some((now, ev)) = self.sched.next() else { return false };
-        // Per-event-kind handler timing (observation-only wall clock; one
-        // branch when timeprof is off). The guard owns its cell, so the
-        // handlers below can borrow `self` mutably.
-        let _dispatch = self.obs.ev_timers[ev.obs_idx()].start();
-        self.obs.fold_event(now, &ev);
-        self.obs.events[ev.obs_idx()].inc();
+        self.obs.record(now, &ev, self.sched.pending());
         match ev {
             Event::Publish(idx) => self.on_publish(now, SnapshotId(idx)),
             Event::PollTimer(node, gen) => self.on_poll_timer(now, node, gen),
             Event::UserVisit(u) => self.on_user_visit(now, u),
             Event::Arrive(node, msg) => {
                 // Delivered or lost, the message leaves the wire.
-                self.obs.inflight[msg.kind() as usize].sub(1);
                 self.net.mark_delivered(msg.kind(), self.packet_kb(msg.kind()));
                 // Messages to a failed node are lost (the silent-loss class
                 // the fault plane's retransmits exist to cover).
@@ -425,7 +421,6 @@ impl<'a> CdnSimulation<'a> {
     }
 
     fn on_arrive(&mut self, now: SimTime, node: NodeId, msg: Msg) {
-        let _dispatch = self.obs.msg_timer(&msg).start();
         match msg {
             Msg::Update { snap, modified_at, ctx } => {
                 self.on_update(now, node, snap, modified_at, ctx)
@@ -489,10 +484,8 @@ impl<'a> CdnSimulation<'a> {
                 self.provider_update_messages += 1;
             }
         }
-        self.obs.msg(kind).inc();
         let packet = Packet::new(kind, self.packet_kb(kind), src, dst);
         let deliveries = self.net.send_faulted(now, &packet, msg.trace_ctx());
-        self.obs.inflight[kind as usize].add(deliveries.len() as u64);
         let Some((&(arrival, hop), copies)) = deliveries.split_last() else { return };
         for &(at, copy_hop) in copies {
             let mut copy = msg.clone();
@@ -600,7 +593,7 @@ impl<'a> CdnSimulation<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::wire::EVENT_COUNTERS;
+    use super::wire::EVENT_KINDS;
     use super::*;
     use crate::config::{ChurnKind, ChurnTarget, FaultPlan, Scheme, WorkloadPlan};
     use cdnc_obs::{SpanKind, TraceCtx};
@@ -1066,17 +1059,18 @@ mod tests {
             assert!(nodes.min >= std::mem::size_of::<NodeState>() as f64);
             let users = snap.histogram("sim_user_state_bytes").expect("user state probe");
             assert_eq!(users.count, cfg.users() as u64);
-            // The wire drains: every sent packet was retired at its arrival
-            // (or at the drop point), so in-flight levels end at zero while
-            // the high-water marks show the run really put bytes in flight.
+            // The wire drains: every delivered packet was retired at its
+            // arrival (a dropped one never counted), so in-flight levels end
+            // at zero while the high-water marks show the run really put
+            // bytes in flight.
             let inflight =
                 snap.gauges.iter().find(|(n, _)| n == "net_inflight_bytes").expect("armed").1;
             assert_eq!(inflight.value, 0, "in-flight bytes must drain by quiesce");
             assert!(inflight.high_water > 0);
             assert_eq!(
-                snap.counter("net_pkts_update"),
                 snap.counter("sim_msgs_update"),
-                "network-side and sim-side per-kind tallies must agree"
+                profiled.server_update_messages,
+                "the network's per-kind tally matches the report"
             );
         }
 
@@ -1547,6 +1541,38 @@ mod tests {
     }
 
     #[test]
+    fn timeprof_charges_every_dispatched_event_once() {
+        let cfg = small(Scheme::Unicast(MethodKind::SelfAdaptive));
+        let armed = || {
+            let reg = Registry::enabled();
+            reg.enable_timeprof();
+            reg
+        };
+        // A finished run, and one paused mid-run by a checkpoint: each
+        // closes its last event when the loop stops.
+        let (finished, paused) = (armed(), armed());
+        assert_eq!(run_with_obs(&cfg, &finished), run(&cfg), "timeprof is observation-only");
+        checkpoint_with_obs(&cfg, &paused, SimTime::from_secs(300));
+        for reg in [&finished, &paused] {
+            let (snap, tp) = (reg.snapshot(), reg.timeprof_snapshot().expect("armed"));
+            let mut charged_s = 0.0;
+            for (counter, label) in EVENT_KINDS {
+                let h = tp.handlers.iter().find(|(l, _)| l == label).map(|(_, h)| h);
+                assert_eq!(h.map_or(0, |h| h.count), snap.counter(counter), "{label}");
+                charged_s += h.map_or(0.0, |h| h.sum);
+            }
+            assert!(snap.counter("sched_events_processed") > 0);
+            assert_eq!(tp.handlers.len(), EVENT_KINDS.len(), "only event kinds are charged");
+            let frame = tp.frames.iter().find(|(p, _)| p == "sim_events").expect("frame").1;
+            assert!(
+                charged_s <= frame.total_secs() + 1e-6,
+                "handler time {charged_s} s exceeds the sim_events frame {} s",
+                frame.total_secs()
+            );
+        }
+    }
+
+    #[test]
     fn failure_repair_metrics_fire() {
         let mut cfg = small(Scheme::Multicast { method: MethodKind::Push, arity: 2 });
         cfg.failures = Some(crate::config::FailureConfig::with_mean_gap_s(120.0));
@@ -1785,7 +1811,7 @@ mod tests {
             Event::NodeCrash(NodeId(2)),
             Event::NodeJoin(NodeId(3)),
         ];
-        assert_eq!(events.len(), EVENT_COUNTERS.len(), "every event variant is pinned");
+        assert_eq!(events.len(), EVENT_KINDS.len(), "every event variant is pinned");
         let b = Bounds { nodes: 9, users: 7, snapshots: 16, slots: 10 };
         let walk = |msgs: &mut Vec<Msg>, events: &mut Vec<Event>, c: &mut Ckpt| {
             msgs.iter_mut().try_for_each(|m| m.persist(c, b))?;

@@ -1,31 +1,15 @@
 //! The simulator's observation handles. Everything here is
 //! observation-only: no handler ever reads a metric back.
 
-use super::wire::{event_label, Event, Msg, EVENT_COUNTERS};
+use super::wire::Event;
 use crate::method::MethodKind;
 use crate::metrics::SimReport;
-use cdnc_net::{NodeId, PacketKind, PACKET_KINDS};
+use cdnc_net::NodeId;
 use cdnc_obs::{
-    Counter, Digest, Gauge, HandlerTimer, Histogram, Registry, SpanKind, TraceCtx, Tracer,
+    Counter, EventHook, EventRecord, Gauge, Histogram, Registry, SpanKind, TraceCtx, Tracer,
 };
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
-
-/// Per wire class, indexed by `PacketKind as usize`: the sent-message
-/// counter and the in-flight gauge. Literal names, so building the handles
-/// allocates nothing beyond what the registry interns.
-const KIND_NAMES: [(&str, &str); PACKET_KINDS] = [
-    ("sim_msgs_update", "sim_inflight_update"),
-    ("sim_msgs_poll", "sim_inflight_poll"),
-    ("sim_msgs_poll_unchanged", "sim_inflight_poll_unchanged"),
-    ("sim_msgs_invalidation", "sim_inflight_invalidation"),
-    ("sim_msgs_method_switch", "sim_inflight_method_switch"),
-    ("sim_msgs_tree_maintenance", "sim_inflight_tree_maintenance"),
-    ("sim_msgs_user_request", "sim_inflight_user_request"),
-    ("sim_msgs_user_response", "sim_inflight_user_response"),
-    ("sim_msgs_ack", "sim_inflight_ack"),
-    ("sim_msgs_origin_fetch", "sim_inflight_origin_fetch"),
-];
 
 /// Per method slot ([`SimObs::method_slot`]): the publish→adopt histogram
 /// and the pending-update gauge.
@@ -43,14 +27,13 @@ const METHOD_NAMES: [(&str, &str); 6] = [
 /// Handles are resolved once at construction so the per-event cost with a
 /// disabled registry is a single branch, and label lookup never happens
 /// inside the event loop. Tallies the [`SimReport`] already keeps have no
-/// handle here: they reach the registry once, through [`record_report`].
+/// handle here: they reach the registry once, through [`record_report`];
+/// per-class message counts are the network's.
 pub(super) struct SimObs {
     pub(super) registry: Registry,
-    /// Messages sent, by class — indexed by `PacketKind as usize`.
-    msgs: [Counter; PACKET_KINDS],
-    /// Event-loop dispatches, by event kind — indexed by
-    /// [`Event::obs_idx`].
-    pub(super) events: [Counter; 16],
+    /// The event loop's one observation point: each popped event is
+    /// recorded here once ([`SimObs::record`]).
+    pub(super) hook: EventHook,
     /// Algorithm 1 transitions (paper lines 7–8 and 12–13).
     pub(super) switch_to_invalidation: Counter,
     pub(super) switch_to_ttl: Counter,
@@ -61,8 +44,6 @@ pub(super) struct SimObs {
     /// Publish→adopt latency per update method, indexed like
     /// [`MethodKind::ALL`]; the last slot catches method-less nodes.
     adopt_lag: [Histogram; 6],
-    /// Messages sent but not yet arrived, by class — indexed like `msgs`.
-    pub(super) inflight: [Gauge; PACKET_KINDS],
     /// Server replicas currently holding content they know is stale
     /// (invalidation received, refresh not yet adopted).
     pub(super) stale_replicas: Gauge,
@@ -88,30 +69,14 @@ pub(super) struct SimObs {
     pub(super) user_state_bytes: Histogram,
     /// Causal update tracer (inert unless enabled on the registry).
     pub(super) tracer: Tracer,
-    /// Per-event-kind dispatch timers, indexed by [`Event::obs_idx`] —
-    /// wall-clock handler cost where the scheduler hands events to the
-    /// run loop (timeprof gate; inert unless armed).
-    pub(super) ev_timers: [HandlerTimer; 16],
-    /// Per-message-kind dispatch timers for `on_arrive`, indexed by wire
-    /// class with the tracked envelope last ([`SimObs::msg_timer`]; same
-    /// gate).
-    msg_timers: [HandlerTimer; 10],
-    /// Determinism audit chain (inert unless the registry armed it): one
-    /// fold per dispatched event, keyed on structural identity only.
-    digest: Digest,
 }
 
 impl SimObs {
-    pub(super) fn new(registry: &Registry) -> Self {
+    /// The handles on `registry`, with `hook` as the event loop's
+    /// observation point.
+    pub(super) fn new(registry: &Registry, hook: EventHook) -> Self {
         // Series sources (no-ops unless series sampling is enabled): the
-        // per-class message counters become traffic-rate series; the
         // consistency gauges are sampled directly.
-        for (msgs, _) in KIND_NAMES {
-            registry.series_rate(msgs);
-        }
-        for (_, inflight) in KIND_NAMES {
-            registry.series_gauge(inflight);
-        }
         for (_, pending) in METHOD_NAMES {
             registry.series_gauge(pending);
         }
@@ -130,14 +95,12 @@ impl SimObs {
         };
         SimObs {
             registry: registry.clone(),
-            msgs: KIND_NAMES.map(|(n, _)| registry.counter(n)),
-            events: EVENT_COUNTERS.map(|n| registry.counter(n)),
+            hook,
             switch_to_invalidation: registry.counter("sim_switch_to_invalidation"),
             switch_to_ttl: registry.counter("sim_switch_to_ttl"),
             orphan_reattach: registry.counter("sim_orphan_reattach"),
             tree_rejoin: registry.counter("sim_tree_rejoin"),
             adopt_lag: METHOD_NAMES.map(|(n, _)| registry.histogram(n)),
-            inflight: KIND_NAMES.map(|(_, n)| registry.gauge(n)),
             stale_replicas: registry.gauge("sim_stale_replicas"),
             pending_updates: METHOD_NAMES.map(|(_, n)| registry.gauge(n)),
             pending_user_updates: registry.gauge("sim_pending_updates_users"),
@@ -149,72 +112,43 @@ impl SimObs {
             node_state_bytes: profiled("sim_node_state_bytes"),
             user_state_bytes: profiled("sim_user_state_bytes"),
             tracer: registry.tracer(),
-            ev_timers: std::array::from_fn(|i| registry.handler_timer(event_label(i))),
-            msg_timers: [
-                "msg_update",
-                "msg_poll",
-                "msg_poll_unchanged",
-                "msg_invalidation",
-                "msg_method_switch",
-                "msg_tree_maintenance",
-                "msg_user_request",
-                "msg_user_response",
-                "msg_ack",
-                "msg_tracked",
-            ]
-            .map(|n| registry.handler_timer(n)),
-            digest: registry.digest(),
         }
     }
 
-    /// Folds one dispatched event's structural identity into the
-    /// determinism digest: per-kind label, acting node, simulated time, and
-    /// the variant's payload tags. Only values that are themselves
-    /// deterministic functions of the configuration enter the chain —
-    /// never wall-clock readings or addresses — so for a fixed config the
-    /// chain is bit-identical across runs and job counts.
-    pub(super) fn fold_event(&self, now: SimTime, ev: &Event) {
-        if !self.digest.is_enabled() {
+    /// Records one popped event, which left `depth` events queued, into the
+    /// hook: its kind, acting node and the variant's payload tags. Tags
+    /// enter the digest, so they are deterministic functions of the
+    /// configuration, never wall-clock readings or addresses. One branch
+    /// when the registry is disabled: tags are computed for an armed hook.
+    #[inline]
+    pub(super) fn record(&mut self, now: SimTime, ev: &Event, depth: usize) {
+        if !self.hook.is_armed() {
             return;
         }
-        let fold = |node: u32, tags: &[u64]| {
-            self.digest.fold(event_label(ev.obs_idx()), node, now.as_micros(), tags);
+        let (t_us, kind) = (now.as_micros(), ev.obs_idx());
+        let mut rec = |node: u32, tags: &[u64]| {
+            self.hook.record(EventRecord { t_us, kind, node, tags, depth });
         };
         match ev {
-            Event::Publish(idx) => fold(0, &[u64::from(*idx)]),
+            Event::Publish(idx) => rec(0, &[u64::from(*idx)]),
             Event::PollTimer(node, gen) | Event::Heartbeat(node, gen) | Event::Probe(node, gen) => {
-                fold(node.0, &[*gen])
+                rec(node.0, &[*gen])
             }
-            Event::Arrive(node, msg) => fold(node.0, &[msg.kind() as u64, msg.digest_tag()]),
-            Event::UserVisit(u) | Event::Request(u) => fold(*u, &[]),
+            Event::Arrive(node, msg) => rec(node.0, &[msg.kind() as u64, msg.digest_tag()]),
+            Event::UserVisit(u) | Event::Request(u) => rec(*u, &[]),
             Event::Fail(node)
             | Event::Recover(node)
             | Event::NodeLeave(node)
             | Event::NodeCrash(node)
-            | Event::NodeJoin(node) => fold(node.0, &[]),
-            Event::FetchTimeout(node, token) => fold(node.0, &[*token]),
-            Event::Retransmit(id, attempt) => fold(0, &[*id, u64::from(*attempt)]),
+            | Event::NodeJoin(node) => rec(node.0, &[]),
+            Event::FetchTimeout(node, token) => rec(node.0, &[*token]),
+            Event::Retransmit(id, attempt) => rec(0, &[*id, u64::from(*attempt)]),
             Event::Fill(edge, id, snap) => {
                 let obj = (u64::from(id.slot) << 32) | u64::from(id.gen);
-                fold(edge.0, &[obj, u64::from(*snap)]);
+                rec(edge.0, &[obj, u64::from(*snap)]);
             }
-            Event::Churn => fold(0, &[]),
+            Event::Churn => rec(0, &[]),
         }
-    }
-
-    pub(super) fn msg(&self, kind: PacketKind) -> &Counter {
-        &self.msgs[kind as usize]
-    }
-
-    /// The dispatch timer for an arriving message: its wire class's, except
-    /// tracked envelopes get their own (their payload recurses through
-    /// `on_arrive` and is timed under its own kind).
-    pub(super) fn msg_timer(&self, msg: &Msg) -> &HandlerTimer {
-        let slot = match msg {
-            Msg::Tracked { .. } => 9,
-            m => m.kind() as usize,
-        };
-        &self.msg_timers[slot]
     }
 
     /// The instrument slot for `method`: its [`MethodKind::ALL`] position,

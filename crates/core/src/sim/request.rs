@@ -174,8 +174,6 @@ impl CdnSimulation<'_> {
     /// the request plane models delivery latency, not loss — so every
     /// waiter queue is guaranteed a releasing fill (or the horizon).
     fn send_origin_fetch(&mut self, now: SimTime, edge: NodeId, id: ObjectId, snap: u32, kb: f64) {
-        self.obs.msg(PacketKind::OriginFetch).inc();
-        self.obs.inflight[PacketKind::OriginFetch as usize].add(1);
         let packet = Packet::origin_fetch(self.topo.provider, edge, kb);
         let (arrival, _hop) = self.net.send_traced(now, &packet, TraceCtx::NONE);
         self.sched.schedule_at(arrival, Event::Fill(edge, id, snap));
@@ -188,7 +186,6 @@ impl CdnSimulation<'_> {
     pub(super) fn on_fill(&mut self, now: SimTime, edge: NodeId, id: ObjectId, snap: u32) {
         let Some(mut wl) = self.workload.take() else { return };
         // The fetch leaves the wire here (its delivery event is the fill).
-        self.obs.inflight[PacketKind::OriginFetch as usize].sub(1);
         self.net.mark_delivered(PacketKind::OriginFetch, wl.plan.object_kb);
         wl.stats.origin_kb += wl.plan.object_kb;
         if !wl.caches[edge.index()].is_fetching(id) {

@@ -53,36 +53,30 @@ pub(super) enum Event {
     NodeJoin(NodeId),
 }
 
-/// Dispatch-counter names, one per [`Event`] kind, indexed by
-/// [`Event::obs_idx`]. Without the `sim_` prefix each is also the kind's
-/// dispatch-timer and digest label ([`event_label`]).
-pub(super) const EVENT_COUNTERS: [&str; 16] = [
-    "sim_ev_publish",
-    "sim_ev_poll_timer",
-    "sim_ev_arrive",
-    "sim_ev_user_visit",
-    "sim_ev_fail",
-    "sim_ev_recover",
-    "sim_ev_fetch_timeout",
-    "sim_ev_heartbeat",
-    "sim_ev_retransmit",
-    "sim_ev_probe",
-    "sim_ev_request",
-    "sim_ev_fill",
-    "sim_ev_churn",
-    "sim_ev_node_leave",
-    "sim_ev_node_crash",
-    "sim_ev_node_join",
+/// Each [`Event`] kind's dispatch counter and its digest and handler-time
+/// label, indexed by [`Event::obs_idx`]: the kind table of the simulation's
+/// [`EventHook`](cdnc_obs::EventHook).
+pub(super) const EVENT_KINDS: [cdnc_obs::EventKind; 16] = [
+    ("sim_ev_publish", "ev_publish"),
+    ("sim_ev_poll_timer", "ev_poll_timer"),
+    ("sim_ev_arrive", "ev_arrive"),
+    ("sim_ev_user_visit", "ev_user_visit"),
+    ("sim_ev_fail", "ev_fail"),
+    ("sim_ev_recover", "ev_recover"),
+    ("sim_ev_fetch_timeout", "ev_fetch_timeout"),
+    ("sim_ev_heartbeat", "ev_heartbeat"),
+    ("sim_ev_retransmit", "ev_retransmit"),
+    ("sim_ev_probe", "ev_probe"),
+    ("sim_ev_request", "ev_request"),
+    ("sim_ev_fill", "ev_fill"),
+    ("sim_ev_churn", "ev_churn"),
+    ("sim_ev_node_leave", "ev_node_leave"),
+    ("sim_ev_node_crash", "ev_node_crash"),
+    ("sim_ev_node_join", "ev_node_join"),
 ];
 
-/// The timer and digest label of event kind `idx` (`"ev_publish"`, …): a
-/// `'static` slice of its counter name, so labelling never allocates.
-pub(super) fn event_label(idx: usize) -> &'static str {
-    &EVENT_COUNTERS[idx]["sim_".len()..]
-}
-
 impl Event {
-    /// This event's slot in [`EVENT_COUNTERS`].
+    /// This event's slot in [`EVENT_KINDS`].
     pub(super) fn obs_idx(&self) -> usize {
         match self {
             Event::Publish(..) => 0,

@@ -6,7 +6,7 @@
 //! runs (`pool`) and which seed replicate it draws (`replicate`). Replicate
 //! 0 is the canonical run whose numbers EXPERIMENTS.md records; replicate
 //! `r > 0` re-derives every base seed through
-//! [`derive_seed`](cdnc_simcore::derive_seed), giving statistically
+//! [`derive_seed`], giving statistically
 //! independent repetitions that stay reproducible by index.
 
 use crate::scale::Scale;

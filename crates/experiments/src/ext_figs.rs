@@ -177,7 +177,7 @@ fn churn_schemes() -> [Scheme; 7] {
     ]
 }
 
-/// CLI keys for [`churn_schemes`], in the same order. These are the values
+/// CLI keys for `churn_schemes`, in the same order. These are the values
 /// `experiments checkpoint --scheme <key>` accepts and the spelling a
 /// replay artifact records.
 pub const CHURN_SCHEME_KEYS: [&str; 7] =

@@ -8,7 +8,7 @@ use crate::profile_out::write_profile_artifact;
 use crate::report::{aggregate_replicates, FigureReport};
 use crate::scale::Scale;
 use crate::timeprof_out::write_timeprof_artifact;
-use crate::trace_out::write_figure_trace;
+use crate::trace_out::{write_figure_trace, FLIGHTREC_SUBDIR};
 use crate::{run_figure_ctx, RunCtx};
 use cdnc_obs::{
     chain_hex, digest_str, json, DigestConfig, HealthMonitor, HealthMonitorConfig, Json,
@@ -55,7 +55,7 @@ pub struct ObsSettings {
     /// estimates, the memory-spike probe).
     pub profile: bool,
     /// `timeprof` subcommand: arm the registry's time-profiling gate
-    /// (hierarchical span-frame attribution, per-kind dispatch timers,
+    /// (hierarchical span-frame attribution, per-event-kind handler time,
     /// worker utilization).
     pub timeprof: bool,
     /// `--digest`: arm the determinism audit trail (chained event digests,
@@ -583,17 +583,27 @@ pub fn diff_field_counts(a: &Json, b: &Json) -> Vec<(String, usize)> {
 /// flamegraph stacks are compared by their ordered stack paths (the
 /// self-nanosecond values are wall clock), `.health.json` heartbeats are
 /// skipped entirely (live wall-clock telemetry), all other files (such as
-/// `.trace.json` in simulated time) compared byte-for-byte.
+/// `.trace.json` in simulated time) compared byte-for-byte. The
+/// flight-recorder dumps under `flightrec/`, the one subdirectory the
+/// pipeline writes, are compared by name and content under the same rules.
 /// Returns one line per difference — empty means the runs produced
 /// identical observable output, the determinism contract `--jobs`
 /// promises.
 pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
+    // Paths relative to `dir` of the top-level files and the dumps.
     let list = |dir: &Path| -> io::Result<BTreeSet<String>> {
         let mut names = BTreeSet::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.file_type()?.is_file() {
-                names.insert(entry.file_name().to_string_lossy().into_owned());
+        let dumps = (dir.join(FLIGHTREC_SUBDIR), format!("{FLIGHTREC_SUBDIR}/"));
+        for (sub, prefix) in [(dir.to_path_buf(), String::new()), dumps] {
+            // No dump directory means no dumps; a missing top level is an error.
+            if !prefix.is_empty() && !sub.is_dir() {
+                continue;
+            }
+            for entry in std::fs::read_dir(&sub)? {
+                let entry = entry?;
+                if entry.file_type()?.is_file() {
+                    names.insert(format!("{prefix}{}", entry.file_name().to_string_lossy()));
+                }
             }
         }
         Ok(names)
@@ -798,6 +808,32 @@ mod tests {
         let diffs = diff_artifact_dirs(&da, &db).unwrap();
         assert_eq!(diffs.len(), 1, "{diffs:?}");
         assert!(diffs[0].contains("stack paths differ"), "{diffs:?}");
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn dir_diff_compares_flight_recorder_dumps() {
+        let base = std::env::temp_dir().join(format!("cdnc-flight-diff-{}", std::process::id()));
+        let (da, db) = (base.join("a"), base.join("b"));
+        let dump = |seed: u64| Json::obj().field("update", seed).field("wall_s", 0.5).to_pretty();
+        for dir in [&da, &db] {
+            std::fs::create_dir_all(dir.join(FLIGHTREC_SUBDIR)).unwrap();
+            std::fs::write(dir.join("fig17.json"), dump(0)).unwrap();
+            for id in [1, 2] {
+                std::fs::write(
+                    dir.join(FLIGHTREC_SUBDIR).join(format!("fig17_u{id}.json")),
+                    dump(id),
+                )
+                .unwrap();
+            }
+        }
+        assert!(diff_artifact_dirs(&da, &db).unwrap().is_empty(), "identical dumps match");
+        std::fs::write(db.join(FLIGHTREC_SUBDIR).join("fig17_u1.json"), dump(9)).unwrap();
+        std::fs::remove_file(db.join(FLIGHTREC_SUBDIR).join("fig17_u2.json")).unwrap();
+        let diffs = diff_artifact_dirs(&da, &db).unwrap();
+        assert_eq!(diffs.len(), 2, "{diffs:?}");
+        assert!(diffs[0].starts_with("flightrec/fig17_u1.json: contents differ"), "{diffs:?}");
+        assert!(diffs[1].starts_with("flightrec/fig17_u2.json: only in"), "{diffs:?}");
         std::fs::remove_dir_all(&base).unwrap();
     }
 

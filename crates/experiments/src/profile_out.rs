@@ -44,12 +44,10 @@ fn probes_doc(snap: &MetricsSnapshot) -> Json {
     let mut inflight_peak = Json::obj();
     for kind in PacketKind::ALL {
         let suffix = kind.metric_suffix();
-        net_pkts = net_pkts.field(suffix, snap.counter(&format!("net_pkts_{suffix}")));
+        net_pkts = net_pkts.field(suffix, snap.counter(&format!("sim_msgs_{suffix}")));
         net_bytes = net_bytes.field(suffix, snap.counter(&format!("net_bytes_{suffix}")));
-        inflight_peak = inflight_peak.field(
-            suffix,
-            gauge(&format!("net_inflight_pkts_{suffix}")).map_or(0, |g| g.high_water),
-        );
+        inflight_peak = inflight_peak
+            .field(suffix, gauge(&format!("sim_inflight_{suffix}")).map_or(0, |g| g.high_water));
     }
     let mut doc = Json::obj();
     for (name, key) in [
@@ -193,7 +191,7 @@ mod tests {
     fn doc_splits_attribution_from_telemetry() {
         let reg = Registry::enabled();
         reg.enable_profiling();
-        reg.counter("net_pkts_update").add(7);
+        reg.counter("sim_msgs_update").add(7);
         reg.histogram("sched_queue_depth_at_pop").record(3.0);
         let window = synthetic_window();
         let doc = profile_doc("figX", Scale::Smoke, &window, &reg, 1.5);

@@ -5,7 +5,7 @@
 //! header naming the `ext_churn` sweep cell it reproduces (scheme, churn
 //! intensity, flash incident, scale, checkpoint time) followed by the core
 //! simulator artifact from [`cdnc_core::checkpoint`]. The header is enough
-//! to rebuild the exact [`SimConfig`](cdnc_core::SimConfig), so a replay
+//! to rebuild the exact [`SimConfig`], so a replay
 //! needs nothing but the file — no flags have to match the original run.
 //!
 //! `replay` is self-verifying: it restores the artifact, runs it forward,

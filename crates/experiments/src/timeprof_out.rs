@@ -1,7 +1,7 @@
 //! Time-profile artifact output for `experiments timeprof`: one
 //! `<figure>.timeprof.json` plus one `<figure>.folded` (collapsed-stack
 //! flamegraph input) per run, attributing the run's wall clock to the
-//! span-frame tree, per-kind dispatch handlers, and pool workers.
+//! span-frame tree, per-event-kind handlers, and pool workers.
 //!
 //! The document mirrors the deterministic/volatile split of
 //! [`crate::profile_out`]. The `frames` section (paths, first-closed
@@ -195,6 +195,7 @@ pub fn timeprof_table(snap: &TimeProfSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdnc_obs::{EventHook, EventRecord};
 
     fn synthetic_registry() -> Registry {
         let reg = Registry::enabled();
@@ -202,7 +203,9 @@ mod tests {
         {
             let _outer = reg.span("run");
             let _inner = reg.span("step");
-            let _t = reg.handler_timer("ev_publish").start();
+            let mut hook = EventHook::new(&reg, &[("sim_ev_publish", "ev_publish")], 0);
+            hook.record(EventRecord { t_us: 0, kind: 0, node: 0, tags: &[], depth: 0 });
+            hook.close(0);
         }
         reg.record_worker_use(&worker_use(&[cdnc_par::WorkerStat {
             worker: 0,

@@ -10,6 +10,21 @@ use cdnc_geo::{GeoPoint, IspId, World};
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{SimDuration, SimRng, SimTime};
 
+/// Per wire class, indexed by `PacketKind as usize`: the sent-message
+/// counter and the in-flight gauge, named as the simulator's artifacts are.
+const KIND_METRICS: [(&str, &str); PACKET_KINDS] = [
+    ("sim_msgs_update", "sim_inflight_update"),
+    ("sim_msgs_poll", "sim_inflight_poll"),
+    ("sim_msgs_poll_unchanged", "sim_inflight_poll_unchanged"),
+    ("sim_msgs_invalidation", "sim_inflight_invalidation"),
+    ("sim_msgs_method_switch", "sim_inflight_method_switch"),
+    ("sim_msgs_tree_maintenance", "sim_inflight_tree_maintenance"),
+    ("sim_msgs_user_request", "sim_inflight_user_request"),
+    ("sim_msgs_user_response", "sim_inflight_user_response"),
+    ("sim_msgs_ack", "sim_inflight_ack"),
+    ("sim_msgs_origin_fetch", "sim_inflight_origin_fetch"),
+];
+
 /// Static configuration of a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
@@ -76,17 +91,15 @@ pub struct Network {
     obs_fault_partitioned: cdnc_obs::Counter,
     obs_fault_duplicated: cdnc_obs::Counter,
     obs_fault_delayed: cdnc_obs::Counter,
-    /// Per-[`PacketKind`] accounting (indexed by `kind as usize`), armed
-    /// only when the registry has profiling enabled: cumulative packet and
-    /// byte counters plus live in-flight levels whose high-water marks show
-    /// the peak concurrent load each message class put on the network.
-    obs_kind_pkts: [cdnc_obs::Counter; PACKET_KINDS],
+    /// Per-[`PacketKind`] accounting (indexed by `kind as usize`): packets
+    /// sent and packets in flight, whose high-water marks show the peak
+    /// concurrent load each message class put on the network.
+    obs_sent: [cdnc_obs::Counter; PACKET_KINDS],
+    obs_inflight: [cdnc_obs::Gauge; PACKET_KINDS],
+    /// Byte accounting per kind and in flight, armed only when the
+    /// registry has profiling enabled.
     obs_kind_bytes: [cdnc_obs::Counter; PACKET_KINDS],
-    obs_inflight_pkts: [cdnc_obs::Gauge; PACKET_KINDS],
     obs_inflight_bytes: cdnc_obs::Gauge,
-    /// Per-kind wall-clock cost of the send path (`net_send_<kind>`),
-    /// armed by the registry's timeprof gate; inert otherwise.
-    obs_send_timers: [cdnc_obs::HandlerTimer; PACKET_KINDS],
     /// Determinism audit trail: every send folds the packet's structural
     /// identity (digest gate; inert unless armed).
     obs_digest: cdnc_obs::Digest,
@@ -141,12 +154,11 @@ impl Network {
             obs_fault_partitioned: cdnc_obs::Counter::default(),
             obs_fault_duplicated: cdnc_obs::Counter::default(),
             obs_fault_delayed: cdnc_obs::Counter::default(),
-            obs_kind_pkts: std::array::from_fn(|_| cdnc_obs::Counter::default()),
+            obs_sent: std::array::from_fn(|_| cdnc_obs::Counter::default()),
+            obs_inflight: std::array::from_fn(|_| cdnc_obs::Gauge::default()),
             obs_kind_bytes: std::array::from_fn(|_| cdnc_obs::Counter::default()),
-            obs_inflight_pkts: std::array::from_fn(|_| cdnc_obs::Gauge::default()),
             obs_inflight_bytes: cdnc_obs::Gauge::default(),
-            obs_send_timers: std::array::from_fn(|_| cdnc_obs::HandlerTimer::default()),
-            obs_digest: cdnc_obs::Digest::disabled(),
+            obs_digest: cdnc_obs::Digest::default(),
         }
     }
 
@@ -171,16 +183,16 @@ impl Network {
     /// Observation-only: never read back into delivery times.
     /// The causal tracer (if enabled on the registry) rides along too:
     /// [`Network::send_traced`] records each delivery as a hop span.
-    /// If series sampling is enabled, the uplink backlog becomes a sampled
-    /// series and the enqueue/byte counters become per-second rate series
+    /// Per [`PacketKind`], `sim_msgs_<kind>` counts packets sent and
+    /// `sim_inflight_<kind>` those not yet retired by
+    /// [`Network::mark_delivered`]. If series sampling is enabled, the
+    /// gauges become sampled series and the counters per-second rate series
     /// (packets/s and the uplink traffic rate in bytes/s).
     ///
     /// When the registry has **profiling** enabled
     /// ([`cdnc_obs::Registry::enable_profiling`]) the network additionally
-    /// arms per-[`PacketKind`] structural probes: `net_pkts_<kind>` /
-    /// `net_bytes_<kind>` counters and `net_inflight_pkts_<kind>` /
-    /// `net_inflight_bytes` gauges tracking live (sent, not yet delivered)
-    /// messages — decremented by [`Network::mark_delivered`].
+    /// arms byte probes: `net_bytes_<kind>` counters and the
+    /// `net_inflight_bytes` gauge.
     pub fn set_obs(&mut self, registry: &cdnc_obs::Registry) {
         self.obs_enqueued = registry.counter("net_packets_enqueued");
         self.obs_backlog = registry.gauge("net_uplink_backlog_ms");
@@ -194,22 +206,18 @@ impl Network {
         registry.series_gauge("net_uplink_backlog_ms");
         registry.series_rate("net_packets_enqueued");
         registry.series_rate("net_uplink_bytes");
+        for (k, (sent, inflight)) in KIND_METRICS.into_iter().enumerate() {
+            self.obs_sent[k] = registry.counter(sent);
+            self.obs_inflight[k] = registry.gauge(inflight);
+            registry.series_rate(sent);
+            registry.series_gauge(inflight);
+        }
         if registry.profiling_enabled() {
             for kind in PacketKind::ALL {
-                let suffix = kind.metric_suffix();
-                self.obs_kind_pkts[kind as usize] = registry.counter(&format!("net_pkts_{suffix}"));
                 self.obs_kind_bytes[kind as usize] =
-                    registry.counter(&format!("net_bytes_{suffix}"));
-                self.obs_inflight_pkts[kind as usize] =
-                    registry.gauge(&format!("net_inflight_pkts_{suffix}"));
+                    registry.counter(&format!("net_bytes_{}", kind.metric_suffix()));
             }
             self.obs_inflight_bytes = registry.gauge("net_inflight_bytes");
-        }
-        if registry.timeprof_enabled() {
-            for kind in PacketKind::ALL {
-                self.obs_send_timers[kind as usize] =
-                    registry.handler_timer(&format!("net_send_{}", kind.metric_suffix()));
-            }
         }
         self.obs_digest = registry.digest();
     }
@@ -280,8 +288,13 @@ impl Network {
     ///
     /// Panics if either endpoint is out of range.
     pub fn send(&mut self, now: SimTime, packet: &Packet) -> SimTime {
+        self.send_copies(now, packet, 1)
+    }
+
+    /// [`Network::send`], putting `copies` of the packet in flight: none
+    /// for a packet dropped in transit, two for one the network duplicates.
+    fn send_copies(&mut self, now: SimTime, packet: &Packet, copies: u64) -> SimTime {
         let _prof = cdnc_obs::profile::scope(cdnc_obs::profile::Subsystem::Net);
-        let _dispatch = self.obs_send_timers[packet.kind as usize].start();
         let distance = self.distance_km(packet.src, packet.dst);
         let crosses_isp = self.node(packet.src).isp() != self.node(packet.dst).isp();
         self.traffic.record_with_isp(packet, distance, crosses_isp);
@@ -292,10 +305,10 @@ impl Network {
         self.obs_queue_delay.record(queue_delay.as_secs_f64());
         self.obs_backlog.set((queue_delay.as_secs_f64() * 1e3) as u64);
         let k = packet.kind as usize;
-        self.obs_kind_pkts[k].inc();
+        self.obs_sent[k].inc();
         self.obs_kind_bytes[k].add(bytes);
-        self.obs_inflight_pkts[k].add(1);
-        self.obs_inflight_bytes.add(bytes);
+        self.obs_inflight[k].add(copies);
+        self.obs_inflight_bytes.add(bytes * copies);
         let departed = self.uplinks[packet.src.index()].transmit(now, packet.size_kb);
         let (src, dst) = (&self.nodes[packet.src.index()], &self.nodes[packet.dst.index()]);
         let arrival = departed + self.config.latency.delay(src, dst, &mut self.rng);
@@ -311,13 +324,13 @@ impl Network {
     }
 
     /// Marks one previously sent packet of `kind` / `size_kb` as delivered
-    /// (or dead), retiring it from the per-kind in-flight gauges armed by a
-    /// profiling-enabled [`Network::set_obs`]. The simulation calls this when
-    /// it processes the arrival event; [`Network::send_faulted`] calls it
-    /// itself for packets it drops in transit. Observation-only — a no-op
-    /// when profiling instruments are not armed.
+    /// (or dead at its receiver), retiring it from the in-flight gauges
+    /// armed by [`Network::set_obs`]. The simulation calls this when it
+    /// processes the arrival event; a packet [`Network::send_faulted`]
+    /// drops never counts as in flight. Observation-only — a no-op without
+    /// armed instruments.
     pub fn mark_delivered(&mut self, kind: PacketKind, size_kb: f64) {
-        self.obs_inflight_pkts[kind as usize].sub(1);
+        self.obs_inflight[kind as usize].sub(1);
         self.obs_inflight_bytes.sub((size_kb * 1024.0) as u64);
     }
 
@@ -376,11 +389,10 @@ impl Network {
         );
         match decision {
             FaultDecision::Drop { partitioned } => {
-                // Charge the sender: the packet left and died in transit.
-                let _ = self.send(now, packet);
-                // A dropped packet will never see an arrival event, so it is
-                // retired from the in-flight accounting here.
-                self.mark_delivered(packet.kind, packet.size_kb);
+                // Charge the sender: the packet left and died in transit. It
+                // will never see an arrival event, so it never counts as in
+                // flight, not even for an instant.
+                let _ = self.send_copies(now, packet, 0);
                 if partitioned {
                     self.obs_fault_partitioned.inc();
                 } else {
@@ -396,7 +408,8 @@ impl Network {
                 Deliveries::NONE
             }
             FaultDecision::Deliver { extra, duplicate_extra } => {
-                let arrival = self.send(now, packet) + extra;
+                let copies = 1 + u64::from(duplicate_extra.is_some());
+                let arrival = self.send_copies(now, packet, copies) + extra;
                 if !extra.is_zero() {
                     self.obs_fault_delayed.inc();
                 }
@@ -410,11 +423,9 @@ impl Network {
                 );
                 let mut out = Deliveries::NONE.and((arrival, hop));
                 if let Some(lag) = duplicate_extra {
+                    // The in-network copy is a second live message, in
+                    // flight until its own arrival retires it.
                     self.obs_fault_duplicated.inc();
-                    // The in-network copy is a second live message: count it
-                    // in-flight so each of the two arrivals retires one.
-                    self.obs_inflight_pkts[packet.kind as usize].add(1);
-                    self.obs_inflight_bytes.add((packet.size_kb * 1024.0) as u64);
                     let dup_arrival = arrival + lag;
                     let dup_hop = self.obs_tracer.hop(
                         ctx,
@@ -592,7 +603,8 @@ mod tests {
         net.set_obs(&reg);
         net.send(SimTime::ZERO, &Packet::update(a, b, 2.0));
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("net_pkts_update"), 0, "probes stay dark without profiling");
+        assert_eq!(snap.counter("sim_msgs_update"), 1, "per-kind counts are always armed");
+        assert_eq!(snap.counter("net_bytes_update"), 0, "byte probes stay dark without profiling");
         assert!(snap.gauges.iter().all(|(n, _)| n != "net_inflight_bytes"));
     }
 
@@ -606,11 +618,11 @@ mod tests {
         net.send(SimTime::ZERO, &Packet::update(a, b, 2.0));
         net.send(SimTime::ZERO, &Packet::poll(b, a));
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("net_pkts_update"), 2);
+        assert_eq!(snap.counter("sim_msgs_update"), 2);
         assert_eq!(snap.counter("net_bytes_update"), 2 * 2048);
-        assert_eq!(snap.counter("net_pkts_poll"), 1);
+        assert_eq!(snap.counter("sim_msgs_poll"), 1);
         assert_eq!(snap.counter("net_bytes_poll"), 1024);
-        assert_eq!(snap.counter("net_pkts_ack"), 0);
+        assert_eq!(snap.counter("sim_msgs_ack"), 0);
         let inflight = snap.gauges.iter().find(|(n, _)| n == "net_inflight_bytes").unwrap().1;
         assert_eq!(inflight.value, 2 * 2048 + 1024);
         // Deliver the poll and one update: levels fall, high water stays.
@@ -620,7 +632,7 @@ mod tests {
         let inflight = snap.gauges.iter().find(|(n, _)| n == "net_inflight_bytes").unwrap().1;
         assert_eq!(inflight.value, 2048);
         assert_eq!(inflight.high_water, 2 * 2048 + 1024);
-        let pkts = snap.gauges.iter().find(|(n, _)| n == "net_inflight_pkts_update").unwrap().1;
+        let pkts = snap.gauges.iter().find(|(n, _)| n == "sim_inflight_update").unwrap().1;
         assert_eq!((pkts.value, pkts.high_water), (1, 2));
     }
 
@@ -636,9 +648,11 @@ mod tests {
             net.send_faulted(SimTime::ZERO, &Packet::update(a, b, 2.0), cdnc_obs::TraceCtx::NONE);
         assert!(out.is_empty());
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("net_pkts_update"), 1, "the drop still left the sender");
-        let inflight = snap.gauges.iter().find(|(n, _)| n == "net_inflight_bytes").unwrap().1;
-        assert_eq!(inflight.value, 0, "a dropped packet retires immediately");
+        assert_eq!(snap.counter("sim_msgs_update"), 1, "the drop still left the sender");
+        for name in ["net_inflight_bytes", "sim_inflight_update"] {
+            let inflight = snap.gauges.iter().find(|(n, _)| n == name).unwrap().1;
+            assert_eq!(inflight.high_water, 0, "{name}: a dropped packet is never in flight");
+        }
 
         let cfg = crate::FaultConfig { dup_prob: 1.0, ..crate::FaultConfig::none() };
         net.set_fault_plane(crate::FaultPlane::new(cfg, 1, 2));

@@ -1,8 +1,8 @@
 //! Determinism audit trail: a chained 64-bit digest over the simulation's
 //! structural event stream.
 //!
-//! Every fold point (scheduler pop, event dispatch, message send/arrive,
-//! network send) mixes the event's *structural identity* — sim-time,
+//! Every fold point (each pop and event dispatch, through
+//! [`EventHook`](crate::EventHook), and each network send) mixes the event's *structural identity* — sim-time,
 //! event/message kind label, node ids, payload tags — into a running chain.
 //! Wall-clock readings, pointer values and trace contexts are never folded,
 //! so two runs of the same scenario produce bit-identical chains regardless
@@ -370,18 +370,8 @@ impl DigestSnapshot {
 pub struct Digest(Option<Arc<DigestCore>>);
 
 impl Digest {
-    /// The inert handle disabled registries hand out.
-    pub fn disabled() -> Self {
-        Digest(None)
-    }
-
     pub(crate) fn from_core(core: Option<Arc<DigestCore>>) -> Self {
         Digest(core)
-    }
-
-    /// `true` when folds are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Folds one event's structural identity into the chain. `label` names
@@ -557,8 +547,8 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert() {
-        let d = Digest::disabled();
-        assert!(!d.is_enabled());
+        let d = Digest::default();
+        assert!(d.0.is_none());
         d.fold("ev", 0, 0, &[]); // must not panic
     }
 

@@ -6,7 +6,7 @@
 //! hours-long sweep is doing without touching its determinism. The counters
 //! live in one [`HealthState`] shared by the parent registry and every
 //! shard (shards clone the `Arc`, absorb is a no-op), updated with relaxed
-//! atomics from the scheduler hot path — one fetch-add per event when
+//! atomics from the event loop's hook — one fetch-add per event when
 //! armed, one branch when not.
 //!
 //! The [`HealthMonitor`] heartbeat thread samples the state every tick into
@@ -34,7 +34,7 @@ pub const DEFAULT_STALL_AFTER_MS: u64 = 10_000;
 /// results or digests).
 #[derive(Debug, Default)]
 pub struct HealthState {
-    /// Scheduler events processed, all workers.
+    /// Events processed, all workers.
     pub events: AtomicU64,
     /// Most recently observed sim-time, µs (last writer wins across
     /// workers — a "recent progress" indicator, not a total order).
@@ -54,11 +54,6 @@ pub struct HealthState {
 pub struct Health(Option<Arc<HealthState>>);
 
 impl Health {
-    /// The inert handle disabled registries hand out.
-    pub fn disabled() -> Self {
-        Health(None)
-    }
-
     pub(crate) fn from_state(state: Option<Arc<HealthState>>) -> Self {
         Health(state)
     }
@@ -67,12 +62,7 @@ impl Health {
         self.0.as_ref()
     }
 
-    /// `true` when health counters are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// One scheduler event processed at sim-time `t_us`.
+    /// One event processed at sim-time `t_us`.
     #[inline]
     pub fn tick(&self, t_us: u64) {
         if let Some(s) = &self.0 {
@@ -294,8 +284,8 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert() {
-        let h = Health::disabled();
-        assert!(!h.is_enabled());
+        let h = Health::default();
+        assert!(h.0.is_none());
         h.tick(5);
         h.add_sims(3);
         h.sim_done();

@@ -183,7 +183,7 @@ const MAX_DEPTH: usize = 256;
 /// [`Json::to_pretty`] (or any standard JSON text) back into a [`Json`]
 /// tree. Intended for tests that validate written artifacts; numbers all
 /// land in `f64`, so integers beyond 2^53 lose precision. Documents nested
-/// deeper than [`MAX_DEPTH`] levels are an error.
+/// deeper than `MAX_DEPTH` levels are an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();

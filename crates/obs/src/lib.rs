@@ -14,7 +14,7 @@
 //! - **Causal tracing** ([`Registry::enable_tracing`]): one span per hop
 //!   of every update's journey, exported as Chrome trace-event JSON, with
 //!   a [`FlightRecorder`] that keeps the full tree of anomalous updates.
-//! - **Time series** ([`Registry::enable_series`]): scheduler-driven
+//! - **Time series** ([`Registry::enable_series`]): event-loop-driven
 //!   sim-time sampling of registered gauges/counters (and derived rates)
 //!   into fixed-capacity series with deterministic LTTB downsampling.
 //! - **Determinism audit trail** ([`Registry::enable_digest`]): a chained
@@ -22,7 +22,9 @@
 //!   periodic checkpoints — the divergence-bisection substrate.
 //! - **Profiling** ([`Registry::enable_profiling`],
 //!   [`Registry::enable_timeprof`]): structural memory probes, and
-//!   per-handler dispatch timers with worker utilization.
+//!   per-event-kind handler time with worker utilization.
+//! - **The event hook** ([`EventHook`]): the event loop's one observation
+//!   point, feeding every armed plane from one record per popped event.
 //! - **Run health** ([`Registry::enable_health`]): wall-clock progress
 //!   counters, a heartbeat file writer, and a stall watchdog.
 //!
@@ -46,6 +48,7 @@ pub mod chrome;
 pub mod digest;
 pub mod flight;
 pub mod health;
+pub mod hook;
 pub mod json;
 pub mod metrics;
 pub mod profile;
@@ -65,6 +68,7 @@ pub use health::{
     vm_hwm_kb, vm_rss_kb, Health, HealthMonitor, HealthMonitorConfig, HealthSnapshot,
     DEFAULT_HEARTBEAT_MS, DEFAULT_STALL_AFTER_MS,
 };
+pub use hook::{EventHook, EventKind, EventRecord};
 pub use json::{parse, Json};
 pub use metrics::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
@@ -80,8 +84,8 @@ pub use series::{
     SERIES_CAPACITY,
 };
 pub use timeprof::{
-    detach_spans, parse_folded, to_folded, DetachedSpans, HandlerGuard, HandlerTimer, PhaseTiming,
-    SpanGuard, TimeProfSnapshot, WorkerUse,
+    detach_spans, parse_folded, to_folded, DetachedSpans, PhaseTiming, SpanGuard, TimeProfSnapshot,
+    WorkerUse,
 };
 pub use trace::{
     CriticalPath, PathStep, PropagationTree, SpanId, SpanKind, SpanRecord, SpanStore, StoreSummary,

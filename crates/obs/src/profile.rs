@@ -21,7 +21,7 @@
 //!   get the bytes/allocs/peak-live attributable to that window, excluding
 //!   process-startup noise.
 //! - **An allocation-spike detector** ([`SpikeDetector`], [`MemProbe`]):
-//!   ticked from the scheduler clock, it compares per-interval allocated
+//!   ticked with the simulation clock, it compares per-interval allocated
 //!   bytes against a running median and records a `memory_spike` control
 //!   span (plus a `profile_mem_spikes` counter) when an interval exceeds a
 //!   configurable multiple of it.
@@ -609,7 +609,7 @@ pub struct MemProbeCore {
     tracer: Tracer,
 }
 
-/// A scheduler-ticked allocation-spike probe (inert when profiling is not
+/// A sim-clock-ticked allocation-spike probe (inert when profiling is not
 /// armed on the registry). On every cadence boundary of *simulated* time it
 /// reads the process allocation total, feeds the interval delta to a
 /// [`SpikeDetector`], and records a `memory_spike` control span plus a

@@ -24,13 +24,8 @@ use crate::digest::{Digest, DigestConfig, DigestCore, DigestSnapshot};
 use crate::health::{Health, HealthSnapshot, HealthState};
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, GaugeCore, Histogram, HistogramCore, HistogramSnapshot};
-use crate::profile::{MemProbe, DEFAULT_SPIKE_MULTIPLE};
-use crate::series::{
-    Sampler, SeriesCore, SeriesKind, SeriesSnapshot, SourceCell, DEFAULT_CADENCE_US,
-};
-use crate::timeprof::{
-    FrameTree, HandlerTimer, PhaseTiming, SpanGuard, TimeProfCore, TimeProfSnapshot,
-};
+use crate::series::{Sampler, SeriesCore, SeriesKind, SeriesSnapshot, SourceCell};
+use crate::timeprof::{FrameTree, PhaseTiming, SpanGuard, TimeProfCore, TimeProfSnapshot};
 use crate::trace::{Tracer, TracerCore};
 use parking_lot::Mutex;
 use std::sync::atomic::AtomicU64;
@@ -151,11 +146,11 @@ impl Registry {
         self.arm(|i| &i.series, || Arc::new(SeriesCore::new(cadence_us)));
     }
 
-    /// Arms the profiling structural probes: the scheduler's queue-depth
-    /// log-histogram at pop time, per-`PacketKind` packet/byte accounting
-    /// in the network, per-node state-size estimation in the simulator,
-    /// and the allocation-spike probe ([`Registry::mem_probe`]). Like
-    /// tracing/series this is an opt-in gate mirrored by
+    /// Arms the profiling structural probes: the queue-depth log-histogram
+    /// at pop time and the allocation-spike probe (both fed by
+    /// [`EventHook`](crate::EventHook)), per-`PacketKind` byte accounting
+    /// in the network, and per-node state-size estimation in the
+    /// simulator. Like tracing/series this is an opt-in gate mirrored by
     /// [`Registry::shard`] — the probes record through ordinary interned
     /// instruments, so `--jobs N` merges bit-identically.
     ///
@@ -171,32 +166,15 @@ impl Registry {
         self.armed(|i| &i.profile).is_some()
     }
 
-    /// A fresh allocation-spike probe wired to this registry's
-    /// `profile_mem_spikes` counter and tracer (inert unless profiling is
-    /// armed). It judges every [`DEFAULT_CADENCE_US`] of simulated time
-    /// against [`DEFAULT_SPIKE_MULTIPLE`]. Each scheduler mints its own
-    /// probe in `set_obs`, so probe state stays per-simulation while the
-    /// instruments merge as usual.
-    pub fn mem_probe(&self) -> MemProbe {
-        if !self.profiling_enabled() {
-            return MemProbe::default();
-        }
-        MemProbe::armed(
-            DEFAULT_CADENCE_US,
-            DEFAULT_SPIKE_MULTIPLE,
-            self.counter("profile_mem_spikes"),
-            self.tracer(),
-        )
-    }
-
-    /// Arms the hot-path time profiler: per-event-kind dispatch timers
-    /// ([`Registry::handler_timer`]) and per-worker utilization accounting
-    /// ([`Registry::record_worker_use`]) start recording, and
-    /// [`Registry::timeprof_snapshot`] returns `Some`. Like the other
-    /// opt-in gates this is mirrored by [`Registry::shard`] and merged in
-    /// task order by [`Registry::absorb`]: dispatch *counts* and frame
-    /// structure are bit-identical at any `--jobs`, while the nanosecond
-    /// moments and worker stats are volatile wall-clock telemetry.
+    /// Arms the hot-path time profiler: per-event-kind handler time
+    /// (charged at event boundaries by [`EventHook`](crate::EventHook)) and
+    /// per-worker utilization accounting ([`Registry::record_worker_use`])
+    /// start recording, and [`Registry::timeprof_snapshot`] returns `Some`.
+    /// Like the other opt-in gates this is mirrored by [`Registry::shard`]
+    /// and merged in task order by [`Registry::absorb`]: handler *counts*
+    /// and frame structure are bit-identical at any `--jobs`, while the
+    /// nanosecond moments and worker stats are volatile wall-clock
+    /// telemetry.
     pub fn enable_timeprof(&self) {
         self.arm(|i| &i.timeprof, Arc::default);
     }
@@ -206,14 +184,9 @@ impl Registry {
         self.armed(|i| &i.timeprof).is_some()
     }
 
-    /// The dispatch timer labelled `label` (inert unless timeprof is
-    /// armed). Handles are minted once per run — typically one per event
-    /// or message kind — and started on each dispatch.
-    pub fn handler_timer(&self, label: &str) -> HandlerTimer {
-        match self.armed(|i| &i.timeprof) {
-            None => HandlerTimer::default(),
-            Some(core) => core.handlers.timer(label),
-        }
+    /// The time profiler's state, if armed.
+    pub(crate) fn timeprof_core(&self) -> Option<&TimeProfCore> {
+        self.armed(|i| &i.timeprof).map(Arc::as_ref)
     }
 
     /// Accumulates one parallel map's per-worker utilization. No-op
@@ -258,8 +231,8 @@ impl Registry {
     }
 
     /// A fold handle on the audit trail (inert when disabled or digest not
-    /// armed). Fold points grab the handle once in their `set_obs` and fold
-    /// through it on the hot path.
+    /// armed). Fold points grab the handle once and fold through it on the
+    /// hot path.
     pub fn digest(&self) -> Digest {
         Digest::from_core(self.armed(|i| &i.digest).cloned())
     }
@@ -761,16 +734,24 @@ mod tests {
 
     #[test]
     fn timeprof_gated_behind_enable_and_mirrored_by_shard() {
+        const KINDS: &[crate::EventKind] = &[("n_publish", "ev_publish"), ("n_probe", "ev_probe")];
+        // One simulation recording `kinds` through its hook, then closing.
+        let run = |reg: &Registry, kinds: &[usize]| {
+            let mut hook = crate::EventHook::new(reg, KINDS, 0);
+            for &kind in kinds {
+                hook.record(crate::EventRecord { t_us: 0, kind, node: 0, tags: &[], depth: 0 });
+            }
+            hook.close(0);
+        };
         let reg = Registry::enabled();
         assert!(!reg.timeprof_enabled(), "timeprof is opt-in even when enabled");
         assert!(reg.timeprof_snapshot().is_none());
-        drop(reg.handler_timer("ev_publish").start()); // inert before arming
+        run(&reg, &[0]); // inert before arming
         reg.enable_timeprof();
-        drop(reg.handler_timer("ev_publish").start());
+        run(&reg, &[0]);
         let shard = reg.shard();
         assert!(shard.timeprof_enabled(), "shard mirrors the arming");
-        drop(shard.handler_timer("ev_publish").start());
-        drop(shard.handler_timer("ev_probe").start());
+        run(&shard, &[0, 1]);
         shard.record_worker_use(&[crate::timeprof::WorkerUse {
             worker: 0,
             busy_ns: 10,
@@ -781,7 +762,7 @@ mod tests {
         let snap = reg.timeprof_snapshot().expect("armed");
         let labels: Vec<(&str, u64)> =
             snap.handlers.iter().map(|(n, h)| (n.as_str(), h.count)).collect();
-        assert_eq!(labels, [("ev_probe", 1), ("ev_publish", 2)], "pre-arming start dropped");
+        assert_eq!(labels, [("ev_probe", 1), ("ev_publish", 2)], "pre-arming record dropped");
         assert_eq!(snap.workers.len(), 1);
         assert_eq!(snap.workers[0].tasks, 2);
 

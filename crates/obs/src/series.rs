@@ -1,9 +1,10 @@
 //! Sim-time time-series sampling: the third leg of `cdnc-obs`.
 //!
-//! [`crate::Registry::enable_series`] attaches a [`SeriesCore`] to a
+//! [`crate::Registry::enable_series`] attaches a `SeriesCore` to a
 //! registry; instrumented components then register *sources* — named
-//! gauges or counters to snapshot — and the scheduler drives the
-//! [`Sampler`] handle with the simulation clock. Whenever the clock
+//! gauges or counters to snapshot — and the event loop's
+//! [`EventHook`](crate::EventHook) drives the [`Sampler`] handle with the
+//! simulation clock. Whenever the clock
 //! crosses a cadence boundary every source is sampled at that boundary,
 //! so a run yields one aligned `(sim-time, value)` series per source.
 //!
@@ -156,7 +157,8 @@ impl SeriesCore {
     }
 
     /// Registers a source; a `(name, kind)` pair already present is left
-    /// untouched so repeated `set_obs` calls stay idempotent.
+    /// untouched, so every simulation sharing a registry can register its
+    /// sources.
     pub(crate) fn add_source(&self, name: &str, kind: SeriesKind, cell: SourceCell) {
         let mut state = self.state.lock();
         if state.sources.iter().any(|s| s.name == name && s.kind == kind) {
@@ -269,7 +271,7 @@ impl SeriesCore {
     }
 }
 
-/// Cloneable handle the scheduler drives; inert (`None`) unless series
+/// Cloneable handle the event hook drives; inert (`None`) unless series
 /// sampling is enabled on the registry.
 #[derive(Debug, Clone, Default)]
 pub struct Sampler(pub(crate) Option<Arc<SeriesCore>>);

@@ -1,7 +1,8 @@
 //! Hot-path time attribution: the hierarchical frame tree behind
-//! [`Registry::span`](crate::Registry::span), per-event-kind dispatch
-//! timers, worker-utilization accounting, and the collapsed-stack
-//! ("folded") flamegraph export.
+//! [`Registry::span`](crate::Registry::span), the per-event-kind handler
+//! table that [`EventHook`](crate::EventHook) charges at event boundaries,
+//! worker-utilization accounting, and the collapsed-stack ("folded")
+//! flamegraph export.
 //!
 //! # Phase timers
 //!
@@ -13,7 +14,7 @@
 //! # Frame tree
 //!
 //! Span paths are interned into frame ids once: every `(parent, name)`
-//! pair maps to one [`Frame`] holding its invocation count, total
+//! pair maps to one `Frame` holding its invocation count, total
 //! nanoseconds, and the time attributed to child frames (so self time is
 //! `total - children`). The per-thread stack of open spans holds frame
 //! *ids*, not composed path strings, so the hot enter/exit path performs
@@ -24,7 +25,7 @@
 //!
 //! Like the rest of the crate, everything here is observation-only: wall
 //! clock feeds histograms and frame totals but never simulation state.
-//! Frame *structure* (paths, order, counts) and per-kind dispatch
+//! Frame *structure* (paths, order, counts) and per-kind handler
 //! *counts* are deterministic and survive `shard`/`absorb` bit-identically
 //! at any `--jobs`; the nanosecond moments are volatile telemetry.
 
@@ -300,7 +301,7 @@ pub fn parse_folded(text: &str) -> Option<Vec<(String, u128)>> {
         .collect()
 }
 
-/// Per-kind dispatch-cost accumulators: label -> log-scale latency
+/// Per-kind handler-time accumulators: label -> log-scale latency
 /// histogram (seconds), the same bucket layout as `metrics.rs`. Counts
 /// are dispatch counts (deterministic); moments are wall clock.
 #[derive(Debug, Default)]
@@ -309,19 +310,18 @@ pub(crate) struct HandlerStats {
 }
 
 impl HandlerStats {
-    /// The timer labelled `label`, interning it on first use. Handles are
-    /// minted once per run (cold path) and shared on hot paths.
-    pub(crate) fn timer(&self, label: &str) -> HandlerTimer {
+    /// The cell labelled `label`, interning it on first use. Cells are
+    /// fetched once per run (cold path) and charged on hot paths.
+    pub(crate) fn cell(&self, label: &str) -> Arc<HistogramCore> {
         let mut kinds = self.kinds.lock();
-        let cell = match kinds.iter().find(|(n, _)| n == label) {
+        match kinds.iter().find(|(n, _)| n == label) {
             Some((_, c)) => Arc::clone(c),
             None => {
                 let c = Arc::new(HistogramCore::default());
                 kinds.push((label.to_owned(), Arc::clone(&c)));
                 c
             }
-        };
-        HandlerTimer(Some(cell))
+        }
     }
 
     /// Labels and histogram contents, sorted by label.
@@ -338,38 +338,9 @@ impl HandlerStats {
 
     pub(crate) fn absorb(&self, other: &HandlerStats) {
         for (label, snap) in other.snapshot() {
-            if snap.count == 0 {
-                continue;
+            if snap.count > 0 {
+                merge_into_core(&self.cell(&label), &snap);
             }
-            if let HandlerTimer(Some(mine)) = self.timer(&label) {
-                merge_into_core(&mine, &snap);
-            }
-        }
-    }
-}
-
-/// A pre-minted per-kind dispatch timer. A handle from an unarmed or
-/// disabled registry is `None` inside, so the off cost is one branch.
-#[derive(Debug, Clone, Default)]
-pub struct HandlerTimer(pub(crate) Option<Arc<HistogramCore>>);
-
-impl HandlerTimer {
-    /// Starts timing one dispatch; the guard records seconds on drop.
-    #[inline]
-    pub fn start(&self) -> HandlerGuard {
-        HandlerGuard(self.0.as_ref().map(|core| (Arc::clone(core), Instant::now())))
-    }
-}
-
-/// An open dispatch-timing scope; see [`HandlerTimer::start`].
-#[must_use = "the guard measures the scope it is alive for"]
-#[derive(Debug)]
-pub struct HandlerGuard(Option<(Arc<HistogramCore>, Instant)>);
-
-impl Drop for HandlerGuard {
-    fn drop(&mut self) {
-        if let Some((core, start)) = self.0.take() {
-            Histogram(Some(core)).record(start.elapsed().as_secs_f64());
         }
     }
 }
@@ -394,7 +365,7 @@ pub struct WorkerUse {
     pub tasks: u64,
 }
 
-/// Backing store for the timeprof opt-in gate: per-kind dispatch
+/// Backing store for the timeprof opt-in gate: per-kind handler
 /// histograms plus accumulated worker utilization.
 #[derive(Debug, Default)]
 pub(crate) struct TimeProfCore {
@@ -436,7 +407,7 @@ pub struct TimeProfSnapshot {
     /// Frame timings in first-closed order. Paths, order, and counts are
     /// deterministic; nanoseconds are wall clock.
     pub frames: Vec<(String, PhaseTiming)>,
-    /// Per-kind dispatch histograms (seconds), sorted by label. Counts
+    /// Per-kind handler histograms (seconds), sorted by label. Counts
     /// are deterministic; moments are wall clock.
     pub handlers: Vec<(String, HistogramSnapshot)>,
     /// Per-worker utilization accumulated across parallel maps (volatile).
@@ -514,25 +485,20 @@ mod tests {
     #[test]
     fn handler_stats_count_and_merge() {
         let a = HandlerStats::default();
-        let t = a.timer("ev_publish");
+        let t = Histogram(Some(a.cell("ev_publish")));
         for _ in 0..3 {
-            drop(t.start());
+            t.record(1e-6);
         }
         let b = HandlerStats::default();
-        drop(b.timer("ev_publish").start());
-        drop(b.timer("ev_probe").start());
+        Histogram(Some(b.cell("ev_publish"))).record(1e-6);
+        Histogram(Some(b.cell("ev_probe"))).record(1e-6);
+        let _ = b.cell("ev_fail"); // interned but never charged: not merged
         a.absorb(&b);
         let snap = a.snapshot();
         let labels: Vec<&str> = snap.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(labels, ["ev_probe", "ev_publish"], "sorted by label");
         assert_eq!(snap[1].1.count, 4);
         assert_eq!(snap[0].1.count, 1);
-    }
-
-    #[test]
-    fn disabled_handler_timer_is_inert() {
-        let t = HandlerTimer::default();
-        drop(t.start());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Causal update-propagation tracing.
 //!
-//! Where [`crate::span`] times *phases* of the host program in wall-clock
-//! time, this module records *simulated* causality: every published update
+//! Where [`Registry::span`](crate::Registry::span) times *phases* of the
+//! host program in wall-clock time, this module records *simulated*
+//! causality: every published update
 //! gets a [`TraceId`], and each step of its journey — the network hops, the
 //! adoption or rejection at each replica, the user views — appends a
 //! [`SpanRecord`] linked to its causal parent. The result is a per-update
@@ -266,7 +267,7 @@ struct TracerState {
 #[derive(Default)]
 pub struct TracerCore {
     state: Mutex<TracerState>,
-    /// Latest simulated instant any attached scheduler reached.
+    /// Latest simulated instant any attached event loop reached.
     horizon_us: AtomicU64,
 }
 
@@ -452,7 +453,7 @@ impl Tracer {
         });
     }
 
-    /// Advances the recorded simulation horizon (driven by the scheduler's
+    /// Advances the recorded simulation horizon (driven by the simulation
     /// clock as events are processed).
     #[inline]
     pub fn tick(&self, now_us: u64) {

@@ -8,15 +8,14 @@ use crate::ckpt::{Ckpt, CkptError};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use cdnc_obs::profile::{self, Subsystem};
-use cdnc_obs::{
-    Counter, Digest, Gauge, HandlerTimer, Health, Histogram, MemProbe, Registry, Sampler, Tracer,
-};
 
 /// Drives a simulation: owns the clock and the pending-event queue.
 ///
 /// Handlers pull events with [`Scheduler::next`], which advances the clock to
 /// the event's timestamp. Scheduling into the past is a logic error and
-/// panics, which catches causality bugs at their source.
+/// panics, which catches causality bugs at their source. The scheduler
+/// observes nothing: an event loop that wants metrics hands each popped
+/// event to a [`cdnc_obs::EventHook`].
 ///
 /// # Examples
 ///
@@ -43,25 +42,6 @@ pub struct Scheduler<E> {
     now: SimTime,
     horizon: Option<SimTime>,
     processed: u64,
-    /// Observation-only instrumentation: never read back into scheduling.
-    obs_processed: Counter,
-    obs_depth: Gauge,
-    obs_tracer: Tracer,
-    obs_sampler: Sampler,
-    /// Queue occupancy observed by each pop (profiling probe; inert
-    /// unless the registry armed profiling).
-    obs_pop_depth: Histogram,
-    /// Allocation-spike probe ticked with the clock (same gate).
-    obs_mem_probe: MemProbe,
-    /// Wall-clock cost of the pop + clock-advance step itself — the
-    /// scheduler's share of the dispatch path (timeprof gate; inert
-    /// unless the registry armed time profiling).
-    obs_pop_timer: HandlerTimer,
-    /// Determinism audit trail: every pop folds its sim-time and the
-    /// post-pop queue depth (digest gate; inert unless armed).
-    obs_digest: Digest,
-    /// Run-health progress counter ticked with the clock (health gate).
-    obs_health: Health,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -73,59 +53,7 @@ impl<E> Default for Scheduler<E> {
 impl<E> Scheduler<E> {
     /// Creates a scheduler with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Scheduler {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            horizon: None,
-            processed: 0,
-            obs_processed: Counter::default(),
-            obs_depth: Gauge::default(),
-            obs_tracer: Tracer::default(),
-            obs_sampler: Sampler::default(),
-            obs_pop_depth: Histogram::default(),
-            obs_mem_probe: MemProbe::default(),
-            obs_pop_timer: HandlerTimer::default(),
-            obs_digest: Digest::disabled(),
-            obs_health: Health::disabled(),
-        }
-    }
-
-    /// Attaches metrics: `sched_events_processed` (counter) and
-    /// `sched_queue_depth` (gauge whose high-water mark is the largest
-    /// pending-event backlog seen). With a disabled registry the handles
-    /// are inert — the hot-path cost is one branch per operation.
-    /// The causal tracer (if enabled on the registry) also rides along:
-    /// [`Scheduler::next`] advances its recorded horizon with the clock.
-    /// If series sampling is enabled, `sched_queue_depth` (gauge) and
-    /// `sched_events_processed` (rate = events/sec) become sampled series
-    /// and the sampler is ticked with the clock; attaching marks a fresh
-    /// sampling segment because this scheduler's clock starts at zero.
-    /// If profiling is armed, `sched_queue_depth_at_pop` (log-histogram of
-    /// queue occupancy at each pop) and the allocation-spike probe ride
-    /// along too. If time profiling is armed, each pop's own wall-clock
-    /// cost folds into the `sched_pop` dispatch timer — the scheduler's
-    /// share of handing events to handlers.
-    pub fn set_obs(&mut self, registry: &Registry) {
-        self.obs_processed = registry.counter("sched_events_processed");
-        self.obs_depth = registry.gauge("sched_queue_depth");
-        self.obs_depth.set(self.queue.len() as u64);
-        self.obs_tracer = registry.tracer();
-        self.obs_sampler = registry.sampler();
-        self.obs_sampler.begin_segment();
-        registry.series_gauge("sched_queue_depth");
-        registry.series_rate("sched_events_processed");
-        self.obs_pop_depth = if registry.profiling_enabled() {
-            registry.histogram("sched_queue_depth_at_pop")
-        } else {
-            Histogram::default()
-        };
-        self.obs_mem_probe = registry.mem_probe();
-        self.obs_pop_timer = registry.handler_timer("sched_pop");
-        self.obs_digest = registry.digest();
-        self.obs_health = registry.health();
-        if let Some(h) = self.horizon {
-            self.obs_health.set_horizon(h.as_micros());
-        }
+        Scheduler { queue: EventQueue::new(), now: SimTime::ZERO, horizon: None, processed: 0 }
     }
 
     /// Creates a scheduler that silently stops yielding events past `horizon`
@@ -165,8 +93,7 @@ impl<E> Scheduler<E> {
     /// Walks the dynamic scheduler state: the clock, the processed-event
     /// count, and the exact pending queue (see [`EventQueue::persist`]), each
     /// event through `event`. Restored runs pop — and digest — identically
-    /// to the saved one. Instrumentation handles are not part of the
-    /// artifact: they are rewired by [`Scheduler::set_obs`].
+    /// to the saved one.
     pub fn persist<'a>(
         &mut self,
         c: &mut Ckpt<'a>,
@@ -177,11 +104,7 @@ impl<E> Scheduler<E> {
     {
         c.time("sched_now", &mut self.now)?;
         c.u64("sched_processed", &mut self.processed)?;
-        self.queue.persist(c, self.now, event)?;
-        if c.is_reading() {
-            self.obs_depth.set(self.queue.len() as u64);
-        }
-        Ok(())
+        self.queue.persist(c, self.now, event)
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -193,14 +116,12 @@ impl<E> Scheduler<E> {
         assert!(at >= self.now, "scheduled into the past: {} < {}", at, self.now);
         let _prof = profile::scope(Subsystem::Scheduler);
         self.queue.push(at, event);
-        self.obs_depth.set(self.queue.len() as u64);
     }
 
     /// Schedules `event` after the relative delay `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         let _prof = profile::scope(Subsystem::Scheduler);
         self.queue.push(self.now + delay, event);
-        self.obs_depth.set(self.queue.len() as u64);
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
@@ -217,12 +138,6 @@ impl<E> Scheduler<E> {
                 return None;
             }
         }
-        // Occupancy the pop observes (only when it will succeed: one
-        // histogram sample per delivered event).
-        if !self.queue.is_empty() {
-            self.obs_pop_depth.record(self.queue.len() as f64);
-        }
-        let _dispatch = self.obs_pop_timer.start();
         let (t, e) = {
             let _prof = profile::scope(Subsystem::Scheduler);
             self.queue.pop()?
@@ -230,15 +145,6 @@ impl<E> Scheduler<E> {
         debug_assert!(t >= self.now, "event queue yielded a past event");
         self.now = t;
         self.processed += 1;
-        self.obs_processed.inc();
-        self.obs_depth.set(self.queue.len() as u64);
-        self.obs_tracer.tick(t.as_micros());
-        self.obs_sampler.tick(t.as_micros());
-        self.obs_mem_probe.tick(t.as_micros());
-        // Structural identity only: sim-time and post-pop backlog, both
-        // deterministic — never wall-clock readings.
-        self.obs_digest.fold("sched_pop", 0, t.as_micros(), &[self.queue.len() as u64]);
-        self.obs_health.tick(t.as_micros());
         Some((t, e))
     }
 }
@@ -246,6 +152,7 @@ impl<E> Scheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdnc_obs::{EventHook, EventRecord, Registry};
 
     #[derive(Debug, PartialEq)]
     enum Ev {
@@ -295,102 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_processing_and_backlog() {
-        let reg = cdnc_obs::Registry::enabled();
-        let mut s = Scheduler::new();
-        s.set_obs(&reg);
-        s.schedule_in(SimDuration::from_secs(1), Ev::A);
-        s.schedule_in(SimDuration::from_secs(2), Ev::B);
-        while s.next().is_some() {}
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("sched_events_processed"), 2);
-        let depth = snap.gauges.iter().find(|(n, _)| n == "sched_queue_depth").unwrap().1;
-        assert_eq!(depth.high_water, 2);
-        assert_eq!(depth.value, 0);
-    }
-
-    #[test]
-    fn tracer_horizon_follows_clock() {
-        let reg = cdnc_obs::Registry::enabled();
-        reg.enable_tracing();
-        let mut s = Scheduler::new();
-        s.set_obs(&reg);
-        s.schedule_in(SimDuration::from_secs(5), Ev::A);
-        while s.next().is_some() {}
-        assert_eq!(reg.tracer().store().horizon_us, 5_000_000);
-    }
-
-    #[test]
-    fn sampler_records_queue_depth_and_event_rate_series() {
-        let reg = cdnc_obs::Registry::enabled();
-        reg.enable_series(1_000_000); // sample every simulated second
-        let mut s = Scheduler::new();
-        s.set_obs(&reg);
-        for i in 1..=5 {
-            s.schedule_in(SimDuration::from_secs(i), Ev::A);
-        }
-        while s.next().is_some() {}
-        let snap = reg.series_snapshot();
-        let depth = snap.get("sched_queue_depth", cdnc_obs::SeriesKind::Gauge).unwrap();
-        assert_eq!(depth.points.len(), 5, "one sample per 1 s event");
-        assert_eq!(depth.points[0], cdnc_obs::SeriesPoint { t_us: 1_000_000, value: 4.0 });
-        assert_eq!(depth.points[4].value, 0.0, "queue drains by the last sample");
-        let rate = snap.get("sched_events_processed", cdnc_obs::SeriesKind::Rate).unwrap();
-        assert!(rate.points.iter().skip(1).all(|p| p.value == 1.0), "1 event/s steady state");
-    }
-
-    #[test]
-    fn disabled_obs_changes_nothing() {
-        let mut a = Scheduler::new();
-        let mut b = Scheduler::new();
-        b.set_obs(&cdnc_obs::Registry::disabled());
-        for s in [&mut a, &mut b] {
-            s.schedule_in(SimDuration::from_secs(1), Ev::A);
-        }
-        assert_eq!(a.next().unwrap(), b.next().unwrap());
-    }
-
-    #[test]
-    fn pop_depth_histogram_matches_ground_truth() {
-        let reg = cdnc_obs::Registry::enabled();
-        reg.enable_profiling();
-        let mut s = Scheduler::new();
-        s.set_obs(&reg);
-        // Interleave schedules and pops, tracking the depth each pop sees.
-        let mut expected: Vec<u64> = Vec::new();
-        for i in 1..=4u64 {
-            s.schedule_in(SimDuration::from_secs(i), Ev::A);
-        }
-        expected.push(4);
-        s.next().unwrap();
-        s.schedule_in(SimDuration::from_secs(10), Ev::B);
-        while s.pending() > 0 {
-            expected.push(s.pending() as u64);
-            s.next().unwrap();
-        }
-        assert!(s.next().is_none(), "an empty queue must not record a sample");
-        let snap = reg.snapshot();
-        let h = snap.histogram("sched_queue_depth_at_pop").expect("armed probe records");
-        assert_eq!(h.count, expected.len() as u64);
-        assert_eq!(h.sum, expected.iter().sum::<u64>() as f64);
-        assert_eq!(h.min, *expected.iter().min().unwrap() as f64);
-        assert_eq!(h.max, *expected.iter().max().unwrap() as f64);
-    }
-
-    #[test]
-    fn pop_depth_histogram_requires_profiling_arming() {
-        let reg = cdnc_obs::Registry::enabled();
-        let mut s = Scheduler::new();
-        s.set_obs(&reg);
-        s.schedule_in(SimDuration::from_secs(1), Ev::A);
-        while s.next().is_some() {}
-        assert!(
-            reg.snapshot().histogram("sched_queue_depth_at_pop").is_none(),
-            "the probe is opt-in"
-        );
-    }
-
-    #[test]
     fn relative_scheduling_is_from_current_clock() {
         let mut s = Scheduler::new();
         s.schedule_in(SimDuration::from_secs(2), Ev::A);
@@ -425,22 +236,169 @@ mod tests {
         assert_eq!(straight.processed(), resumed.processed());
     }
 
+    // The event loop's observation, as the CDN simulator runs it: each pop
+    // recorded into an `EventHook`, which closes when the queue stops.
+
+    const KINDS: &[cdnc_obs::EventKind] = &[("test_ev_a", "ev_a"), ("test_ev_b", "ev_b")];
+
+    fn mint(reg: &Registry, s: &Scheduler<Ev>) -> EventHook {
+        EventHook::new(reg, KINDS, s.horizon().map_or(0, SimTime::as_micros))
+    }
+
+    /// Pops one event and records it into `hook`.
+    fn step(s: &mut Scheduler<Ev>, hook: &mut EventHook) -> Option<(SimTime, Ev)> {
+        let (t, ev) = s.next()?;
+        let kind = match ev {
+            Ev::A => 0,
+            Ev::B => 1,
+        };
+        hook.record(EventRecord {
+            t_us: t.as_micros(),
+            kind,
+            node: 0,
+            tags: &[],
+            depth: s.pending(),
+        });
+        Some((t, ev))
+    }
+
+    /// Steps until the queue stops, then closes the hook.
+    fn drain(s: &mut Scheduler<Ev>, hook: &mut EventHook) {
+        while step(s, hook).is_some() {}
+        hook.close(s.pending());
+    }
+
+    #[test]
+    fn metrics_track_processing_and_backlog() {
+        let reg = Registry::enabled();
+        let mut s = Scheduler::new();
+        let mut hook = mint(&reg, &s);
+        s.schedule_in(SimDuration::from_secs(1), Ev::A);
+        s.schedule_in(SimDuration::from_secs(2), Ev::B);
+        drain(&mut s, &mut hook);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("sched_events_processed"), 2);
+        let depth = snap.gauges.iter().find(|(n, _)| n == "sched_queue_depth").unwrap().1;
+        assert_eq!(depth.high_water, 2);
+        assert_eq!(depth.value, 0);
+    }
+
+    #[test]
+    fn depth_gauge_sees_pushes_after_the_last_pop() {
+        let reg = Registry::enabled();
+        let mut s = Scheduler::with_horizon(SimTime::from_secs(10));
+        let mut hook = mint(&reg, &s);
+        s.schedule_in(SimDuration::from_secs(1), Ev::A);
+        let (now, _) = step(&mut s, &mut hook).unwrap();
+        // The last handler queues three events past the horizon.
+        for i in 1..=3 {
+            s.schedule_at(now + SimDuration::from_secs(20 * i), Ev::B);
+        }
+        drain(&mut s, &mut hook);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("sched_events_processed"), 1);
+        let depth = snap.gauges.iter().find(|(n, _)| n == "sched_queue_depth").unwrap().1;
+        assert_eq!((depth.value, depth.high_water), (3, 3));
+    }
+
+    #[test]
+    fn tracer_horizon_follows_clock() {
+        let reg = Registry::enabled();
+        reg.enable_tracing();
+        let mut s = Scheduler::new();
+        let mut hook = mint(&reg, &s);
+        s.schedule_in(SimDuration::from_secs(5), Ev::A);
+        drain(&mut s, &mut hook);
+        assert_eq!(reg.tracer().store().horizon_us, 5_000_000);
+    }
+
+    #[test]
+    fn sampler_records_queue_depth_and_event_rate_series() {
+        let reg = Registry::enabled();
+        reg.enable_series(1_000_000); // sample every simulated second
+        let mut s = Scheduler::new();
+        let mut hook = mint(&reg, &s);
+        for i in 1..=5 {
+            s.schedule_in(SimDuration::from_secs(i), Ev::A);
+        }
+        drain(&mut s, &mut hook);
+        let snap = reg.series_snapshot();
+        let depth = snap.get("sched_queue_depth", cdnc_obs::SeriesKind::Gauge).unwrap();
+        assert_eq!(depth.points.len(), 5, "one sample per 1 s event");
+        assert_eq!(depth.points[0], cdnc_obs::SeriesPoint { t_us: 1_000_000, value: 4.0 });
+        assert_eq!(depth.points[4].value, 0.0, "queue drains by the last sample");
+        let rate = snap.get("sched_events_processed", cdnc_obs::SeriesKind::Rate).unwrap();
+        assert!(rate.points.iter().skip(1).all(|p| p.value == 1.0), "1 event/s steady state");
+    }
+
+    #[test]
+    fn disabled_obs_changes_nothing() {
+        let mut a = Scheduler::new();
+        let mut b = Scheduler::new();
+        let mut off = mint(&Registry::disabled(), &b);
+        assert!(!off.is_armed());
+        for s in [&mut a, &mut b] {
+            s.schedule_in(SimDuration::from_secs(1), Ev::A);
+        }
+        assert_eq!(a.next().unwrap(), step(&mut b, &mut off).unwrap());
+    }
+
+    #[test]
+    fn pop_depth_histogram_matches_ground_truth() {
+        let reg = Registry::enabled();
+        reg.enable_profiling();
+        let mut s = Scheduler::new();
+        let mut hook = mint(&reg, &s);
+        // Interleave schedules and pops, tracking the depth each pop sees.
+        let mut expected: Vec<u64> = Vec::new();
+        for i in 1..=4u64 {
+            s.schedule_in(SimDuration::from_secs(i), Ev::A);
+        }
+        expected.push(4);
+        step(&mut s, &mut hook).unwrap();
+        s.schedule_in(SimDuration::from_secs(10), Ev::B);
+        while s.pending() > 0 {
+            expected.push(s.pending() as u64);
+            step(&mut s, &mut hook).unwrap();
+        }
+        assert!(step(&mut s, &mut hook).is_none(), "an empty queue must not record a sample");
+        let snap = reg.snapshot();
+        let h = snap.histogram("sched_queue_depth_at_pop").expect("armed probe records");
+        assert_eq!(h.count, expected.len() as u64);
+        assert_eq!(h.sum, expected.iter().sum::<u64>() as f64);
+        assert_eq!(h.min, *expected.iter().min().unwrap() as f64);
+        assert_eq!(h.max, *expected.iter().max().unwrap() as f64);
+    }
+
+    #[test]
+    fn pop_depth_histogram_requires_profiling_arming() {
+        let reg = Registry::enabled();
+        let mut s = Scheduler::new();
+        let mut hook = mint(&reg, &s);
+        s.schedule_in(SimDuration::from_secs(1), Ev::A);
+        drain(&mut s, &mut hook);
+        assert!(
+            reg.snapshot().histogram("sched_queue_depth_at_pop").is_none(),
+            "the probe is opt-in"
+        );
+    }
+
     #[test]
     fn digest_folds_each_pop_and_health_tracks_progress() {
         let run = || {
-            let reg = cdnc_obs::Registry::enabled();
+            let reg = Registry::enabled();
             reg.enable_digest(cdnc_obs::DigestConfig::default());
             reg.enable_health();
             let mut s = Scheduler::with_horizon(SimTime::from_secs(60));
-            s.set_obs(&reg);
+            let mut hook = mint(&reg, &s);
             s.schedule_in(SimDuration::from_secs(1), Ev::A);
             s.schedule_in(SimDuration::from_secs(2), Ev::B);
-            while s.next().is_some() {}
+            drain(&mut s, &mut hook);
             reg
         };
         let (a, b) = (run(), run());
         let (da, db) = (a.digest_snapshot().unwrap(), b.digest_snapshot().unwrap());
-        assert_eq!(da.events, 2, "one fold per delivered event");
+        assert_eq!(da.events, 4, "two folds per delivered event: the pop and the event");
         assert_eq!(da.chain, db.chain, "identical runs chain identically");
         let h = a.health_snapshot().unwrap();
         assert_eq!(h.events, 2);

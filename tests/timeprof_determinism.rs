@@ -6,6 +6,7 @@
 //!   counts, per-kind handler counts) are identical for serial and
 //!   `--jobs 2/4` runs once volatile nanosecond telemetry is scrubbed,
 //!   and so are the `.folded` stack paths,
+//! - handler time is charged per event kind, once per dispatch,
 //! - the frame tree obeys its arithmetic invariants on a real run
 //!   (self ≤ total, direct children's totals fit inside their parent),
 //!   and the collapsed-stack export round-trips under property-based
@@ -14,14 +15,14 @@
 use cdnc_experiments::obs_out::{scrub_volatile, ObsSettings};
 use cdnc_experiments::timeprof_out::timeprof_doc;
 use cdnc_experiments::{run_figure, run_figure_ctx, FigureReport, RunCtx, Scale};
-use cdnc_obs::{parse_folded, to_folded, Json, TimeProfSnapshot};
+use cdnc_obs::{parse_folded, to_folded, Json, MetricsSnapshot, TimeProfSnapshot};
 use cdnc_par::Pool;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// Runs fig17 under a timeprof-armed registry with `jobs` workers,
 /// exactly as the `experiments timeprof` subcommand does.
-fn timeprof_run(jobs: usize) -> (FigureReport, TimeProfSnapshot, Json) {
+fn timeprof_run(jobs: usize) -> (FigureReport, TimeProfSnapshot, Json, MetricsSnapshot) {
     let mut obs = ObsSettings::off();
     obs.enabled = true;
     obs.timeprof = true;
@@ -30,15 +31,15 @@ fn timeprof_run(jobs: usize) -> (FigureReport, TimeProfSnapshot, Json) {
     let report = run_figure_ctx("fig17", ctx, None, &reg).expect("known id");
     let snap = reg.timeprof_snapshot().expect("timeprof armed");
     let doc = timeprof_doc("fig17", Scale::Smoke, &snap, 0.0);
-    (report, snap, doc)
+    (report, snap, doc, reg.snapshot())
 }
 
 #[test]
 fn timeprof_is_observation_only_and_jobs_invariant() {
     let plain = run_figure("fig17", Scale::Smoke, None).expect("known id");
-    let (r1, s1, d1) = timeprof_run(1);
-    let (r2, _, d2) = timeprof_run(2);
-    let (r4, _, d4) = timeprof_run(4);
+    let (r1, s1, d1, m1) = timeprof_run(1);
+    let (r2, _, d2, _) = timeprof_run(2);
+    let (r4, _, d4, _) = timeprof_run(4);
 
     // Observation-only: profiling must not change a single result.
     assert_eq!(plain, r1, "time profiling must not change results");
@@ -56,19 +57,25 @@ fn timeprof_is_observation_only_and_jobs_invariant() {
     assert!(s.get("handlers").is_some(), "handler counts survive the scrub");
     assert!(s.get("time_telemetry").is_none(), "nanoseconds are volatile");
 
-    // The run actually timed the hot paths: dispatch handlers fired and
+    // Handler time is charged at event boundaries: the labels are exactly
+    // the event kinds that fired, each counted once per dispatch, and
     // every count is deterministic.
-    let handler_count = |d: &Json, label: &str| {
-        d.get("handlers")
-            .and_then(|h| h.get(label))
-            .and_then(|h| h.get("count"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
+    let handler_counts = |d: &Json| match d.get("handlers") {
+        Some(Json::Obj(rows)) => rows
+            .iter()
+            .map(|(label, h)| (label.clone(), h.get("count").and_then(Json::as_f64).unwrap_or(0.0)))
+            .collect::<Vec<_>>(),
+        _ => panic!("handlers section"),
     };
-    assert!(handler_count(&d1, "ev_publish") > 0.0, "event dispatch was timed");
-    assert!(handler_count(&d1, "sched_pop") > 0.0, "scheduler pops were timed");
-    assert!(handler_count(&d1, "net_send_update") > 0.0, "network sends were timed");
-    assert_eq!(handler_count(&d1, "ev_publish"), handler_count(&d4, "ev_publish"));
+    let fired: Vec<(String, f64)> = m1
+        .counters
+        .iter()
+        .filter(|(name, count)| name.starts_with("sim_ev_") && *count > 0)
+        .map(|(name, count)| (name["sim_".len()..].to_owned(), *count as f64))
+        .collect();
+    assert!(fired.iter().any(|(label, _)| label == "ev_publish"), "events were dispatched");
+    assert_eq!(handler_counts(&d1), fired, "one handler row per fired event kind");
+    assert_eq!(handler_counts(&d1), handler_counts(&d4));
 
     // The `.folded` export shares the deterministic path structure.
     let paths = |snap: &TimeProfSnapshot| {
@@ -78,14 +85,14 @@ fn timeprof_is_observation_only_and_jobs_invariant() {
             .map(|(path, _)| path)
             .collect::<Vec<_>>()
     };
-    let (_, s4, _) = timeprof_run(4);
+    let (_, s4, _, _) = timeprof_run(4);
     assert_eq!(paths(&s1), paths(&s4), "folded stack paths are jobs-invariant");
     assert!(!paths(&s1).is_empty(), "the run recorded frames");
 }
 
 #[test]
 fn frame_tree_invariants_hold_on_a_real_run() {
-    let (_, snap, _) = timeprof_run(2);
+    let (_, snap, _, _) = timeprof_run(2);
     let by_path: HashMap<&str, &cdnc_obs::PhaseTiming> =
         snap.frames.iter().map(|(p, t)| (p.as_str(), t)).collect();
     let mut child_sums: HashMap<&str, u128> = HashMap::new();
