@@ -48,18 +48,27 @@ cargo run -q -p cdnc-experiments --release -- trace summary "$TRACE_DIR/fig24.tr
 cargo run -q -p cdnc-experiments --release -- trace critical-path "$TRACE_DIR/fig24.trace.json"
 rm -rf "$TRACE_DIR"
 
+# Runs `experiments <args>` serially and with `--jobs <jobs>`, writing into
+# <dir>/serial and <dir>/jobs<jobs> with stdout in <dir>/serial.txt and
+# <dir>/jobs<jobs>.txt. Stdout must match line-for-line except output paths,
+# wall-clock "[fig: …s on N worker thread(s)]" lines, and phase-timing
+# table rows; the artifact dirs must match with wall-clock fields scrubbed.
+# Usage: jobs_diff <dir> <jobs> <args>...
+jobs_diff() {
+  local dir="$1" jobs="$2"
+  shift 2
+  cargo run -q -p cdnc-experiments --release -- "$@" --obs-dir "$dir/serial" > "$dir/serial.txt"
+  cargo run -q -p cdnc-experiments --release -- "$@" --obs-dir "$dir/jobs$jobs" --jobs "$jobs" > "$dir/jobs$jobs.txt"
+  filter() {
+    grep -vF "$dir" "$1" | grep -vE 'worker thread\(s\)\]$|^  [A-Za-z0-9_/]+ +[0-9]+ +[0-9.]+s$|^  phase '
+  }
+  diff <(filter "$dir/serial.txt") <(filter "$dir/jobs$jobs.txt")
+  cargo run -q -p cdnc-experiments --release -- obs-diff "$dir/serial" "$dir/jobs$jobs"
+}
+
 echo "==> serial vs --jobs 2 determinism diff"
 PAR_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/serial" --trace > "$PAR_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --obs-dir "$PAR_DIR/jobs2" --trace --jobs 2 > "$PAR_DIR/jobs2.txt"
-# Stdout must match line-for-line except output paths, wall-clock
-# "[fig: …s on N worker thread(s)]" lines, and phase-timing table rows.
-par_filter() {
-  grep -vF "$PAR_DIR" "$1" | grep -vE 'worker thread\(s\)\]$|^  [A-Za-z0-9_/]+ +[0-9]+ +[0-9.]+s$|^  phase '
-}
-diff <(par_filter "$PAR_DIR/serial.txt") <(par_filter "$PAR_DIR/jobs2.txt")
-# Artifacts must match with wall-clock fields scrubbed.
-cargo run -q -p cdnc-experiments --release -- obs-diff "$PAR_DIR/serial" "$PAR_DIR/jobs2"
+jobs_diff "$PAR_DIR" 2 fig17 --scale smoke --obs --trace
 rm -rf "$PAR_DIR"
 
 echo "==> all figures: serial vs --jobs 4 artifact diff"
@@ -73,8 +82,9 @@ rm -rf "$ALL_DIR"
 
 echo "==> chaos smoke: convergence, traced round-trip, serial vs --jobs 4 diff"
 CHAOS_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- ext_chaos --scale smoke --obs --obs-dir "$CHAOS_DIR/serial" --trace > "$CHAOS_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- ext_chaos --scale smoke --obs --obs-dir "$CHAOS_DIR/jobs4" --trace --jobs 4 > "$CHAOS_DIR/jobs4.txt"
+# Fault injection, retransmit timers and failovers — and the per-send digest
+# fold under drops and duplicates — are bit-identical across worker counts.
+jobs_diff "$CHAOS_DIR" 4 ext_chaos --scale smoke --obs --trace --digest
 # Every sweep row — calm through storm — must satisfy the convergence
 # invariant (zero present-but-stale replicas at the horizon).
 if grep 'violations=' "$CHAOS_DIR/serial.txt" | grep -qv 'violations= 0'; then
@@ -84,32 +94,19 @@ fi
 # Chrome-trace round-trip.
 test -s "$CHAOS_DIR/serial/ext_chaos.trace.json"
 cargo run -q -p cdnc-experiments --release -- trace summary "$CHAOS_DIR/serial/ext_chaos.trace.json"
-# Fault injection, retransmit timers and failovers are bit-identical
-# across worker counts.
-chaos_filter() {
-  grep -vF "$CHAOS_DIR" "$1" | grep -vE 'worker thread\(s\)\]$|^  [A-Za-z0-9_/]+ +[0-9]+ +[0-9.]+s$|^  phase '
-}
-diff <(chaos_filter "$CHAOS_DIR/serial.txt") <(chaos_filter "$CHAOS_DIR/jobs4.txt")
-cargo run -q -p cdnc-experiments --release -- obs-diff "$CHAOS_DIR/serial" "$CHAOS_DIR/jobs4"
 rm -rf "$CHAOS_DIR"
 
 echo "==> churn smoke: convergence, checkpoint/replay identity, serial vs --jobs 4 diff"
 CHURN_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- ext_churn --scale smoke --obs --obs-dir "$CHURN_DIR/serial" > "$CHURN_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- ext_churn --scale smoke --obs --obs-dir "$CHURN_DIR/jobs4" --jobs 4 > "$CHURN_DIR/jobs4.txt"
+# Lifecycle scheduling, waiter handoff and failovers are bit-identical
+# across worker counts.
+jobs_diff "$CHURN_DIR" 4 ext_churn --scale smoke --obs
 # Every lifecycle cell — calm through the supernode-kill storm — must
 # satisfy the convergence invariant (zero present-but-stale replicas at
 # the horizon) despite leaves, crashes, and cold rejoins.
 if grep 'violations=' "$CHURN_DIR/serial.txt" | grep -qv 'violations= 0'; then
   echo "ext_churn: convergence violations detected"; exit 1
 fi
-# Lifecycle scheduling, waiter handoff and failovers are bit-identical
-# across worker counts.
-churn_filter() {
-  grep -vF "$CHURN_DIR" "$1" | grep -vE 'worker thread\(s\)\]$|^  [A-Za-z0-9_/]+ +[0-9]+ +[0-9.]+s$|^  phase '
-}
-diff <(churn_filter "$CHURN_DIR/serial.txt") <(churn_filter "$CHURN_DIR/jobs4.txt")
-cargo run -q -p cdnc-experiments --release -- obs-diff "$CHURN_DIR/serial" "$CHURN_DIR/jobs4"
 # Checkpoint/restore self-test: pause the storm cell just before the
 # scheduled supernode-kill incident, replay it across the incident, and
 # require a bit-identical digest chain and end state vs an uninterrupted
@@ -125,17 +122,12 @@ rm -rf "$CHURN_DIR"
 
 echo "==> request-plane smoke: workload curves, serial vs --jobs 4 diff, report section"
 WL_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- ext_workload --scale smoke --obs --obs-dir "$WL_DIR/serial" > "$WL_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- ext_workload --scale smoke --obs --obs-dir "$WL_DIR/jobs4" --jobs 4 > "$WL_DIR/jobs4.txt"
+# Request arrivals, cache hits/misses, delayed-hit coalescing and origin
+# fetches — their series and per-send digest folds included — are
+# bit-identical across worker counts.
+jobs_diff "$WL_DIR" 4 ext_workload --scale smoke --obs --series --digest
 # The latency/staleness CDF curves landed next to the artifact.
 test -s "$WL_DIR/serial/ext_workload.workload.json"
-# Request arrivals, cache hits/misses, delayed-hit coalescing and origin
-# fetches are bit-identical across worker counts.
-wl_filter() {
-  grep -vF "$WL_DIR" "$1" | grep -vE 'worker thread\(s\)\]$|^  [A-Za-z0-9_/]+ +[0-9]+ +[0-9.]+s$|^  phase '
-}
-diff <(wl_filter "$WL_DIR/serial.txt") <(wl_filter "$WL_DIR/jobs4.txt")
-cargo run -q -p cdnc-experiments --release -- obs-diff "$WL_DIR/serial" "$WL_DIR/jobs4"
 cargo run -q -p cdnc-experiments --release -- report --obs-dir "$WL_DIR/serial" --out "$WL_DIR/report"
 grep -q 'Request plane' "$WL_DIR/report/ext_workload.html"
 rm -rf "$WL_DIR"

@@ -32,11 +32,11 @@ mod survival;
 mod wire;
 
 use crate::config::{Scheme, SimConfig};
-use crate::method::MethodKind;
+use crate::method::{AdaptiveMode, MethodKind};
 use crate::metrics::SimReport;
 use crate::topology::Topology;
 use cdnc_geo::{IspId, WorldBuilder};
-use cdnc_net::{FaultPlane, Network, NodeId, Packet, PacketKind};
+use cdnc_net::{FaultPlane, Network, NodeId, Packet, PacketKind, PACKET_NAMES};
 use cdnc_obs::profile::{self, Subsystem};
 use cdnc_obs::{EventHook, Registry};
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
@@ -131,7 +131,7 @@ pub fn resume_with_obs(
     artifact: &str,
 ) -> Result<SimReport, CkptError> {
     simulate(config, obs, |mut sim| {
-        Ckpt::read(artifact, SIM_KIND, |c| sim.persist(c))?;
+        sim.restore(artifact)?;
         let _run = obs.span("sim_events");
         Ok(sim.run())
     })
@@ -163,7 +163,7 @@ pub fn resume_until_with_obs(
     until: SimTime,
 ) -> Result<String, CkptError> {
     simulate(config, obs, |mut sim| {
-        Ckpt::read(artifact, SIM_KIND, |c| sim.persist(c))?;
+        sim.restore(artifact)?;
         let _run = obs.span("sim_events");
         sim.run_until(until);
         Ok(Ckpt::write(SIM_KIND, |c| sim.persist(c)))
@@ -225,7 +225,6 @@ impl<'a> CdnSimulation<'a> {
         assert!(config.servers > 0, "need at least one content server");
         let world = WorldBuilder::new(config.servers).seed(config.seed ^ stream_tag::WORLD).build();
         let mut net = Network::new(config.network, config.seed ^ stream_tag::NET);
-        net.set_obs(registry);
         // Node 0 is the provider; its ISP is shared with the nearest server's
         // ISP so the Atlanta metro is intra-ISP, like the measured CDN.
         let provider = world.provider_location();
@@ -261,7 +260,8 @@ impl<'a> CdnSimulation<'a> {
             .collect();
 
         let mut sched = Scheduler::with_horizon(config.horizon());
-        let hook = EventHook::new(registry, &EVENT_KINDS, config.horizon().as_micros());
+        let hook =
+            EventHook::new(registry, &EVENT_KINDS, &PACKET_NAMES, config.horizon().as_micros());
         // Publishes: snapshot 0 pre-exists everywhere; 1.. are events.
         for (id, t) in config.updates.iter().skip(1) {
             sched.schedule_at(
@@ -394,7 +394,7 @@ impl<'a> CdnSimulation<'a> {
             Event::UserVisit(u) => self.on_user_visit(now, u),
             Event::Arrive(node, msg) => {
                 // Delivered or lost, the message leaves the wire.
-                self.net.mark_delivered(msg.kind(), self.packet_kb(msg.kind()));
+                self.obs.hook.deliver(msg.kind() as usize, self.packet_kb(msg.kind()));
                 // Messages to a failed node are lost (the silent-loss class
                 // the fault plane's retransmits exist to cover).
                 if self.nodes[node.index()].absent {
@@ -470,8 +470,9 @@ impl<'a> CdnSimulation<'a> {
     /// delivers. Without a fault plane that is exactly one; with one, the
     /// plane may drop, duplicate, or delay the packet, and traffic is still
     /// charged once per send (drops waste the wire like real packets do).
-    /// Content-carrying and invalidation messages extend their update's
-    /// causal trace with a hop span each receiver continues from.
+    /// The send is observed once; content-carrying and invalidation
+    /// messages extend their update's causal trace with a hop span each
+    /// receiver continues from.
     fn send(&mut self, now: SimTime, src: NodeId, dst: NodeId, mut msg: Msg) {
         // A failed node sends nothing.
         if self.nodes[src.index()].absent {
@@ -485,15 +486,18 @@ impl<'a> CdnSimulation<'a> {
             }
         }
         let packet = Packet::new(kind, self.packet_kb(kind), src, dst);
-        let deliveries = self.net.send_faulted(now, &packet, msg.trace_ctx());
-        let Some((&(arrival, hop), copies)) = deliveries.split_last() else { return };
-        for &(at, copy_hop) in copies {
+        let sent = self.net.send_faulted(now, &packet);
+        self.obs.hook.send(|| sent.record(now, &packet));
+        let mut copies = self.obs.hops(msg.trace_ctx(), now, &packet, &sent);
+        let Some(mut last) = copies.next() else { return };
+        for next in copies {
             let mut copy = msg.clone();
-            copy.set_ctx(copy_hop);
-            self.sched.schedule_at(at, Event::Arrive(dst, copy));
+            copy.set_ctx(last.1);
+            self.sched.schedule_at(last.0, Event::Arrive(dst, copy));
+            last = next;
         }
-        msg.set_ctx(hop);
-        self.sched.schedule_at(arrival, Event::Arrive(dst, msg));
+        msg.set_ctx(last.1);
+        self.sched.schedule_at(last.0, Event::Arrive(dst, msg));
     }
 
     /// Walks the complete dynamic simulation state — scheduler clock and
@@ -547,6 +551,37 @@ impl<'a> CdnSimulation<'a> {
         self.net.persist(c)?;
         c.section("lifecycle", self.lifecycle.as_mut(), |lc, c| lc.persist(c))?;
         self.obs.persist_digest(c)
+    }
+
+    /// Reads a checkpoint `artifact` into this freshly built simulation.
+    /// The checkpoint holds no gauge, so an armed hook then raises each level
+    /// gauge the handlers move by `add`/`sub` to the restored state's level
+    /// (a disabled registry skips the walk).
+    fn restore(&mut self, artifact: &str) -> Result<(), CkptError> {
+        Ckpt::read(artifact, SIM_KIND, |c| self.persist(c))?;
+        if !self.obs.hook.is_armed() {
+            return Ok(());
+        }
+        let obs = &self.obs;
+        let fetch_kb = self.config.workload.as_ref().map_or(0.0, |plan| plan.object_kb);
+        for ev in self.sched.queued() {
+            let (kind, kb) = match ev {
+                Event::Arrive(_, msg) => (msg.kind(), self.packet_kb(msg.kind())),
+                Event::Fill(..) => (PacketKind::OriginFetch, fetch_kb),
+                _ => continue,
+            };
+            obs.hook.in_flight(kind as usize, kb);
+        }
+        for &s in &self.topo.servers {
+            let pending = self.nodes[s.index()].pending_pubs.len() as u64;
+            obs.pending(self.topo.method_of(s)).add(pending);
+        }
+        obs.pending_user_updates.add(self.users.iter().map(|u| u.pending_pubs.len() as u64).sum());
+        let count = |pred: fn(&NodeState) -> bool| self.nodes.iter().filter(|n| pred(n)).count();
+        obs.stale_replicas.add(count(|n| n.known_stale.is_some()) as u64);
+        obs.inval_mode_nodes.add(count(|n| n.mode == AdaptiveMode::Invalidation) as u64);
+        obs.pending_retransmits.add(self.reliable.as_ref().map_or(0, ReliableState::outstanding));
+        Ok(())
     }
 
     fn into_report(self) -> SimReport {
@@ -1075,6 +1110,39 @@ mod tests {
         }
 
         #[test]
+        fn each_send_is_observed_once() {
+            // Drops, duplicates and origin fetches in one run.
+            let mut cfg = chaotic(Scheme::hat(), 0.7);
+            cfg.workload = Some(WorkloadPlan::default());
+            let reg = Registry::enabled();
+            let mut sim = CdnSimulation::new(&cfg, &reg);
+            // Mid-run, with packets on the wire, then once the queue stops.
+            for pause in [SimTime::from_secs(300), SimTime::MAX] {
+                sim.run_until(pause);
+                let traffic = sim.net.traffic();
+                let snap = reg.snapshot();
+                assert_eq!(snap.counter("net_packets_enqueued"), traffic.total_messages());
+                let mut queued = [0; cdnc_net::PACKET_KINDS];
+                for ev in sim.sched.queued() {
+                    match ev {
+                        Event::Arrive(_, msg) => queued[msg.kind() as usize] += 1,
+                        Event::Fill(..) => queued[PacketKind::OriginFetch as usize] += 1,
+                        _ => {}
+                    }
+                }
+                for (kind, &(_, sent, inflight, _)) in PacketKind::ALL.iter().zip(&PACKET_NAMES) {
+                    assert_eq!(snap.counter(sent), traffic.count_of(*kind), "{sent}");
+                    let level = snap.gauges.iter().find(|(n, _)| n == inflight).unwrap().1.value;
+                    assert_eq!(level, queued[*kind as usize], "{inflight} at {pause}");
+                }
+            }
+            let snap = reg.snapshot();
+            assert!(snap.counter("net_fault_dropped") > 0, "the run must drop packets");
+            assert!(snap.counter("net_fault_duplicated") > 0, "the run must duplicate packets");
+            assert!(snap.counter("sim_msgs_origin_fetch") > 0, "the run must fetch from origin");
+        }
+
+        #[test]
         fn chaos_instrumentation_is_observation_only() {
             let cfg = chaotic(Scheme::hat(), 0.7);
             let plain = run(&cfg);
@@ -1291,6 +1359,69 @@ mod tests {
                 let art = checkpoint(&cfg, SimTime::from_secs(at_s));
                 let resumed = resume(&cfg, &art).expect("artifact restores");
                 assert_eq!(straight, resumed, "resume from t={at_s}s diverged");
+            }
+        }
+
+        #[test]
+        fn restored_runs_rederive_level_gauges() {
+            // Every gauge's level (not its high-water mark, which may peak
+            // before the checkpoint) after a restore at `t1` and a run to
+            // `t2` equals a straight run's at `t2`. The uplink backlog is
+            // left out: it reads the last send's queueing delay, which a
+            // window without sends never sets.
+            let levels = |reg: &Registry| -> Vec<(String, u64)> {
+                let gauges = reg.snapshot().gauges.into_iter();
+                gauges
+                    .filter(|(n, _)| n != "net_uplink_backlog_ms")
+                    .map(|(n, g)| (n, g.value))
+                    .collect()
+            };
+            let bulky = |method| {
+                let mut cfg = SimConfig::section4(Scheme::Unicast(method), updates(7, 600));
+                cfg.servers = 120;
+                cfg.update_packet_kb = 200.0;
+                cfg
+            };
+            let faulty = |scheme| {
+                let mut cfg = small(scheme);
+                cfg.servers = 80;
+                cfg.faults = Some(FaultPlan::at_intensity(0.6));
+                cfg
+            };
+            let mut requests = faulty(Scheme::Unicast(MethodKind::SelfAdaptive));
+            requests.workload = Some(WorkloadPlan::default());
+            for (cfg, t1, t2) in [
+                (bulky(MethodKind::Push), 200.0, 201.5),
+                (bulky(MethodKind::Ttl), 200.0, 201.5),
+                (faulty(Scheme::Unicast(MethodKind::Push)), 150.0, 165.0),
+                (faulty(Scheme::hat()), 150.0, 165.0),
+                (requests, 150.0, 165.0),
+            ] {
+                let (t1, t2) = (SimTime::from_secs_f64(t1), SimTime::from_secs_f64(t2));
+                let profiled = || {
+                    let reg = Registry::enabled();
+                    reg.enable_profiling();
+                    reg
+                };
+                let straight = profiled();
+                checkpoint_with_obs(&cfg, &straight, t2);
+                let resumed = profiled();
+                let art = checkpoint(&cfg, t1);
+                resume_until_with_obs(&cfg, &resumed, &art, t2).expect("artifact restores");
+                let (mut got, mut want) = (levels(&resumed), levels(&straight));
+                if cfg.scheme == Scheme::hat() {
+                    // A HAT failover moves servers with updates pending to
+                    // another method, and a straight run keeps counting
+                    // those updates under the method they were published
+                    // under, so its per-method pending gauges drift from
+                    // the state a restore reads.
+                    let not_per_method = |(n, _): &(String, u64)| {
+                        !n.starts_with("sim_pending_updates_") || n == "sim_pending_updates_users"
+                    };
+                    got.retain(not_per_method);
+                    want.retain(not_per_method);
+                }
+                assert_eq!(got, want, "{} at {t2}", cfg.scheme);
             }
         }
 

@@ -4,7 +4,7 @@
 use super::wire::Event;
 use crate::method::MethodKind;
 use crate::metrics::SimReport;
-use cdnc_net::NodeId;
+use cdnc_net::{FaultDecision, NodeId, Packet, Sent};
 use cdnc_obs::{
     Counter, EventHook, EventRecord, Gauge, Histogram, Registry, SpanKind, TraceCtx, Tracer,
 };
@@ -28,11 +28,12 @@ const METHOD_NAMES: [(&str, &str); 6] = [
 /// disabled registry is a single branch, and label lookup never happens
 /// inside the event loop. Tallies the [`SimReport`] already keeps have no
 /// handle here: they reach the registry once, through [`record_report`];
-/// per-class message counts are the network's.
+/// per-class message counts are the hook's.
 pub(super) struct SimObs {
     pub(super) registry: Registry,
-    /// The event loop's one observation point: each popped event is
-    /// recorded here once ([`SimObs::record`]).
+    /// The simulation's one observation point: each popped event
+    /// ([`SimObs::record`]), each send and each delivery is recorded here
+    /// once.
     pub(super) hook: EventHook,
     /// Algorithm 1 transitions (paper lines 7–8 and 12–13).
     pub(super) switch_to_invalidation: Counter,
@@ -151,6 +152,29 @@ impl SimObs {
         }
     }
 
+    /// Extends `ctx`'s trace with one send's spans: a `Lost` child labelled
+    /// `fault-drop` for a dropped packet, else a hop per delivered copy as
+    /// the returned iterator reaches it, labelled with the packet's wire
+    /// name (`fault-dup` for the in-network duplicate). Yields each copy's
+    /// delivery instant paired with the context its receiver continues from
+    /// (`ctx` itself while the tracer is off or `ctx` inactive).
+    pub(super) fn hops<'a>(
+        &'a self,
+        ctx: TraceCtx,
+        now: SimTime,
+        packet: &Packet,
+        sent: &Sent,
+    ) -> impl Iterator<Item = (SimTime, TraceCtx)> + 'a {
+        if let FaultDecision::Drop { .. } = sent.fault {
+            self.lost(ctx, packet.dst, now, "fault-drop");
+        }
+        let (src, dst, t) = (packet.src.0, packet.dst.0, now.as_micros());
+        let labels = [packet.kind.name(), "fault-dup"];
+        sent.deliveries()
+            .zip(labels)
+            .map(move |(at, label)| (at, self.tracer.hop(ctx, label, src, dst, t, at.as_micros())))
+    }
+
     /// The instrument slot for `method`: its [`MethodKind::ALL`] position,
     /// or the catch-all last slot for method-less nodes.
     fn method_slot(method: Option<MethodKind>) -> usize {
@@ -240,5 +264,94 @@ pub(super) fn record_report(registry: &Registry, r: &SimReport) {
     {
         let hist = registry.histogram(name);
         samples.iter().for_each(|&v| hist.record(v));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdnc_geo::{GeoPoint, IspId};
+    use cdnc_net::{FaultConfig, FaultPlane, LinkPartition, Network, NetworkConfig, PACKET_NAMES};
+
+    fn two_node_net() -> (Network, NodeId, NodeId) {
+        let mut net = Network::new(NetworkConfig::default(), 9);
+        let a = net.add_node(GeoPoint::new(33.7, -84.4).unwrap(), IspId(0));
+        let b = net.add_node(GeoPoint::new(34.0, -118.2).unwrap(), IspId(1));
+        (net, a, b)
+    }
+
+    /// A simulation's observation handles on a tracing registry, and its
+    /// tracer.
+    fn traced() -> (SimObs, Tracer) {
+        let reg = Registry::enabled();
+        reg.enable_tracing();
+        let hook = EventHook::new(&reg, &crate::sim::wire::EVENT_KINDS, &PACKET_NAMES, 0);
+        (SimObs::new(&reg, hook), reg.tracer())
+    }
+
+    #[test]
+    fn hops_record_each_copy_without_changing_delivery() {
+        let (mut plain, a, b) = two_node_net();
+        let (mut wired, _, _) = two_node_net();
+        let (obs, t) = traced();
+        let root = t.publish(0, a.0, 0, "net-test");
+        let p = Packet::update(a, b, 10.0);
+        let plain_arrival = plain.send(SimTime::ZERO, &p).arrival;
+        let sent = wired.send_faulted(SimTime::ZERO, &p);
+        obs.hook.send(|| sent.record(SimTime::ZERO, &p));
+        let copies: Vec<_> = obs.hops(root, SimTime::ZERO, &p, &sent).collect();
+        let [(arrival, hop)] = copies[..] else { panic!("one copy: {copies:?}") };
+        assert_eq!(arrival, plain_arrival, "tracing must not change delivery");
+        assert!(hop.is_active() && hop.span != root.span);
+        let store = t.store();
+        let span = store.span(hop.span).unwrap();
+        assert_eq!(span.kind, SpanKind::Hop);
+        assert_eq!(span.label, "update");
+        assert_eq!((span.src, span.node), (Some(a.0), b.0));
+        assert_eq!(span.end_us, arrival.as_micros());
+        // Inactive context: passthrough, no span recorded.
+        let sent = wired.send_faulted(SimTime::ZERO, &p);
+        let copies: Vec<_> = obs.hops(TraceCtx::NONE, SimTime::ZERO, &p, &sent).collect();
+        assert!(!copies[0].1.is_active());
+        assert_eq!(t.store().spans.len(), store.spans.len());
+    }
+
+    #[test]
+    fn faulted_sends_tag_the_trace() {
+        let (obs, t) = traced();
+        let (mut net, a, b) = two_node_net();
+        let root = t.publish(0, a.0, 0, "net-test");
+        let p = Packet::update(a, b, 2.0);
+        // A duplicate rides its own hop, labelled and trailing the original.
+        let cfg = FaultConfig { dup_prob: 1.0, ..FaultConfig::none() };
+        net.set_fault_plane(FaultPlane::new(cfg, 1, 2));
+        let sent = net.send_faulted(SimTime::ZERO, &p);
+        let copies: Vec<_> = obs.hops(root, SimTime::ZERO, &p, &sent).collect();
+        let [(at, hop), (dup_at, dup_hop)] = copies[..] else { panic!("two copies: {copies:?}") };
+        let store = t.store();
+        let (first, dup) = (store.span(hop.span).unwrap(), store.span(dup_hop.span).unwrap());
+        assert_eq!((first.label, first.end_us), ("update", at.as_micros()));
+        assert_eq!((dup.label, dup.end_us), ("fault-dup", dup_at.as_micros()));
+        assert!(dup_at >= at, "the copy trails the original");
+        // A partitioned link drops the packet and ends the journey there.
+        let cfg = FaultConfig {
+            link_partitions: vec![LinkPartition {
+                a,
+                b,
+                from: SimTime::ZERO,
+                until: SimTime::from_secs(10),
+            }],
+            ..FaultConfig::none()
+        };
+        net.set_fault_plane(FaultPlane::new(cfg, 1, 2));
+        let now = SimTime::from_secs(5);
+        assert_eq!(obs.hops(root, now, &p, &net.send_faulted(now, &p)).count(), 0);
+        let store = t.store();
+        let drop_span = store
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Lost && s.label == "fault-drop")
+            .expect("drop recorded on the trace");
+        assert_eq!((drop_span.node, drop_span.parent), (b.0, root.span));
     }
 }

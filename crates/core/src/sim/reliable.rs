@@ -127,6 +127,11 @@ impl ReliableState {
         Fired::Resend { src, dst, envelope, attempt, wait: self.jittered(rto) }
     }
 
+    /// Tracked deliveries still awaiting their ack.
+    pub(super) fn outstanding(&self) -> u64 {
+        self.pending.len() as u64
+    }
+
     /// Drops every open delivery `node` sent (its protocol state is gone
     /// with it); returns how many.
     pub(super) fn drop_from(&mut self, node: NodeId) -> u64 {

@@ -6,7 +6,6 @@ use super::CdnSimulation;
 use crate::config::{SimConfig, WorkloadPlan};
 use crate::metrics::WorkloadStats;
 use cdnc_net::{NodeId, Packet, PacketKind};
-use cdnc_obs::TraceCtx;
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{stream_tag, Scheduler, SimDuration, SimRng, SimTime};
 use cdnc_trace::SnapshotId;
@@ -172,11 +171,13 @@ impl CdnSimulation<'_> {
     /// packet from the provider to `edge`, delivered as an [`Event::Fill`].
     /// Origin fetches ride the plain network path even under a fault plane —
     /// the request plane models delivery latency, not loss — so every
-    /// waiter queue is guaranteed a releasing fill (or the horizon).
+    /// waiter queue is guaranteed a releasing fill (or the horizon). They
+    /// carry no trace.
     fn send_origin_fetch(&mut self, now: SimTime, edge: NodeId, id: ObjectId, snap: u32, kb: f64) {
         let packet = Packet::origin_fetch(self.topo.provider, edge, kb);
-        let (arrival, _hop) = self.net.send_traced(now, &packet, TraceCtx::NONE);
-        self.sched.schedule_at(arrival, Event::Fill(edge, id, snap));
+        let sent = self.net.send(now, &packet);
+        self.obs.hook.send(|| sent.record(now, &packet));
+        self.sched.schedule_at(sent.arrival, Event::Fill(edge, id, snap));
     }
 
     /// An origin fetch lands at `edge`: cache the object and release every
@@ -186,7 +187,7 @@ impl CdnSimulation<'_> {
     pub(super) fn on_fill(&mut self, now: SimTime, edge: NodeId, id: ObjectId, snap: u32) {
         let Some(mut wl) = self.workload.take() else { return };
         // The fetch leaves the wire here (its delivery event is the fill).
-        self.net.mark_delivered(PacketKind::OriginFetch, wl.plan.object_kb);
+        self.obs.hook.deliver(PacketKind::OriginFetch as usize, wl.plan.object_kb);
         wl.stats.origin_kb += wl.plan.object_kb;
         if !wl.caches[edge.index()].is_fetching(id) {
             // The edge departed (or crash-restarted cold) while this fetch

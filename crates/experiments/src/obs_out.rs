@@ -480,101 +480,78 @@ fn leaf_count(doc: &Json) -> usize {
     }
 }
 
-/// Number of leaf fields that differ between two documents: recursing into
-/// matching objects/arrays, counting a missing subtree by its size.
-fn count_leaf_diffs(a: &Json, b: &Json) -> usize {
+/// One step from a document's root: an object key or an array index.
+enum Step<'j> {
+    Key(&'j str),
+    Index(usize),
+}
+
+/// Walks two documents together — objects by key union in key order,
+/// arrays by index — and calls `found(path, a, b, fields)` once for each
+/// differing leaf and each subtree only one side has, `fields` being the
+/// leaf fields it counts for (a one-sided subtree counts its size).
+fn walk_diffs<'j>(
+    a: Option<&'j Json>,
+    b: Option<&'j Json>,
+    path: &mut Vec<Step<'j>>,
+    found: &mut impl FnMut(&[Step<'j>], Option<&Json>, Option<&Json>, usize),
+) {
+    fn field<'j>(fields: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
     match (a, b) {
-        (Json::Obj(fa), Json::Obj(fb)) => {
+        (Some(Json::Obj(fa)), Some(Json::Obj(fb))) => {
             let keys: BTreeSet<&str> = fa.iter().chain(fb).map(|(k, _)| k.as_str()).collect();
-            let find = |fields: &'_ [(String, Json)], key: &str| {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-            };
-            keys.iter()
-                .map(|key| match (find(fa, key), find(fb, key)) {
-                    (Some(x), Some(y)) => count_leaf_diffs(&x, &y),
-                    (Some(x), None) | (None, Some(x)) => leaf_count(&x).max(1),
-                    (None, None) => 0,
-                })
-                .sum()
+            for key in keys {
+                path.push(Step::Key(key));
+                walk_diffs(field(fa, key), field(fb, key), path, found);
+                path.pop();
+            }
         }
-        (Json::Arr(ia), Json::Arr(ib)) => (0..ia.len().max(ib.len()))
-            .map(|i| match (ia.get(i), ib.get(i)) {
-                (Some(x), Some(y)) => count_leaf_diffs(x, y),
-                (Some(x), None) | (None, Some(x)) => leaf_count(x).max(1),
-                (None, None) => 0,
-            })
-            .sum(),
-        _ if a == b => 0,
-        _ => 1,
+        (Some(Json::Arr(ia)), Some(Json::Arr(ib))) => {
+            for i in 0..ia.len().max(ib.len()) {
+                path.push(Step::Index(i));
+                walk_diffs(ia.get(i), ib.get(i), path, found);
+                path.pop();
+            }
+        }
+        _ if a == b => {}
+        (Some(x), None) | (None, Some(x)) => found(path, a, b, leaf_count(x).max(1)),
+        _ => found(path, a, b, 1),
     }
 }
 
-/// Collects up to `limit` leaf-level differences between two documents as
+/// The differences between two documents, from one walk: per-top-level-key
+/// counts of differing leaf fields (non-zero entries only, key order; a
+/// non-object root folds under the pseudo-key `<root>`), and up to `limit`
 /// `path: a-value != b-value` lines (dotted object keys, `[i]` array
-/// indices, `<missing>` when one side lacks the subtree). Depth-first in
+/// indices, `<missing>` when one side lacks the subtree), depth-first in
 /// key order, so the first line is the shallowest-leftmost difference.
-pub fn diff_leaf_paths(a: &Json, b: &Json, limit: usize) -> Vec<String> {
-    fn walk(a: Option<&Json>, b: Option<&Json>, path: &str, out: &mut Vec<String>, limit: usize) {
-        if out.len() >= limit {
-            return;
+pub fn diff_docs(a: &Json, b: &Json, limit: usize) -> (Vec<(String, usize)>, Vec<String>) {
+    let (mut counts, mut lines) = (Vec::<(String, usize)>::new(), Vec::new());
+    walk_diffs(Some(a), Some(b), &mut Vec::new(), &mut |path, x, y, fields| {
+        let key = match path.first() {
+            Some(Step::Key(key)) => *key,
+            _ => "<root>",
+        };
+        match counts.last_mut() {
+            Some((last, n)) if last == key => *n += fields,
+            _ => counts.push((key.to_owned(), fields)),
         }
-        let render = |v: Option<&Json>| v.map_or("<missing>".to_owned(), Json::to_compact);
-        match (a, b) {
-            (Some(Json::Obj(fa)), Some(Json::Obj(fb))) => {
-                let keys: BTreeSet<&str> = fa.iter().chain(fb).map(|(k, _)| k.as_str()).collect();
-                for key in keys {
-                    let sub =
-                        if path.is_empty() { key.to_owned() } else { format!("{path}.{key}") };
-                    fn find<'j>(fields: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
-                        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-                    }
-                    walk(find(fa, key), find(fb, key), &sub, out, limit);
+        if lines.len() < limit {
+            let mut rendered = String::new();
+            for step in path {
+                match step {
+                    Step::Key(key) if rendered.is_empty() => rendered.push_str(key),
+                    Step::Key(key) => rendered.extend([".", key]),
+                    Step::Index(i) => rendered.push_str(&format!("[{i}]")),
                 }
             }
-            (Some(Json::Arr(ia)), Some(Json::Arr(ib))) => {
-                for i in 0..ia.len().max(ib.len()) {
-                    walk(ia.get(i), ib.get(i), &format!("{path}[{i}]"), out, limit);
-                }
-            }
-            _ if a == b => {}
-            _ => out.push(format!("{path}: {} != {}", render(a), render(b))),
+            let value = |v: Option<&Json>| v.map_or("<missing>".to_owned(), Json::to_compact);
+            lines.push(format!("{rendered}: {} != {}", value(x), value(y)));
         }
-    }
-    let mut out = Vec::new();
-    walk(Some(a), Some(b), "", &mut out, limit);
-    out
-}
-
-/// Per-top-level-key counts of differing leaf fields between two documents
-/// (non-zero entries only, key order). Non-object roots fold under the
-/// pseudo-key `<root>`.
-pub fn diff_field_counts(a: &Json, b: &Json) -> Vec<(String, usize)> {
-    match (a, b) {
-        (Json::Obj(fa), Json::Obj(fb)) => {
-            let keys: BTreeSet<&str> = fa.iter().chain(fb).map(|(k, _)| k.as_str()).collect();
-            let find = |fields: &'_ [(String, Json)], key: &str| {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-            };
-            keys.iter()
-                .filter_map(|key| {
-                    let n = match (find(fa, key), find(fb, key)) {
-                        (Some(x), Some(y)) => count_leaf_diffs(&x, &y),
-                        (Some(x), None) | (None, Some(x)) => leaf_count(&x).max(1),
-                        (None, None) => 0,
-                    };
-                    (n > 0).then(|| ((*key).to_owned(), n))
-                })
-                .collect()
-        }
-        _ => {
-            let n = count_leaf_diffs(a, b);
-            if n > 0 {
-                vec![("<root>".to_owned(), n)]
-            } else {
-                Vec::new()
-            }
-        }
-    }
+    });
+    (counts, lines)
 }
 
 /// Compares two artifact directories, ignoring wall-clock fields: `.json`
@@ -627,14 +604,13 @@ pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
                     };
                     match (parsed(&body_a), parsed(&body_b)) {
                         (Ok(doc_a), Ok(doc_b)) => {
-                            let counts = diff_field_counts(&doc_a, &doc_b);
+                            let (counts, paths) = diff_docs(&doc_a, &doc_b, 10);
                             (!counts.is_empty()).then(|| {
                                 let per_key = counts
                                     .iter()
                                     .map(|(key, n)| format!("{key}: {n}"))
                                     .collect::<Vec<_>>()
                                     .join(", ");
-                                let paths = diff_leaf_paths(&doc_a, &doc_b, 10);
                                 format!(
                                     "differing fields per key: {per_key}\n    {}",
                                     paths.join("\n    ")
@@ -910,13 +886,13 @@ mod tests {
         let b = Json::obj()
             .field("seed", 8u64)
             .field("metrics", Json::obj().field("x", 1u64).field("y", 3u64).field("z", 4u64));
-        let counts = diff_field_counts(&a, &b);
+        let counts = diff_docs(&a, &b, 0).0;
         assert_eq!(counts, vec![("metrics".to_owned(), 2), ("seed".to_owned(), 1)]);
-        assert!(diff_field_counts(&a, &a).is_empty());
+        assert!(diff_docs(&a, &a, 0).0.is_empty());
         // Arrays count element-wise; missing tails count by leaf size.
         let xa = Json::obj().field("rows", Json::Arr(vec![Json::from(1u64), Json::from(2u64)]));
         let xb = Json::obj().field("rows", Json::Arr(vec![Json::from(1u64)]));
-        assert_eq!(diff_field_counts(&xa, &xb), vec![("rows".to_owned(), 1)]);
+        assert_eq!(diff_docs(&xa, &xb, 0).0, vec![("rows".to_owned(), 1)]);
     }
 
     #[test]
@@ -1010,12 +986,12 @@ mod tests {
         let b = Json::obj()
             .field("seed", 8u64)
             .field("metrics", Json::obj().field("x", 1u64).field("y", 3u64).field("z", 4u64));
-        let paths = diff_leaf_paths(&a, &b, 10);
+        let paths = diff_docs(&a, &b, 10).1;
         assert_eq!(paths, ["metrics.y: 2 != 3", "metrics.z: <missing> != 4", "seed: 7 != 8"]);
-        assert_eq!(diff_leaf_paths(&a, &b, 1).len(), 1, "cap respected");
+        assert_eq!(diff_docs(&a, &b, 1).1.len(), 1, "cap respected");
         let xa = Json::obj().field("rows", Json::Arr(vec![Json::from(1u64), Json::from(2u64)]));
         let xb = Json::obj().field("rows", Json::Arr(vec![Json::from(1u64)]));
-        assert_eq!(diff_leaf_paths(&xa, &xb, 10), ["rows[1]: 2 != <missing>"]);
+        assert_eq!(diff_docs(&xa, &xb, 10).1, ["rows[1]: 2 != <missing>"]);
     }
 
     #[test]

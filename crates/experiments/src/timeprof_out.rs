@@ -203,7 +203,7 @@ mod tests {
         {
             let _outer = reg.span("run");
             let _inner = reg.span("step");
-            let mut hook = EventHook::new(&reg, &[("sim_ev_publish", "ev_publish")], 0);
+            let mut hook = EventHook::new(&reg, &[("sim_ev_publish", "ev_publish")], &[], 0);
             hook.record(EventRecord { t_us: 0, kind: 0, node: 0, tags: &[], depth: 0 });
             hook.close(0);
         }

@@ -31,7 +31,7 @@
 //! let mut net = Network::from_world(&world, NetworkConfig::default(), 7);
 //! let provider = net.add_node(world.provider_location(), cdnc_geo::IspId(0));
 //! let packet = Packet::update(provider, NodeId(0), 1.0);
-//! let arrival = net.send(SimTime::ZERO, &packet);
+//! let arrival = net.send(SimTime::ZERO, &packet).arrival;
 //! assert!(arrival > SimTime::ZERO);
 //! ```
 
@@ -47,8 +47,8 @@ pub mod uplink;
 pub use absence::{AbsenceConfig, AbsenceSchedule};
 pub use fault::{Brownout, FaultConfig, FaultDecision, FaultPlane, IspPartition, LinkPartition};
 pub use latency::LatencyModel;
-pub use network::{Deliveries, Network, NetworkConfig};
+pub use network::{Network, NetworkConfig, Sent};
 pub use node::{NetNode, NodeId};
-pub use packet::{Packet, PacketKind, PACKET_KINDS};
+pub use packet::{Packet, PacketKind, PACKET_KINDS, PACKET_NAMES};
 pub use traffic::TrafficStats;
 pub use uplink::Uplink;

@@ -56,20 +56,10 @@ impl PacketKind {
     ];
 
     /// [`PacketKind::name`] with `-` folded to `_`: the stable metric-name
-    /// suffix for per-kind instruments.
+    /// suffix for per-kind instruments (its sent counter's name past the
+    /// `sim_msgs_` prefix).
     pub fn metric_suffix(self) -> &'static str {
-        match self {
-            PacketKind::Update => "update",
-            PacketKind::Poll => "poll",
-            PacketKind::PollUnchanged => "poll_unchanged",
-            PacketKind::Invalidation => "invalidation",
-            PacketKind::MethodSwitch => "method_switch",
-            PacketKind::TreeMaintenance => "tree_maintenance",
-            PacketKind::UserRequest => "user_request",
-            PacketKind::UserResponse => "user_response",
-            PacketKind::Ack => "ack",
-            PacketKind::OriginFetch => "origin_fetch",
-        }
+        &PACKET_NAMES[self as usize].1["sim_msgs_".len()..]
     }
 
     /// `true` for messages that carry content (the paper's "update
@@ -83,23 +73,31 @@ impl PacketKind {
         !self.is_update()
     }
 
-    /// The stable wire name, `'static` so the tracer can label hop spans
-    /// without allocating (every name is in `cdnc_obs::trace::LABELS`).
+    /// The stable wire name (the first column of [`PACKET_NAMES`]),
+    /// `'static` so the tracer can label hop spans without allocating
+    /// (every name is in `cdnc_obs::trace::LABELS`).
     pub fn name(self) -> &'static str {
-        match self {
-            PacketKind::Update => "update",
-            PacketKind::Poll => "poll",
-            PacketKind::PollUnchanged => "poll-unchanged",
-            PacketKind::Invalidation => "invalidation",
-            PacketKind::MethodSwitch => "method-switch",
-            PacketKind::TreeMaintenance => "tree-maintenance",
-            PacketKind::UserRequest => "user-request",
-            PacketKind::UserResponse => "user-response",
-            PacketKind::Ack => "ack",
-            PacketKind::OriginFetch => "origin-fetch",
-        }
+        PACKET_NAMES[self as usize].0
     }
 }
+
+/// Each kind's names, indexed by `PacketKind as usize`: its wire name, then
+/// the `sim_msgs_`, `sim_inflight_` and `net_bytes_` instruments of its
+/// [`PacketKind::metric_suffix`] — the packet table of the simulation's
+/// [`EventHook`](cdnc_obs::EventHook).
+#[rustfmt::skip]
+pub const PACKET_NAMES: [cdnc_obs::PacketNames; PACKET_KINDS] = [
+    ("update", "sim_msgs_update", "sim_inflight_update", "net_bytes_update"),
+    ("poll", "sim_msgs_poll", "sim_inflight_poll", "net_bytes_poll"),
+    ("poll-unchanged", "sim_msgs_poll_unchanged", "sim_inflight_poll_unchanged", "net_bytes_poll_unchanged"),
+    ("invalidation", "sim_msgs_invalidation", "sim_inflight_invalidation", "net_bytes_invalidation"),
+    ("method-switch", "sim_msgs_method_switch", "sim_inflight_method_switch", "net_bytes_method_switch"),
+    ("tree-maintenance", "sim_msgs_tree_maintenance", "sim_inflight_tree_maintenance", "net_bytes_tree_maintenance"),
+    ("user-request", "sim_msgs_user_request", "sim_inflight_user_request", "net_bytes_user_request"),
+    ("user-response", "sim_msgs_user_response", "sim_inflight_user_response", "net_bytes_user_response"),
+    ("ack", "sim_msgs_ack", "sim_inflight_ack", "net_bytes_ack"),
+    ("origin-fetch", "sim_msgs_origin_fetch", "sim_inflight_origin_fetch", "net_bytes_origin_fetch"),
+];
 
 impl fmt::Display for PacketKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -199,6 +197,20 @@ mod tests {
         assert_eq!(Packet::invalidation(a, b).size_kb, LIGHT_PACKET_KB);
         assert_eq!(Packet::update(a, b, 500.0).size_kb, 500.0);
         assert_eq!(Packet::update(a, b, 500.0).kind, PacketKind::Update);
+    }
+
+    #[test]
+    fn packet_names_follow_each_kinds_wire_name_and_suffix() {
+        for kind in PacketKind::ALL {
+            let suffix = kind.metric_suffix();
+            let row = PACKET_NAMES[kind as usize];
+            assert_eq!(row.0.replace('-', "_"), suffix, "the suffix folds `-` to `_`");
+            assert_eq!(row.1, format!("sim_msgs_{suffix}"));
+            assert_eq!(row.2, format!("sim_inflight_{suffix}"));
+            assert_eq!(row.3, format!("net_bytes_{suffix}"));
+        }
+        assert_eq!(PacketKind::PollUnchanged.name(), "poll-unchanged");
+        assert_eq!(PacketKind::PollUnchanged.metric_suffix(), "poll_unchanged");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! - **Profiling** ([`Registry::enable_profiling`],
 //!   [`Registry::enable_timeprof`]): structural memory probes, and
 //!   per-event-kind handler time with worker utilization.
-//! - **The event hook** ([`EventHook`]): the event loop's one observation
-//!   point, feeding every armed plane from one record per popped event.
+//! - **The event hook** ([`EventHook`]): the simulation's one observation
+//!   point, feeding every armed plane from one record per popped event and
+//!   one per packet sent or delivered.
 //! - **Run health** ([`Registry::enable_health`]): wall-clock progress
 //!   counters, a heartbeat file writer, and a stall watchdog.
 //!
@@ -68,7 +69,7 @@ pub use health::{
     vm_hwm_kb, vm_rss_kb, Health, HealthMonitor, HealthMonitorConfig, HealthSnapshot,
     DEFAULT_HEARTBEAT_MS, DEFAULT_STALL_AFTER_MS,
 };
-pub use hook::{EventHook, EventKind, EventRecord};
+pub use hook::{EventHook, EventKind, EventRecord, Fate, PacketNames, SendRecord};
 pub use json::{parse, Json};
 pub use metrics::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,

@@ -147,10 +147,9 @@ impl Registry {
     }
 
     /// Arms the profiling structural probes: the queue-depth log-histogram
-    /// at pop time and the allocation-spike probe (both fed by
-    /// [`EventHook`](crate::EventHook)), per-`PacketKind` byte accounting
-    /// in the network, and per-node state-size estimation in the
-    /// simulator. Like tracing/series this is an opt-in gate mirrored by
+    /// at pop time, the allocation-spike probe and per-packet-kind byte
+    /// accounting (all fed by [`EventHook`](crate::EventHook)), and
+    /// per-node state-size estimation in the simulator. Like tracing/series this is an opt-in gate mirrored by
     /// [`Registry::shard`] — the probes record through ordinary interned
     /// instruments, so `--jobs N` merges bit-identically.
     ///
@@ -737,7 +736,7 @@ mod tests {
         const KINDS: &[crate::EventKind] = &[("n_publish", "ev_publish"), ("n_probe", "ev_probe")];
         // One simulation recording `kinds` through its hook, then closing.
         let run = |reg: &Registry, kinds: &[usize]| {
-            let mut hook = crate::EventHook::new(reg, KINDS, 0);
+            let mut hook = crate::EventHook::new(reg, KINDS, &[], 0);
             for &kind in kinds {
                 hook.record(crate::EventRecord { t_us: 0, kind, node: 0, tags: &[], depth: 0 });
             }

@@ -136,6 +136,22 @@ struct SeriesState {
     total_points: u64,
 }
 
+impl SeriesState {
+    /// The `(name, kind)` source, registered reading `cell` if absent.
+    fn source(&mut self, name: &str, kind: SeriesKind, cell: SourceCell) -> &mut Source {
+        let idx = match self.sources.iter().position(|s| s.name == name && s.kind == kind) {
+            Some(idx) => idx,
+            None => {
+                let last = if kind == SeriesKind::Rate { cell.read() } else { 0 };
+                let points = Vec::new();
+                self.sources.push(Source { name: name.to_owned(), kind, cell, last, points });
+                self.sources.len() - 1
+            }
+        };
+        &mut self.sources[idx]
+    }
+}
+
 /// The attached sampling engine; lives behind
 /// [`crate::Registry::enable_series`].
 #[derive(Debug)]
@@ -160,12 +176,7 @@ impl SeriesCore {
     /// untouched, so every simulation sharing a registry can register its
     /// sources.
     pub(crate) fn add_source(&self, name: &str, kind: SeriesKind, cell: SourceCell) {
-        let mut state = self.state.lock();
-        if state.sources.iter().any(|s| s.name == name && s.kind == kind) {
-            return;
-        }
-        let last = if kind == SeriesKind::Rate { cell.read() } else { 0 };
-        state.sources.push(Source { name: name.to_owned(), kind, cell, last, points: Vec::new() });
+        self.state.lock().source(name, kind, cell);
     }
 
     /// Starts a fresh sampling segment: the next sim starting its clock at
@@ -226,25 +237,10 @@ impl SeriesCore {
     ) {
         let _prof = crate::profile::scope(crate::profile::Subsystem::Series);
         let mut state = self.state.lock();
-        let idx = match state.sources.iter().position(|s| s.name == name && s.kind == kind) {
-            Some(i) => i,
-            None => {
-                state.sources.push(Source {
-                    name: name.to_owned(),
-                    kind,
-                    cell,
-                    last: 0,
-                    points: Vec::new(),
-                });
-                state.sources.len() - 1
-            }
-        };
         state.total_points += points.len() as u64;
+        let source = state.source(name, kind, cell);
         for &p in points {
-            state.sources[idx].points.push(p);
-            if state.sources[idx].points.len() >= SERIES_CAPACITY {
-                state.sources[idx].points = lttb(&state.sources[idx].points, SERIES_CAPACITY / 2);
-            }
+            source.push(p);
         }
     }
 

@@ -257,16 +257,12 @@ pub struct TraceMeta {
     pub scope: String,
 }
 
-#[derive(Default)]
-struct TracerState {
-    spans: Vec<SpanRecord>,
-    traces: Vec<TraceMeta>,
-}
-
 /// Shared storage behind enabled [`Tracer`] handles.
 #[derive(Default)]
 pub struct TracerCore {
-    state: Mutex<TracerState>,
+    /// Everything recorded. Its own `horizon_us` is unused: the clock
+    /// advances on every event, so it lives outside the lock.
+    state: Mutex<SpanStore>,
     /// Latest simulated instant any attached event loop reached.
     horizon_us: AtomicU64,
 }
@@ -470,16 +466,7 @@ impl Tracer {
     pub fn absorb(&self, other: &SpanStore) {
         let Some(core) = &self.0 else { return };
         let _prof = crate::profile::scope(crate::profile::Subsystem::Trace);
-        let mut state = core.state.lock();
-        let trace_off = state.traces.len() as u32;
-        let span_off = state.spans.len() as u32;
-        state.traces.extend(
-            other
-                .traces
-                .iter()
-                .map(|meta| TraceMeta { id: TraceId(meta.id.0 + trace_off), ..meta.clone() }),
-        );
-        state.spans.extend(other.spans.iter().map(|s| offset_record(s, span_off, trace_off)));
+        core.state.lock().merge(other);
         core.horizon_us.fetch_max(other.horizon_us, Relaxed);
     }
 
@@ -489,32 +476,9 @@ impl Tracer {
             None => SpanStore::default(),
             Some(core) => {
                 let state = core.state.lock();
-                SpanStore {
-                    spans: state.spans.clone(),
-                    traces: state.traces.clone(),
-                    horizon_us: core.horizon_us.load(Relaxed),
-                }
+                SpanStore { horizon_us: core.horizon_us.load(Relaxed), ..state.clone() }
             }
         }
-    }
-}
-
-/// `record` with its ids shifted by the given offsets; the NONE sentinels
-/// are preserved (a control span stays a control span, a root stays a root).
-fn offset_record(record: &SpanRecord, span_off: u32, trace_off: u32) -> SpanRecord {
-    SpanRecord {
-        id: SpanId(record.id.0 + span_off),
-        trace: if record.trace.is_some() {
-            TraceId(record.trace.0 + trace_off)
-        } else {
-            TraceId::NONE
-        },
-        parent: if record.parent.is_some() {
-            SpanId(record.parent.0 + span_off)
-        } else {
-            SpanId::NONE
-        },
-        ..record.clone()
     }
 }
 
@@ -794,7 +758,8 @@ impl SpanStore {
     }
 
     /// Appends `other`'s traces and spans after this store's, renumbering
-    /// ids exactly like [`Tracer::absorb`]: merging per-shard stores in
+    /// trace and span ids past this store's (sentinels stay sentinels), the
+    /// rule [`Tracer::absorb`] merges shards by: merging per-shard stores in
     /// task order yields the store a single sequential tracer would have
     /// produced. Dense-id invariants are preserved, so every reconstruction
     /// helper keeps working on the merged store.
@@ -807,7 +772,12 @@ impl SpanStore {
                 .iter()
                 .map(|meta| TraceMeta { id: TraceId(meta.id.0 + trace_off), ..meta.clone() }),
         );
-        self.spans.extend(other.spans.iter().map(|s| offset_record(s, span_off, trace_off)));
+        self.spans.extend(other.spans.iter().map(|s| SpanRecord {
+            id: SpanId(s.id.0 + span_off),
+            trace: if s.trace.is_some() { TraceId(s.trace.0 + trace_off) } else { TraceId::NONE },
+            parent: if s.parent.is_some() { SpanId(s.parent.0 + span_off) } else { SpanId::NONE },
+            ..s.clone()
+        }));
         self.horizon_us = self.horizon_us.max(other.horizon_us);
     }
 

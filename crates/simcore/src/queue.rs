@@ -117,6 +117,11 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// Every pending event, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        self.slots.iter().flatten()
+    }
+
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();

@@ -78,6 +78,12 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
+    /// Every pending event, in no particular order (events past the
+    /// horizon included).
+    pub fn queued(&self) -> impl Iterator<Item = &E> {
+        self.queue.iter()
+    }
+
     /// The configured horizon, if any.
     pub fn horizon(&self) -> Option<SimTime> {
         self.horizon
@@ -242,7 +248,7 @@ mod tests {
     const KINDS: &[cdnc_obs::EventKind] = &[("test_ev_a", "ev_a"), ("test_ev_b", "ev_b")];
 
     fn mint(reg: &Registry, s: &Scheduler<Ev>) -> EventHook {
-        EventHook::new(reg, KINDS, s.horizon().map_or(0, SimTime::as_micros))
+        EventHook::new(reg, KINDS, &[], s.horizon().map_or(0, SimTime::as_micros))
     }
 
     /// Pops one event and records it into `hook`.
