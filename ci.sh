@@ -184,17 +184,20 @@ test -s "$DIG_DIR/serial/fig14.health.json"
 cargo run -q -p cdnc-experiments --release -- watch "$DIG_DIR/serial" --once | grep -q 'done'
 rm -rf "$DIG_DIR"
 
-echo "==> benchmark correctness smoke (perfbench, every workload at full size)"
-# One untimed pass per workload: every simulation must run, match its own
+echo "==> benchmark correctness smoke (perfbench, every workload at full size, seeds 42 and 7)"
+# One untimed pass per workload on the default seed and on the held-out
+# seed 7 (perfbench/README.md): every simulation must run, match its own
 # re-run and pass the workload's checks. perfbench exits 0 even when a check
 # fails, so the verdict is read from its last line, not its exit status.
-for w in consistency request_plane observed lifecycle; do
-  last="$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload "$w" --seconds 0 --trace 0 | tail -n 1)"
-  case "$last" in
-    '{"correct": true'*) echo "perfbench $w: correct" ;;
-    *) echo "perfbench $w: not correct: $last"; exit 1 ;;
-  esac
+for seed in 42 7; do
+  for w in consistency request_plane observed lifecycle; do
+    last="$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seed "$seed" --seconds 0 --trace 0 | tail -n 1)"
+    case "$last" in
+      '{"correct": true'*) echo "perfbench $w seed $seed: correct" ;;
+      *) echo "perfbench $w seed $seed: not correct: $last"; exit 1 ;;
+    esac
+  done
 done
 
 echo "CI gate passed."

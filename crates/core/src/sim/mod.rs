@@ -1408,20 +1408,7 @@ mod tests {
                 let resumed = profiled();
                 let art = checkpoint(&cfg, t1);
                 resume_until_with_obs(&cfg, &resumed, &art, t2).expect("artifact restores");
-                let (mut got, mut want) = (levels(&resumed), levels(&straight));
-                if cfg.scheme == Scheme::hat() {
-                    // A HAT failover moves servers with updates pending to
-                    // another method, and a straight run keeps counting
-                    // those updates under the method they were published
-                    // under, so its per-method pending gauges drift from
-                    // the state a restore reads.
-                    let not_per_method = |(n, _): &(String, u64)| {
-                        !n.starts_with("sim_pending_updates_") || n == "sim_pending_updates_users"
-                    };
-                    got.retain(not_per_method);
-                    want.retain(not_per_method);
-                }
-                assert_eq!(got, want, "{} at {t2}", cfg.scheme);
+                assert_eq!(levels(&resumed), levels(&straight), "{} at {t2}", cfg.scheme);
             }
         }
 

@@ -232,7 +232,7 @@ impl CdnSimulation<'_> {
         };
         // Topology re-wiring: promotee under its tree parent as a pusher...
         self.topo.rewire(promoted, parent);
-        self.topo.method[promoted.index()] = Some(MethodKind::Push);
+        self.set_method(promoted, MethodKind::Push);
         self.set_mode(promoted, AdaptiveMode::Ttl);
         self.nodes[promoted.index()].timer_gen += 1; // pushers do not poll
         self.nodes[promoted.index()].awaiting_probe = None;
@@ -251,7 +251,7 @@ impl CdnSimulation<'_> {
         // ...and the demoted supernode becomes an ordinary member (it polls
         // the promotee when it returns).
         self.topo.rewire(old, promoted);
-        self.topo.method[old.index()] = Some(member_method);
+        self.set_method(old, member_method);
         self.nodes[old.index()].awaiting_probe = None;
         self.nodes[old.index()].timer_gen += 1;
         let old_gen = self.nodes[old.index()].timer_gen;
@@ -286,6 +286,16 @@ impl CdnSimulation<'_> {
                 self.sched.schedule_at(now + self.config.server_ttl, Event::PollTimer(m, gen));
             }
         }
+    }
+
+    /// Moves `node` to `method` during a failover. The updates pending at it
+    /// move from the old method's pending gauge to the new one's, so the
+    /// per-method gauges keep reading the servers' real backlog.
+    fn set_method(&mut self, node: NodeId, method: MethodKind) {
+        let pending = self.nodes[node.index()].pending_pubs.len() as u64;
+        self.obs.pending(self.topo.method_of(node)).sub(pending);
+        self.topo.method[node.index()] = Some(method);
+        self.obs.pending(Some(method)).add(pending);
     }
 
     /// The convergence invariant, checked once the event queue drains: with

@@ -8,13 +8,24 @@
 //! `probes` section comes from registry instruments sharded and absorbed
 //! in task order, so it is bit-identical for every `--jobs N`. The
 //! `attribution` section (alloc count and bytes per *named* subsystem) is
-//! workload-dominated but fed by the process-global allocator, so
-//! per-thread warm-up inside scopes adds a sub-0.1% jitter across worker
-//! counts — reproducible for a fixed `--jobs`, tolerance-compared across
-//! them. Everything tied to process-level timing — the `other` bucket
-//! (thread spawns, orchestration), live/peak levels, spike counts, wall
-//! clock, RSS — sits under keys listed in
-//! [`crate::obs_out::VOLATILE_KEYS`], so `obs-diff` ignores it.
+//! workload-dominated but fed by the process-global allocator. `obs-diff`
+//! ([`crate::obs_out::diff_artifact_dirs`]) compares it exactly, like every
+//! key outside [`crate::obs_out::VOLATILE_KEYS`], so:
+//!
+//! * a change that adds or removes one allocation on a profiled path
+//!   differs from its parent even when every result is identical;
+//! * runs at different worker counts differ by the per-thread warm-up
+//!   inside scopes (`profile fig20 --scale smoke`: 44 of 456k `sim_core`
+//!   allocations between `--jobs 1` and `--jobs 2`), so compare runs at
+//!   one `--jobs`;
+//! * `profile ext_chaos` and `profile ext_churn` jitter by one 592-byte
+//!   `sim_core` allocation between runs of one binary, at one `--jobs`;
+//!   run each side twice before reading a difference there.
+//!
+//! Everything tied to process-level timing — the `other` bucket (thread
+//! spawns, orchestration), live/peak levels, spike counts, wall clock,
+//! RSS — sits under keys listed in [`crate::obs_out::VOLATILE_KEYS`], so
+//! `obs-diff` ignores it.
 
 use crate::scale::Scale;
 use cdnc_net::PacketKind;

@@ -66,11 +66,23 @@ impl GeoPoint {
 
     /// Great-circle distance to `other` in kilometres (haversine formula).
     pub fn distance_km(&self, other: &GeoPoint) -> f64 {
-        let lat1 = self.lat_deg.to_radians();
-        let lat2 = other.lat_deg.to_radians();
+        self.distance_km_cos(self.cos_lat(), other, other.cos_lat())
+    }
+
+    /// The cosine of the latitude: the one factor of
+    /// [`GeoPoint::distance_km`] that depends on a single point.
+    pub fn cos_lat(&self) -> f64 {
+        self.lat_deg.to_radians().cos()
+    }
+
+    /// [`GeoPoint::distance_km`] given both points' [`GeoPoint::cos_lat`],
+    /// for callers that measure many distances between the same points. It
+    /// applies the same operations to the same values, so it returns the
+    /// same bits.
+    pub fn distance_km_cos(&self, cos_lat: f64, other: &GeoPoint, other_cos_lat: f64) -> f64 {
         let dlat = (other.lat_deg - self.lat_deg).to_radians();
         let dlon = (other.lon_deg - self.lon_deg).to_radians();
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + cos_lat * other_cos_lat * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
     }
 
@@ -180,7 +192,30 @@ mod tests {
         assert_ne!(a.location_key(4), b.location_key(4));
     }
 
+    /// The haversine as `distance_km` wrote it before the per-point
+    /// `cos(lat)` factor was split out, kept as its oracle.
+    fn haversine_oracle(a: &GeoPoint, b: &GeoPoint) -> f64 {
+        let lat1 = a.lat_deg.to_radians();
+        let lat2 = b.lat_deg.to_radians();
+        let dlat = (b.lat_deg - a.lat_deg).to_radians();
+        let dlon = (b.lon_deg - a.lon_deg).to_radians();
+        let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
+    }
+
     proptest! {
+        /// Both distance paths return the oracle's bits.
+        #[test]
+        fn prop_distance_matches_the_haversine_oracle(
+            lat1 in -90.0f64..=90.0, lon1 in -180.0f64..=180.0,
+            lat2 in -90.0f64..=90.0, lon2 in -180.0f64..=180.0,
+        ) {
+            let (a, b) = (p(lat1, lon1), p(lat2, lon2));
+            let want = haversine_oracle(&a, &b).to_bits();
+            prop_assert_eq!(a.distance_km(&b).to_bits(), want);
+            prop_assert_eq!(a.distance_km_cos(a.cos_lat(), &b, b.cos_lat()).to_bits(), want);
+        }
+
         /// Triangle inequality holds for the haversine metric.
         #[test]
         fn prop_triangle_inequality(

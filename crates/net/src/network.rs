@@ -229,16 +229,15 @@ impl Network {
     }
 
     /// Charges `packet` to traffic and its sender's uplink and draws its
-    /// latency; `fault` only rides along into the result.
+    /// latency over the distance it computed once; `fault` only rides along
+    /// into the result.
     fn transmit(&mut self, now: SimTime, packet: &Packet, fault: FaultDecision) -> Sent {
         let _prof = cdnc_obs::profile::scope(cdnc_obs::profile::Subsystem::Net);
-        let distance = self.distance_km(packet.src, packet.dst);
-        let crosses_isp = self.node(packet.src).isp() != self.node(packet.dst).isp();
+        let (distance, crosses_isp) = self.path(packet.src, packet.dst);
         self.traffic.record_with_isp(packet, distance, crosses_isp);
         let queue_delay = self.uplinks[packet.src.index()].queueing_delay(now);
         let departed = self.uplinks[packet.src.index()].transmit(now, packet.size_kb);
-        let (src, dst) = (&self.nodes[packet.src.index()], &self.nodes[packet.dst.index()]);
-        let arrival = departed + self.config.latency.delay(src, dst, &mut self.rng);
+        let arrival = departed + self.config.latency.delay(distance, crosses_isp, &mut self.rng);
         Sent { queue_delay, arrival, fault }
     }
 
@@ -246,8 +245,16 @@ impl Network {
     /// queueing) — the `RTT` used by the trace crawler's clock-skew
     /// correction (paper §3.1).
     pub fn rtt_estimate(&self, a: NodeId, b: NodeId) -> SimDuration {
-        let one_way = self.config.latency.deterministic_delay(self.node(a), self.node(b));
-        one_way * 2
+        let (distance, crosses_isp) = self.path(a, b);
+        self.config.latency.deterministic_delay(distance, crosses_isp) * 2
+    }
+
+    /// The great-circle distance from `a` to `b`, km, and whether the path
+    /// crosses an ISP boundary: what traffic accounting and the latency
+    /// draw both need, computed once.
+    fn path(&self, a: NodeId, b: NodeId) -> (f64, bool) {
+        let (a, b) = (self.node(a), self.node(b));
+        (a.distance_km(b), a.isp() != b.isp())
     }
 
     /// Accumulated traffic statistics.

@@ -28,13 +28,15 @@ impl fmt::Display for NodeId {
 pub struct NetNode {
     id: NodeId,
     location: GeoPoint,
+    /// `location.cos_lat()`, computed once: every send measures a distance.
+    cos_lat: f64,
     isp: IspId,
 }
 
 impl NetNode {
     /// Creates a node record.
     pub fn new(id: NodeId, location: GeoPoint, isp: IspId) -> Self {
-        NetNode { id, location, isp }
+        NetNode { id, location, cos_lat: location.cos_lat(), isp }
     }
 
     /// The node's id.
@@ -52,9 +54,10 @@ impl NetNode {
         self.isp
     }
 
-    /// Great-circle distance to another node, km.
+    /// Great-circle distance to another node, km: bit-identical to
+    /// [`GeoPoint::distance_km`] between the two locations.
     pub fn distance_km(&self, other: &NetNode) -> f64 {
-        self.location.distance_km(&other.location)
+        self.location.distance_km_cos(self.cos_lat, &other.location, other.cos_lat)
     }
 }
 

@@ -40,6 +40,6 @@ pub mod stats;
 pub mod time;
 
 pub use queue::EventQueue;
-pub use rng::{derive_seed, derive_stream, stream_tag, SimRng};
+pub use rng::{derive_seed, derive_stream, stream_tag, SimRng, Zipf};
 pub use scheduler::Scheduler;
 pub use time::{SimDuration, SimTime};

@@ -263,50 +263,93 @@ impl SimRng {
             items.swap(i, j);
         }
     }
+}
 
-    /// Bounded-Zipf draw: a rank in `[0, n)` with `P(rank = k) ∝ (k+1)^-s`.
-    ///
-    /// Rank 0 is the most popular. Uses Hörmann–Derflinger
-    /// rejection-inversion, so a draw costs O(1) expected time at any
-    /// catalog size — no precomputed harmonic table, which keeps the
-    /// sampler a pure function of the rng stream. `s = 0` degenerates to a
-    /// uniform draw over the ranks; `s ≈ 0.6–1.2` covers the skews
-    /// reported for CDN request popularity.
+/// A bounded-Zipf distribution: ranks in `[0, n)` with
+/// `P(rank = k) ∝ (k+1)^-s`.
+///
+/// Rank 0 is the most popular. Draws use Hörmann–Derflinger
+/// rejection-inversion, so a draw costs O(1) expected time at any catalog
+/// size and needs no harmonic table: it is a pure function of the rng
+/// stream. The method's three constants depend only on `n` and `s`, so
+/// they are computed once here rather than on every draw. `s = 0`
+/// degenerates to a uniform draw over the ranks; `s ≈ 0.6–1.2` covers the
+/// skews reported for CDN request popularity.
+///
+/// # Examples
+///
+/// ```
+/// use cdnc_simcore::{SimRng, Zipf};
+///
+/// let zipf = Zipf::new(100, 1.0);
+/// let mut rng = SimRng::seed_from_u64(7);
+/// assert!(zipf.sample(&mut rng) < 100);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Zipf {
+    /// The rank count as a float.
+    n: f64,
+    s: f64,
+    /// `s` is within 1e-9 of 1, where `H` and `H_inv` degenerate to
+    /// `ln` and `exp`.
+    log: bool,
+    /// `H(1/2) - f(1)`, the lower end of the inversion interval.
+    hx0: f64,
+    /// `H(n + 1/2) - hx0`, the interval's width.
+    span: f64,
+    /// A draw within this distance below its rank is accepted without the
+    /// density test.
+    cutoff: f64,
+}
+
+impl Zipf {
+    /// The distribution over `n` ranks with exponent `s`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `s` is negative or not finite.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf() over an empty catalog");
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n > 0, "zipf over an empty catalog");
         assert!(s >= 0.0 && s.is_finite(), "bad zipf exponent: {s}");
-        if n == 1 {
+        let base =
+            Zipf { n: n as f64, s, log: (s - 1.0).abs() < 1e-9, hx0: 0.0, span: 0.0, cutoff: 0.0 };
+        let hx0 = base.h(0.5) - 1.0;
+        Zipf {
+            hx0,
+            span: base.h(base.n + 0.5) - hx0,
+            cutoff: 1.0 - base.h_inv(base.h(1.5) - 2f64.powf(-s)),
+            ..base
+        }
+    }
+
+    /// `H`, an antiderivative of `x^-s`.
+    fn h(&self, x: f64) -> f64 {
+        if self.log {
+            x.ln()
+        } else {
+            (x.powf(1.0 - self.s) - 1.0) / (1.0 - self.s)
+        }
+    }
+
+    /// `H_inv`, the inverse of [`Zipf::h`].
+    fn h_inv(&self, u: f64) -> f64 {
+        if self.log {
+            u.exp()
+        } else {
+            (1.0 + u * (1.0 - self.s)).powf(1.0 / (1.0 - self.s))
+        }
+    }
+
+    /// Draws a rank. A single-rank distribution returns 0 without drawing.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        if self.n == 1.0 {
             return 0;
         }
-        let nf = n as f64;
-        // H is an antiderivative of x^-s, H_inv its inverse; near s = 1 the
-        // closed forms degenerate to ln/exp.
-        let h = |x: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-9 {
-                x.ln()
-            } else {
-                (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-            }
-        };
-        let h_inv = |u: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-9 {
-                u.exp()
-            } else {
-                (1.0 + u * (1.0 - s)).powf(1.0 / (1.0 - s))
-            }
-        };
-        let hx0 = h(0.5) - 1.0; // H(1/2) - f(1)
-        let span = h(nf + 0.5) - hx0;
-        let cutoff = 1.0 - h_inv(h(1.5) - 2f64.powf(-s));
         loop {
-            let u = hx0 + self.uniform_f64() * span;
-            let x = h_inv(u);
-            let k = (x + 0.5).floor().clamp(1.0, nf);
-            if k - x <= cutoff || u >= h(k + 0.5) - (-s * k.ln()).exp() {
+            let u = self.hx0 + rng.uniform_f64() * self.span;
+            let x = self.h_inv(u);
+            let k = (x + 0.5).floor().clamp(1.0, self.n);
+            if k - x <= self.cutoff || u >= self.h(k + 0.5) - (-self.s * k.ln()).exp() {
                 return k as usize - 1;
             }
         }
@@ -452,6 +495,44 @@ mod tests {
         }
     }
 
+    /// The per-call sampler [`Zipf`] replaced, kept as its oracle: it
+    /// recomputes the rejection-inversion constants on every draw.
+    impl SimRng {
+        fn zipf(&mut self, n: usize, s: f64) -> usize {
+            assert!(n > 0, "zipf() over an empty catalog");
+            assert!(s >= 0.0 && s.is_finite(), "bad zipf exponent: {s}");
+            if n == 1 {
+                return 0;
+            }
+            let nf = n as f64;
+            let h = |x: f64| -> f64 {
+                if (s - 1.0).abs() < 1e-9 {
+                    x.ln()
+                } else {
+                    (x.powf(1.0 - s) - 1.0) / (1.0 - s)
+                }
+            };
+            let h_inv = |u: f64| -> f64 {
+                if (s - 1.0).abs() < 1e-9 {
+                    u.exp()
+                } else {
+                    (1.0 + u * (1.0 - s)).powf(1.0 / (1.0 - s))
+                }
+            };
+            let hx0 = h(0.5) - 1.0;
+            let span = h(nf + 0.5) - hx0;
+            let cutoff = 1.0 - h_inv(h(1.5) - 2f64.powf(-s));
+            loop {
+                let u = hx0 + self.uniform_f64() * span;
+                let x = h_inv(u);
+                let k = (x + 0.5).floor().clamp(1.0, nf);
+                if k - x <= cutoff || u >= h(k + 0.5) - (-s * k.ln()).exp() {
+                    return k as usize - 1;
+                }
+            }
+        }
+    }
+
     #[test]
     fn zipf_shape_matches_the_power_law() {
         // 40k draws at s = 1: rank frequencies must fall off like 1/(k+1).
@@ -459,9 +540,10 @@ mod tests {
         // dominates the tail.
         let mut r = SimRng::seed_from_u64(12);
         let n = 50;
+        let zipf = Zipf::new(n, 1.0);
         let mut counts = vec![0u64; n];
         for _ in 0..40_000 {
-            counts[r.zipf(n, 1.0)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         let r01 = counts[0] as f64 / counts[1] as f64;
         assert!((r01 - 2.0).abs() < 0.3, "rank0/rank1 ratio {r01} far from 2");
@@ -469,9 +551,10 @@ mod tests {
         assert!((r03 - 4.0).abs() < 0.8, "rank0/rank3 ratio {r03} far from 4");
         assert!(counts[0] > counts[n - 1] * 10, "head must dominate the tail");
         // s = 0 is uniform: extreme ranks appear at comparable rates.
+        let uniform = Zipf::new(10, 0.0);
         let mut counts = [0u64; 10];
         for _ in 0..40_000 {
-            counts[r.zipf(10, 0.0)] += 1;
+            counts[uniform.sample(&mut r)] += 1;
         }
         let spread = *counts.iter().max().unwrap() as f64 / *counts.iter().min().unwrap() as f64;
         assert!(spread < 1.25, "s=0 must be near-uniform, spread {spread}");
@@ -480,16 +563,19 @@ mod tests {
     #[test]
     fn zipf_single_rank_and_bounds() {
         let mut r = SimRng::seed_from_u64(13);
-        assert_eq!(r.zipf(1, 1.2), 0);
+        assert_eq!(Zipf::new(1, 1.2).sample(&mut r), 0);
+        let next = SimRng::seed_from_u64(13).uniform_f64();
+        assert_eq!(r.uniform_f64().to_bits(), next.to_bits(), "a single rank draws nothing");
+        let zipf = Zipf::new(7, 0.8);
         for _ in 0..5_000 {
-            assert!(r.zipf(7, 0.8) < 7);
+            assert!(zipf.sample(&mut r) < 7);
         }
     }
 
     #[test]
     #[should_panic(expected = "bad zipf exponent")]
     fn zipf_rejects_negative_exponent() {
-        SimRng::seed_from_u64(0).zipf(5, -0.5);
+        Zipf::new(5, -0.5);
     }
 
     proptest::proptest! {
@@ -499,13 +585,36 @@ mod tests {
         #[test]
         fn prop_zipf_is_seed_stable(seed in 0u64..1_000, n in 1usize..500,
                                     s in 0.0f64..2.5, draws in 1usize..64) {
+            let zipf = Zipf::new(n, s);
             let mut a = SimRng::seed_from_u64(seed);
             let mut b = SimRng::seed_from_u64(seed);
             for _ in 0..draws {
-                let (x, y) = (a.zipf(n, s), b.zipf(n, s));
+                let (x, y) = (zipf.sample(&mut a), zipf.sample(&mut b));
                 proptest::prop_assert_eq!(x, y);
                 proptest::prop_assert!(x < n);
             }
+        }
+
+        /// Computing the constants once keeps every draw: each sample, and
+        /// the stream position after it, equals the per-call sampler's.
+        #[test]
+        fn prop_zipf_matches_the_per_call_oracle(
+            seed in 0u64..1_000_000,
+            n in proptest::prop_oneof![proptest::strategy::Just(1usize), 1usize..100_000],
+            s in proptest::prop_oneof![
+                proptest::strategy::Just(1.0f64),
+                proptest::strategy::Just(0.0f64),
+                0.0f64..2.5
+            ],
+            draws in 1usize..64,
+        ) {
+            let zipf = Zipf::new(n, s);
+            let mut fast = SimRng::seed_from_u64(seed);
+            let mut oracle = SimRng::seed_from_u64(seed);
+            for _ in 0..draws {
+                proptest::prop_assert_eq!(zipf.sample(&mut fast), oracle.zipf(n, s));
+            }
+            proptest::prop_assert_eq!(fast.uniform_f64().to_bits(), oracle.uniform_f64().to_bits());
         }
     }
 

@@ -5,22 +5,32 @@
 //! hit*: it joins the in-flight fetch's waiter queue instead of issuing a
 //! second origin fetch, and is released — exactly once — when the fill
 //! lands ("Caching with Delayed Hits", Atre et al., SIGCOMM '20). Only the
-//! first requester pays an origin fetch; the cache stays deterministic
-//! because every structure iterates in key order.
+//! first requester pays an origin fetch.
 //!
 //! Eviction is classic LRU by default. The optional MAD-aware variant
 //! (Minimizing Aggregate Delay) scans a small window of the least-recently
 //! used entries and evicts the one that has absorbed the fewest hits since
 //! its fill — a deterministic proxy for the aggregate delay its loss would
 //! cost at the next miss.
+//!
+//! Every operation is O(1) apart from the in-flight list, which holds the
+//! few fetches under way. Cached entries live in a slab, linked into one
+//! recency list from the least to the most recently used, and a hash index
+//! maps each object to its slot. The cache stays deterministic because
+//! nothing reads the index in its iteration order: eviction walks the
+//! list, and the in-flight list and checkpoints are in object order.
 
 use crate::catalog::ObjectId;
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How many least-recently-used entries the MAD variant considers.
 const MAD_WINDOW: usize = 8;
+
+/// The slab slot that stands for "no entry" in the recency links.
+const NIL: u32 = u32::MAX;
 
 /// A request queued behind an in-flight origin fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,16 +56,44 @@ pub enum Lookup {
     Miss,
 }
 
+/// A cached object in its slab slot. A free slot keeps its last contents
+/// and chains to the next free slot through `older`.
 #[derive(Debug, Clone, Default)]
 struct Entry {
+    id: ObjectId,
     snap: u32,
+    /// The recency clock at the entry's last fill or hit.
     tick: u64,
+    /// Hits absorbed since the fill.
     uses: u64,
+    /// The next less recently used entry's slot, or [`NIL`].
+    older: u32,
+    /// The next more recently used entry's slot, or [`NIL`].
+    newer: u32,
 }
 
-#[derive(Debug, Clone, Default)]
-struct InFlight {
-    waiters: Vec<Waiter>,
+/// Hashes an [`ObjectId`] by one multiply-rotate over its two words. A
+/// fixed function, so the index's layout and allocations depend only on
+/// the operations applied, never on a per-process key. Ids come from the
+/// simulation's own catalog, and a checkpoint holds at most `capacity` of
+/// them, so no input can flood the index with colliding keys.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0 << 32) | u64::from(word);
+    }
 }
 
 /// An LRU cache of catalog objects with miss coalescing.
@@ -81,9 +119,18 @@ pub struct LruCache {
     capacity: usize,
     mad: bool,
     tick: u64,
-    entries: BTreeMap<ObjectId, Entry>,
-    recency: BTreeMap<u64, ObjectId>,
-    inflight: BTreeMap<ObjectId, InFlight>,
+    /// Entry slots. A fill holds one entry past capacity until it evicts,
+    /// so the slab never needs more than `capacity + 1` slots.
+    slab: Vec<Entry>,
+    /// The slot of each cached object.
+    index: HashMap<ObjectId, u32, BuildHasherDefault<IdHasher>>,
+    /// The least and most recently used entries' slots, or [`NIL`].
+    oldest: u32,
+    newest: u32,
+    /// The first free slot, or [`NIL`].
+    free: u32,
+    /// In-flight fetches with their waiter queues, sorted by object.
+    inflight: Vec<(ObjectId, Vec<Waiter>)>,
 }
 
 impl LruCache {
@@ -99,20 +146,23 @@ impl LruCache {
             capacity,
             mad,
             tick: 0,
-            entries: BTreeMap::new(),
-            recency: BTreeMap::new(),
-            inflight: BTreeMap::new(),
+            slab: Vec::new(),
+            index: HashMap::default(),
+            oldest: NIL,
+            newest: NIL,
+            free: NIL,
+            inflight: Vec::new(),
         }
     }
 
     /// Number of cached objects (in-flight fetches excluded).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Configured capacity.
@@ -127,36 +177,43 @@ impl LruCache {
 
     /// The provider snapshot the cached copy of `id` carries, if cached.
     pub fn peek_snap(&self, id: ObjectId) -> Option<u32> {
-        self.entries.get(&id).map(|e| e.snap)
+        self.index.get(&id).map(|&slot| self.slab[slot as usize].snap)
     }
 
     /// One user request for `id`: hit, delayed hit, or miss. On a miss the
     /// requester is queued as the new fetch's first waiter, so the caller
     /// only has to start the origin fetch.
     pub fn request(&mut self, id: ObjectId, user: u32, now: SimTime) -> Lookup {
-        if let Some(entry) = self.entries.get_mut(&id) {
-            self.recency.remove(&entry.tick);
+        if let Some(&slot) = self.index.get(&id) {
             self.tick += 1;
+            if slot != self.newest {
+                self.unlink(slot);
+                self.push_newest(slot);
+            }
+            let entry = &mut self.slab[slot as usize];
             entry.tick = self.tick;
             entry.uses += 1;
-            self.recency.insert(self.tick, id);
             return Lookup::Hit { snap: entry.snap };
         }
         let waiter = Waiter { user, requested_at: now };
-        if let Some(fetch) = self.inflight.get_mut(&id) {
-            fetch.waiters.push(waiter);
-            return Lookup::Delayed;
+        match self.fetch(id) {
+            Ok(at) => {
+                self.inflight[at].1.push(waiter);
+                Lookup::Delayed
+            }
+            Err(at) => {
+                self.inflight.insert(at, (id, vec![waiter]));
+                Lookup::Miss
+            }
         }
-        self.inflight.insert(id, InFlight { waiters: vec![waiter] });
-        Lookup::Miss
     }
 
     /// Drops the cached copy of `id` (serve-time revalidation found it
     /// stale). Returns `true` if a copy was cached.
     pub fn invalidate(&mut self, id: ObjectId) -> bool {
-        match self.entries.remove(&id) {
-            Some(entry) => {
-                self.recency.remove(&entry.tick);
+        match self.index.remove(&id) {
+            Some(slot) => {
+                self.release(slot);
                 true
             }
             None => false,
@@ -177,27 +234,26 @@ impl LruCache {
         snap: u32,
         _now: SimTime,
     ) -> (Vec<Waiter>, Option<ObjectId>) {
-        let fetch = self.inflight.remove(&id).expect("fill without an in-flight fetch");
+        let Ok(at) = self.fetch(id) else { panic!("fill without an in-flight fetch") };
+        let (_, waiters) = self.inflight.remove(at);
         self.tick += 1;
-        self.entries.insert(id, Entry { snap, tick: self.tick, uses: 0 });
-        self.recency.insert(self.tick, id);
-        let evicted = if self.entries.len() > self.capacity { Some(self.evict()) } else { None };
-        (fetch.waiters, evicted)
+        self.insert(Entry { id, snap, tick: self.tick, uses: 0, older: NIL, newer: NIL });
+        let evicted = if self.index.len() > self.capacity { Some(self.evict()) } else { None };
+        (waiters, evicted)
     }
 
     /// `true` while a fetch for `id` is in flight — lets a caller detect an
     /// orphaned fill (the fetch was aborted while the response travelled).
     pub fn is_fetching(&self, id: ObjectId) -> bool {
-        self.inflight.contains_key(&id)
+        self.fetch(id).is_ok()
     }
 
     /// Aborts every in-flight fetch — the edge died mid-fetch. The queued
-    /// waiters are returned so the caller can release them as aborted
-    /// misses; any fill that later arrives for an aborted fetch is an
-    /// orphan the caller must drop (see [`LruCache::is_fetching`]).
+    /// waiters are returned in object order so the caller can release them
+    /// as aborted misses; any fill that later arrives for an aborted fetch
+    /// is an orphan the caller must drop (see [`LruCache::is_fetching`]).
     pub fn abort_inflight(&mut self) -> Vec<Waiter> {
-        let inflight = std::mem::take(&mut self.inflight);
-        inflight.into_values().flat_map(|f| f.waiters).collect()
+        self.inflight.drain(..).flat_map(|(_, waiters)| waiters).collect()
     }
 
     /// Cold restart after a crash: drops every cached object and aborts
@@ -205,18 +261,19 @@ impl LruCache {
     /// clock keeps running, so post-restart ticks never collide with
     /// pre-crash history.
     pub fn cold_restart(&mut self) -> Vec<Waiter> {
-        self.entries.clear();
-        self.recency.clear();
+        self.clear_entries();
         self.abort_inflight()
     }
 
     /// Walks the cache's dynamic state — recency clock, cached entries, and
-    /// in-flight fetches with their waiter queues — as checkpoint state.
-    /// Capacity and the eviction variant are construction parameters
-    /// rebuilt from config. Reading replaces whatever the cache held and
-    /// rebuilds the recency index from the entries' ticks; it rejects a
-    /// catalog slot not below `slots`, a snapshot not below `snapshots` and
-    /// a waiting user not below `users`.
+    /// in-flight fetches with their waiter queues, both in object order —
+    /// as checkpoint state. Capacity and the eviction variant are
+    /// construction parameters rebuilt from config. Reading replaces
+    /// whatever the cache held and relinks the recency list by the entries'
+    /// ticks; it rejects a catalog slot not below `slots`, a snapshot not
+    /// below `snapshots`, a waiting user not below `users`, more entries
+    /// than the capacity, an object cached twice, in flight twice or both,
+    /// and a tick repeated or past the clock.
     pub fn persist(
         &mut self,
         c: &mut Ckpt,
@@ -225,53 +282,322 @@ impl LruCache {
         users: usize,
     ) -> Result<(), CkptError> {
         c.u64("cache_tick", &mut self.tick)?;
-        c.seq("cache_entries", &mut self.entries, |(id, entry), c| {
-            c.index("cache_slot", &mut id.slot, slots)?;
-            c.u32("cache_gen", &mut id.gen)?;
+        let mut entries = Vec::new();
+        if !c.is_reading() {
+            entries.reserve_exact(self.index.len());
+            let mut slot = self.oldest;
+            while slot != NIL {
+                entries.push(self.slab[slot as usize].clone());
+                slot = self.slab[slot as usize].newer;
+            }
+            entries.sort_unstable_by_key(|e| e.id);
+        }
+        c.seq("cache_entries", &mut entries, |entry: &mut Entry, c| {
+            c.index("cache_slot", &mut entry.id.slot, slots)?;
+            c.u32("cache_gen", &mut entry.id.gen)?;
             c.index("cache_snap", &mut entry.snap, snapshots)?;
             c.u64("cache_entry_tick", &mut entry.tick)?;
             c.u64("cache_uses", &mut entry.uses)
         })?;
-        c.seq("cache_inflight", &mut self.inflight, |(id, fetch), c| {
+        c.seq("cache_inflight", &mut self.inflight, |(id, waiters), c| {
             c.index("cache_slot", &mut id.slot, slots)?;
             c.u32("cache_gen", &mut id.gen)?;
-            c.seq("cache_waiters", &mut fetch.waiters, |waiter, c| {
+            c.seq("cache_waiters", waiters, |waiter, c| {
                 c.index("cache_waiter_user", &mut waiter.user, users)?;
                 c.time("cache_waiter_at", &mut waiter.requested_at)
             })
         })?;
         if c.is_reading() {
-            self.recency = self.entries.iter().map(|(&id, entry)| (entry.tick, id)).collect();
+            self.relink(entries)?;
         }
         Ok(())
     }
 
+    /// Rebuilds the slab, index and recency list from restored entries and
+    /// puts the restored in-flight list in object order.
+    fn relink(&mut self, mut entries: Vec<Entry>) -> Result<(), CkptError> {
+        let bad = |what: &str| Err(CkptError(format!("cache checkpoint: {what}")));
+        if entries.len() > self.capacity {
+            return bad(&format!("{} entries exceed capacity {}", entries.len(), self.capacity));
+        }
+        entries.sort_unstable_by_key(|e| e.tick);
+        if entries.windows(2).any(|w| w[0].tick == w[1].tick) {
+            return bad("two entries share a tick");
+        }
+        if entries.last().is_some_and(|e| e.tick > self.tick) {
+            return bad("an entry tick is past the recency clock");
+        }
+        self.inflight.sort_unstable_by_key(|(id, _)| *id);
+        if self.inflight.windows(2).any(|w| w[0].0 == w[1].0) {
+            return bad("an object is in flight twice");
+        }
+        self.clear_entries();
+        for entry in entries {
+            let id = entry.id;
+            if self.index.contains_key(&id) || self.is_fetching(id) {
+                return bad("an object is cached twice or both cached and in flight");
+            }
+            self.insert(entry);
+        }
+        Ok(())
+    }
+
+    /// Caches `entry` as the most recently used.
+    fn insert(&mut self, entry: Entry) {
+        let id = entry.id;
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.slab[slot as usize].older;
+            self.slab[slot as usize] = entry;
+            slot
+        } else {
+            if self.slab.len() == self.slab.capacity() {
+                // Grow geometrically, but never past the slots a full
+                // cache can use.
+                let limit = self.capacity.saturating_add(1);
+                let want = (2 * self.slab.len()).clamp(4.min(limit), limit);
+                self.slab.reserve_exact(want - self.slab.len());
+            }
+            self.slab.push(entry);
+            (self.slab.len() - 1) as u32
+        };
+        self.push_newest(slot);
+        self.index.insert(id, slot);
+    }
+
+    /// Unlinks the entry in `slot` (already dropped from the index) and
+    /// frees the slot.
+    fn release(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.slab[slot as usize].older = self.free;
+        self.free = slot;
+    }
+
+    /// Drops every cached entry, keeping the slab's and index's storage.
+    fn clear_entries(&mut self) {
+        self.slab.clear();
+        self.index.clear();
+        (self.oldest, self.newest, self.free) = (NIL, NIL, NIL);
+    }
+
+    /// Takes the entry in `slot` off the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Entry { older, newer, .. } = self.slab[slot as usize];
+        match older {
+            NIL => self.oldest = newer,
+            _ => self.slab[older as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            _ => self.slab[newer as usize].older = older,
+        }
+    }
+
+    /// Links the entry in `slot` in as the most recently used.
+    fn push_newest(&mut self, slot: u32) {
+        let entry = &mut self.slab[slot as usize];
+        (entry.older, entry.newer) = (self.newest, NIL);
+        match self.newest {
+            NIL => self.oldest = slot,
+            newest => self.slab[newest as usize].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// The position of `id`'s fetch in the in-flight list, or where it
+    /// would go.
+    fn fetch(&self, id: ObjectId) -> Result<usize, usize> {
+        self.inflight.binary_search_by_key(&id, |(fetched, _)| *fetched)
+    }
+
     /// Picks and removes the eviction victim; returns its id.
     fn evict(&mut self) -> ObjectId {
-        let victim = if self.mad {
+        let mut victim = self.oldest;
+        if self.mad {
             // MAD-aware: among the least-recent window, the entry with the
             // fewest absorbed hits costs the least aggregate delay to lose.
-            // Ties fall to the older entry, so the scan is deterministic.
-            let mut best: Option<(u64, u64, ObjectId)> = None;
-            for (&tick, &id) in self.recency.iter().take(MAD_WINDOW) {
-                let uses = self.entries[&id].uses;
-                if best.is_none_or(|(bu, bt, _)| uses < bu || (uses == bu && tick < bt)) {
-                    best = Some((uses, tick, id));
+            // The walk runs from the oldest entry and only a strictly
+            // smaller count displaces the pick, so ties fall to the older.
+            let mut slot = self.slab[victim as usize].newer;
+            for _ in 1..MAD_WINDOW {
+                if slot == NIL {
+                    break;
                 }
+                if self.slab[slot as usize].uses < self.slab[victim as usize].uses {
+                    victim = slot;
+                }
+                slot = self.slab[slot as usize].newer;
             }
-            best.expect("eviction from a non-empty cache").2
-        } else {
-            *self.recency.first_key_value().expect("eviction from a non-empty cache").1
-        };
-        let entry = self.entries.remove(&victim).expect("victim is cached");
-        self.recency.remove(&entry.tick);
-        victim
+        }
+        let id = self.slab[victim as usize].id;
+        self.index.remove(&id);
+        self.release(victim);
+        id
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The `BTreeMap` cache [`LruCache`] replaced, kept as its oracle:
+    /// entries by object, recency by tick, in-flight fetches by object.
+    #[derive(Debug, Clone)]
+    struct OracleCache {
+        capacity: usize,
+        mad: bool,
+        tick: u64,
+        entries: BTreeMap<ObjectId, (u32, u64, u64)>,
+        recency: BTreeMap<u64, ObjectId>,
+        inflight: BTreeMap<ObjectId, Vec<Waiter>>,
+    }
+
+    impl OracleCache {
+        fn new(capacity: usize, mad: bool) -> Self {
+            let (entries, recency, inflight) = Default::default();
+            OracleCache { capacity, mad, tick: 0, entries, recency, inflight }
+        }
+
+        fn request(&mut self, id: ObjectId, user: u32, now: SimTime) -> Lookup {
+            if let Some((snap, tick, uses)) = self.entries.get_mut(&id) {
+                self.recency.remove(tick);
+                self.tick += 1;
+                *tick = self.tick;
+                *uses += 1;
+                self.recency.insert(self.tick, id);
+                return Lookup::Hit { snap: *snap };
+            }
+            let waiter = Waiter { user, requested_at: now };
+            if let Some(waiters) = self.inflight.get_mut(&id) {
+                waiters.push(waiter);
+                return Lookup::Delayed;
+            }
+            self.inflight.insert(id, vec![waiter]);
+            Lookup::Miss
+        }
+
+        fn invalidate(&mut self, id: ObjectId) -> bool {
+            let removed = self.entries.remove(&id);
+            removed.map(|(_, tick, _)| self.recency.remove(&tick)).is_some()
+        }
+
+        fn fill(&mut self, id: ObjectId, snap: u32) -> (Vec<Waiter>, Option<ObjectId>) {
+            let waiters = self.inflight.remove(&id).expect("fill without an in-flight fetch");
+            self.tick += 1;
+            self.entries.insert(id, (snap, self.tick, 0));
+            self.recency.insert(self.tick, id);
+            let evicted = (self.entries.len() > self.capacity).then(|| self.evict());
+            (waiters, evicted)
+        }
+
+        fn abort_inflight(&mut self) -> Vec<Waiter> {
+            std::mem::take(&mut self.inflight).into_values().flatten().collect()
+        }
+
+        fn cold_restart(&mut self) -> Vec<Waiter> {
+            self.entries.clear();
+            self.recency.clear();
+            self.abort_inflight()
+        }
+
+        /// The checkpoint text [`LruCache::persist`] writes for this state.
+        fn artifact(&mut self) -> String {
+            Ckpt::write("test", |c| {
+                c.u64("cache_tick", &mut self.tick)?;
+                c.seq("cache_entries", &mut self.entries, |(id, (snap, tick, uses)), c| {
+                    c.u32("cache_slot", &mut id.slot)?;
+                    c.u32("cache_gen", &mut id.gen)?;
+                    c.u32("cache_snap", snap)?;
+                    c.u64("cache_entry_tick", tick)?;
+                    c.u64("cache_uses", uses)
+                })?;
+                c.seq("cache_inflight", &mut self.inflight, |(id, waiters), c| {
+                    c.u32("cache_slot", &mut id.slot)?;
+                    c.u32("cache_gen", &mut id.gen)?;
+                    c.seq("cache_waiters", waiters, |waiter, c| {
+                        c.u32("cache_waiter_user", &mut waiter.user)?;
+                        c.time("cache_waiter_at", &mut waiter.requested_at)
+                    })
+                })
+            })
+        }
+
+        fn evict(&mut self) -> ObjectId {
+            let victim = if self.mad {
+                let mut best: Option<(u64, u64, ObjectId)> = None;
+                for (&tick, &id) in self.recency.iter().take(MAD_WINDOW) {
+                    let uses = self.entries[&id].2;
+                    if best.is_none_or(|(bu, bt, _)| uses < bu || (uses == bu && tick < bt)) {
+                        best = Some((uses, tick, id));
+                    }
+                }
+                best.expect("eviction from a non-empty cache").2
+            } else {
+                *self.recency.first_key_value().expect("eviction from a non-empty cache").1
+            };
+            let (_, tick, _) = self.entries.remove(&victim).expect("victim is cached");
+            self.recency.remove(&tick);
+            victim
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// Every lookup, every released waiter list and eviction, and the
+        /// checkpoint text after every step equal the `BTreeMap` oracle's,
+        /// over random operation sequences at capacities 1..12 (past the
+        /// MAD window), plain and MAD, with checkpoint round trips mixed in.
+        /// A step is an op code (requests most often, aborts and cold
+        /// restarts rarely, so the cache fills), an object key and a user,
+        /// snapshot or fetch pick. Keys name two generations of each slot,
+        /// and only a few more objects than the capacity, so entries absorb
+        /// the hits MAD eviction has to weigh.
+        #[test]
+        fn prop_cache_matches_the_btreemap_oracle(
+            capacity in 1usize..12,
+            mad in prop_oneof![Just(false), Just(true)],
+            spare in 1u32..12,
+            steps in proptest::collection::vec((0u8..64, 0u32..1_000, 0u32..40), 1..300),
+        ) {
+            let mut cache = LruCache::new(capacity, mad);
+            let mut oracle = OracleCache::new(capacity, mad);
+            for (i, &(op, key, arg)) in steps.iter().enumerate() {
+                let key = key % (capacity as u32 + spare);
+                let id = ObjectId { slot: key / 2, gen: key % 2 };
+                let now = SimTime::from_secs(i as u64);
+                match op {
+                    0..=31 => {
+                        prop_assert_eq!(cache.request(id, arg, now), oracle.request(id, arg, now));
+                    }
+                    32..=51 => {
+                        // Fill one of the fetches under way, if any.
+                        let Some(&id) = oracle.inflight.keys().nth(arg as usize % 4) else {
+                            continue;
+                        };
+                        prop_assert_eq!(cache.fill(id, arg, now), oracle.fill(id, arg));
+                    }
+                    52..=56 => prop_assert_eq!(cache.invalidate(id), oracle.invalidate(id)),
+                    57 => prop_assert_eq!(cache.abort_inflight(), oracle.abort_inflight()),
+                    58 => prop_assert_eq!(cache.cold_restart(), oracle.cold_restart()),
+                    _ => {
+                        let text = Ckpt::write("test", |c| cache.persist(c, 20, 40, 40));
+                        cache = LruCache::new(capacity, mad);
+                        Ckpt::read(&text, "test", |c| cache.persist(c, 20, 40, 40)).unwrap();
+                    }
+                }
+                let text = Ckpt::write("test", |c| cache.persist(c, 20, 40, 40));
+                prop_assert_eq!(text, oracle.artifact(), "step {}: {:?}", i, (op, id, arg));
+                prop_assert_eq!(cache.len(), oracle.entries.len());
+                prop_assert_eq!(cache.inflight(), oracle.inflight.len());
+                prop_assert_eq!(cache.peek_snap(id), oracle.entries.get(&id).map(|e| e.0));
+                prop_assert_eq!(cache.is_fetching(id), oracle.inflight.contains_key(&id));
+                prop_assert!(cache.slab.capacity() <= capacity + 1, "slab outgrew capacity + 1");
+            }
+        }
+    }
 
     fn id(slot: u32) -> ObjectId {
         ObjectId { slot, gen: 0 }
@@ -438,6 +764,33 @@ mod tests {
                 LruCache::new(4, false).persist(c, slots, snapshots, users)
             });
             assert!(read.is_err(), "bounds {slots}/{snapshots}/{users} must reject it");
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_what_the_layout_cannot_hold() {
+        // Entries 1 (tick 3) and 2 (tick 2), slot 3 in flight, clock 3.
+        let id = |slot| ObjectId { slot, gen: 1 };
+        let mut cache = LruCache::new(4, false);
+        for slot in [1, 2] {
+            assert_eq!(cache.request(id(slot), 0, SimTime::ZERO), Lookup::Miss);
+            cache.fill(id(slot), 0, SimTime::ZERO);
+        }
+        cache.request(id(1), 0, SimTime::ZERO);
+        assert_eq!(cache.request(id(3), 0, SimTime::ZERO), Lookup::Miss);
+        let text = Ckpt::write("test", |c| cache.persist(c, 8, 8, 8));
+        let read = |text: &str, capacity| {
+            Ckpt::read(text, "test", |c| LruCache::new(capacity, false).persist(c, 8, 8, 8))
+        };
+        assert!(read(&text, 4).is_ok());
+        assert!(read(&text, 1).is_err(), "two entries in a one-object cache");
+        for (from, to, why) in [
+            ("cache_slot=2\n", "cache_slot=1\n", "an object cached twice"),
+            ("cache_slot=3\n", "cache_slot=1\n", "an object both cached and in flight"),
+            ("cache_entry_tick=2\n", "cache_entry_tick=3\n", "a tick repeated"),
+            ("cache_tick=3\n", "cache_tick=2\n", "a tick past the clock"),
+        ] {
+            assert!(read(&text.replacen(from, to, 1), 4).is_err(), "{why} must be rejected");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The object catalog: what users can ask for, and how popular it is.
 //!
 //! The catalog is a fixed ladder of popularity *ranks*; requests pick a rank
-//! by a bounded-Zipf draw ([`SimRng::zipf`]) and get the object currently
+//! by a bounded-Zipf draw ([`Zipf`]) and get the object currently
 //! occupying it. Publish/perish churn replaces a rank's occupant with a
 //! fresh object (a new generation): the perished object is never requested
 //! again, the newcomer inherits the rank's request share. Because the ranks
@@ -15,7 +15,7 @@
 //! objects whose misses come only from churn and cache evictions.
 
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
-use cdnc_simcore::{SimRng, SimTime};
+use cdnc_simcore::{SimRng, SimTime, Zipf};
 use serde::{Deserialize, Serialize};
 
 /// A catalog object: the `gen`-th occupant of popularity rank `slot`.
@@ -40,7 +40,7 @@ struct Slot {
 /// # Examples
 ///
 /// ```
-/// use cdnc_simcore::{SimRng, SimTime};
+/// use cdnc_simcore::{SimRng, SimTime, Zipf};
 /// use cdnc_workload::Catalog;
 ///
 /// let mut catalog = Catalog::new(64, 1.0, 8);
@@ -54,7 +54,8 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Catalog {
     slots: Vec<Slot>,
-    zipf_s: f64,
+    /// The rank distribution, built once for the catalog's size and skew.
+    zipf: Zipf,
     live_slots: usize,
 }
 
@@ -68,7 +69,11 @@ impl Catalog {
     pub fn new(size: usize, zipf_s: f64, live_slots: usize) -> Self {
         assert!(size > 0, "empty catalog");
         assert!(live_slots <= size, "live slots exceed catalog size");
-        Catalog { slots: vec![Slot { gen: 0, born: SimTime::ZERO }; size], zipf_s, live_slots }
+        Catalog {
+            slots: vec![Slot { gen: 0, born: SimTime::ZERO }; size],
+            zipf: Zipf::new(size, zipf_s),
+            live_slots,
+        }
     }
 
     /// Number of ranks in the catalog.
@@ -83,7 +88,7 @@ impl Catalog {
 
     /// Draws the object a request asks for: a Zipf rank's current occupant.
     pub fn sample(&self, rng: &mut SimRng) -> ObjectId {
-        let slot = rng.zipf(self.slots.len(), self.zipf_s);
+        let slot = self.zipf.sample(rng);
         ObjectId { slot: slot as u32, gen: self.slots[slot].gen }
     }
 
@@ -92,7 +97,7 @@ impl Catalog {
     /// sampled popularity, so hot ranks turn over fastest — live content).
     /// Returns `(perished, newcomer)`.
     pub fn churn(&mut self, rng: &mut SimRng, now: SimTime) -> (ObjectId, ObjectId) {
-        let slot = rng.zipf(self.slots.len(), self.zipf_s);
+        let slot = self.zipf.sample(rng);
         let old = ObjectId { slot: slot as u32, gen: self.slots[slot].gen };
         self.slots[slot].gen += 1;
         self.slots[slot].born = now;
