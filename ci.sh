@@ -38,14 +38,19 @@ echo "==> benchmark build + self-tests (perfbench)"
 # rewriting perfbench/Cargo.lock.
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# Runs the release build of the experiments binary with the given arguments.
+exp() {
+  cargo run -q -p cdnc-experiments --release -- "$@"
+}
+
 echo "==> traced figure run + Chrome trace round-trip"
 TRACE_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- fig24 --scale smoke --trace --obs-dir "$TRACE_DIR"
+exp fig24 --scale smoke --trace --obs-dir "$TRACE_DIR"
 test -s "$TRACE_DIR/fig24.trace.json"
 # `trace summary` re-parses the emitted Chrome trace through obs::json,
 # so a successful read is the round-trip check.
-cargo run -q -p cdnc-experiments --release -- trace summary "$TRACE_DIR/fig24.trace.json"
-cargo run -q -p cdnc-experiments --release -- trace critical-path "$TRACE_DIR/fig24.trace.json"
+exp trace summary "$TRACE_DIR/fig24.trace.json"
+exp trace critical-path "$TRACE_DIR/fig24.trace.json"
 rm -rf "$TRACE_DIR"
 
 # Runs `experiments <args>` serially and with `--jobs <jobs>`, writing into
@@ -57,13 +62,13 @@ rm -rf "$TRACE_DIR"
 jobs_diff() {
   local dir="$1" jobs="$2"
   shift 2
-  cargo run -q -p cdnc-experiments --release -- "$@" --obs-dir "$dir/serial" > "$dir/serial.txt"
-  cargo run -q -p cdnc-experiments --release -- "$@" --obs-dir "$dir/jobs$jobs" --jobs "$jobs" > "$dir/jobs$jobs.txt"
+  exp "$@" --obs-dir "$dir/serial" > "$dir/serial.txt"
+  exp "$@" --obs-dir "$dir/jobs$jobs" --jobs "$jobs" > "$dir/jobs$jobs.txt"
   filter() {
     grep -vF "$dir" "$1" | grep -vE 'worker thread\(s\)\]$|^  [A-Za-z0-9_/]+ +[0-9]+ +[0-9.]+s$|^  phase '
   }
   diff <(filter "$dir/serial.txt") <(filter "$dir/jobs$jobs.txt")
-  cargo run -q -p cdnc-experiments --release -- obs-diff "$dir/serial" "$dir/jobs$jobs"
+  exp obs-diff "$dir/serial" "$dir/jobs$jobs"
 }
 
 echo "==> serial vs --jobs 2 determinism diff"
@@ -73,11 +78,11 @@ rm -rf "$PAR_DIR"
 
 echo "==> all figures: serial vs --jobs 4 artifact diff"
 ALL_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- all --scale smoke --obs --obs-dir "$ALL_DIR/serial" > "$ALL_DIR/serial.txt"
-cargo run -q -p cdnc-experiments --release -- all --scale smoke --obs --jobs 4 --obs-dir "$ALL_DIR/jobs4" > "$ALL_DIR/jobs4.txt"
+exp all --scale smoke --obs --obs-dir "$ALL_DIR/serial" > "$ALL_DIR/serial.txt"
+exp all --scale smoke --obs --jobs 4 --obs-dir "$ALL_DIR/jobs4" > "$ALL_DIR/jobs4.txt"
 # Every figure's artifact — §3 trace analyses included — is bit-identical
 # across worker counts once wall-clock fields are scrubbed.
-cargo run -q -p cdnc-experiments --release -- obs-diff "$ALL_DIR/serial" "$ALL_DIR/jobs4"
+exp obs-diff "$ALL_DIR/serial" "$ALL_DIR/jobs4"
 rm -rf "$ALL_DIR"
 
 echo "==> chaos smoke: convergence, traced round-trip, serial vs --jobs 4 diff"
@@ -93,7 +98,7 @@ fi
 # The chaos trace (fault drops, retransmits, failovers) survives the
 # Chrome-trace round-trip.
 test -s "$CHAOS_DIR/serial/ext_chaos.trace.json"
-cargo run -q -p cdnc-experiments --release -- trace summary "$CHAOS_DIR/serial/ext_chaos.trace.json"
+exp trace summary "$CHAOS_DIR/serial/ext_chaos.trace.json"
 rm -rf "$CHAOS_DIR"
 
 echo "==> churn smoke: convergence, checkpoint/replay identity, serial vs --jobs 4 diff"
@@ -111,11 +116,11 @@ fi
 # scheduled supernode-kill incident, replay it across the incident, and
 # require a bit-identical digest chain and end state vs an uninterrupted
 # run — for the full horizon and for an anomaly window.
-cargo run -q -p cdnc-experiments --release -- checkpoint "$CHURN_DIR/storm.ckpt" --scale smoke --flash --at 240
-cargo run -q -p cdnc-experiments --release -- replay "$CHURN_DIR/storm.ckpt" > "$CHURN_DIR/replay.txt"
+exp checkpoint "$CHURN_DIR/storm.ckpt" --scale smoke --flash --at 240
+exp replay "$CHURN_DIR/storm.ckpt" > "$CHURN_DIR/replay.txt"
 grep -q 'replay_chain_match=true' "$CHURN_DIR/replay.txt"
 grep -q 'replay_report_match=true' "$CHURN_DIR/replay.txt"
-cargo run -q -p cdnc-experiments --release -- replay "$CHURN_DIR/storm.ckpt" --until 420 > "$CHURN_DIR/replay_window.txt"
+exp replay "$CHURN_DIR/storm.ckpt" --until 420 > "$CHURN_DIR/replay_window.txt"
 grep -q 'replay_chain_match=true' "$CHURN_DIR/replay_window.txt"
 grep -q 'replay_report_match=true' "$CHURN_DIR/replay_window.txt"
 rm -rf "$CHURN_DIR"
@@ -128,60 +133,60 @@ WL_DIR="$(mktemp -d)"
 jobs_diff "$WL_DIR" 4 ext_workload --scale smoke --obs --series --digest
 # The latency/staleness CDF curves landed next to the artifact.
 test -s "$WL_DIR/serial/ext_workload.workload.json"
-cargo run -q -p cdnc-experiments --release -- report --obs-dir "$WL_DIR/serial" --out "$WL_DIR/report"
+exp report --obs-dir "$WL_DIR/serial" --out "$WL_DIR/report"
 grep -q 'Request plane' "$WL_DIR/report/ext_workload.html"
 rm -rf "$WL_DIR"
 
 echo "==> series emission + HTML report"
 SERIES_DIR="$CI_OUT/series"
-cargo run -q -p cdnc-experiments --release -- fig17 --scale smoke --obs --series --obs-dir "$SERIES_DIR"
+exp fig17 --scale smoke --obs --series --obs-dir "$SERIES_DIR"
 test -s "$SERIES_DIR/fig17.series.json"
-cargo run -q -p cdnc-experiments --release -- report --obs-dir "$SERIES_DIR" --out "$SERIES_DIR/report"
+exp report --obs-dir "$SERIES_DIR" --out "$SERIES_DIR/report"
 test -s "$SERIES_DIR/report/index.html"
 test -s "$SERIES_DIR/report/fig17.html"
 
 echo "==> memory profile smoke: attribution + probes artifact"
 PROF_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- profile fig20 --scale smoke --obs-dir "$PROF_DIR" > "$PROF_DIR/profile.txt"
+exp profile fig20 --scale smoke --obs-dir "$PROF_DIR" > "$PROF_DIR/profile.txt"
 test -s "$PROF_DIR/fig20.profile.json"
 # The counting allocator is installed in the release binary: the run must
 # attribute the bulk of its bytes to named subsystems, not "other".
 grep -q 'attributed to named subsystems' "$PROF_DIR/profile.txt"
-cargo run -q -p cdnc-experiments --release -- report --obs-dir "$PROF_DIR" --out "$PROF_DIR/report"
+exp report --obs-dir "$PROF_DIR" --out "$PROF_DIR/report"
 grep -q 'Memory profile' "$PROF_DIR/report/fig20.html"
 rm -rf "$PROF_DIR"
 
 echo "==> time profile smoke: flamegraph export + structural serial vs --jobs 4 diff"
 TP_DIR="$CI_OUT/timeprof"
-cargo run -q -p cdnc-experiments --release -- timeprof fig17 --scale smoke --obs-dir "$TP_DIR/serial"
-cargo run -q -p cdnc-experiments --release -- timeprof fig17 --scale smoke --obs-dir "$TP_DIR/jobs4" --jobs 4
+exp timeprof fig17 --scale smoke --obs-dir "$TP_DIR/serial"
+exp timeprof fig17 --scale smoke --obs-dir "$TP_DIR/jobs4" --jobs 4
 test -s "$TP_DIR/serial/fig17.folded"
 test -s "$TP_DIR/jobs4/fig17.folded"
 # Frame paths, counts and handler counts are deterministic; obs-diff
 # scrubs the nanosecond telemetry and compares .folded stacks structurally.
-cargo run -q -p cdnc-experiments --release -- obs-diff "$TP_DIR/serial" "$TP_DIR/jobs4"
-cargo run -q -p cdnc-experiments --release -- report --obs-dir "$TP_DIR/serial" --out "$TP_DIR/report"
+exp obs-diff "$TP_DIR/serial" "$TP_DIR/jobs4"
+exp report --obs-dir "$TP_DIR/serial" --out "$TP_DIR/report"
 grep -q 'Time profile' "$TP_DIR/report/fig17.html"
 grep -q 'Worker utilization' "$TP_DIR/report/fig17.html"
 
 echo "==> determinism audit smoke: --jobs digest identity + perturbation self-test"
 DIG_DIR="$(mktemp -d)"
-cargo run -q -p cdnc-experiments --release -- fig14 --scale smoke --obs --digest --health --obs-dir "$DIG_DIR/serial"
-cargo run -q -p cdnc-experiments --release -- fig14 --scale smoke --obs --digest --obs-dir "$DIG_DIR/jobs4" --jobs 4
+exp fig14 --scale smoke --obs --digest --health --obs-dir "$DIG_DIR/serial"
+exp fig14 --scale smoke --obs --digest --obs-dir "$DIG_DIR/jobs4" --jobs 4
 # The chained digest is part of the artifact set: obs-diff compares the
 # .digest.json files bit-for-bit (health heartbeats are wall-clock and
 # skipped), so this fails if --jobs 4 perturbs the event order.
-cargo run -q -p cdnc-experiments --release -- obs-diff "$DIG_DIR/serial" "$DIG_DIR/jobs4"
+exp obs-diff "$DIG_DIR/serial" "$DIG_DIR/jobs4"
 # End-to-end fault-localization self-test: inject a single-event
 # perturbation, bisect, and require the exact injected index back.
-cargo run -q -p cdnc-experiments --release -- fig14 --scale smoke --digest --digest-perturb 123 --obs-dir "$DIG_DIR/perturbed"
-if cargo run -q -p cdnc-experiments --release -- divergence "$DIG_DIR/serial/fig14.digest.json" "$DIG_DIR/perturbed/fig14.digest.json" > "$DIG_DIR/divergence.txt"; then
+exp fig14 --scale smoke --digest --digest-perturb 123 --obs-dir "$DIG_DIR/perturbed"
+if exp divergence "$DIG_DIR/serial/fig14.digest.json" "$DIG_DIR/perturbed/fig14.digest.json" > "$DIG_DIR/divergence.txt"; then
   echo "divergence: a perturbed run compared identical"; exit 1
 fi
 grep -q 'first diverging event: global index 123 (segment 0' "$DIG_DIR/divergence.txt"
 # The heartbeat left a final finished heartbeat and watch renders it.
 test -s "$DIG_DIR/serial/fig14.health.json"
-cargo run -q -p cdnc-experiments --release -- watch "$DIG_DIR/serial" --once | grep -q 'done'
+exp watch "$DIG_DIR/serial" --once | grep -q 'done'
 rm -rf "$DIG_DIR"
 
 echo "==> benchmark correctness smoke (perfbench, every workload at full size, seeds 42 and 7)"

@@ -24,41 +24,45 @@ use crate::ctx::RunCtx;
 use crate::obs_out::{ObsSettings, DEFAULT_TRACE_THRESHOLD_S};
 use crate::run_figure_ctx;
 use crate::scale::Scale;
-use crate::trace_out::FLIGHTREC_SUBDIR;
+use crate::trace_out::write_flight_dump;
 use cdnc_obs::{
-    json, parse_chain_hex, DigestConfig, DigestSnapshot, FlightRecorder, Json, Registry, SpanKind,
+    json, DigestConfig, DigestSnapshot, FlightRecorder, Json, Registry, SegmentSnapshot, SpanKind,
     TrapEntry, TrapWindow,
 };
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// One run's audit trail plus the scenario identity needed to re-run it,
-/// as parsed back from `<figure>.digest.json`.
+/// The scenario a `<figure>.digest.json` records ahead of its audit trail:
+/// what `divergence` needs to re-run it.
 #[derive(Debug, Clone)]
-pub struct DigestDoc {
+pub struct Scenario {
     pub figure: String,
     pub scale: Scale,
     pub checkpoint_every: u64,
     pub perturb: Option<u64>,
-    /// Run-level chain.
-    pub chain: u64,
-    /// Per-segment (events, chain, checkpoints as `(index, chain)`),
-    /// absorb order.
-    pub segments: Vec<SegmentDoc>,
 }
 
-/// One absorbed segment of a [`DigestDoc`].
-#[derive(Debug, Clone)]
-pub struct SegmentDoc {
-    pub events: u64,
-    pub chain: u64,
-    /// `(fold index, chain value)` checkpoints, ascending.
-    pub checkpoints: Vec<(u64, u64)>,
+/// The `<figure>.digest.json` document of a run of `figure` at `scale`:
+/// the [`Scenario`] header, then the audit trail
+/// ([`DigestSnapshot::to_json`]). `None` when the digest is not armed.
+pub fn digest_doc(figure: &str, scale: Scale, reg: &Registry) -> Option<Json> {
+    let trail = reg.digest_snapshot()?;
+    let config = reg.digest_config().unwrap_or_default();
+    let mut doc = Json::obj()
+        .field("figure", figure)
+        .field("scale", scale.arg_name())
+        .field("checkpoint_every", config.checkpoint_every)
+        .field("perturb", config.perturb.map_or(Json::Null, Json::from));
+    if let (Json::Obj(dst), Json::Obj(src)) = (&mut doc, trail.to_json()) {
+        dst.extend(src);
+    }
+    Some(doc)
 }
 
-/// Parses a `.digest.json` file written by
-/// [`crate::obs_out::write_figure_digest`].
-pub fn load_digest_doc(path: &Path) -> Result<DigestDoc, String> {
+/// Reads back a file [`digest_doc`] wrote: its scenario header and its
+/// audit trail. `Err` names the file and the first missing or malformed
+/// field.
+pub fn load_digest(path: &Path) -> Result<(Scenario, DigestSnapshot), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let bad = |what: &str| format!("{}: missing or malformed `{what}`", path.display());
@@ -73,44 +77,14 @@ pub fn load_digest_doc(path: &Path) -> Result<DigestDoc, String> {
         None | Some(Json::Null) => None,
         Some(v) => Some(v.as_f64().ok_or_else(|| bad("perturb"))? as u64),
     };
-    let chain = doc
-        .get("chain")
-        .and_then(Json::as_str)
-        .and_then(parse_chain_hex)
-        .ok_or_else(|| bad("chain"))?;
-    let Some(Json::Arr(raw_segments)) = doc.get("segments") else {
-        return Err(bad("segments"));
-    };
-    let mut segments = Vec::with_capacity(raw_segments.len());
-    for seg in raw_segments {
-        let events = seg.get("events").and_then(Json::as_f64).ok_or_else(|| bad("events"))? as u64;
-        let seg_chain = seg
-            .get("chain")
-            .and_then(Json::as_str)
-            .and_then(parse_chain_hex)
-            .ok_or_else(|| bad("segments[].chain"))?;
-        let mut checkpoints = Vec::new();
-        if let Some(Json::Arr(raw)) = seg.get("checkpoints") {
-            for c in raw {
-                let index =
-                    c.get("index").and_then(Json::as_f64).ok_or_else(|| bad("checkpoints"))? as u64;
-                let ckpt = c
-                    .get("chain")
-                    .and_then(Json::as_str)
-                    .and_then(parse_chain_hex)
-                    .ok_or_else(|| bad("checkpoints"))?;
-                checkpoints.push((index, ckpt));
-            }
-        }
-        segments.push(SegmentDoc { events, chain: seg_chain, checkpoints });
-    }
-    Ok(DigestDoc { figure, scale, checkpoint_every, perturb, chain, segments })
+    let trail = DigestSnapshot::from_json(&doc).map_err(bad)?;
+    Ok((Scenario { figure, scale, checkpoint_every, perturb }, trail))
 }
 
 /// The first absorb-order segment whose recorded state differs (chain or
 /// fold count), or `None` when every common segment agrees. A run with
 /// extra segments diverges at the first segment the other run lacks.
-pub fn first_diverging_segment(a: &DigestDoc, b: &DigestDoc) -> Option<usize> {
+pub fn first_diverging_segment(a: &DigestSnapshot, b: &DigestSnapshot) -> Option<usize> {
     let common = a.segments.len().min(b.segments.len());
     for i in 0..common {
         let (sa, sb) = (&a.segments[i], &b.segments[i]);
@@ -127,17 +101,17 @@ pub fn first_diverging_segment(a: &DigestDoc, b: &DigestDoc) -> Option<usize> {
 /// disagree at the first common checkpoint past it. `partition_point` does
 /// the binary search — once chains diverge they stay diverged (the fold is
 /// a chained hash), so "diverged by checkpoint k" is monotonic in k.
-pub fn bisect_window(sa: &SegmentDoc, sb: &SegmentDoc) -> (u64, u64) {
+pub fn bisect_window(sa: &SegmentSnapshot, sb: &SegmentSnapshot) -> (u64, u64) {
     // Checkpoints shared by both runs (stride doubling keeps indexes on a
     // power-of-two grid, so a common prefix of the grids always exists).
     let mut pairs: Vec<(u64, u64, u64)> = Vec::new();
     let mut j = 0usize;
-    for &(index, chain_a) in &sa.checkpoints {
-        while j < sb.checkpoints.len() && sb.checkpoints[j].0 < index {
+    for ca in &sa.checkpoints {
+        while j < sb.checkpoints.len() && sb.checkpoints[j].index < ca.index {
             j += 1;
         }
-        if j < sb.checkpoints.len() && sb.checkpoints[j].0 == index {
-            pairs.push((index, chain_a, sb.checkpoints[j].1));
+        if j < sb.checkpoints.len() && sb.checkpoints[j].index == ca.index {
+            pairs.push((ca.index, ca.chain, sb.checkpoints[j].chain));
         }
     }
     let pos = pairs.partition_point(|&(_, ca, cb)| ca == cb);
@@ -178,10 +152,7 @@ pub enum Outcome {
     Diverged(Box<Localization>),
 }
 
-fn rerun_with_trap(
-    doc: &DigestDoc,
-    trap: TrapWindow,
-) -> Result<(DigestSnapshot, Registry), String> {
+fn rerun_with_trap(doc: &Scenario, trap: TrapWindow) -> Result<(DigestSnapshot, Registry), String> {
     let reg = Registry::enabled();
     reg.enable_tracing();
     reg.enable_digest(DigestConfig {
@@ -200,8 +171,8 @@ fn rerun_with_trap(
 /// diverging re-run's registry gets a `digest_divergence` control span and
 /// a flight-recorder dump lands under `<obs-dir>/flightrec/`.
 pub fn run(path_a: &Path, path_b: &Path, settings: &ObsSettings) -> Result<Outcome, String> {
-    let a = load_digest_doc(path_a)?;
-    let b = load_digest_doc(path_b)?;
+    let (a, trail_a) = load_digest(path_a)?;
+    let (b, trail_b) = load_digest(path_b)?;
     if a.figure != b.figure || a.scale != b.scale {
         return Err(format!(
             "digest docs describe different scenarios: {} @ {} vs {} @ {}",
@@ -217,24 +188,24 @@ pub fn run(path_a: &Path, path_b: &Path, settings: &ObsSettings) -> Result<Outco
             a.checkpoint_every, b.checkpoint_every
         ));
     }
-    let Some(segment) = first_diverging_segment(&a, &b) else {
+    let Some(segment) = first_diverging_segment(&trail_a, &trail_b) else {
         return Ok(Outcome::Identical);
     };
-    if segment >= a.segments.len().min(b.segments.len()) {
+    if segment >= trail_a.segments.len().min(trail_b.segments.len()) {
         return Err(format!(
             "runs absorbed different segment counts ({} vs {}) — structural difference, \
              not an event-level divergence",
-            a.segments.len(),
-            b.segments.len()
+            trail_a.segments.len(),
+            trail_b.segments.len()
         ));
     }
-    let (lo, hi) = bisect_window(&a.segments[segment], &b.segments[segment]);
+    let (lo, hi) = bisect_window(&trail_a.segments[segment], &trail_b.segments[segment]);
     let trap = TrapWindow { segment, lo, hi };
     let (snap_a, _reg_a) = rerun_with_trap(&a, trap)?;
     let (snap_b, reg_b) = rerun_with_trap(&b, trap)?;
     let rerun_mismatch = snap_a.segments.get(segment).map(|s| s.chain)
-        != Some(a.segments[segment].chain)
-        || snap_b.segments.get(segment).map(|s| s.chain) != Some(b.segments[segment].chain);
+        != Some(trail_a.segments[segment].chain)
+        || snap_b.segments.get(segment).map(|s| s.chain) != Some(trail_b.segments[segment].chain);
     // First trapped index whose chain-after differs (or present on one side
     // only): both traps cover the same window, so zip by position.
     let mut local = None;
@@ -271,12 +242,8 @@ pub fn run(path_a: &Path, path_b: &Path, settings: &ObsSettings) -> Result<Outco
         reg_b.tracer().control(SpanKind::DigestDivergence, entry.node, entry.t_us, "bisect");
         let store = reg_b.tracer().store();
         let reports = FlightRecorder::new(DEFAULT_TRACE_THRESHOLD_S).scan(&store);
-        let flight_dir = settings.dir.join(FLIGHTREC_SUBDIR);
         for report in reports.iter().filter(|r| r.file_stem().contains("digest_divergence")) {
-            if std::fs::create_dir_all(&flight_dir).is_ok() {
-                let dump = flight_dir.join(format!("{}_{}.json", a.figure, report.file_stem()));
-                let _ = std::fs::write(dump, report.to_json().to_pretty());
-            }
+            let _ = write_flight_dump(&settings.dir, &a.figure, report);
         }
     }
     Ok(Outcome::Diverged(Box::new(Localization {
@@ -353,20 +320,27 @@ impl Localization {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs_out::Artifact;
+    use cdnc_obs::Checkpoint;
 
-    fn seg(events: u64, chain: u64, checkpoints: &[(u64, u64)]) -> SegmentDoc {
-        SegmentDoc { events, chain, checkpoints: checkpoints.to_vec() }
+    fn seg(events: u64, chain: u64, checkpoints: &[(u64, u64)]) -> SegmentSnapshot {
+        let checkpoints = checkpoints.iter().map(|&(index, chain)| Checkpoint { index, chain });
+        SegmentSnapshot { index: 0, events, chain, checkpoints: checkpoints.collect() }
+    }
+
+    /// Writes `<dir>/<id>.digest.json` from a digest-armed registry.
+    fn write_digest(dir: &Path, id: &str, reg: &Registry) -> std::path::PathBuf {
+        let doc = digest_doc(id, Scale::Smoke, reg).expect("digest armed");
+        Artifact::Digest.write(dir, id, doc.to_pretty()).unwrap()
     }
 
     #[test]
     fn segment_scan_finds_first_difference() {
-        let doc = |chains: &[u64]| DigestDoc {
-            figure: "fig14".into(),
-            scale: Scale::Smoke,
-            checkpoint_every: 64,
-            perturb: None,
+        let doc = |chains: &[u64]| DigestSnapshot {
+            events: 100 * chains.len() as u64,
             chain: 1,
             segments: chains.iter().map(|&c| seg(100, c, &[])).collect(),
+            trap: Vec::new(),
         };
         let a = doc(&[10, 20, 30]);
         assert_eq!(first_diverging_segment(&a, &doc(&[10, 20, 30])), None);
@@ -399,19 +373,59 @@ mod tests {
         for i in 0..5 {
             reg.digest().fold("probe", 1, i * 10, &[i]);
         }
-        let path = crate::obs_out::write_figure_digest(&dir, "fig14", Scale::Smoke, &reg)
-            .unwrap()
-            .expect("digest armed");
-        let doc = load_digest_doc(&path).expect("parses");
+        let path = write_digest(&dir, "fig14", &reg);
+        let (doc, trail) = load_digest(&path).expect("parses");
         assert_eq!(doc.figure, "fig14");
         assert_eq!(doc.scale, Scale::Smoke);
         assert_eq!(doc.checkpoint_every, 2);
         assert_eq!(doc.perturb, Some(9));
         let snap = reg.digest_snapshot().unwrap();
-        assert_eq!(doc.chain, snap.chain);
-        assert_eq!(doc.segments.len(), snap.segments.len());
-        assert_eq!(doc.segments[0].events, 5);
-        assert_eq!(doc.segments[0].checkpoints.len(), 2);
+        assert_eq!(trail.chain, snap.chain);
+        assert_eq!(trail.segments.len(), snap.segments.len());
+        assert_eq!(trail.segments[0].events, 5);
+        assert_eq!(trail.segments[0].checkpoints.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_digest_files_are_rejected_by_field() {
+        let dir = std::env::temp_dir().join(format!("cdnc-divergence-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::enabled();
+        reg.enable_digest(DigestConfig { checkpoint_every: 2, perturb: None, trap: None });
+        for i in 0..5 {
+            reg.digest().fold("probe", 1, i * 10, &[i]);
+        }
+        let good = write_digest(&dir, "fig14", &reg);
+        let doc = json::parse(&std::fs::read_to_string(&good).unwrap()).unwrap();
+        // Each case sets `key` (or drops it, for `None`) in the object at
+        // `path` (keys and array indexes) of a good document.
+        let cases: [(&[&str], &str, Option<&str>, &str); 4] = [
+            (&[], "segments", None, "`segments`"),
+            (&[], "chain", Some("0xnothex"), "`chain`"),
+            (&["segments", "0", "checkpoints", "0"], "index", None, "`checkpoints`"),
+            (&[], "scale", Some("huge"), "unknown scale `huge`"),
+        ];
+        for (path, key, value, field) in cases {
+            let name = format!("{}{key}", path.join("_"));
+            let mut bad = doc.clone();
+            let mut at = &mut bad;
+            for step in path {
+                at = match at {
+                    Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).unwrap().1,
+                    Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+                    _ => panic!("{name}: no {step} in the written digest"),
+                };
+            }
+            let Json::Obj(fields) = at else { panic!("{name}: edit target is an object") };
+            fields.retain(|(k, _)| k != key);
+            fields.extend(value.map(|v| (key.to_owned(), Json::from(v))));
+            let file = dir.join(format!("{name}.digest.json"));
+            std::fs::write(&file, bad.to_pretty()).unwrap();
+            let err = run(&file, &good, &ObsSettings::off()).unwrap_err();
+            assert!(err.contains(field), "{name}: {err}");
+            assert!(err.starts_with(&file.display().to_string()), "{name}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -423,7 +437,7 @@ mod tests {
             let reg = Registry::enabled();
             reg.enable_digest(DigestConfig::default());
             reg.digest().fold("probe", 1, 10, &[]);
-            crate::obs_out::write_figure_digest(&dir, id, Scale::Smoke, &reg).unwrap().unwrap()
+            write_digest(&dir, id, &reg)
         };
         let a = write("fig14");
         let b = write("fig15");

@@ -10,21 +10,10 @@ use cdnc_par::Pool;
 use cdnc_simcore::{SimDuration, SimRng};
 use cdnc_trace::UpdateSequence;
 
-/// The §4 replayed content: one live-game day, fixed seed.
-pub fn section4_updates() -> UpdateSequence {
-    UpdateSequence::live_game(&mut SimRng::seed_from_u64(42))
-}
-
 /// The §4 replayed content for one replicate of a run (replicate 0 is the
 /// canonical seed-42 day whose numbers EXPERIMENTS.md records).
 pub fn section4_updates_for(ctx: RunCtx) -> UpdateSequence {
     UpdateSequence::live_game(&mut SimRng::seed_from_u64(ctx.seed(42)))
-}
-
-/// Runs a batch of simulations serially. Equivalent to
-/// [`run_batch_on`] with a serial pool.
-pub fn run_batch(configs: Vec<SimConfig>, obs: &Registry) -> Vec<SimReport> {
-    run_batch_on(configs, obs, &Pool::serial())
 }
 
 /// Runs a batch of simulations fanned out on `pool`, one task per

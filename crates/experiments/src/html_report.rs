@@ -10,7 +10,7 @@
 //! The pages are derived purely from the on-disk artifacts; generating a
 //! report never re-runs a simulation.
 
-use crate::trace_out::FLIGHTREC_SUBDIR;
+use crate::obs_out::{list_files, Artifact};
 use cdnc_obs::{bucket_floor, json, Json, SeriesEntry, SeriesSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,20 +20,24 @@ use std::path::{Path, PathBuf};
 /// Everything the report found for one figure id.
 #[derive(Debug, Default)]
 struct FigureInputs {
-    artifact: Option<Json>,
+    /// The figure's parsed documents by kind: run artifact, workload
+    /// curves, digest, health heartbeat, memory and time profiles.
+    docs: BTreeMap<Artifact, Json>,
     series: Option<SeriesSnapshot>,
-    /// `experiments profile` output for this figure, parsed.
-    profile: Option<Json>,
-    /// `experiments timeprof` output for this figure, parsed.
-    timeprof: Option<Json>,
-    /// `<figure>.workload.json` request-plane curves, parsed.
-    workload: Option<Json>,
-    /// `<figure>.digest.json` determinism audit trail, parsed.
-    digest: Option<Json>,
-    /// `<figure>.health.json` final run-health heartbeat, parsed.
-    health: Option<Json>,
     /// Flight-recorder dumps attributed to this figure, parsed.
     anomalies: Vec<Json>,
+}
+
+impl FigureInputs {
+    fn doc(&self, kind: Artifact) -> Option<&Json> {
+        self.docs.get(&kind)
+    }
+
+    /// The figure's title from its run artifact, or `""`.
+    fn title(&self) -> &str {
+        let summary = self.doc(Artifact::Run).and_then(|a| a.get("summary"));
+        summary.and_then(|s| s.get("title")).and_then(Json::as_str).unwrap_or("")
+    }
 }
 
 fn html_escape(s: &str) -> String {
@@ -57,62 +61,35 @@ fn figure_sort_key(id: &str) -> (String, u64, String) {
 /// Scans an artifact directory for per-figure inputs.
 fn collect_inputs(obs_dir: &Path) -> io::Result<BTreeMap<String, FigureInputs>> {
     let mut inputs: BTreeMap<String, FigureInputs> = BTreeMap::new();
-    let parse_file =
-        |path: &Path| -> Option<Json> { json::parse(&std::fs::read_to_string(path).ok()?).ok() };
-    for entry in std::fs::read_dir(obs_dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if let Some(id) = name.strip_suffix(".series.json") {
-            if let Some(snap) = parse_file(&path).and_then(|d| SeriesSnapshot::from_json(&d)) {
-                inputs.entry(id.to_owned()).or_default().series = Some(snap);
+    let mut dumps = Vec::new();
+    let parse = |name: &str| json::parse(&std::fs::read_to_string(obs_dir.join(name)).ok()?).ok();
+    for name in list_files(obs_dir)? {
+        let Some((kind, id)) = Artifact::classify(&name) else { continue };
+        if matches!(kind, Artifact::Summary | Artifact::Trace | Artifact::Folded) {
+            continue;
+        }
+        let Some(doc) = parse(&name) else { continue };
+        match kind {
+            Artifact::FlightDump => dumps.push((id.to_owned(), doc)),
+            Artifact::Series => {
+                if let Some(snap) = SeriesSnapshot::from_json(&doc) {
+                    inputs.entry(id.to_owned()).or_default().series = Some(snap);
+                }
             }
-        } else if let Some(id) = name.strip_suffix(".profile.json") {
-            if let Some(doc) = parse_file(&path) {
-                inputs.entry(id.to_owned()).or_default().profile = Some(doc);
-            }
-        } else if let Some(id) = name.strip_suffix(".timeprof.json") {
-            if let Some(doc) = parse_file(&path) {
-                inputs.entry(id.to_owned()).or_default().timeprof = Some(doc);
-            }
-        } else if let Some(id) = name.strip_suffix(".workload.json") {
-            if let Some(doc) = parse_file(&path) {
-                inputs.entry(id.to_owned()).or_default().workload = Some(doc);
-            }
-        } else if let Some(id) = name.strip_suffix(".digest.json") {
-            if let Some(doc) = parse_file(&path) {
-                inputs.entry(id.to_owned()).or_default().digest = Some(doc);
-            }
-        } else if let Some(id) = name.strip_suffix(".health.json") {
-            if let Some(doc) = parse_file(&path) {
-                inputs.entry(id.to_owned()).or_default().health = Some(doc);
-            }
-        } else if let Some(id) = name.strip_suffix(".json") {
-            if id == "summary" || id.ends_with(".trace") {
-                continue;
-            }
-            if let Some(doc) = parse_file(&path) {
-                inputs.entry(id.to_owned()).or_default().artifact = Some(doc);
+            _ => {
+                inputs.entry(id.to_owned()).or_default().docs.insert(kind, doc);
             }
         }
     }
-    let flight_dir = obs_dir.join(FLIGHTREC_SUBDIR);
-    if flight_dir.is_dir() {
-        let mut dumps: Vec<PathBuf> =
-            std::fs::read_dir(&flight_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        dumps.sort();
-        for path in dumps {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            // Dumps are named `<figure>_<update…>.json`; attribute by the
-            // longest figure id that prefixes the stem.
-            let Some(stem) = name.strip_suffix(".json") else { continue };
-            let owner = inputs
-                .keys()
-                .filter(|id| stem.starts_with(&format!("{id}_")))
-                .max_by_key(|id| id.len())
-                .cloned();
-            if let (Some(id), Some(doc)) = (owner, parse_file(&path)) {
-                inputs.get_mut(&id).expect("owner came from the map").anomalies.push(doc);
-            }
+    // Dumps are named `<figure>_<update…>`; attribute each to the longest
+    // figure id that prefixes its name.
+    for (stem, doc) in dumps {
+        let owner = inputs
+            .keys()
+            .filter(|id| stem.starts_with(&format!("{id}_")))
+            .max_by_key(|id| id.len());
+        if let Some(id) = owner.cloned() {
+            inputs.get_mut(&id).expect("owner came from the map").anomalies.push(doc);
         }
     }
     Ok(inputs)
@@ -711,15 +688,9 @@ fn page(title: &str, body: &str) -> String {
 /// Renders one figure's page body.
 fn figure_page(id: &str, inputs: &FigureInputs) -> String {
     let mut body = String::new();
-    let title = inputs
-        .artifact
-        .as_ref()
-        .and_then(|a| a.get("summary"))
-        .and_then(|s| s.get("title"))
-        .and_then(Json::as_str)
-        .unwrap_or("");
-    let _ = write!(body, "<h1>{} <small>{}</small></h1>", html_escape(id), html_escape(title));
-    if let Some(artifact) = &inputs.artifact {
+    let _ =
+        write!(body, "<h1>{} <small>{}</small></h1>", html_escape(id), html_escape(inputs.title()));
+    if let Some(artifact) = inputs.doc(Artifact::Run) {
         let meta = |k: &str| artifact.get(k).map(|v| v.to_compact()).unwrap_or_default();
         let _ = write!(
             body,
@@ -758,7 +729,7 @@ fn figure_page(id: &str, inputs: &FigureInputs) -> String {
             );
         }
     }
-    if let Some(artifact) = &inputs.artifact {
+    if let Some(artifact) = inputs.doc(Artifact::Run) {
         let charts = adopt_lag_charts(artifact);
         if !charts.is_empty() {
             body.push_str("<h2>Adoption-lag histograms</h2>");
@@ -773,7 +744,7 @@ fn figure_page(id: &str, inputs: &FigureInputs) -> String {
         }
         body.push_str(&scheduler_section(artifact));
     }
-    if let Some(workload) = &inputs.workload {
+    if let Some(workload) = inputs.doc(Artifact::Workload) {
         let section = workload_section(workload);
         if !section.is_empty() {
             body.push_str(
@@ -783,17 +754,18 @@ fn figure_page(id: &str, inputs: &FigureInputs) -> String {
             body.push_str(&section);
         }
     }
-    if let Some(profile) = &inputs.profile {
+    if let Some(profile) = inputs.doc(Artifact::Profile) {
         body.push_str("<h2>Memory profile</h2>");
         body.push_str(&profile_section(profile));
     }
-    if let Some(timeprof) = &inputs.timeprof {
+    if let Some(timeprof) = inputs.doc(Artifact::Timeprof) {
         body.push_str("<h2>Time profile</h2>");
         body.push_str(&timeprof_section(timeprof));
     }
-    if inputs.digest.is_some() || inputs.health.is_some() {
+    let (digest, health) = (inputs.doc(Artifact::Digest), inputs.doc(Artifact::Health));
+    if digest.is_some() || health.is_some() {
         body.push_str("<h2>Determinism &amp; run health</h2>");
-        body.push_str(&digest_health_section(inputs.digest.as_ref(), inputs.health.as_ref()));
+        body.push_str(&digest_health_section(digest, health));
     }
     body.push_str("<h2>Flight recorder</h2>");
     if inputs.anomalies.is_empty() {
@@ -813,7 +785,7 @@ fn index_page(obs_dir: &Path, ids: &[String], inputs: &BTreeMap<String, FigureIn
         "<p class=\"meta\">generated from <code>{}</code></p>",
         html_escape(&obs_dir.display().to_string())
     );
-    if let Ok(text) = std::fs::read_to_string(obs_dir.join("summary.json")) {
+    if let Ok(text) = std::fs::read_to_string(Artifact::Summary.path(obs_dir, "")) {
         if let Ok(summary) = json::parse(&text) {
             let f = |k: &str| summary.get(k).and_then(Json::as_f64).unwrap_or(0.0);
             let _ = write!(
@@ -830,20 +802,13 @@ fn index_page(obs_dir: &Path, ids: &[String], inputs: &BTreeMap<String, FigureIn
     );
     for id in ids {
         let figure = &inputs[id];
-        let title = figure
-            .artifact
-            .as_ref()
-            .and_then(|a| a.get("summary"))
-            .and_then(|s| s.get("title"))
-            .and_then(Json::as_str)
-            .unwrap_or("");
         let (n_series, n_samples) =
             figure.series.as_ref().map_or((0, 0), |s| (s.series.len(), s.total_points as usize));
         let _ = write!(
             body,
             "<tr><td><a href=\"{id}.html\">{id}</a></td><td>{}</td><td>{n_series}</td>\
              <td>{n_samples}</td><td>{}</td></tr>",
-            html_escape(title),
+            html_escape(figure.title()),
             figure.anomalies.len()
         );
     }
@@ -884,6 +849,7 @@ pub fn generate_report(obs_dir: &Path, out_dir: &Path) -> io::Result<Vec<PathBuf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs_out::FLIGHTREC_SUBDIR;
     use cdnc_obs::{SeriesKind, SeriesPoint};
 
     fn entry(points: Vec<SeriesPoint>) -> SeriesEntry {

@@ -83,21 +83,21 @@ use cdnc_experiments::divergence;
 use cdnc_experiments::ext_figs::{churn_scheme, CHURN_SCHEME_KEYS};
 use cdnc_experiments::html_report::generate_report;
 use cdnc_experiments::obs_out::{
-    diff_artifact_dirs, run_and_write, summary_entry, timing_table, write_summary, FigureRun,
-    ObsSettings,
+    diff_artifact_dirs, run_and_write, summary_doc, summary_entry, timing_table, Artifact,
+    FigureRun, ObsSettings, FLIGHTREC_SUBDIR,
 };
 use cdnc_experiments::profile_out::profile_table;
 use cdnc_experiments::replay::{self, ReplaySpec};
 use cdnc_experiments::timeprof_out::timeprof_table;
-use cdnc_experiments::trace_out::{
-    critical_path_table, inspect_text, load_store, summary_text, FLIGHTREC_SUBDIR,
-};
+use cdnc_experiments::trace_out::{critical_path_table, inspect_text, load_store, summary_text};
 use cdnc_experiments::watch;
 use cdnc_experiments::{build_trace_ctx, figure_ids, RunCtx, Scale};
 use cdnc_obs::ProfiledAlloc;
 use cdnc_par::Pool;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Instant;
 
 /// Counting allocator behind the total-allocation estimate reported in
 /// `summary.json` and the `profile` subcommand's attribution (one relaxed
@@ -156,17 +156,166 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Each subcommand's operands: how many it needs, how many it takes, and
+/// the line printed when one is missing. A command not listed here (a
+/// figure id, `all`, `list`, `report`) needs none and takes one, which it
+/// ignores; `trace` checks its action's own operands.
+const OPERANDS: [(&str, usize, usize, &str); 10] = [
+    ("crawl", 1, 1, "crawl needs an output path"),
+    ("verdict", 1, 1, "verdict needs a trace path"),
+    ("checkpoint", 1, 1, "checkpoint needs an output path"),
+    ("replay", 1, 1, "replay needs a checkpoint path"),
+    ("obs-diff", 2, 2, "obs-diff needs two artifact directories"),
+    ("divergence", 2, 2, "divergence needs two .digest.json paths"),
+    ("watch", 1, 1, "watch needs a directory of *.health.json heartbeats"),
+    ("profile", 1, 1, "profile needs a figure id"),
+    ("timeprof", 1, 1, "timeprof needs a figure id"),
+    ("trace", 1, 3, "trace needs an action: summary | critical-path | inspect"),
+];
+
+/// `(needed, taken, missing-line)` for subcommand `command`.
+fn operands(command: &str) -> (usize, usize, &'static str) {
+    let row = OPERANDS.iter().find(|row| row.0 == command);
+    row.map_or((0, 1, ""), |&(_, needs, takes, missing)| (needs, takes, missing))
+}
+
+/// What the command line asked for: the positional arguments (the
+/// subcommand or figure id first) and every flag's value.
+struct Cli {
+    positional: Vec<String>,
+    scale: Scale,
+    jobs: usize,
+    seeds: u64,
+    obs: ObsSettings,
+    out: Option<PathBuf>,
+    once: bool,
+    scheme_key: String,
+    intensity: f64,
+    flash: bool,
+    at_s: f64,
+    until_s: Option<f64>,
+}
+
+/// The value after a valued flag, read by `parse`, which returns the line
+/// to print when the value is malformed. `None` when the value is missing
+/// or malformed.
+fn flag<T>(value: Option<String>, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+    parse(&value?).map_err(|line| eprintln!("{line}")).ok()
+}
+
+/// `value` parsed as a `T`, or the line `<needs>, got: <value>`.
+fn number<T: FromStr>(value: &str, needs: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{needs}, got: {value}"))
+}
+
+/// `value` as seconds of simulated time for `flag`: finite and at least 0.
+fn seconds(flag: &str, value: &str) -> Result<f64, String> {
+    let secs: f64 = number(value, &format!("{flag} needs seconds of simulated time"))?;
+    if secs.is_finite() && secs >= 0.0 {
+        Ok(secs)
+    } else {
+        Err(format!("{flag} must be non-negative, got: {value}"))
+    }
+}
+
+/// Parses the arguments; `None` when they are malformed (the reason, if
+/// any, already printed).
+fn parse_args(mut args: impl Iterator<Item = String>) -> Option<Cli> {
+    let mut cli = Cli {
+        positional: Vec::new(),
+        scale: Scale::Default,
+        jobs: 1,
+        seeds: 1,
+        obs: ObsSettings::off(),
+        out: None,
+        once: false,
+        scheme_key: "hat".to_owned(),
+        intensity: 0.8,
+        flash: false,
+        at_s: 240.0,
+        until_s: None,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--obs" => cli.obs.enabled = true,
+            "--trace" => cli.obs.trace = true,
+            "--series" => cli.obs.series = true,
+            "--digest" => cli.obs.digest = true,
+            "--health" => cli.obs.health = true,
+            "--once" => cli.once = true,
+            "--flash" => cli.flash = true,
+            "--obs-dir" => cli.obs.dir = flag(args.next(), |v| Ok(v.into()))?,
+            "--out" => cli.out = Some(flag(args.next(), |v| Ok(v.into()))?),
+            "--scale" => {
+                cli.scale =
+                    flag(args.next(), |v| Scale::parse(v).ok_or(format!("unknown scale: {v}")))?;
+            }
+            "--jobs" => {
+                cli.jobs = flag(args.next(), |v| {
+                    number(v, "--jobs needs a worker count (0 = one per core)")
+                })?;
+            }
+            "--seeds" => {
+                cli.seeds =
+                    flag(args.next(), |v| match number(v, "--seeds needs a replicate count")? {
+                        0 => Err("--seeds needs at least one replicate".to_owned()),
+                        k => Ok(k),
+                    })?;
+            }
+            "--digest-perturb" => {
+                let index =
+                    flag(args.next(), |v| number(v, "--digest-perturb needs an event index"))?;
+                cli.obs.digest = true;
+                cli.obs.digest_perturb = Some(index);
+            }
+            "--scheme" => {
+                cli.scheme_key = flag(args.next(), |v| match churn_scheme(v) {
+                    Some(_) => Ok(v.to_owned()),
+                    None => Err(format!(
+                        "unknown scheme: {v} (one of: {})",
+                        CHURN_SCHEME_KEYS.join(", ")
+                    )),
+                })?;
+            }
+            "--intensity" => {
+                cli.intensity = flag(args.next(), |v| {
+                    let f: f64 = number(v, "--intensity needs a churn intensity in [0, 1]")?;
+                    match (0.0..=1.0).contains(&f) {
+                        true => Ok(f),
+                        false => Err(format!("--intensity must be in [0, 1], got: {v}")),
+                    }
+                })?;
+            }
+            "--at" => cli.at_s = flag(args.next(), |v| seconds("--at", v))?,
+            "--until" => cli.until_s = Some(flag(args.next(), |v| seconds("--until", v))?),
+            other
+                if !other.starts_with("--")
+                    && cli.positional.len()
+                        <= cli.positional.first().map_or(0, |c| operands(c).1) =>
+            {
+                cli.positional.push(other.to_owned());
+            }
+            other => {
+                eprintln!("unexpected argument: {other}");
+                return None;
+            }
+        }
+    }
+    Some(cli)
+}
+
 /// Prints one figure run: its report and wall time, every file it wrote,
 /// and the armed planes' tables. `false` when writing failed.
 fn print_run(id: &str, run: &FigureRun, obs: &ObsSettings, workers: usize) -> bool {
     print!("{}", run.report);
     println!("[{id}: {:.2}s on {workers} worker thread(s)]", run.wall_s);
-    for (what, path) in &run.written {
-        println!("{what}: {}", path.display());
+    for (kind, path) in &run.written {
+        println!("{}: {}", kind.label(), path.display());
     }
     if run.dumps > 0 {
         println!(
-            "flight recorder: {} anomalous update(s) dumped under {}",
+            "{}: {} anomalous update(s) dumped under {}",
+            Artifact::FlightDump.label(),
             run.dumps,
             obs.dir.join(FLIGHTREC_SUBDIR).display()
         );
@@ -198,7 +347,11 @@ fn figure_command(obs: &ObsSettings, id: &str, ctx: RunCtx, seeds: u64) -> ExitC
         eprintln!("unknown figure id: {id}");
         return usage();
     };
-    if print_run(id, &run, obs, ctx.pool.jobs()) {
+    exit_code(print_run(id, &run, obs, ctx.pool.jobs()))
+}
+
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -207,188 +360,44 @@ fn figure_command(obs: &ObsSettings, id: &str, ctx: RunCtx, seeds: u64) -> ExitC
 
 fn main() -> ExitCode {
     ProfiledAlloc::mark_installed();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Vec<String> = Vec::new();
-    let mut scale = Scale::Default;
-    let mut jobs = 1usize;
-    let mut seeds = 1u64;
-    let mut obs = ObsSettings::off();
-    let mut out: Option<PathBuf> = None;
-    let mut once = false;
-    let mut scheme_key = "hat".to_owned();
-    let mut intensity = 0.8f64;
-    let mut flash = false;
-    let mut at_s = 240.0f64;
-    let mut until_s: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Some(parsed) = Scale::parse(value) else {
-                    eprintln!("unknown scale: {value}");
-                    return usage();
-                };
-                scale = parsed;
-                i += 2;
-            }
-            "--jobs" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(n) = value.parse::<usize>() else {
-                    eprintln!("--jobs needs a worker count (0 = one per core), got: {value}");
-                    return usage();
-                };
-                jobs = n;
-                i += 2;
-            }
-            "--seeds" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(k) = value.parse::<u64>() else {
-                    eprintln!("--seeds needs a replicate count, got: {value}");
-                    return usage();
-                };
-                if k == 0 {
-                    eprintln!("--seeds needs at least one replicate");
-                    return usage();
-                }
-                seeds = k;
-                i += 2;
-            }
-            "--obs" => {
-                obs.enabled = true;
-                i += 1;
-            }
-            "--obs-dir" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                obs.dir = PathBuf::from(value);
-                i += 2;
-            }
-            "--trace" => {
-                obs.trace = true;
-                i += 1;
-            }
-            "--series" => {
-                obs.series = true;
-                i += 1;
-            }
-            "--digest" => {
-                obs.digest = true;
-                i += 1;
-            }
-            "--digest-perturb" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(n) = value.parse::<u64>() else {
-                    eprintln!("--digest-perturb needs an event index, got: {value}");
-                    return usage();
-                };
-                obs.digest = true;
-                obs.digest_perturb = Some(n);
-                i += 2;
-            }
-            "--health" => {
-                obs.health = true;
-                i += 1;
-            }
-            "--once" => {
-                once = true;
-                i += 1;
-            }
-            "--scheme" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                if churn_scheme(value).is_none() {
-                    eprintln!("unknown scheme: {value} (one of: {})", CHURN_SCHEME_KEYS.join(", "));
-                    return usage();
-                }
-                scheme_key = value.clone();
-                i += 2;
-            }
-            "--intensity" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(f) = value.parse::<f64>() else {
-                    eprintln!("--intensity needs a churn intensity in [0, 1], got: {value}");
-                    return usage();
-                };
-                if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-                    eprintln!("--intensity must be in [0, 1], got: {value}");
-                    return usage();
-                }
-                intensity = f;
-                i += 2;
-            }
-            "--flash" => {
-                flash = true;
-                i += 1;
-            }
-            "--at" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(secs) = value.parse::<f64>() else {
-                    eprintln!("--at needs seconds of simulated time, got: {value}");
-                    return usage();
-                };
-                if !secs.is_finite() || secs < 0.0 {
-                    eprintln!("--at must be non-negative, got: {value}");
-                    return usage();
-                }
-                at_s = secs;
-                i += 2;
-            }
-            "--until" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let Ok(secs) = value.parse::<f64>() else {
-                    eprintln!("--until needs seconds of simulated time, got: {value}");
-                    return usage();
-                };
-                if !secs.is_finite() || secs < 0.0 {
-                    eprintln!("--until must be non-negative, got: {value}");
-                    return usage();
-                }
-                until_s = Some(secs);
-                i += 2;
-            }
-            "--out" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                out = Some(PathBuf::from(value));
-                i += 2;
-            }
-            other
-                if !other.starts_with("--")
-                    && (positional.len() < 2
-                        || (positional[0] == "trace" && positional.len() < 4)
-                        || (["obs-diff", "divergence"].contains(&positional[0].as_str())
-                            && positional.len() < 3)) =>
-            {
-                positional.push(other.to_owned());
-                i += 1;
-            }
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return usage();
-            }
-        }
+    let Some(cli) = parse_args(std::env::args().skip(1)) else { return usage() };
+    let Some(command) = cli.positional.first() else { return usage() };
+    let (needs, _, missing) = operands(command);
+    if cli.positional.len() <= needs {
+        eprintln!("{missing}");
+        return usage();
     }
-    let Some(target) = positional.first().cloned() else { return usage() };
-    let ctx = RunCtx::with_pool(scale, Pool::new(jobs));
+    run(cli).unwrap_or_else(|line| {
+        eprintln!("{line}");
+        ExitCode::FAILURE
+    })
+}
 
-    match target.as_str() {
+/// Runs the command `cli` names, its operands present. `Err` is the line
+/// to print before exiting 1.
+fn run(cli: Cli) -> Result<ExitCode, String> {
+    let Cli { positional, scale, seeds, mut obs, .. } = cli;
+    let ctx = RunCtx::with_pool(scale, Pool::new(cli.jobs));
+    let workers = ctx.pool.jobs();
+    match positional[0].as_str() {
         "list" => {
             for id in figure_ids() {
                 println!("{id}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "all" => {
-            let started = std::time::Instant::now();
-            let workers = ctx.pool.jobs();
-            let mut entries = Vec::new();
+            let started = Instant::now();
             println!(
                 "building measurement trace ({scale:?} scale, {workers} worker(s), {seeds} seed(s))…"
             );
             let crawl_reg = obs.registry();
-            let crawl_started = std::time::Instant::now();
+            let crawl_started = Instant::now();
             let traces: Vec<cdnc_trace::Trace> =
                 (0..seeds).map(|r| build_trace_ctx(ctx.replicate(r), &crawl_reg)).collect();
             let crawl_wall_s = crawl_started.elapsed().as_secs_f64();
             println!("[crawl: {crawl_wall_s:.2}s on {workers} worker thread(s)]");
+            let mut entries = Vec::new();
             if obs.enabled {
                 entries.push(summary_entry("crawl", crawl_wall_s, workers, &crawl_reg));
             }
@@ -401,8 +410,9 @@ fn main() -> ExitCode {
                 }
             }
             if obs.enabled {
-                match write_summary(&obs.dir, scale, entries) {
-                    Ok(path) => println!("observability summary: {}", path.display()),
+                match Artifact::Summary.write(&obs.dir, "", summary_doc(scale, entries).to_pretty())
+                {
+                    Ok(path) => println!("{}: {}", Artifact::Summary.label(), path.display()),
                     Err(e) => {
                         eprintln!("cannot write summary: {e}");
                         ok = false;
@@ -410,215 +420,131 @@ fn main() -> ExitCode {
                 }
             }
             println!("all figures regenerated in {:.1?}", started.elapsed());
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            Ok(exit_code(ok))
         }
         "crawl" => {
-            let Some(path) = positional.get(1) else {
-                eprintln!("crawl needs an output path");
-                return usage();
-            };
-            println!("crawling at {scale:?} scale ({} worker(s))…", ctx.pool.jobs());
+            let path = &positional[1];
+            println!("crawling at {scale:?} scale ({workers} worker(s))…");
             let reg = obs.registry();
             let trace = build_trace_ctx(ctx, &reg);
             if let Some(table) = obs.enabled.then(|| timing_table(&reg)).flatten() {
                 println!("--- phase timings ---\n{table}");
             }
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = cdnc_trace::write_trace(&trace, std::io::BufWriter::new(file)) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            cdnc_trace::write_trace(&trace, std::io::BufWriter::new(file))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!(
                 "wrote {path}: {} servers × {} days, {} poll records",
                 trace.servers.len(),
                 trace.days.len(),
                 trace.total_server_polls()
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "verdict" => {
-            let Some(path) = positional.get(1) else {
-                eprintln!("verdict needs a trace path");
-                return usage();
-            };
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match cdnc_trace::read_trace(std::io::BufReader::new(file)) {
-                Ok(trace) => {
-                    println!("{}", cdnc_analysis::analyze(&trace));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let path = &positional[1];
+            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+            let trace = cdnc_trace::read_trace(std::io::BufReader::new(file))
+                .map_err(|e| format!("cannot read {path}: {e}"))?;
+            println!("{}", cdnc_analysis::analyze(&trace));
+            Ok(ExitCode::SUCCESS)
         }
         "checkpoint" => {
-            let Some(path) = positional.get(1) else {
-                eprintln!("checkpoint needs an output path");
-                return usage();
-            };
+            let path = &positional[1];
             let spec = ReplaySpec {
-                scheme_key,
-                intensity,
-                flash,
+                scheme_key: cli.scheme_key,
+                intensity: cli.intensity,
+                flash: cli.flash,
                 scale,
-                at: cdnc_simcore::SimTime::from_secs_f64(at_s),
+                at: cdnc_simcore::SimTime::from_secs_f64(cli.at_s),
             };
             println!(
                 "checkpointing {} (intensity {:.2}, flash {}) at t={:.0}s, {scale:?} scale…",
-                spec.scheme_key, spec.intensity, spec.flash, at_s
+                spec.scheme_key, spec.intensity, spec.flash, cli.at_s
             );
             let reg = obs.registry();
-            let started = std::time::Instant::now();
+            let started = Instant::now();
             let artifact = replay::take_checkpoint(&spec, &reg);
             let lines = artifact.lines().count();
-            if let Err(e) = std::fs::write(path, &artifact) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, &artifact).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!(
                 "checkpoint: {path} ({lines} state fields, {:.2}s)",
                 started.elapsed().as_secs_f64()
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "replay" => {
-            let Some(path) = positional.get(1) else {
-                eprintln!("replay needs a checkpoint path");
-                return usage();
+            let path = &positional[1];
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let until = cli.until_s.map(cdnc_simcore::SimTime::from_secs_f64);
+            let v =
+                replay::replay(&text, until).map_err(|e| format!("cannot replay {path}: {e}"))?;
+            let window = match cli.until_s {
+                Some(t) => format!("t={:.0}s..{t:.0}s", v.spec.at.as_secs_f64()),
+                None => format!("t={:.0}s..horizon", v.spec.at.as_secs_f64()),
             };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let until = until_s.map(cdnc_simcore::SimTime::from_secs_f64);
-            match replay::replay(&text, until) {
-                Ok(v) => {
-                    let window = match until_s {
-                        Some(t) => format!("t={:.0}s..{t:.0}s", v.spec.at.as_secs_f64()),
-                        None => format!("t={:.0}s..horizon", v.spec.at.as_secs_f64()),
-                    };
-                    println!(
-                        "replayed {} (intensity {:.2}, flash {}, {:?} scale) over {window}: \
-                         {} event(s) folded",
-                        v.spec.scheme_key,
-                        v.spec.intensity,
-                        v.spec.flash,
-                        v.spec.scale,
-                        v.replay_events
-                    );
-                    println!("replay_chain={:016x}", v.replay_chain);
-                    println!("straight_chain={:016x}", v.straight_chain);
-                    println!("replay_chain_match={}", v.chain_match);
-                    println!("replay_report_match={}", v.report_match);
-                    if v.chain_match && v.report_match {
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("replay diverged from the uninterrupted run");
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("cannot replay {path}: {e}");
-                    ExitCode::FAILURE
-                }
+            println!(
+                "replayed {} (intensity {:.2}, flash {}, {:?} scale) over {window}: \
+                 {} event(s) folded",
+                v.spec.scheme_key, v.spec.intensity, v.spec.flash, v.spec.scale, v.replay_events
+            );
+            println!("replay_chain={:016x}", v.replay_chain);
+            println!("straight_chain={:016x}", v.straight_chain);
+            println!("replay_chain_match={}", v.chain_match);
+            println!("replay_report_match={}", v.report_match);
+            if v.chain_match && v.report_match {
+                Ok(ExitCode::SUCCESS)
+            } else {
+                Err("replay diverged from the uninterrupted run".to_owned())
             }
         }
         "obs-diff" => {
-            let (Some(dir_a), Some(dir_b)) = (positional.get(1), positional.get(2)) else {
-                eprintln!("obs-diff needs two artifact directories");
-                return usage();
-            };
-            match diff_artifact_dirs(Path::new(dir_a), Path::new(dir_b)) {
-                Ok(diffs) if diffs.is_empty() => {
-                    println!("artifacts match: {dir_a} vs {dir_b} (wall-clock fields ignored)");
-                    ExitCode::SUCCESS
-                }
-                Ok(diffs) => {
-                    for diff in &diffs {
-                        eprintln!("{diff}");
-                    }
-                    eprintln!("{} difference(s) between {dir_a} and {dir_b}", diffs.len());
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("cannot diff {dir_a} vs {dir_b}: {e}");
-                    ExitCode::FAILURE
-                }
+            let (dir_a, dir_b) = (&positional[1], &positional[2]);
+            let diffs = diff_artifact_dirs(Path::new(dir_a), Path::new(dir_b))
+                .map_err(|e| format!("cannot diff {dir_a} vs {dir_b}: {e}"))?;
+            if diffs.is_empty() {
+                println!("artifacts match: {dir_a} vs {dir_b} (wall-clock fields ignored)");
+                return Ok(ExitCode::SUCCESS);
             }
+            for diff in &diffs {
+                eprintln!("{diff}");
+            }
+            Err(format!("{} difference(s) between {dir_a} and {dir_b}", diffs.len()))
         }
         "divergence" => {
-            let (Some(path_a), Some(path_b)) = (positional.get(1), positional.get(2)) else {
-                eprintln!("divergence needs two .digest.json paths");
-                return usage();
-            };
+            let (path_a, path_b) = (&positional[1], &positional[2]);
             match divergence::run(Path::new(path_a), Path::new(path_b), &obs) {
                 Ok(divergence::Outcome::Identical) => {
                     println!("digest chains identical: {path_a} vs {path_b}");
-                    ExitCode::SUCCESS
+                    Ok(ExitCode::SUCCESS)
                 }
                 Ok(divergence::Outcome::Diverged(loc)) => {
                     print!("{}", loc.render());
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
                 Err(e) => {
                     eprintln!("cannot bisect {path_a} vs {path_b}: {e}");
-                    ExitCode::from(2)
+                    Ok(ExitCode::from(2))
                 }
             }
         }
         "watch" => {
-            let Some(dir) = positional.get(1) else {
-                eprintln!("watch needs a directory of *.health.json heartbeats");
-                return usage();
-            };
-            match watch::run(Path::new(dir), once) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("cannot watch {dir}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let dir = &positional[1];
+            watch::run(Path::new(dir), cli.once).map_err(|e| format!("cannot watch {dir}: {e}"))?;
+            Ok(ExitCode::SUCCESS)
         }
         "report" => {
-            let out_dir = out.unwrap_or_else(|| obs.dir.join("report"));
-            match generate_report(&obs.dir, &out_dir) {
-                Ok(written) => {
-                    println!("report: {} page(s) under {}", written.len(), out_dir.display());
-                    println!("index: {}", written[0].display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot generate report: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let out_dir = cli.out.unwrap_or_else(|| obs.dir.join("report"));
+            let written = generate_report(&obs.dir, &out_dir)
+                .map_err(|e| format!("cannot generate report: {e}"))?;
+            println!("report: {} page(s) under {}", written.len(), out_dir.display());
+            println!("index: {}", written[0].display());
+            Ok(ExitCode::SUCCESS)
         }
-        "profile" | "timeprof" => {
-            let Some(id) = positional.get(1) else {
-                eprintln!("{target} needs a figure id");
-                return usage();
-            };
+        target @ ("profile" | "timeprof") => {
+            let id = &positional[1];
             obs.profile = target == "profile";
             obs.timeprof = !obs.profile;
             let verb = if obs.profile { "profiling" } else { "time-profiling" };
@@ -628,75 +554,53 @@ fn main() -> ExitCode {
                      allocation attribution will be empty"
                 );
             }
-            println!(
-                "{verb} {id} at {scale:?} scale ({} worker(s), {seeds} seed(s))…",
-                ctx.pool.jobs()
-            );
-            figure_command(&obs, id, ctx, seeds)
+            println!("{verb} {id} at {scale:?} scale ({workers} worker(s), {seeds} seed(s))…");
+            Ok(figure_command(&obs, id, ctx, seeds))
         }
         "trace" => {
-            let Some(action) = positional.get(1) else {
-                eprintln!("trace needs an action: summary | critical-path | inspect");
-                return usage();
-            };
-            let path_at =
-                |idx: usize| -> Option<PathBuf> { positional.get(idx).map(PathBuf::from) };
-            match action.as_str() {
+            let action = positional[1].as_str();
+            let (path, missing) = match action {
                 "summary" | "critical-path" => {
-                    let Some(path) = path_at(2) else {
-                        eprintln!("trace {action} needs a trace JSON path");
-                        return usage();
-                    };
-                    let store = match load_store(&path) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            eprintln!("cannot load trace: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    if action == "summary" {
-                        print!("{}", summary_text(&store));
-                    } else {
-                        match critical_path_table(&store) {
-                            Some(table) => print!("{table}"),
-                            None => println!("no traces recorded"),
-                        }
-                    }
-                    ExitCode::SUCCESS
+                    (positional.get(2), format!("trace {action} needs a trace JSON path"))
                 }
                 "inspect" => {
-                    let (Some(update), Some(path)) = (positional.get(2), path_at(3)) else {
-                        eprintln!("trace inspect needs <update-id> <trace.json>");
-                        return usage();
-                    };
-                    let Ok(update) = update.parse::<u32>() else {
-                        eprintln!("update id must be a number, got: {update}");
-                        return usage();
-                    };
-                    let store = match load_store(&path) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            eprintln!("cannot load trace: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match inspect_text(&store, update) {
-                        Some(text) => {
-                            print!("{text}");
-                            ExitCode::SUCCESS
-                        }
-                        None => {
-                            eprintln!("no trace for update {update} in {}", path.display());
-                            ExitCode::FAILURE
-                        }
-                    }
+                    (positional.get(3), "trace inspect needs <update-id> <trace.json>".to_owned())
                 }
                 other => {
                     eprintln!("unknown trace action: {other}");
-                    usage()
+                    return Ok(usage());
                 }
+            };
+            let Some(path) = path.map(PathBuf::from) else {
+                eprintln!("{missing}");
+                return Ok(usage());
+            };
+            let update = match action {
+                "inspect" => match positional[2].parse::<u32>() {
+                    Ok(update) => Some(update),
+                    Err(_) => {
+                        eprintln!("update id must be a number, got: {}", positional[2]);
+                        return Ok(usage());
+                    }
+                },
+                _ => None,
+            };
+            let store = load_store(&path).map_err(|e| format!("cannot load trace: {e}"))?;
+            match update {
+                Some(update) => {
+                    let text = inspect_text(&store, update).ok_or_else(|| {
+                        format!("no trace for update {update} in {}", path.display())
+                    })?;
+                    print!("{text}");
+                }
+                None if action == "summary" => print!("{}", summary_text(&store)),
+                None => match critical_path_table(&store) {
+                    Some(table) => print!("{table}"),
+                    None => println!("no traces recorded"),
+                },
             }
+            Ok(ExitCode::SUCCESS)
         }
-        id => figure_command(&obs, id, ctx, seeds),
+        id => Ok(figure_command(&obs, id, ctx, seeds)),
     }
 }

@@ -1,18 +1,21 @@
-//! Run-artifact output for the experiments binary: the figure pipeline
+//! Run-artifact output for the experiments binary: the table of file kinds
+//! an artifact directory holds ([`Artifact`]: each kind's file name,
+//! printed label and `obs-diff` rule), the figure pipeline
 //! ([`run_and_write`]) that runs one figure under the armed observation
-//! planes and writes each plane's files, the per-plane writers it calls,
-//! a consolidated summary, the end-of-run phase-timing table printed
-//! under `--obs`, and the wall-clock-blind artifact diff behind `obs-diff`.
+//! planes and writes each plane's files, the run-artifact and summary
+//! documents, the end-of-run phase-timing table printed under `--obs`, and
+//! the wall-clock-blind artifact diff behind `obs-diff`.
 
-use crate::profile_out::write_profile_artifact;
+use crate::divergence::digest_doc;
+use crate::profile_out::profile_doc;
 use crate::report::{aggregate_replicates, FigureReport};
 use crate::scale::Scale;
-use crate::timeprof_out::write_timeprof_artifact;
-use crate::trace_out::{write_figure_trace, FLIGHTREC_SUBDIR};
+use crate::timeprof_out::timeprof_doc;
+use crate::trace_out::write_figure_trace;
 use crate::{run_figure_ctx, RunCtx};
 use cdnc_obs::{
     chain_hex, digest_str, json, DigestConfig, HealthMonitor, HealthMonitorConfig, Json,
-    ProfileSnapshot, Registry, RunArtifact, SpanStore,
+    ProfileSnapshot, Registry, SpanStore,
 };
 use cdnc_trace::Trace;
 use std::collections::BTreeSet;
@@ -26,6 +29,135 @@ pub const DEFAULT_OBS_DIR: &str = "results/obs";
 /// Flight-recorder anomaly threshold: adoption lag above this many
 /// seconds retains the update's full trace.
 pub const DEFAULT_TRACE_THRESHOLD_S: f64 = 60.0;
+
+/// Subdirectory of the artifact dir holding flight-recorder dumps.
+pub const FLIGHTREC_SUBDIR: &str = "flightrec";
+
+/// How `obs-diff` compares the two copies of one file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffRule {
+    /// Parsed, stripped of [`VOLATILE_KEYS`], then compared exactly.
+    Scrubbed,
+    /// Compared by ordered stack paths: the self-nanosecond values are
+    /// wall clock.
+    StackPaths,
+    /// Compared byte for byte.
+    Bytes,
+    /// Never compared: live wall-clock telemetry, and a run may be torn
+    /// down mid-beat.
+    Skipped,
+}
+
+/// Every kind of file the figure pipeline writes into an artifact
+/// directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Artifact {
+    Run,
+    Workload,
+    Series,
+    Digest,
+    Trace,
+    FlightDump,
+    Profile,
+    Timeprof,
+    Folded,
+    Health,
+    Summary,
+}
+
+/// The table: each kind, the subdirectory its files live in, their name
+/// (`{id}` stands for the figure id, or a dump's `<figure>_<stem>`), the
+/// label printed before a written file's path, and the `obs-diff` rule. A
+/// file name is matched against the rows in order, so the fixed summary
+/// name comes first and the `.json` catch-all last.
+const ARTIFACTS: [(Artifact, &str, &str, &str, DiffRule); 11] = {
+    use DiffRule::*;
+    [
+        (Artifact::Summary, "", "summary.json", "observability summary", Scrubbed),
+        (Artifact::Workload, "", "{id}.workload.json", "workload curves", Scrubbed),
+        (Artifact::Series, "", "{id}.series.json", "series", Scrubbed),
+        (Artifact::Digest, "", "{id}.digest.json", "digest", Scrubbed),
+        (Artifact::Trace, "", "{id}.trace.json", "trace", Bytes),
+        (Artifact::Profile, "", "{id}.profile.json", "profile artifact", Scrubbed),
+        (Artifact::Timeprof, "", "{id}.timeprof.json", "timeprof artifact", Scrubbed),
+        (Artifact::Folded, "", "{id}.folded", "flamegraph stacks", StackPaths),
+        (Artifact::Health, "", "{id}.health.json", "health heartbeat", Skipped),
+        (Artifact::FlightDump, FLIGHTREC_SUBDIR, "{id}.json", "flight recorder", Scrubbed),
+        (Artifact::Run, "", "{id}.json", "run artifact", Scrubbed),
+    ]
+};
+
+impl Artifact {
+    /// This kind's row of [`ARTIFACTS`], without the kind.
+    fn row(self) -> (&'static str, &'static str, &'static str, DiffRule) {
+        let row = ARTIFACTS.iter().find(|row| row.0 == self).expect("every kind has a row");
+        (row.1, row.2, row.3, row.4)
+    }
+
+    /// The label printed before a written file's path.
+    pub fn label(self) -> &'static str {
+        self.row().2
+    }
+
+    /// How `obs-diff` compares two copies of this kind's file.
+    pub fn diff_rule(self) -> DiffRule {
+        self.row().3
+    }
+
+    /// The path of this kind's file for `id` under artifact directory
+    /// `dir` (the summary's name is fixed, so it ignores `id`).
+    pub fn path(self, dir: &Path, id: &str) -> PathBuf {
+        let (sub, name, ..) = self.row();
+        dir.join(sub).join(name.replace("{id}", id))
+    }
+
+    /// Creates the directories this kind's file needs and writes `body`
+    /// as the file for `id` under `dir`; returns its path.
+    pub fn write(self, dir: &Path, id: &str, body: impl AsRef<[u8]>) -> io::Result<PathBuf> {
+        let path = self.path(dir, id);
+        std::fs::create_dir_all(path.parent().unwrap_or(dir))?;
+        std::fs::write(&path, body)?;
+        Ok(path)
+    }
+
+    /// The kind and id of the file at `name`, a path relative to an
+    /// artifact directory as [`list_files`] returns it; `None` for a file
+    /// the pipeline does not write.
+    pub fn classify(name: &str) -> Option<(Artifact, &str)> {
+        let (sub, file) = name.rsplit_once('/').unwrap_or(("", name));
+        ARTIFACTS.iter().find_map(|&(kind, kind_sub, pattern, ..)| {
+            let id = match pattern.split_once("{id}") {
+                _ if kind_sub != sub => None,
+                None => (file == pattern).then_some(""),
+                Some((pre, post)) => {
+                    file.strip_prefix(pre)?.strip_suffix(post).filter(|id| !id.is_empty())
+                }
+            };
+            Some((kind, id?))
+        })
+    }
+}
+
+/// The files of an artifact directory — its top level and the dumps under
+/// [`FLIGHTREC_SUBDIR`] — as sorted `/`-separated paths relative to `dir`.
+/// No dump directory means no dumps; a missing `dir` is an error.
+pub fn list_files(dir: &Path) -> io::Result<BTreeSet<String>> {
+    let mut names = BTreeSet::new();
+    for sub in ["", FLIGHTREC_SUBDIR] {
+        let at = dir.join(sub);
+        if !sub.is_empty() && !at.is_dir() {
+            continue;
+        }
+        for entry in std::fs::read_dir(&at)? {
+            let entry = entry?;
+            if entry.file_type()?.is_file() {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                names.insert(if sub.is_empty() { name } else { format!("{sub}/{name}") });
+            }
+        }
+    }
+    Ok(names)
+}
 
 /// The observation planes the command line armed: one switch per plane.
 /// Each plane's tuning is a fixed constant: the flight recorder keeps
@@ -136,8 +268,8 @@ pub struct FigureRun {
     pub window: Option<ProfileSnapshot>,
     /// The recorded spans (tracing armed only).
     pub spans: Option<SpanStore>,
-    /// Every file written, as `(what, path)` in writing order.
-    pub written: Vec<(&'static str, PathBuf)>,
+    /// Every file written under `dir` (the dumps aside), in writing order.
+    pub written: Vec<(Artifact, PathBuf)>,
     /// Flight-recorder dumps written under `<dir>/flightrec/`.
     pub dumps: usize,
     /// The error that stopped the writing, if any.
@@ -176,7 +308,7 @@ pub fn run_and_write(
         &reg,
         HealthMonitorConfig {
             figure: id.to_owned(),
-            path: obs.dir.join(format!("{id}.health.json")),
+            path: Artifact::Health.path(&obs.dir, id),
             interval: Duration::from_millis(cdnc_obs::DEFAULT_HEARTBEAT_MS),
             stall_after: Duration::from_millis(cdnc_obs::DEFAULT_STALL_AFTER_MS),
         },
@@ -216,93 +348,54 @@ pub fn run_and_write(
 /// into `run.written`; stops at the first failure.
 fn write_planes(obs: &ObsSettings, id: &str, scale: Scale, run: &mut FigureRun) -> io::Result<()> {
     let dir = obs.dir.as_path();
-    let (report, reg) = (&run.report, &run.reg);
-    let written = &mut run.written;
-    let mut put = |what, path: Option<PathBuf>| written.extend(path.map(|p| (what, p)));
     if obs.enabled {
-        put("run artifact", Some(write_figure_artifact(dir, id, scale, report, run.wall_s, reg)?));
-        put("workload curves", write_figure_workload(dir, id, report)?);
+        let doc = run_artifact_doc(id, scale, &run.report, run.wall_s, &run.reg);
+        run.put(dir, id, Artifact::Run, doc.to_pretty())?;
+        if let Some(doc) = workload_doc(id, &run.report) {
+            run.put(dir, id, Artifact::Workload, doc.to_pretty())?;
+        }
     }
-    if obs.series {
-        put("series", write_figure_series(dir, id, reg)?);
+    if run.reg.sampler().is_enabled() {
+        let doc = run.reg.series_snapshot().to_json();
+        run.put(dir, id, Artifact::Series, doc.to_pretty())?;
     }
-    if obs.digest {
-        put("digest", write_figure_digest(dir, id, scale, reg)?);
+    if let Some(doc) = digest_doc(id, scale, &run.reg) {
+        run.put(dir, id, Artifact::Digest, doc.to_pretty())?;
     }
     if let Some(spans) = &run.spans {
         if let Some((path, dumps)) = write_figure_trace(dir, id, spans)? {
-            put("trace", Some(path));
+            run.written.push((Artifact::Trace, path));
             run.dumps = dumps;
         }
     }
     if let Some(window) = &run.window {
-        put(
-            "profile artifact",
-            Some(write_profile_artifact(dir, id, scale, window, reg, run.wall_s)?),
-        );
+        let doc = profile_doc(id, scale, window, &run.reg, run.wall_s);
+        run.put(dir, id, Artifact::Profile, doc.to_pretty())?;
     }
-    if obs.timeprof {
-        let (json_path, folded_path) = write_timeprof_artifact(dir, id, scale, reg, run.wall_s)?;
-        put("timeprof artifact", Some(json_path));
-        put("flamegraph stacks", Some(folded_path));
+    if let Some(snap) = run.reg.timeprof_snapshot() {
+        let doc = timeprof_doc(id, scale, &snap, run.wall_s);
+        run.put(dir, id, Artifact::Timeprof, doc.to_pretty())?;
+        run.put(dir, id, Artifact::Folded, cdnc_obs::to_folded(&snap.frames))?;
     }
     Ok(())
 }
 
-/// Writes `<dir>/<figure-id>.digest.json` from one figure's registry: the
-/// determinism audit trail (run chain, per-segment chains, periodic
-/// checkpoints) plus the scenario identity (`figure`, `scale`,
-/// `checkpoint_every`, `perturb`) the `divergence` subcommand needs to
-/// re-run the recorded scenario. Returns `None` when the digest is not
-/// armed.
-pub fn write_figure_digest(
-    dir: &Path,
-    id: &str,
-    scale: Scale,
-    reg: &Registry,
-) -> io::Result<Option<PathBuf>> {
-    let Some(snap) = reg.digest_snapshot() else { return Ok(None) };
-    let config = reg.digest_config().unwrap_or_default();
-    std::fs::create_dir_all(dir)?;
-    let mut doc = Json::obj()
-        .field("figure", id)
-        .field("scale", scale.arg_name())
-        .field("checkpoint_every", config.checkpoint_every)
-        .field("perturb", config.perturb.map_or(Json::Null, Json::from));
-    if let (Json::Obj(dst), Json::Obj(src)) = (&mut doc, snap.to_json()) {
-        dst.extend(src);
+impl FigureRun {
+    /// Writes `body` as `kind`'s file for `id` under `dir` and records it.
+    fn put(&mut self, dir: &Path, id: &str, kind: Artifact, body: String) -> io::Result<()> {
+        self.written.push((kind, kind.write(dir, id, body)?));
+        Ok(())
     }
-    let path = dir.join(format!("{id}.digest.json"));
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(Some(path))
 }
 
-/// Writes `<dir>/<figure-id>.series.json` from one figure's registry:
-/// every sampled series (sim-time timestamps, so deterministic and safe to
-/// diff). Returns `None` when the sampler is not armed.
-pub fn write_figure_series(dir: &Path, id: &str, reg: &Registry) -> io::Result<Option<PathBuf>> {
-    if !reg.sampler().is_enabled() {
-        return Ok(None);
-    }
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{id}.series.json"));
-    std::fs::write(&path, reg.series_snapshot().to_json().to_pretty())?;
-    Ok(Some(path))
-}
-
-/// Writes `<dir>/<figure-id>.workload.json` from one figure's report: the
+/// The `<figure-id>.workload.json` document of one figure's report: the
 /// named `(x, y)` distribution curves (latency/staleness CDFs) the figure
 /// recorded. Purely derived from simulation output, so deterministic and
-/// safe to diff. Returns `None` when the report carries no curves.
-pub fn write_figure_workload(
-    dir: &Path,
-    id: &str,
-    report: &FigureReport,
-) -> io::Result<Option<PathBuf>> {
+/// safe to diff. `None` when the report carries no curves.
+pub fn workload_doc(id: &str, report: &FigureReport) -> Option<Json> {
     if report.curves.is_empty() {
-        return Ok(None);
+        return None;
     }
-    std::fs::create_dir_all(dir)?;
     let curves = report
         .curves
         .iter()
@@ -314,10 +407,7 @@ pub fn write_figure_workload(
             Json::obj().field("name", name.as_str()).field("points", Json::Arr(pts))
         })
         .collect();
-    let doc = Json::obj().field("figure", id).field("curves", Json::Arr(curves));
-    let path = dir.join(format!("{id}.workload.json"));
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(Some(path))
+    Some(Json::obj().field("figure", id).field("curves", Json::Arr(curves)))
 }
 
 /// The figure's headline numbers as the artifact's `summary` object.
@@ -331,20 +421,24 @@ pub fn figure_summary(report: &FigureReport, scale: Scale, wall_s: f64) -> Json 
         .field("keyvals", keyvals)
 }
 
-/// Writes `<dir>/<figure-id>.json` from one figure's registry. Returns the
-/// artifact path.
-pub fn write_figure_artifact(
-    dir: &Path,
+/// The `<figure-id>.json` run artifact: run identity (id, master seed,
+/// config digest), the figure's headline numbers, and every metric and
+/// phase timing `reg` recorded.
+pub fn run_artifact_doc(
     id: &str,
     scale: Scale,
     report: &FigureReport,
     wall_s: f64,
     reg: &Registry,
-) -> io::Result<PathBuf> {
-    let seed = scale.crawl_config().seed;
-    let artifact = RunArtifact::new(id, seed, digest_str(&format!("{id}:{scale:?}")))
-        .with_summary(figure_summary(report, scale, wall_s));
-    artifact.write_to_dir(dir, reg)
+) -> Json {
+    let snap = reg.snapshot();
+    Json::obj()
+        .field("run_id", id)
+        .field("seed", scale.crawl_config().seed)
+        .field("config_digest", digest_str(&format!("{id}:{scale:?}")))
+        .field("summary", figure_summary(report, scale, wall_s))
+        .field("metrics", snap.metrics_json())
+        .field("phases", snap.spans_json())
 }
 
 /// Formats the phase-timing table printed at the end of an `--obs` run.
@@ -554,43 +648,65 @@ pub fn diff_docs(a: &Json, b: &Json, limit: usize) -> (Vec<(String, usize)>, Vec
     (counts, lines)
 }
 
-/// Compares two artifact directories, ignoring wall-clock fields: `.json`
-/// documents are parsed and [`scrub_volatile`]bed before comparison (a
-/// mismatch reports the per-key count of differing fields), `.folded`
-/// flamegraph stacks are compared by their ordered stack paths (the
-/// self-nanosecond values are wall clock), `.health.json` heartbeats are
-/// skipped entirely (live wall-clock telemetry), all other files (such as
-/// `.trace.json` in simulated time) compared byte-for-byte. The
-/// flight-recorder dumps under `flightrec/`, the one subdirectory the
-/// pipeline writes, are compared by name and content under the same rules.
-/// Returns one line per difference — empty means the runs produced
-/// identical observable output, the determinism contract `--jobs`
-/// promises.
-pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
-    // Paths relative to `dir` of the top-level files and the dumps.
-    let list = |dir: &Path| -> io::Result<BTreeSet<String>> {
-        let mut names = BTreeSet::new();
-        let dumps = (dir.join(FLIGHTREC_SUBDIR), format!("{FLIGHTREC_SUBDIR}/"));
-        for (sub, prefix) in [(dir.to_path_buf(), String::new()), dumps] {
-            // No dump directory means no dumps; a missing top level is an error.
-            if !prefix.is_empty() && !sub.is_dir() {
-                continue;
+impl DiffRule {
+    /// What differs between two copies of a file under this rule; `None`
+    /// when they match.
+    fn compare(self, a: &[u8], b: &[u8]) -> Option<String> {
+        let text = |body| String::from_utf8_lossy(body).into_owned();
+        match self {
+            DiffRule::Skipped => None,
+            DiffRule::Bytes => (a != b).then(|| "byte-level".to_owned()),
+            DiffRule::StackPaths => {
+                let stacks = |body| {
+                    let lines = cdnc_obs::parse_folded(&text(body))?;
+                    Some(lines.into_iter().map(|(path, _)| path).collect::<Vec<_>>())
+                };
+                match (stacks(a), stacks(b)) {
+                    (Some(sa), Some(sb)) => (sa != sb).then(|| "stack paths differ".to_owned()),
+                    _ => (a != b).then(|| "unparseable".to_owned()),
+                }
             }
-            for entry in std::fs::read_dir(&sub)? {
-                let entry = entry?;
-                if entry.file_type()?.is_file() {
-                    names.insert(format!("{prefix}{}", entry.file_name().to_string_lossy()));
+            DiffRule::Scrubbed => {
+                let parsed = |body| json::parse(&text(body)).map(|doc| scrub_volatile(&doc));
+                match (parsed(a), parsed(b)) {
+                    (Ok(doc_a), Ok(doc_b)) => {
+                        let (counts, paths) = diff_docs(&doc_a, &doc_b, 10);
+                        (!counts.is_empty()).then(|| {
+                            let per_key: Vec<String> =
+                                counts.iter().map(|(key, n)| format!("{key}: {n}")).collect();
+                            format!(
+                                "differing fields per key: {}\n    {}",
+                                per_key.join(", "),
+                                paths.join("\n    ")
+                            )
+                        })
+                    }
+                    _ => (a != b).then(|| "unparseable".to_owned()),
                 }
             }
         }
-        Ok(names)
-    };
-    let (names_a, names_b) = (list(a)?, list(b)?);
+    }
+}
+
+/// Compares two artifact directories file by file — the top level and the
+/// flight-recorder dumps, by name and content — each under its kind's
+/// [`DiffRule`]: JSON documents scrubbed of [`VOLATILE_KEYS`] (a mismatch
+/// reports the per-key count of differing fields), `.folded` stacks by
+/// path, `.trace.json` (simulated time) and unknown files byte for byte,
+/// health heartbeats skipped. Returns one line per difference — empty
+/// means the runs produced identical observable output, the determinism
+/// contract `--jobs` promises.
+pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
+    let (names_a, names_b) = (list_files(a)?, list_files(b)?);
     let mut diffs = Vec::new();
     for name in names_a.union(&names_b) {
-        // Health heartbeats are wall-clock by nature (rates, ETA, RSS) and
-        // a run may be torn down mid-beat, so they never count as drift.
-        if name.ends_with(".health.json") || name.ends_with(".health.json.tmp") {
+        let rule = match Artifact::classify(name) {
+            Some((kind, _)) => kind.diff_rule(),
+            // A heartbeat's temporary sibling, left by a run stopped mid-rename.
+            None if name.ends_with(".health.json.tmp") => DiffRule::Skipped,
+            None => DiffRule::Bytes,
+        };
+        if rule == DiffRule::Skipped {
             continue;
         }
         match (names_a.contains(name), names_b.contains(name)) {
@@ -598,41 +714,7 @@ pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
             (false, true) => diffs.push(format!("{name}: only in {}", b.display())),
             _ => {
                 let (body_a, body_b) = (std::fs::read(a.join(name))?, std::fs::read(b.join(name))?);
-                let detail = if name.ends_with(".json") && !name.ends_with(".trace.json") {
-                    let parsed = |body: &[u8]| {
-                        json::parse(&String::from_utf8_lossy(body)).map(|doc| scrub_volatile(&doc))
-                    };
-                    match (parsed(&body_a), parsed(&body_b)) {
-                        (Ok(doc_a), Ok(doc_b)) => {
-                            let (counts, paths) = diff_docs(&doc_a, &doc_b, 10);
-                            (!counts.is_empty()).then(|| {
-                                let per_key = counts
-                                    .iter()
-                                    .map(|(key, n)| format!("{key}: {n}"))
-                                    .collect::<Vec<_>>()
-                                    .join(", ");
-                                format!(
-                                    "differing fields per key: {per_key}\n    {}",
-                                    paths.join("\n    ")
-                                )
-                            })
-                        }
-                        _ => (body_a != body_b).then(|| "unparseable".to_owned()),
-                    }
-                } else if name.ends_with(".folded") {
-                    let stacks = |body: &[u8]| {
-                        cdnc_obs::parse_folded(&String::from_utf8_lossy(body)).map(|lines| {
-                            lines.into_iter().map(|(path, _)| path).collect::<Vec<_>>()
-                        })
-                    };
-                    match (stacks(&body_a), stacks(&body_b)) {
-                        (Some(sa), Some(sb)) => (sa != sb).then(|| "stack paths differ".to_owned()),
-                        _ => (body_a != body_b).then(|| "unparseable".to_owned()),
-                    }
-                } else {
-                    (body_a != body_b).then(|| "byte-level".to_owned())
-                };
-                if let Some(detail) = detail {
+                if let Some(detail) = rule.compare(&body_a, &body_b) {
                     diffs.push(format!("{name}: contents differ ({detail})"));
                 }
             }
@@ -641,18 +723,17 @@ pub fn diff_artifact_dirs(a: &Path, b: &Path) -> io::Result<Vec<String>> {
     Ok(diffs)
 }
 
-/// Writes `<dir>/summary.json` consolidating every figure of an `all` run.
+/// The `summary.json` document consolidating every figure of an `all` run.
 /// Besides the per-figure rows it records the process's memory footprint:
 /// peak RSS (kernel accounting, Linux only) and the cumulative-allocation
 /// estimate (when the binary installed [`cdnc_obs::ProfiledAlloc`]).
 /// Both are volatile — see [`VOLATILE_KEYS`].
-pub fn write_summary(dir: &Path, scale: Scale, entries: Vec<Json>) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
+pub fn summary_doc(scale: Scale, entries: Vec<Json>) -> Json {
     let total_wall: f64 =
         entries.iter().filter_map(|e| e.get("wall_s").and_then(Json::as_f64)).sum();
     let total_events: f64 =
         entries.iter().filter_map(|e| e.get("events").and_then(Json::as_f64)).sum();
-    let doc = Json::obj()
+    Json::obj()
         .field("scale", format!("{scale:?}"))
         .field("total_wall_s", total_wall)
         .field("total_events", total_events)
@@ -661,15 +742,13 @@ pub fn write_summary(dir: &Path, scale: Scale, entries: Vec<Json>) -> io::Result
             "alloc_mb_estimate",
             cdnc_obs::profile::total_allocated_bytes().map(|b| b as f64 / (1024.0 * 1024.0)),
         )
-        .field("figures", Json::Arr(entries));
-    let path = dir.join("summary.json");
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
+        .field("figures", Json::Arr(entries))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::divergence::digest_doc;
 
     #[test]
     fn disabled_settings_yield_inert_registry() {
@@ -730,9 +809,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cdnc-workload-out-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut report = FigureReport::new("figX", "test");
-        assert!(write_figure_workload(&dir, "figX", &report).unwrap().is_none());
+        assert!(workload_doc("figX", &report).is_none());
         report.curve("latency_cdf", vec![(0.0, 0.5), (1.0, 1.0)]);
-        let path = write_figure_workload(&dir, "figX", &report).unwrap().expect("curves present");
+        let doc = workload_doc("figX", &report).expect("curves present");
+        let path = Artifact::Workload.write(&dir, "figX", doc.to_pretty()).unwrap();
         assert!(path.ends_with("figX.workload.json"));
         let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("figure").and_then(Json::as_str), Some("figX"));
@@ -866,13 +946,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cdnc-series-out-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let off = Registry::enabled();
-        assert!(write_figure_series(&dir, "figX", &off).unwrap().is_none());
+        let run = |reg: &Registry| FigureRun {
+            report: FigureReport::new("figX", "test"),
+            wall_s: 0.0,
+            reg: reg.clone(),
+            window: None,
+            spans: None,
+            written: Vec::new(),
+            dumps: 0,
+            error: None,
+        };
+        let obs = ObsSettings { dir: dir.clone(), ..ObsSettings::off() };
+        let mut unarmed = run(&off);
+        write_planes(&obs, "figX", Scale::Smoke, &mut unarmed).unwrap();
+        assert!(unarmed.written.is_empty());
         let reg = Registry::enabled();
         reg.enable_series(1_000);
         reg.series_gauge("g");
         reg.sampler().tick(5_000);
-        let path = write_figure_series(&dir, "figX", &reg).unwrap().expect("armed sampler");
-        let body = std::fs::read_to_string(&path).unwrap();
+        let mut armed = run(&reg);
+        write_planes(&obs, "figX", Scale::Smoke, &mut armed).unwrap();
+        let [(Artifact::Series, path)] = &armed.written[..] else { panic!("armed sampler") };
+        let body = std::fs::read_to_string(path).unwrap();
         let doc = json::parse(&body).unwrap();
         assert_eq!(doc.get("cadence_us").and_then(Json::as_f64), Some(1_000.0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -908,11 +1003,9 @@ mod tests {
         reg.digest().fold("probe", 1, 10, &[7]);
         let dir = std::env::temp_dir().join(format!("cdnc-digest-out-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(write_figure_digest(&dir, "figX", Scale::Smoke, &Registry::enabled())
-            .unwrap()
-            .is_none());
-        let path =
-            write_figure_digest(&dir, "figX", Scale::Smoke, &reg).unwrap().expect("digest armed");
+        assert!(digest_doc("figX", Scale::Smoke, &Registry::enabled()).is_none());
+        let doc = digest_doc("figX", Scale::Smoke, &reg).expect("digest armed");
+        let path = Artifact::Digest.write(&dir, "figX", doc.to_pretty()).unwrap();
         let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("figure").and_then(Json::as_str), Some("figX"));
         assert_eq!(doc.get("scale").and_then(Json::as_str), Some("smoke"));
@@ -992,6 +1085,43 @@ mod tests {
         let xa = Json::obj().field("rows", Json::Arr(vec![Json::from(1u64), Json::from(2u64)]));
         let xb = Json::obj().field("rows", Json::Arr(vec![Json::from(1u64)]));
         assert_eq!(diff_docs(&xa, &xb, 10).1, ["rows[1]: 2 != <missing>"]);
+    }
+
+    #[test]
+    fn artifact_json_carries_identity_and_metrics() {
+        let reg = Registry::enabled();
+        reg.counter("events_processed").add(41);
+        let mut report = FigureReport::new("fig9-test", "test");
+        report.keyval("rows", 3.0);
+        let j = run_artifact_doc("fig9-test", Scale::Smoke, &report, 1.0, &reg);
+        assert_eq!(j.get("run_id").and_then(Json::as_str), Some("fig9-test"));
+        let seed = Scale::Smoke.crawl_config().seed as f64;
+        assert_eq!(j.get("seed").and_then(Json::as_f64), Some(seed));
+        let digest = digest_str("fig9-test:Smoke");
+        assert_eq!(j.get("config_digest").and_then(Json::as_str), Some(digest.as_str()));
+        let keyvals = j.get("summary").and_then(|s| s.get("keyvals"));
+        assert_eq!(keyvals.and_then(|k| k.get("rows")).and_then(Json::as_f64), Some(3.0));
+        let counters = j.get("metrics").and_then(|m| m.get("counters")).unwrap();
+        assert_eq!(counters.get("events_processed").and_then(Json::as_f64), Some(41.0));
+        let keys: Vec<&str> = match &j {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("artifact is an object"),
+        };
+        assert_eq!(keys, ["run_id", "seed", "config_digest", "summary", "metrics", "phases"]);
+    }
+
+    #[test]
+    fn writes_artifact_file() {
+        let dir = std::env::temp_dir().join(format!("cdnc-run-artifact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::enabled();
+        let doc =
+            run_artifact_doc("unit", Scale::Smoke, &FigureReport::new("unit", "t"), 0.0, &reg);
+        let json_path = Artifact::Run.write(&dir, "unit", doc.to_pretty()).unwrap();
+        assert!(json_path.ends_with("unit.json"));
+        let body = std::fs::read_to_string(&json_path).unwrap();
+        assert!(body.contains("\"run_id\": \"unit\""));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

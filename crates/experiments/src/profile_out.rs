@@ -31,8 +31,6 @@ use crate::scale::Scale;
 use cdnc_net::PacketKind;
 use cdnc_obs::profile::Subsystem;
 use cdnc_obs::{HistogramSnapshot, Json, MetricsSnapshot, ProfileSnapshot, Registry};
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// A histogram snapshot as a compact JSON object (no bucket vector — the
 /// exact moments are what the artifact consumers compare).
@@ -138,21 +136,6 @@ pub fn profile_doc(
                 .field("multiple", cdnc_obs::DEFAULT_SPIKE_MULTIPLE),
         )
         .field("peak_rss_kb", cdnc_obs::vm_hwm_kb())
-}
-
-/// Writes `<dir>/<figure-id>.profile.json`. Returns the artifact path.
-pub fn write_profile_artifact(
-    dir: &Path,
-    id: &str,
-    scale: Scale,
-    window: &ProfileSnapshot,
-    reg: &Registry,
-    wall_s: f64,
-) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{id}.profile.json"));
-    std::fs::write(&path, profile_doc(id, scale, window, reg, wall_s).to_pretty())?;
-    Ok(path)
 }
 
 /// Formats the per-subsystem breakdown table printed after

@@ -16,9 +16,7 @@
 //! deterministic set of stack lines; `obs-diff` compares its paths only.
 
 use crate::scale::Scale;
-use cdnc_obs::{HistogramSnapshot, Json, Registry, TimeProfSnapshot, WorkerUse};
-use std::io;
-use std::path::{Path, PathBuf};
+use cdnc_obs::{HistogramSnapshot, Json, TimeProfSnapshot, WorkerUse};
 
 /// Bridges the pool's dependency-free worker accounting into the
 /// registry's [`WorkerUse`] records (field-for-field; `cdnc-par` cannot
@@ -109,26 +107,6 @@ pub fn timeprof_doc(id: &str, scale: Scale, snap: &TimeProfSnapshot, wall_s: f64
         )
 }
 
-/// Writes `<dir>/<figure-id>.timeprof.json` and `<dir>/<figure-id>.folded`.
-/// Returns both artifact paths (JSON first).
-pub fn write_timeprof_artifact(
-    dir: &Path,
-    id: &str,
-    scale: Scale,
-    reg: &Registry,
-    wall_s: f64,
-) -> io::Result<(PathBuf, PathBuf)> {
-    let snap = reg.timeprof_snapshot().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "registry has no time profile armed")
-    })?;
-    std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("{id}.timeprof.json"));
-    std::fs::write(&json_path, timeprof_doc(id, scale, &snap, wall_s).to_pretty())?;
-    let folded_path = dir.join(format!("{id}.folded"));
-    std::fs::write(&folded_path, cdnc_obs::to_folded(&snap.frames))?;
-    Ok((json_path, folded_path))
-}
-
 /// Formats the frame / handler / worker breakdown printed after
 /// `experiments timeprof`.
 pub fn timeprof_table(snap: &TimeProfSnapshot) -> String {
@@ -195,7 +173,7 @@ pub fn timeprof_table(snap: &TimeProfSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdnc_obs::{EventHook, EventRecord};
+    use cdnc_obs::{EventHook, EventRecord, Registry};
 
     fn synthetic_registry() -> Registry {
         let reg = Registry::enabled();

@@ -3,23 +3,20 @@
 //! renderings behind the `trace` subcommand (`summary`, `critical-path`,
 //! `inspect <update-id>`).
 
-use crate::obs_out::DEFAULT_TRACE_THRESHOLD_S;
+use crate::obs_out::{Artifact, DEFAULT_TRACE_THRESHOLD_S};
 use cdnc_obs::{
-    parse_chrome, to_chrome, FlightRecorder, PropagationTree, SpanId, SpanKind, SpanStore,
+    parse_chrome, to_chrome, FlightRecorder, FlightReport, PropagationTree, SpanId, SpanKind,
+    SpanStore,
 };
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Subdirectory of the artifact dir holding flight-recorder dumps.
-pub const FLIGHTREC_SUBDIR: &str = "flightrec";
-
 /// Writes `<dir>/<id>.trace.json` (Chrome trace-event format, loads in
 /// ui.perfetto.dev) plus one flight-recorder dump per update whose
-/// adoption lag exceeds [`DEFAULT_TRACE_THRESHOLD_S`] under
-/// `<dir>/flightrec/`. Returns the trace path and the number of dumps, or
-/// `None` when the store recorded nothing (figure without a simulation, or
-/// tracing off).
+/// adoption lag exceeds [`DEFAULT_TRACE_THRESHOLD_S`]. Returns the trace
+/// path and the number of dumps, or `None` when the store recorded nothing
+/// (figure without a simulation, or tracing off).
 pub fn write_figure_trace(
     dir: &Path,
     id: &str,
@@ -28,21 +25,21 @@ pub fn write_figure_trace(
     if store.spans.is_empty() {
         return Ok(None);
     }
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{id}.trace.json"));
     // Compact: traces carry one event per hop/adoption/user view, so even a
     // smoke-scale figure produces hundreds of thousands of events.
-    std::fs::write(&path, to_chrome(store).to_compact())?;
+    let path = Artifact::Trace.write(dir, id, to_chrome(store).to_compact())?;
     let reports = FlightRecorder::new(DEFAULT_TRACE_THRESHOLD_S).scan(store);
-    if !reports.is_empty() {
-        let flight_dir = dir.join(FLIGHTREC_SUBDIR);
-        std::fs::create_dir_all(&flight_dir)?;
-        for report in &reports {
-            let dump = flight_dir.join(format!("{id}_{}.json", report.file_stem()));
-            std::fs::write(dump, report.to_json().to_pretty())?;
-        }
+    for report in &reports {
+        write_flight_dump(dir, id, report)?;
     }
     Ok(Some((path, reports.len())))
+}
+
+/// Writes one flight-recorder report of figure `id` as
+/// `<dir>/flightrec/<id>_<stem>.json`.
+pub fn write_flight_dump(dir: &Path, id: &str, report: &FlightReport) -> io::Result<PathBuf> {
+    let name = format!("{id}_{}", report.file_stem());
+    Artifact::FlightDump.write(dir, &name, report.to_json().to_pretty())
 }
 
 /// Loads a span store back from a trace JSON file written by

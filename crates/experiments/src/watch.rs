@@ -5,9 +5,10 @@
 //! count. Without `--once` the table redraws every refresh interval until
 //! every watched run reports `finished`.
 
+use crate::obs_out::{list_files, Artifact};
 use cdnc_obs::{json, Json};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 /// How often the live view redraws.
@@ -59,25 +60,19 @@ fn parse_row(doc: &Json) -> Option<HealthRow> {
     })
 }
 
-/// Loads every `*.health.json` under `dir` (non-recursive), sorted by
-/// figure id. Heartbeats are written atomically (tmp + rename), so a
-/// parse failure means a foreign file — those are skipped, not errors.
+/// Loads every `*.health.json` heartbeat in `dir`, sorted by figure id.
+/// Heartbeats are written atomically (tmp + rename), so a parse failure
+/// means a foreign file — those are skipped, not errors.
 pub fn load_rows(dir: &Path) -> Result<Vec<HealthRow>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.ends_with(".health.json"))
+    let names = list_files(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut rows: Vec<HealthRow> = names
+        .iter()
+        .filter(|name| matches!(Artifact::classify(name), Some((Artifact::Health, _))))
+        .filter_map(|name| {
+            let text = std::fs::read_to_string(dir.join(name)).ok()?;
+            parse_row(&json::parse(&text).ok()?)
         })
         .collect();
-    paths.sort();
-    let mut rows = Vec::new();
-    for path in paths {
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        if let Some(row) = json::parse(&text).ok().as_ref().and_then(parse_row) {
-            rows.push(row);
-        }
-    }
     rows.sort_by(|a, b| a.figure.cmp(&b.figure));
     Ok(rows)
 }

@@ -155,6 +155,12 @@ fn label_word(label: &str) -> u64 {
     h
 }
 
+/// FNV-1a digest of a string as 16 hex digits: hash the rendering of a
+/// configuration, and two runs with the same digest used the same inputs.
+pub fn digest_str(s: &str) -> String {
+    format!("{:016x}", label_word(s))
+}
+
 /// Renders a chain value the way artifacts carry it. Digests are 64-bit and
 /// the JSON layer's only number type is `f64`, so chains travel as hex
 /// strings.
@@ -362,6 +368,34 @@ impl DigestSnapshot {
             .field("chain", chain_hex(self.chain))
             .field("segments", Json::Arr(segments))
     }
+
+    /// Reads back the body [`DigestSnapshot::to_json`] writes: the run
+    /// chain and each segment's fold count, chain and checkpoints. Segment
+    /// indexes are their positions, `events` is the segments' sum, and no
+    /// trap entries are read. `Err` names the first missing or malformed
+    /// field.
+    pub fn from_json(doc: &Json) -> Result<DigestSnapshot, &'static str> {
+        let hex = |j: &Json, key| j.get(key).and_then(Json::as_str).and_then(parse_chain_hex);
+        let num = |j: &Json, key| j.get(key).and_then(Json::as_f64).map(|n| n as u64);
+        let chain = hex(doc, "chain").ok_or("chain")?;
+        let Some(Json::Arr(raw)) = doc.get("segments") else { return Err("segments") };
+        let mut segments = Vec::with_capacity(raw.len());
+        for (index, seg) in raw.iter().enumerate() {
+            let events = num(seg, "events").ok_or("events")?;
+            let chain = hex(seg, "chain").ok_or("segments[].chain")?;
+            let checkpoints = match seg.get("checkpoints") {
+                Some(Json::Arr(raw)) => raw
+                    .iter()
+                    .map(|c| Some(Checkpoint { index: num(c, "index")?, chain: hex(c, "chain")? }))
+                    .collect::<Option<_>>()
+                    .ok_or("checkpoints")?,
+                _ => Vec::new(),
+            };
+            segments.push(SegmentSnapshot { index, events, chain, checkpoints });
+        }
+        let events = segments.iter().map(|s| s.events).sum();
+        Ok(DigestSnapshot { events, chain, segments, trap: Vec::new() })
+    }
 }
 
 /// Cloneable fold handle: inert (one branch per call) unless the registry
@@ -550,6 +584,28 @@ mod tests {
         let d = Digest::default();
         assert!(d.0.is_none());
         d.fold("ev", 0, 0, &[]); // must not panic
+    }
+
+    #[test]
+    fn digest_is_stable_and_sensitive() {
+        assert_eq!(digest_str("abc"), digest_str("abc"));
+        assert_ne!(digest_str("abc"), digest_str("abd"));
+        assert_eq!(digest_str("").len(), 16);
+    }
+
+    #[test]
+    fn snapshot_json_round_trips() {
+        let c = core(DigestConfig { checkpoint_every: 2, ..DigestConfig::default() });
+        for i in 0..5 {
+            c.fold("ev", 0, i, &[i]);
+        }
+        let snap = c.snapshot();
+        let back = DigestSnapshot::from_json(&snap.to_json()).expect("reads its own output");
+        assert_eq!((back.events, back.chain), (snap.events, snap.chain));
+        assert_eq!(back.segments.len(), 1);
+        assert_eq!(back.segments[0].events, 5);
+        assert_eq!(back.segments[0].checkpoints, snap.segments[0].checkpoints);
+        assert_eq!(DigestSnapshot::from_json(&Json::obj()).unwrap_err(), "chain");
     }
 
     #[test]

@@ -172,12 +172,10 @@ impl HealthMonitor {
         Some(HealthMonitor { done, handle: Some(handle) })
     }
 
-    /// Stops the heartbeat and writes the final (`finished: true`) sample.
-    pub fn stop(mut self) {
-        self.done.store(true, Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    /// Stops the heartbeat and writes the final (`finished: true`) sample,
+    /// as dropping the monitor does.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 

@@ -8,9 +8,10 @@
 //!   count / sum / min / max.
 //! - **Phase timers** ([`Registry::span`]): scoped guards that nest, so
 //!   `build_tree` containing `flush` records `build_tree/flush`.
-//! - **Run artifacts** ([`RunArtifact`]): hand-rolled JSON ([`Json`], no
-//!   serde_json) bundling run identity, metrics, phase timings, and a
-//!   domain summary into `results/obs/<run>.json`.
+//! - **JSON** ([`Json`]): a hand-rolled writer and parser (no
+//!   serde_json). [`MetricsSnapshot::metrics_json`] and
+//!   [`MetricsSnapshot::spans_json`] render what a registry recorded for
+//!   the run artifacts the experiments binary writes.
 //! - **Causal tracing** ([`Registry::enable_tracing`]): one span per hop
 //!   of every update's journey, exported as Chrome trace-event JSON, with
 //!   a [`FlightRecorder`] that keeps the full tree of anomalous updates.
@@ -44,7 +45,6 @@
 //! paired-run test asserting instrumented and uninstrumented runs produce
 //! bit-identical reports.
 
-pub mod artifact;
 pub mod chrome;
 pub mod digest;
 pub mod flight;
@@ -58,11 +58,10 @@ pub mod series;
 pub mod timeprof;
 pub mod trace;
 
-pub use artifact::{digest_str, RunArtifact};
 pub use chrome::{from_chrome, parse_chrome, to_chrome};
 pub use digest::{
-    chain_hex, parse_chain_hex, Checkpoint, Digest, DigestConfig, DigestSnapshot, SegmentSnapshot,
-    TrapEntry, TrapWindow, DEFAULT_CHECKPOINT_EVERY,
+    chain_hex, digest_str, parse_chain_hex, Checkpoint, Digest, DigestConfig, DigestSnapshot,
+    SegmentSnapshot, TrapEntry, TrapWindow, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use flight::{Anomaly, FlightRecorder, FlightReport};
 pub use health::{

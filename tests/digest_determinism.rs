@@ -4,8 +4,9 @@
 //! index, and the fold itself is order-sensitive (a digest that ignored
 //! event order could not catch reordering bugs).
 
+use cdnc_experiments::divergence::digest_doc;
 use cdnc_experiments::divergence::{self, Outcome};
-use cdnc_experiments::obs_out::write_figure_digest;
+use cdnc_experiments::obs_out::Artifact;
 use cdnc_experiments::{run_figure_ctx, RunCtx, Scale};
 use cdnc_obs::{Digest, DigestConfig, DigestSnapshot, Registry};
 use cdnc_par::Pool;
@@ -61,7 +62,8 @@ fn injected_perturbation_localizes_to_its_exact_index() {
         reg.enable_digest(DigestConfig { perturb, ..DigestConfig::default() });
         run_figure_ctx("fig14", RunCtx::new(Scale::Smoke), None, &reg).expect("known id");
         let sub = dir.join(name);
-        write_figure_digest(&sub, "fig14", Scale::Smoke, &reg).unwrap().expect("digest armed")
+        let doc = digest_doc("fig14", Scale::Smoke, &reg).expect("digest armed");
+        Artifact::Digest.write(&sub, "fig14", doc.to_pretty()).unwrap()
     };
     let clean = write("clean", None);
     let perturbed = write("perturbed", Some(PERTURB));

@@ -75,3 +75,52 @@ fn retired_trace_dir_flag_is_rejected_with_usage() {
         assert!(stderr.contains("usage: experiments"), "{args:?}: usage text expected:\n{stderr}");
     }
 }
+
+#[test]
+fn malformed_invocations_exit_1_with_their_first_stderr_line() {
+    // `list` runs nothing, so a flag it accepted would exit 0 at once.
+    let usage = "usage: experiments <figure-id | all | list> [--scale smoke|default|paper]";
+    let cases: [(&[&str], &str); 31] = [
+        (&["list", "--jobs"], usage),
+        (&["list", "--jobs", "x"], "--jobs needs a worker count (0 = one per core), got: x"),
+        (&["list", "--seeds", "0"], "--seeds needs at least one replicate"),
+        (&["list", "--seeds", "x"], "--seeds needs a replicate count, got: x"),
+        (&["list", "--until", "nan"], "--until must be non-negative, got: nan"),
+        (&["list", "--scale", "huge"], "unknown scale: huge"),
+        (&["list", "--at", "x"], "--at needs seconds of simulated time, got: x"),
+        (&["list", "--at", "-1"], "--at must be non-negative, got: -1"),
+        (&["list", "--intensity", "2"], "--intensity must be in [0, 1], got: 2"),
+        (
+            &["list", "--scheme", "nope"],
+            "unknown scheme: nope (one of: push, invalidation, ttl, push-mcast, \
+             invalidation-mcast, ttl-mcast, hat)",
+        ),
+        (&["list", "--digest-perturb", "x"], "--digest-perturb needs an event index, got: x"),
+        (&["list", "a", "b"], "unexpected argument: b"),
+        (&["crawl"], "crawl needs an output path"),
+        (&["verdict"], "verdict needs a trace path"),
+        (&["checkpoint"], "checkpoint needs an output path"),
+        (&["replay"], "replay needs a checkpoint path"),
+        (&["obs-diff", "a"], "obs-diff needs two artifact directories"),
+        (&["divergence", "a"], "divergence needs two .digest.json paths"),
+        (&["watch"], "watch needs a directory of *.health.json heartbeats"),
+        (&["profile"], "profile needs a figure id"),
+        (&["timeprof"], "timeprof needs a figure id"),
+        (&["trace"], "trace needs an action: summary | critical-path | inspect"),
+        (&["trace", "summary"], "trace summary needs a trace JSON path"),
+        (&["trace", "critical-path"], "trace critical-path needs a trace JSON path"),
+        (&["trace", "inspect", "3"], "trace inspect needs <update-id> <trace.json>"),
+        (&["trace", "inspect", "x", "y"], "update id must be a number, got: x"),
+        (&["trace", "bogus", "x"], "unknown trace action: bogus"),
+        (&["fig17", "--bogus"], "unexpected argument: --bogus"),
+        (&["report", "--out"], usage),
+        (&["--jobs"], usage),
+        (&[], usage),
+    ];
+    for (args, first_line) in cases {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().next(), Some(first_line), "{args:?}: first stderr line");
+    }
+}

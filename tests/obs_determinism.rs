@@ -2,7 +2,7 @@
 //! observation-only (paired instrumented / uninstrumented runs are
 //! bit-identical), and the artifacts it writes are well-formed JSON.
 
-use cdnc_experiments::obs_out::write_figure_artifact;
+use cdnc_experiments::obs_out::{run_artifact_doc, Artifact};
 use cdnc_experiments::{
     build_trace, build_trace_with_obs, run_figure, run_figure_ctx, run_figure_with_obs, RunCtx,
     Scale,
@@ -119,7 +119,8 @@ fn written_artifact_is_well_formed_json() {
     let dir = std::env::temp_dir().join(format!("cdnc-obs-test-{}", std::process::id()));
     let reg = armed();
     let report = run_figure_with_obs("fig20", Scale::Smoke, None, &reg).unwrap();
-    let path = write_figure_artifact(&dir, "fig20", Scale::Smoke, &report, 1.25, &reg).unwrap();
+    let doc = run_artifact_doc("fig20", Scale::Smoke, &report, 1.25, &reg);
+    let path = Artifact::Run.write(&dir, "fig20", doc.to_pretty()).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     let doc = parse(&text).expect("artifact must be valid JSON");
     let _ = std::fs::remove_dir_all(&dir);
