@@ -154,6 +154,12 @@ test -s "$PROF_DIR/fig20.profile.json"
 grep -q 'attributed to named subsystems' "$PROF_DIR/profile.txt"
 exp report --obs-dir "$PROF_DIR" --out "$PROF_DIR/report"
 grep -q 'Memory profile' "$PROF_DIR/report/fig20.html"
+# Allocation counts repeat exactly from run to run (obs-diff compares the
+# attribution section exactly). The chaos sweep's HAT failovers remove and
+# re-insert tree members, so a run-dependent hash layout would show there.
+exp profile ext_chaos --scale smoke --obs-dir "$PROF_DIR/first" > /dev/null
+exp profile ext_chaos --scale smoke --obs-dir "$PROF_DIR/second" > /dev/null
+exp obs-diff "$PROF_DIR/first" "$PROF_DIR/second"
 rm -rf "$PROF_DIR"
 
 echo "==> time profile smoke: flamegraph export + structural serial vs --jobs 4 diff"

@@ -4,7 +4,7 @@
 use crate::method::MethodKind;
 use cdnc_net::{AbsenceConfig, FaultConfig, NetworkConfig};
 use cdnc_simcore::{SimDuration, SimTime};
-use cdnc_trace::UpdateSequence;
+use cdnc_trace::{SnapshotId, UpdateSequence};
 use std::fmt;
 
 /// A deployment scheme: an update method married to an update
@@ -516,6 +516,16 @@ impl SimConfig {
             + self.update_start
             + self.updates.last_update().since(SimTime::ZERO)
             + self.drain
+    }
+
+    /// When the provider publishes snapshot `id`: its instant in `updates`,
+    /// shifted by `update_start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is beyond the update sequence.
+    pub fn published_at(&self, id: SnapshotId) -> SimTime {
+        SimTime::ZERO + self.update_start + self.updates.published_at(id).since(SimTime::ZERO)
     }
 }
 

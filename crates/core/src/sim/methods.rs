@@ -22,13 +22,10 @@ impl CdnSimulation<'_> {
         self.nodes[provider.index()].content = snap;
         self.nodes[provider.index()].content_modified_at = now;
         self.nodes[provider.index()].content_ctx = ctx;
-        // Lag accounting starts for every server and user.
+        // The publish is pending at every server and user until adopted or
+        // observed.
         for &s in &self.topo.servers {
-            self.nodes[s.index()].pending_pubs.push_back((snap, now));
             self.obs.pending(self.topo.method_of(s)).add(1);
-        }
-        for u in &mut self.users {
-            u.pending_pubs.push_back((snap, now));
         }
         self.obs.pending_user_updates.add(self.users.len() as u64);
         self.notify_downstream(now, provider, snap, ctx, true);
@@ -203,16 +200,10 @@ impl CdnSimulation<'_> {
                 state.known_stale = None;
                 self.obs.stale_replicas.sub(1);
             }
-            while let Some(&(p, t)) = state.pending_pubs.front() {
-                if p > snap {
-                    break;
-                }
-                let lag_s = now.since(t).as_secs_f64();
-                state.lag.push(lag_s);
+            state.count_lags(self.config, now, |lag_s| {
                 adopt_lag.record(lag_s);
                 pending.sub(1);
-                state.pending_pubs.pop_front();
-            }
+            });
             // Adaptive TTL (Alex protocol): the next poll interval is a
             // fraction of the content's observed age — young content is
             // polled quickly, old content slowly.
@@ -391,9 +382,8 @@ impl CdnSimulation<'_> {
         }
     }
 
-    /// User `u` observes snapshot `snap` at `server`: pending publishes up
-    /// to `snap` resolve, and a version older than one already seen counts
-    /// as an inconsistent observation.
+    /// User `u` observes snapshot `snap` at `server` (see
+    /// [`UserState::observe`](super::state::UserState::observe)).
     pub(super) fn observe(&mut self, u: u32, server: NodeId, snap: SnapshotId, now: SimTime) {
         // The view descends causally from the served content's provenance
         // (inert when that content predates tracing or tracing is off).
@@ -403,20 +393,7 @@ impl CdnSimulation<'_> {
             server.index() as u32,
             now.as_micros(),
         );
-        let user = &mut self.users[u as usize];
-        while let Some(&(p, t)) = user.pending_pubs.front() {
-            if p > snap {
-                break;
-            }
-            user.lag.push(now.since(t).as_secs_f64());
-            self.obs.pending_user_updates.sub(1);
-            user.pending_pubs.pop_front();
-        }
-        user.total_obs += 1;
-        if snap < user.seen_max {
-            user.inconsistent_obs += 1;
-        } else {
-            user.seen_max = snap;
-        }
+        let resolved = self.users[u as usize].observe(self.config, snap, now);
+        self.obs.pending_user_updates.sub(resolved);
     }
 }

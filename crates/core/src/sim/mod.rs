@@ -242,7 +242,7 @@ impl<'a> CdnSimulation<'a> {
         let mut rng = SimRng::seed_from_u64(config.seed ^ stream_tag::SIM);
         let (topo, tree) = Topology::build_with_tree(&config.scheme, &net, &mut rng.fork());
 
-        let nodes: Vec<NodeState> = (0..net.len()).map(|_| NodeState::new()).collect();
+        let nodes: Vec<NodeState> = (0..net.len()).map(|_| NodeState::default()).collect();
         let mut user_rng = rng.fork();
         let users: Vec<UserState> = (0..config.users())
             .map(|u| {
@@ -263,11 +263,8 @@ impl<'a> CdnSimulation<'a> {
         let hook =
             EventHook::new(registry, &EVENT_KINDS, &PACKET_NAMES, config.horizon().as_micros());
         // Publishes: snapshot 0 pre-exists everywhere; 1.. are events.
-        for (id, t) in config.updates.iter().skip(1) {
-            sched.schedule_at(
-                SimTime::ZERO + config.update_start + t.since(SimTime::ZERO),
-                Event::Publish(id.0),
-            );
+        for (id, _) in config.updates.iter().skip(1) {
+            sched.schedule_at(config.published_at(id), Event::Publish(id.0));
         }
         // Poll timers for polling servers, at random phases.
         for &s in &topo.servers {
@@ -447,14 +444,19 @@ impl<'a> CdnSimulation<'a> {
         for n in &self.nodes {
             self.obs.node_state_bytes.record(n.estimated_bytes() as f64);
         }
-        for u in &self.users {
-            self.obs.user_state_bytes.record(u.estimated_bytes() as f64);
+        for _ in &self.users {
+            self.obs.user_state_bytes.record(std::mem::size_of::<UserState>() as f64);
         }
         self.check_convergence();
         let registry = self.obs.registry.clone();
         let report = self.into_report();
         obs::record_report(&registry, &report);
         report
+    }
+
+    /// The provider's content: the newest snapshot published.
+    fn head(&self) -> SnapshotId {
+        self.nodes[self.topo.provider.index()].content
     }
 
     /// Wire size of a packet of `kind`, KB (updates carry content; every
@@ -532,6 +534,15 @@ impl<'a> CdnSimulation<'a> {
         for user in &mut self.users {
             user.persist(c, b)?;
         }
+        // Pending publishes count as `head − cursor`, so no lag cursor may
+        // pass the provider's head.
+        let head = self.head();
+        let nodes = self.nodes.iter().map(|n| ("n_resolved", n.lag_cursor));
+        let users = self.users.iter().map(|u| ("u_seen_max", u.seen_max));
+        if let Some((key, cursor)) = nodes.chain(users).find(|&(_, cursor)| cursor > head) {
+            let (cursor, head) = (cursor.0, head.0);
+            return Err(CkptError(format!("{key}={cursor} passes the provider's head {head}")));
+        }
         c.u64("provider_update_messages", &mut self.provider_update_messages)?;
         c.u64("server_update_messages", &mut self.server_update_messages)?;
         let chaos = &mut self.chaos;
@@ -572,11 +583,11 @@ impl<'a> CdnSimulation<'a> {
             };
             obs.hook.in_flight(kind as usize, kb);
         }
+        let head = self.head();
         for &s in &self.topo.servers {
-            let pending = self.nodes[s.index()].pending_pubs.len() as u64;
-            obs.pending(self.topo.method_of(s)).add(pending);
+            obs.pending(self.topo.method_of(s)).add(self.nodes[s.index()].pending(head));
         }
-        obs.pending_user_updates.add(self.users.iter().map(|u| u.pending_pubs.len() as u64).sum());
+        obs.pending_user_updates.add(self.users.iter().map(|u| u.pending(head)).sum());
         let count = |pred: fn(&NodeState) -> bool| self.nodes.iter().filter(|n| pred(n)).count();
         obs.stale_replicas.add(count(|n| n.known_stale.is_some()) as u64);
         obs.inval_mode_nodes.add(count(|n| n.mode == AdaptiveMode::Invalidation) as u64);
@@ -585,13 +596,10 @@ impl<'a> CdnSimulation<'a> {
     }
 
     fn into_report(self) -> SimReport {
-        let unresolved: u64 = self
-            .topo
-            .servers
-            .iter()
-            .map(|&s| self.nodes[s.index()].pending_pubs.len() as u64)
-            .sum::<u64>()
-            + self.users.iter().map(|u| u.pending_pubs.len() as u64).sum::<u64>();
+        let head = self.head();
+        let unresolved: u64 =
+            self.topo.servers.iter().map(|&s| self.nodes[s.index()].pending(head)).sum::<u64>()
+                + self.users.iter().map(|u| u.pending(head)).sum::<u64>();
         let (node_joins, node_leaves, crash_restarts) =
             self.lifecycle.as_ref().map_or((0, 0, 0), LifecycleState::counts);
         SimReport {
@@ -600,9 +608,9 @@ impl<'a> CdnSimulation<'a> {
                 .topo
                 .servers
                 .iter()
-                .map(|&s| self.nodes[s.index()].lag.mean())
+                .map(|&s| self.nodes[s.index()].mean_lag_s)
                 .collect(),
-            user_mean_lag_s: self.users.iter().map(|u| u.lag.mean()).collect(),
+            user_mean_lag_s: self.users.iter().map(|u| u.mean_lag_s).collect(),
             traffic: self.net.traffic().clone(),
             provider_update_messages: self.provider_update_messages,
             server_update_messages: self.server_update_messages,
@@ -1870,7 +1878,7 @@ mod tests {
         // One of each message (a tracked envelope wrapping an update) and
         // each of the 16 events. The literal is the artifact format itself:
         // a renumbered tag or a reordered field fails here.
-        const PINNED: &str = "ckpt_version=1\nckpt_kind=test\n\
+        const PINNED: &str = "ckpt_version=2\nckpt_kind=test\n\
             msg=0\na=7\nb=1500000\n\
             msg=1\na=8\n\
             msg=2\na=3\nb=6\nc=1\n\

@@ -24,9 +24,6 @@ pub(super) struct WorkloadState {
     /// and allocation deterministic).
     caches: Vec<LruCache>,
     rng: SimRng,
-    /// Provider-side publish instant per snapshot id (index =
-    /// `SnapshotId.0`; snapshot 0 pre-exists at t = 0).
-    pub_times: Vec<SimTime>,
     stats: WorkloadStats,
 }
 
@@ -55,20 +52,7 @@ impl WorkloadState {
             let first = SimDuration::from_secs_f64(rng.exponential(plan.churn_rate_hz));
             sched.schedule_at(SimTime::ZERO + first, Event::Churn);
         }
-        // The provider-side publish schedule, for omniscient staleness
-        // accounting (mirrors the Publish events the simulation arms).
-        let mut pub_times = vec![SimTime::ZERO; config.updates.len()];
-        for (id, t) in config.updates.iter().skip(1) {
-            pub_times[id.0 as usize] = SimTime::ZERO + config.update_start + t.since(SimTime::ZERO);
-        }
-        WorkloadState {
-            plan: plan.clone(),
-            catalog,
-            caches,
-            rng,
-            pub_times,
-            stats: WorkloadStats::default(),
-        }
+        WorkloadState { plan: plan.clone(), catalog, caches, rng, stats: WorkloadStats::default() }
     }
 
     /// Catalog slots, the bound checkpointed object ids are checked against.
@@ -80,20 +64,7 @@ impl WorkloadState {
         self.stats
     }
 
-    /// Omniscient staleness-served, seconds, of a copy filled at provider
-    /// snapshot `snap` and served at `now` against provider head `head`:
-    /// zero when the copy is current, otherwise the time since the first
-    /// publish the copy misses.
-    fn staleness_served_s(&self, head: SnapshotId, snap: u32, now: SimTime) -> f64 {
-        if SnapshotId(snap) >= head {
-            0.0
-        } else {
-            now.since(self.pub_times[snap as usize + 1]).as_secs_f64()
-        }
-    }
-
-    /// Walks the catalog, caches, stream and tallies (publish times are
-    /// derived from the configuration).
+    /// Walks the catalog, caches, stream and tallies.
     pub(super) fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
         self.catalog.persist(c)?;
         c.fixed("wl_caches", self.caches.len())?;
@@ -114,6 +85,18 @@ impl WorkloadState {
         c.u64("wl_orphan_fills", &mut st.orphan_fills)?;
         c.seq("wl_latency", &mut st.latency_s, |v, c| c.f64("wl_lat", v))?;
         c.seq("wl_staleness", &mut st.staleness_served_s, |v, c| c.f64("wl_stale", v))
+    }
+}
+
+/// Omniscient staleness-served, seconds, of a copy filled at provider
+/// snapshot `snap` and served at `now` against provider head `head`: zero
+/// when the copy is current, otherwise the time since the first publish the
+/// copy misses.
+fn staleness_served_s(config: &SimConfig, head: SnapshotId, snap: u32, now: SimTime) -> f64 {
+    if SnapshotId(snap) >= head {
+        0.0
+    } else {
+        now.since(config.published_at(SnapshotId(snap + 1))).as_secs_f64()
     }
 }
 
@@ -147,8 +130,8 @@ impl CdnSimulation<'_> {
                 wl.stats.hits += 1;
                 wl.stats.latency_s.push(0.0);
                 if live {
-                    let head = self.nodes[self.topo.provider.index()].content;
-                    let staleness = wl.staleness_served_s(head, snap, now);
+                    let head = self.head();
+                    let staleness = staleness_served_s(self.config, head, snap, now);
                     wl.stats.staleness_served_s.push(staleness);
                 }
             }
@@ -158,7 +141,7 @@ impl CdnSimulation<'_> {
                 wl.stats.origin_fetches += 1;
                 self.obs.wl_misses.inc();
                 // The origin serves its head version as of fetch issue.
-                let snap = self.nodes[self.topo.provider.index()].content.0;
+                let snap = self.head().0;
                 self.send_origin_fetch(now, edge, id, snap, wl.plan.object_kb);
             }
         }
@@ -200,12 +183,12 @@ impl CdnSimulation<'_> {
         }
         let (waiters, evicted) = wl.caches[edge.index()].fill(id, snap, now);
         wl.stats.evictions += u64::from(evicted.is_some());
-        let head = self.nodes[self.topo.provider.index()].content;
+        let head = self.head();
         let live = wl.catalog.is_live(id.slot);
         for w in waiters {
             wl.stats.latency_s.push(now.since(w.requested_at).as_secs_f64());
             if live {
-                let staleness = wl.staleness_served_s(head, snap, now);
+                let staleness = staleness_served_s(self.config, head, snap, now);
                 wl.stats.staleness_served_s.push(staleness);
             }
         }

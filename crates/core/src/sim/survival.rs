@@ -292,7 +292,8 @@ impl CdnSimulation<'_> {
     /// move from the old method's pending gauge to the new one's, so the
     /// per-method gauges keep reading the servers' real backlog.
     fn set_method(&mut self, node: NodeId, method: MethodKind) {
-        let pending = self.nodes[node.index()].pending_pubs.len() as u64;
+        let head = self.head();
+        let pending = self.nodes[node.index()].pending(head);
         self.obs.pending(self.topo.method_of(node)).sub(pending);
         self.topo.method[node.index()] = Some(method);
         self.obs.pending(Some(method)).add(pending);
@@ -308,7 +309,7 @@ impl CdnSimulation<'_> {
         if self.config.faults.is_none() {
             return;
         }
-        let head = self.nodes[self.topo.provider.index()].content;
+        let head = self.head();
         let head_ctx = self.nodes[self.topo.provider.index()].content_ctx;
         let mut violations = 0u64;
         for &s in &self.topo.servers {

@@ -12,15 +12,21 @@ use cdnc_geo::point::EARTH_RADIUS_KM;
 use cdnc_geo::GeoPoint;
 use cdnc_net::NodeId;
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+
+/// A map hashed with fixed keys, so its bucket layout — and the allocations
+/// a removal's tombstone can cost a later insert — repeat from run to run.
+type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// A rooted d-ary tree over a subset of network nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributionTree {
     root: NodeId,
     arity: usize,
-    parent: HashMap<NodeId, NodeId>,
-    children: HashMap<NodeId, Vec<NodeId>>,
+    parent: FixedMap<NodeId, NodeId>,
+    children: FixedMap<NodeId, Vec<NodeId>>,
 }
 
 impl DistributionTree {
@@ -38,8 +44,12 @@ impl DistributionTree {
         F: Fn(NodeId) -> GeoPoint,
     {
         assert!(arity > 0, "tree arity must be positive");
-        let mut tree =
-            DistributionTree { root, arity, parent: HashMap::new(), children: HashMap::new() };
+        let mut tree = DistributionTree {
+            root,
+            arity,
+            parent: FixedMap::default(),
+            children: FixedMap::default(),
+        };
         let root_loc = location(root);
         // Closest-to-root first: near nodes occupy high layers, matching the
         // proximity-aware intent.
@@ -523,8 +533,12 @@ mod tests {
         where
             F: Fn(NodeId) -> GeoPoint,
         {
-            let mut tree =
-                DistributionTree { root, arity, parent: HashMap::new(), children: HashMap::new() };
+            let mut tree = DistributionTree {
+                root,
+                arity,
+                parent: FixedMap::default(),
+                children: FixedMap::default(),
+            };
             let root_loc = location(root);
             let mut order: Vec<NodeId> = members.to_vec();
             order.sort_by(|&a, &b| {

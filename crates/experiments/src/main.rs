@@ -158,8 +158,8 @@ fn usage() -> ExitCode {
 
 /// Each subcommand's operands: how many it needs, how many it takes, and
 /// the line printed when one is missing. A command not listed here (a
-/// figure id, `all`, `list`, `report`) needs none and takes one, which it
-/// ignores; `trace` checks its action's own operands.
+/// figure id, `all`, `list`, `report`) takes none; `trace` checks its
+/// action's own operands.
 const OPERANDS: [(&str, usize, usize, &str); 10] = [
     ("crawl", 1, 1, "crawl needs an output path"),
     ("verdict", 1, 1, "verdict needs a trace path"),
@@ -176,7 +176,7 @@ const OPERANDS: [(&str, usize, usize, &str); 10] = [
 /// `(needed, taken, missing-line)` for subcommand `command`.
 fn operands(command: &str) -> (usize, usize, &'static str) {
     let row = OPERANDS.iter().find(|row| row.0 == command);
-    row.map_or((0, 1, ""), |&(_, needs, takes, missing)| (needs, takes, missing))
+    row.map_or((0, 0, ""), |&(_, needs, takes, missing)| (needs, takes, missing))
 }
 
 /// What the command line asked for: the positional arguments (the
@@ -211,10 +211,12 @@ fn number<T: FromStr>(value: &str, needs: &str) -> Result<T, String> {
 /// `value` as seconds of simulated time for `flag`: finite and at least 0.
 fn seconds(flag: &str, value: &str) -> Result<f64, String> {
     let secs: f64 = number(value, &format!("{flag} needs seconds of simulated time"))?;
-    if secs.is_finite() && secs >= 0.0 {
-        Ok(secs)
-    } else {
+    if !secs.is_finite() {
+        Err(format!("{flag} must be finite, got: {value}"))
+    } else if secs < 0.0 {
         Err(format!("{flag} must be non-negative, got: {value}"))
+    } else {
+        Ok(secs)
     }
 }
 

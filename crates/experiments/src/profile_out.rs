@@ -15,12 +15,9 @@
 //! * a change that adds or removes one allocation on a profiled path
 //!   differs from its parent even when every result is identical;
 //! * runs at different worker counts differ by the per-thread warm-up
-//!   inside scopes (`profile fig20 --scale smoke`: 44 of 456k `sim_core`
+//!   inside scopes (`profile fig20 --scale smoke`: 55 of 449k `sim_core`
 //!   allocations between `--jobs 1` and `--jobs 2`), so compare runs at
-//!   one `--jobs`;
-//! * `profile ext_chaos` and `profile ext_churn` jitter by one 592-byte
-//!   `sim_core` allocation between runs of one binary, at one `--jobs`;
-//!   run each side twice before reading a difference there.
+//!   one `--jobs`.
 //!
 //! Everything tied to process-level timing — the `other` bucket (thread
 //! spawns, orchestration), live/peak levels, spike counts, wall clock,

@@ -40,7 +40,7 @@
 //!
 //! let mut saved = Meter { count: 3, rate: 0.25 };
 //! let artifact = Ckpt::write("demo", |c| saved.persist(c));
-//! assert_eq!(artifact, "ckpt_version=1\nckpt_kind=demo\ncount=3\nrate=f3fd0000000000000\n");
+//! assert_eq!(artifact, "ckpt_version=2\nckpt_kind=demo\ncount=3\nrate=f3fd0000000000000\n");
 //!
 //! let mut restored = Meter::default();
 //! Ckpt::read(&artifact, "demo", |c| restored.persist(c)).unwrap();
@@ -53,7 +53,7 @@ use std::fmt::{Display, Write as _};
 use std::str::FromStr;
 
 /// Artifact format version; bumped on any incompatible layout change.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// A checkpoint decode failure: what was expected, what was found, where.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,8 +16,8 @@
 //! * [`SimRng`] — a seedable random source with the distribution helpers the
 //!   paper's workloads need (uniform, exponential, bounded normal) and
 //!   deterministic stream forking.
-//! * [`stats`] — CDFs, percentiles, online mean/variance, Pearson correlation
-//!   and RMSE: the estimators used throughout the paper's §3 analysis.
+//! * [`stats`] — CDFs, percentiles, Pearson correlation and RMSE: the
+//!   estimators used throughout the paper's §3 analysis.
 //!
 //! # Examples
 //!

@@ -3,13 +3,11 @@
 //! * [`Cdf`] — empirical cumulative distribution with percentile queries; the
 //!   paper reports almost every result as a CDF or as 5th/median/95th
 //!   percentiles.
-//! * [`OnlineStats`] — Welford mean/variance accumulator.
 //! * [`pearson`] — the correlation the paper computes between provider-server
 //!   distance and consistency ratio (r = 0.11, Fig. 8).
 //! * [`rmse`] — the trace-vs-theory deviation used to validate the inferred
 //!   TTL (Fig. 6(b): 0.0462 @ 60 s vs 0.0955 @ 80 s).
 
-use crate::ckpt::{Ckpt, CkptError};
 use serde::{Deserialize, Serialize};
 
 /// An empirical cumulative distribution function over `f64` samples.
@@ -128,124 +126,6 @@ impl FromIterator<f64> for Cdf {
     }
 }
 
-/// Welford online mean/variance accumulator.
-///
-/// # Examples
-///
-/// ```
-/// use cdnc_simcore::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 6.0] { s.push(x); }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples seen; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Walks the raw accumulator words — count, mean, m2, min, max, under
-    /// those five `keys` — as checkpoint fields; pushes after a read
-    /// continue the saved Welford recurrence exactly.
-    pub fn persist(&mut self, c: &mut Ckpt, keys: [&str; 5]) -> Result<(), CkptError> {
-        let [count, mean, m2, min, max] = keys;
-        c.u64(count, &mut self.count)?;
-        c.f64(mean, &mut self.mean)?;
-        c.f64(m2, &mut self.m2)?;
-        c.f64(min, &mut self.min)?;
-        c.f64(max, &mut self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Extend<f64> for OnlineStats {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
 /// Pearson correlation coefficient of two equal-length series.
 ///
 /// Returns 0 when either series has zero variance (a flat series carries no
@@ -359,34 +239,6 @@ mod tests {
         let cdf = Cdf::default();
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_most(1.0), 0.0);
-    }
-
-    #[test]
-    fn online_stats_matches_direct_computation() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut s = OnlineStats::new();
-        s.extend(xs);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        all.extend(xs.iter().copied());
-        let mut left = OnlineStats::new();
-        left.extend(xs[..37].iter().copied());
-        let mut right = OnlineStats::new();
-        right.extend(xs[37..].iter().copied());
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), all.count());
     }
 
     #[test]

@@ -737,7 +737,7 @@ mod tests {
         // Two entries (one touched since its fill) and one in-flight fetch
         // with two waiters; the literal is the artifact format itself, so
         // a renamed key, a reordered field or a re-encoded value fails here.
-        const PINNED: &str = "ckpt_version=1\nckpt_kind=test\ncache_tick=3\n\
+        const PINNED: &str = "ckpt_version=2\nckpt_kind=test\ncache_tick=3\n\
             cache_entries=2\n\
             cache_slot=1\ncache_gen=1\ncache_snap=5\ncache_entry_tick=3\ncache_uses=1\n\
             cache_slot=2\ncache_gen=1\ncache_snap=6\ncache_entry_tick=2\ncache_uses=0\n\

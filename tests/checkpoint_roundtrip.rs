@@ -115,6 +115,12 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     let artifact = checkpoint(&cell, SimTime::from_secs(200));
     let catalog = cell.workload.as_ref().expect("request plane").catalog_size.to_string();
     let users = cell.users().to_string();
+    // A snapshot of the sequence that the provider (node 0, whose
+    // `n_content` line comes first) has not published yet: pending
+    // publishes count as `head − cursor`, so no lag cursor may pass it.
+    let head: u32 = field(&artifact, "n_content").parse().expect("a snapshot id");
+    let past_head = (head + 1).to_string();
+    assert!(head as usize + 1 < cell.updates.len(), "the cell pauses before its last publish");
     for (key, value, why) in [
         ("sched_next_seq", "0", "queued seqs not below the counter"),
         ("sched_entries", "18446744073709551615", "queue count beyond the artifact"),
@@ -124,15 +130,25 @@ fn structural_mismatch_and_tampering_fail_loudly() {
         ("u_seen_max", "4294967296", "u32 field above u32::MAX"),
         ("cache_slot", catalog.as_str(), "cached object past the catalog"),
         ("cache_waiter_user", users.as_str(), "waiting user past the user table"),
+        ("n_resolved", past_head.as_str(), "adoption lag cursor past the provider's head"),
+        ("u_seen_max", past_head.as_str(), "observation lag cursor past the provider's head"),
     ] {
         let tampered = tamper(&artifact, key, value);
         assert!(resume(&cell, &tampered).is_err(), "{key}={value} ({why}) must be rejected");
     }
     assert!(resume(&cell, &artifact).is_ok(), "the untampered artifact still resumes");
 
+    // An artifact of the earlier layout, which queued every publish at
+    // every server and user, is refused by its header.
+    let v1 = tamper(&artifact, "ckpt_version", "1");
+    assert_eq!(
+        resume(&cell, &v1).expect_err("a version-1 artifact must be rejected").0,
+        "unsupported checkpoint version 1 (this build reads 2)"
+    );
+
     // After the last publish the edges cache the final snapshot, so a
     // provider head (node 0's content) past the update sequence would send
-    // staleness accounting past the publish-time table.
+    // staleness accounting past the publish schedule.
     let last_publish =
         SimTime::ZERO + cell.update_start + cell.updates.last_update().since(SimTime::ZERO);
     let late = checkpoint(&cell, last_publish + SimDuration::from_secs(60));
@@ -140,6 +156,15 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     let tampered = tamper(&late, "n_content", &past_end);
     assert!(resume(&cell, &tampered).is_err(), "snapshot id past the updates must be rejected");
     assert!(resume(&cell, &late).is_ok(), "the untampered late artifact still resumes");
+}
+
+/// The value of the first `key=` line of `artifact`.
+fn field<'a>(artifact: &'a str, key: &str) -> &'a str {
+    let prefix = format!("{key}=");
+    artifact
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .unwrap_or_else(|| panic!("artifact has no {key:?} line"))
 }
 
 /// `artifact` with the value of its first `key=` line replaced by `value`.

@@ -80,12 +80,13 @@ fn retired_trace_dir_flag_is_rejected_with_usage() {
 fn malformed_invocations_exit_1_with_their_first_stderr_line() {
     // `list` runs nothing, so a flag it accepted would exit 0 at once.
     let usage = "usage: experiments <figure-id | all | list> [--scale smoke|default|paper]";
-    let cases: [(&[&str], &str); 31] = [
+    let cases: [(&[&str], &str); 36] = [
         (&["list", "--jobs"], usage),
         (&["list", "--jobs", "x"], "--jobs needs a worker count (0 = one per core), got: x"),
         (&["list", "--seeds", "0"], "--seeds needs at least one replicate"),
         (&["list", "--seeds", "x"], "--seeds needs a replicate count, got: x"),
-        (&["list", "--until", "nan"], "--until must be non-negative, got: nan"),
+        (&["list", "--until", "nan"], "--until must be finite, got: nan"),
+        (&["list", "--at", "inf"], "--at must be finite, got: inf"),
         (&["list", "--scale", "huge"], "unknown scale: huge"),
         (&["list", "--at", "x"], "--at needs seconds of simulated time, got: x"),
         (&["list", "--at", "-1"], "--at must be non-negative, got: -1"),
@@ -96,7 +97,11 @@ fn malformed_invocations_exit_1_with_their_first_stderr_line() {
              invalidation-mcast, ttl-mcast, hat)",
         ),
         (&["list", "--digest-perturb", "x"], "--digest-perturb needs an event index, got: x"),
-        (&["list", "a", "b"], "unexpected argument: b"),
+        (&["list", "a", "b"], "unexpected argument: a"),
+        (&["list", "a"], "unexpected argument: a"),
+        (&["report", "x"], "unexpected argument: x"),
+        (&["all", "x"], "unexpected argument: x"),
+        (&["fig17", "x"], "unexpected argument: x"),
         (&["crawl"], "crawl needs an output path"),
         (&["verdict"], "verdict needs a trace path"),
         (&["checkpoint"], "checkpoint needs an output path"),
