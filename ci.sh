@@ -112,17 +112,20 @@ jobs_diff "$CHURN_DIR" 4 ext_churn --scale smoke --obs
 if grep 'violations=' "$CHURN_DIR/serial.txt" | grep -qv 'violations= 0'; then
   echo "ext_churn: convergence violations detected"; exit 1
 fi
-# Checkpoint/restore self-test: pause the storm cell just before the
-# scheduled supernode-kill incident, replay it across the incident, and
-# require a bit-identical digest chain and end state vs an uninterrupted
-# run — for the full horizon and for an anomaly window.
-exp checkpoint "$CHURN_DIR/storm.ckpt" --scale smoke --flash --at 240
-exp replay "$CHURN_DIR/storm.ckpt" > "$CHURN_DIR/replay.txt"
-grep -q 'replay_chain_match=true' "$CHURN_DIR/replay.txt"
-grep -q 'replay_report_match=true' "$CHURN_DIR/replay.txt"
-exp replay "$CHURN_DIR/storm.ckpt" --until 420 > "$CHURN_DIR/replay_window.txt"
-grep -q 'replay_chain_match=true' "$CHURN_DIR/replay_window.txt"
-grep -q 'replay_report_match=true' "$CHURN_DIR/replay_window.txt"
+# Checkpoint/restore self-test: pause the storm cell of every scheme just
+# before the scheduled supernode-kill incident, replay it across the
+# incident, and require a bit-identical digest chain and end state vs an
+# uninterrupted run — for the full horizon and for an anomaly window. The
+# seven schemes cover every tree, cluster and ledger walk of the reader.
+for scheme in push invalidation ttl push-mcast invalidation-mcast ttl-mcast hat; do
+  exp checkpoint "$CHURN_DIR/$scheme.ckpt" --scale smoke --flash --at 240 --scheme "$scheme"
+  exp replay "$CHURN_DIR/$scheme.ckpt" > "$CHURN_DIR/replay.txt"
+  exp replay "$CHURN_DIR/$scheme.ckpt" --until 420 > "$CHURN_DIR/replay_window.txt"
+  for out in replay replay_window; do
+    grep -q 'replay_chain_match=true' "$CHURN_DIR/$out.txt"
+    grep -q 'replay_report_match=true' "$CHURN_DIR/$out.txt"
+  done
+done
 rm -rf "$CHURN_DIR"
 
 echo "==> request-plane smoke: workload curves, serial vs --jobs 4 diff, report section"

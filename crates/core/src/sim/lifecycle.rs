@@ -17,8 +17,9 @@ use cdnc_trace::SnapshotId;
 /// attached.
 #[derive(Debug)]
 pub(super) struct LifecycleState {
-    /// Why each node is currently down (`None` = up). A `NodeJoin` for a
-    /// node with no recorded departure is stale and ignored.
+    /// Why each node is currently down (`None` = up): the one record of a
+    /// departure. A departed node is also absent; a `NodeJoin` for a node
+    /// with no recorded departure is stale and ignored.
     down_kind: Vec<Option<ChurnKind>>,
     joins: u64,
     leaves: u64,
@@ -98,6 +99,12 @@ impl LifecycleState {
         LifecycleState { down_kind: vec![None; nodes], joins: 0, leaves: 0, crashes: 0 }
     }
 
+    /// `true` while `node` has departed (left or crashed) and not yet
+    /// rejoined — a long-term state, unlike a transient failure window.
+    pub(super) fn departed(&self, node: NodeId) -> bool {
+        self.down_kind[node.index()].is_some()
+    }
+
     /// `(joins, leaves, crashes)` so far.
     pub(super) fn counts(&self) -> (u64, u64, u64) {
         (self.joins, self.leaves, self.crashes)
@@ -174,7 +181,7 @@ impl CdnSimulation<'_> {
         if !self.nodes[node.index()].absent {
             return;
         }
-        if self.lifecycle.as_ref().is_some_and(|lc| lc.down_kind[node.index()].is_some()) {
+        if self.lifecycle.as_ref().is_some_and(|lc| lc.departed(node)) {
             // The node *departed* under the lifecycle plan while this
             // failure-injection recovery was pending; only its NodeJoin
             // brings it back.
@@ -194,8 +201,7 @@ impl CdnSimulation<'_> {
         // demoted ex-supernode) re-attach to the cluster's *current*
         // supernode instead of joining the supernode tree — failover may
         // have moved leadership while they were away.
-        let supernode = self.clusters.as_ref().and_then(|cl| cl.supernode_of(node));
-        if let Some(sn) = supernode.filter(|&sn| sn != node) {
+        if let Some(sn) = self.supernode_of(node).filter(|&sn| sn != node) {
             if self.topo.upstream_of(node) != Some(sn) {
                 self.topo.rewire(node, sn);
             }
@@ -229,7 +235,7 @@ impl CdnSimulation<'_> {
     /// drains its protocol state, and is removed from the update structure —
     /// via supernode failover when it led a HAT cluster.
     pub(super) fn on_node_leave(&mut self, now: SimTime, node: NodeId) {
-        if self.nodes[node.index()].absent || self.net.is_departed(node) {
+        if self.nodes[node.index()].absent {
             return;
         }
         let lc = self.lifecycle.as_mut().expect("churn events need a plan");
@@ -247,7 +253,7 @@ impl CdnSimulation<'_> {
     /// consistency state is lost — the eventual restart comes back with a
     /// cold cache and no memory of versions, invalidations, or mode.
     pub(super) fn on_node_crash(&mut self, now: SimTime, node: NodeId) {
-        if self.nodes[node.index()].absent || self.net.is_departed(node) {
+        if self.nodes[node.index()].absent {
             return;
         }
         let lc = self.lifecycle.as_mut().expect("churn events need a plan");
@@ -263,7 +269,6 @@ impl CdnSimulation<'_> {
             self.obs.stale_replicas.sub(1);
         }
         state.content = SnapshotId(0);
-        state.content_modified_at = SimTime::ZERO;
         state.content_ctx = TraceCtx::NONE;
         state.adaptive_interval_s = 0.0;
         state.last_invalidated = SnapshotId(0);
@@ -276,14 +281,15 @@ impl CdnSimulation<'_> {
     }
 
     /// Takes a departing server off the network: it goes dark, its timer
-    /// chains die, and the deliveries it had open are dropped.
+    /// chains die, and its queued transmissions and the deliveries it had
+    /// open are dropped.
     fn go_offline(&mut self, now: SimTime, node: NodeId) {
         let state = &mut self.nodes[node.index()];
         state.absent = true;
         state.fetch_pending = false;
         state.awaiting_probe = None;
         state.timer_gen += 1;
-        self.net.depart(node, now);
+        self.net.reset_uplink(node, now);
         self.drain_reliable_from(node);
     }
 
@@ -300,7 +306,8 @@ impl CdnSimulation<'_> {
         self.obs.control(SpanKind::NodeChurn, node, now, "join");
         self.nodes[node.index()].absent = false;
         self.nodes[node.index()].awaiting_probe = None;
-        self.net.rejoin(node, now);
+        // An idle uplink: the pre-departure backlog is gone, not resumed.
+        self.net.reset_uplink(node, now);
         self.readmit(now, node);
         // Restart the node's timer chains: polling (or the invalidation-
         // mode heartbeat) and, under a fault plan, the probe detector.
@@ -325,8 +332,7 @@ impl CdnSimulation<'_> {
     /// supernode, whose loss only the probe detector notices — is repaired
     /// like a failure.
     fn depart_structure(&mut self, now: SimTime, node: NodeId, graceful: bool) {
-        let led_cluster = self.clusters.as_ref().and_then(|cl| cl.led_by(node));
-        match led_cluster {
+        match self.led_by(node) {
             Some(c) if graceful && self.config.faults.is_some() => self.failover(now, c),
             _ => self.repair_tree_around(now, node),
         }

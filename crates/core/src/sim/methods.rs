@@ -20,7 +20,6 @@ impl CdnSimulation<'_> {
             self.config.scheme.label(),
         );
         self.nodes[provider.index()].content = snap;
-        self.nodes[provider.index()].content_modified_at = now;
         self.nodes[provider.index()].content_ctx = ctx;
         // The publish is pending at every server and user until adopted or
         // observed.
@@ -34,11 +33,7 @@ impl CdnSimulation<'_> {
     /// The current content of `node` as an update message.
     fn content_msg(&self, node: NodeId) -> Msg {
         let state = &self.nodes[node.index()];
-        Msg::Update {
-            snap: state.content,
-            modified_at: state.content_modified_at,
-            ctx: state.content_ctx,
-        }
+        Msg::Update { snap: state.content, ctx: state.content_ctx }
     }
 
     /// Tells `node`'s children about version `snap`: children expecting
@@ -181,7 +176,6 @@ impl CdnSimulation<'_> {
         now: SimTime,
         node: NodeId,
         snap: SnapshotId,
-        modified_at: SimTime,
         ctx: TraceCtx,
     ) {
         let was_fetching = std::mem::take(&mut self.nodes[node.index()].fetch_pending);
@@ -194,7 +188,6 @@ impl CdnSimulation<'_> {
             let pending = self.obs.pending(method);
             let state = &mut self.nodes[node.index()];
             state.content = snap;
-            state.content_modified_at = modified_at;
             state.content_ctx = adopt_ctx;
             if state.known_stale.is_some_and(|s| s <= snap) {
                 state.known_stale = None;
@@ -205,11 +198,12 @@ impl CdnSimulation<'_> {
                 pending.sub(1);
             });
             // Adaptive TTL (Alex protocol): the next poll interval is a
-            // fraction of the content's observed age — young content is
-            // polled quickly, old content slowly.
+            // fraction of the content's observed age since its publish (the
+            // Last-Modified instant) — young content is polled quickly, old
+            // content slowly.
             if method == Some(MethodKind::AdaptiveTtl) {
                 let max_s = 8.0 * self.config.server_ttl.as_secs_f64();
-                let age_s = now.saturating_since(modified_at).as_secs_f64();
+                let age_s = now.saturating_since(self.config.published_at(snap)).as_secs_f64();
                 state.adaptive_interval_s = (0.3 * age_s).clamp(2.0, max_s);
             }
             self.notify_downstream(now, node, snap, adopt_ctx, true);

@@ -206,7 +206,6 @@ struct CdnSimulation<'a> {
     users: Vec<UserState>,
     rng: SimRng,
     provider_update_messages: u64,
-    server_update_messages: u64,
     /// Ack/retransmit ledger (`Some` iff `config.faults` is).
     reliable: Option<ReliableState>,
     /// HAT failover bookkeeping (`Some` only for hybrid runs with
@@ -329,7 +328,7 @@ impl<'a> CdnSimulation<'a> {
                 );
                 sched.schedule_at(SimTime::ZERO + phase, Event::Probe(s, 0));
             }
-            reliable = Some(ReliableState::new(plan, net.len(), fault_rng.fork()));
+            reliable = Some(ReliableState::new(plan, fault_rng.fork()));
             if plan.hat_degradation {
                 if let Scheme::Hybrid { member_method, .. } = config.scheme {
                     clusters = Some(ClusterState::from_topology(&topo, net.len(), member_method));
@@ -357,7 +356,6 @@ impl<'a> CdnSimulation<'a> {
             users,
             rng,
             provider_update_messages: 0,
-            server_update_messages: 0,
             reliable,
             clusters,
             workload,
@@ -419,9 +417,7 @@ impl<'a> CdnSimulation<'a> {
 
     fn on_arrive(&mut self, now: SimTime, node: NodeId, msg: Msg) {
         match msg {
-            Msg::Update { snap, modified_at, ctx } => {
-                self.on_update(now, node, snap, modified_at, ctx)
-            }
+            Msg::Update { snap, ctx } => self.on_update(now, node, snap, ctx),
             Msg::Invalidate(snap, ctx) => self.on_invalidate(now, node, snap, ctx),
             Msg::Poll { from, have, conditional } => {
                 self.on_poll(now, node, from, have, conditional)
@@ -481,11 +477,8 @@ impl<'a> CdnSimulation<'a> {
             return;
         }
         let kind = msg.kind();
-        if kind == PacketKind::Update {
-            self.server_update_messages += 1;
-            if src == self.topo.provider {
-                self.provider_update_messages += 1;
-            }
+        if kind == PacketKind::Update && src == self.topo.provider {
+            self.provider_update_messages += 1;
         }
         let packet = Packet::new(kind, self.packet_kb(kind), src, dst);
         let sent = self.net.send_faulted(now, &packet);
@@ -534,17 +527,7 @@ impl<'a> CdnSimulation<'a> {
         for user in &mut self.users {
             user.persist(c, b)?;
         }
-        // Pending publishes count as `head − cursor`, so no lag cursor may
-        // pass the provider's head.
-        let head = self.head();
-        let nodes = self.nodes.iter().map(|n| ("n_resolved", n.lag_cursor));
-        let users = self.users.iter().map(|u| ("u_seen_max", u.seen_max));
-        if let Some((key, cursor)) = nodes.chain(users).find(|&(_, cursor)| cursor > head) {
-            let (cursor, head) = (cursor.0, head.0);
-            return Err(CkptError(format!("{key}={cursor} passes the provider's head {head}")));
-        }
         c.u64("provider_update_messages", &mut self.provider_update_messages)?;
-        c.u64("server_update_messages", &mut self.server_update_messages)?;
         let chaos = &mut self.chaos;
         c.u64("chaos_lost", &mut chaos.lost_to_failed)?;
         c.u64("chaos_rtx", &mut chaos.retransmits)?;
@@ -555,13 +538,67 @@ impl<'a> CdnSimulation<'a> {
         c.u64("chaos_ttl_fallbacks", &mut chaos.ttl_fallbacks)?;
         c.u64("chaos_conv", &mut chaos.convergence_violations)?;
         c.section("reliable", self.reliable.as_mut(), |rel, c| rel.persist(c, b))?;
-        c.section("clusters", self.clusters.as_mut(), |cl, c| cl.persist(c, b))?;
         self.topo.persist(c)?;
         c.section("tree", self.tree.as_mut(), |tree, c| tree.persist(c, b.nodes))?;
         c.section("workload", self.workload.as_mut(), |wl, c| wl.persist(c, b))?;
         self.net.persist(c)?;
         c.section("lifecycle", self.lifecycle.as_mut(), |lc, c| lc.persist(c))?;
-        self.obs.persist_digest(c)
+        self.obs.persist_digest(c)?;
+        self.check_walked()
+    }
+
+    /// Checks, after the [`CdnSimulation::persist`] walk, what the state's
+    /// derivations assume. Pending publishes count as `head − cursor` and
+    /// lags count against `SimConfig::published_at`, so no content, lag
+    /// cursor or update in flight may pass the provider's head, the head
+    /// must be published by the clock, and the queue must hold exactly the
+    /// publishes after it, each at its instant. A recorded departure must be
+    /// on an absent node.
+    fn check_walked(&self) -> Result<(), CkptError> {
+        let (config, head, now) = (self.config, self.head(), self.sched.now());
+        let fail = |what: String| Err(CkptError(what));
+        if head.0 > 0 && config.published_at(head) > now {
+            return fail(format!(
+                "n_content={} of the provider is published after the clock",
+                head.0
+            ));
+        }
+        let queued = self.sched.queued().filter_map(|(_, ev)| match ev {
+            Event::Arrive(_, msg) => Some(("queued update a", msg)),
+            _ => None,
+        });
+        let held = self.reliable.iter().flat_map(ReliableState::held).map(|m| ("held update a", m));
+        let updates = queued.chain(held).filter_map(|(key, msg)| Some((key, msg.content()?)));
+        let nodes = self
+            .nodes
+            .iter()
+            .flat_map(|n| [("n_content", n.content), ("n_resolved", n.lag_cursor)]);
+        let users = self.users.iter().map(|u| ("u_seen_max", u.seen_max));
+        if let Some((key, snap)) = nodes.chain(users).chain(updates).find(|&(_, s)| s > head) {
+            return fail(format!("{key}={} passes the provider's head {}", snap.0, head.0));
+        }
+        let mut publishes = Vec::new();
+        for (at, ev) in self.sched.queued() {
+            if let Event::Publish(p) = *ev {
+                if at != config.published_at(SnapshotId(p)) {
+                    return fail(format!("queued publish a={p} is not at its scheduled instant"));
+                }
+                publishes.push(p);
+            }
+        }
+        publishes.sort_unstable();
+        if !publishes.into_iter().eq(head.0 + 1..config.updates.len() as u32) {
+            return fail(format!("queued publishes are not one per snapshot after {}", head.0));
+        }
+        let present_departed = self.lifecycle.as_ref().and_then(|lc| {
+            (0..self.nodes.len()).find(|&i| lc.departed(NodeId(i as u32)) && !self.nodes[i].absent)
+        });
+        match present_departed {
+            Some(i) => {
+                fail(format!("lc_down records a departure of node {i}, which is not absent"))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Reads a checkpoint `artifact` into this freshly built simulation.
@@ -575,7 +612,7 @@ impl<'a> CdnSimulation<'a> {
         }
         let obs = &self.obs;
         let fetch_kb = self.config.workload.as_ref().map_or(0.0, |plan| plan.object_kb);
-        for ev in self.sched.queued() {
+        for (_, ev) in self.sched.queued() {
             let (kind, kb) = match ev {
                 Event::Arrive(_, msg) => (msg.kind(), self.packet_kb(msg.kind())),
                 Event::Fill(..) => (PacketKind::OriginFetch, fetch_kb),
@@ -613,7 +650,7 @@ impl<'a> CdnSimulation<'a> {
             user_mean_lag_s: self.users.iter().map(|u| u.mean_lag_s).collect(),
             traffic: self.net.traffic().clone(),
             provider_update_messages: self.provider_update_messages,
-            server_update_messages: self.server_update_messages,
+            server_update_messages: self.net.traffic().count_of(PacketKind::Update),
             inconsistent_observations: self.users.iter().map(|u| u.inconsistent_obs).sum(),
             total_observations: self.users.iter().map(|u| u.total_obs).sum(),
             unresolved_lags: unresolved,
@@ -1131,7 +1168,7 @@ mod tests {
                 let snap = reg.snapshot();
                 assert_eq!(snap.counter("net_packets_enqueued"), traffic.total_messages());
                 let mut queued = [0; cdnc_net::PACKET_KINDS];
-                for ev in sim.sched.queued() {
+                for (_, ev) in sim.sched.queued() {
                     match ev {
                         Event::Arrive(_, msg) => queued[msg.kind() as usize] += 1,
                         Event::Fill(..) => queued[PacketKind::OriginFetch as usize] += 1,
@@ -1878,15 +1915,15 @@ mod tests {
         // One of each message (a tracked envelope wrapping an update) and
         // each of the 16 events. The literal is the artifact format itself:
         // a renumbered tag or a reordered field fails here.
-        const PINNED: &str = "ckpt_version=2\nckpt_kind=test\n\
-            msg=0\na=7\nb=1500000\n\
+        const PINNED: &str = "ckpt_version=3\nckpt_kind=test\n\
+            msg=0\na=7\n\
             msg=1\na=8\n\
             msg=2\na=3\nb=6\nc=1\n\
             msg=3\n\
             msg=4\na=4\nb=1\n\
             msg=5\na=5\nb=0\n\
             msg=6\na=42\nb=2\n\
-            msg=0\na=9\nb=2250000\n\
+            msg=0\na=9\n\
             msg=7\na=43\n\
             ev=0\na=3\n\
             ev=1\na=1\nb=11\n\
@@ -1904,19 +1941,15 @@ mod tests {
             ev=13\na=1\n\
             ev=14\na=2\n\
             ev=15\na=3\n";
-        let update = |snap, us| Msg::Update {
-            snap: SnapshotId(snap),
-            modified_at: SimTime::from_micros(us),
-            ctx: TraceCtx::NONE,
-        };
+        let update = |snap| Msg::Update { snap: SnapshotId(snap), ctx: TraceCtx::NONE };
         let mut msgs = vec![
-            update(7, 1_500_000),
+            update(7),
             Msg::Invalidate(SnapshotId(8), TraceCtx::NONE),
             Msg::Poll { from: NodeId(3), have: SnapshotId(6), conditional: true },
             Msg::Unchanged,
             Msg::SwitchMode { from: NodeId(4), to_invalidation: true },
             Msg::TreeJoin { from: NodeId(5), invalidation_mode: false },
-            Msg::Tracked { id: 42, from: NodeId(2), inner: Box::new(update(9, 2_250_000)) },
+            Msg::Tracked { id: 42, from: NodeId(2), inner: Box::new(update(9)) },
             Msg::Ack { id: 43 },
         ];
         let mut events = vec![

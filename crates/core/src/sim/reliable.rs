@@ -1,7 +1,7 @@
 //! The reliable-delivery ledger of the fault-plane survival protocol: the
-//! tracked deliveries awaiting an ack, and the ids each node has already
-//! handled. A state machine over ids, nodes and messages — its callers do
-//! the sending, scheduling, tracing and counting.
+//! tracked deliveries awaiting an ack, and the ids already handled. A state
+//! machine over ids, nodes and messages — its callers do the sending,
+//! scheduling, tracing and counting.
 
 use super::wire::{Bounds, Msg};
 use crate::config::FaultPlan;
@@ -31,8 +31,10 @@ pub(super) struct ReliableState {
     plan: FaultPlan,
     next_id: u64,
     pending: BTreeMap<u64, PendingDelivery>,
-    /// Per-node set of tracked ids already handled (duplicate suppression).
-    seen: Vec<BTreeSet<u64>>,
+    /// Tracked ids already handled (duplicate suppression). Each id is
+    /// minted for one delivery, so it has one destination and one set
+    /// serves every node.
+    seen: BTreeSet<u64>,
     /// Dedicated stream for backoff jitter (forked only in fault mode, so
     /// `faults: None` runs keep their pre-existing stream layout).
     jitter_rng: SimRng,
@@ -53,13 +55,13 @@ pub(super) enum Fired {
 }
 
 impl ReliableState {
-    /// An empty ledger for `nodes` nodes under `plan`.
-    pub(super) fn new(plan: &FaultPlan, nodes: usize, jitter_rng: SimRng) -> Self {
+    /// An empty ledger under `plan`.
+    pub(super) fn new(plan: &FaultPlan, jitter_rng: SimRng) -> Self {
         ReliableState {
             plan: plan.clone(),
             next_id: 0,
             pending: BTreeMap::new(),
-            seen: vec![BTreeSet::new(); nodes],
+            seen: BTreeSet::new(),
             jitter_rng,
         }
     }
@@ -82,7 +84,11 @@ impl ReliableState {
     /// Accepts delivery `id` at `node`: `true` the first time, `false` for a
     /// duplicate, which the receiver suppresses.
     pub(super) fn accept(&mut self, node: NodeId, id: u64) -> bool {
-        self.seen[node.index()].insert(id)
+        debug_assert!(
+            self.pending.get(&id).is_none_or(|p| p.dst == node),
+            "delivery {id} accepted at {node}, not its destination"
+        );
+        self.seen.insert(id)
     }
 
     /// Decides what the retransmit timer armed for `attempt` of `id` does
@@ -132,6 +138,11 @@ impl ReliableState {
         self.pending.len() as u64
     }
 
+    /// The payloads held for resending.
+    pub(super) fn held(&self) -> impl Iterator<Item = &Msg> {
+        self.pending.values().map(|p| &p.msg)
+    }
+
     /// Drops every open delivery `node` sent (its protocol state is gone
     /// with it); returns how many.
     pub(super) fn drop_from(&mut self, node: NodeId) -> u64 {
@@ -151,7 +162,7 @@ impl ReliableState {
         base.mul_f64(self.jitter_rng.uniform_range(1.0 - j, 1.0 + j).max(0.0))
     }
 
-    /// Walks the ledger: next id, pending deliveries, seen sets, jitter
+    /// Walks the ledger: next id, pending deliveries, the seen ids, jitter
     /// stream.
     pub(super) fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
         c.u64("rel_next_id", &mut self.next_id)?;
@@ -165,10 +176,7 @@ impl ReliableState {
             p.rto = SimDuration::from_micros(rto);
             p.msg.persist(c, b)
         })?;
-        c.fixed("rel_seen", self.seen.len())?;
-        for seen in &mut self.seen {
-            c.seq("rs_len", seen, |id, c| c.u64("rs_id", id))?;
-        }
+        c.seq("rel_seen", &mut self.seen, |id, c| c.u64("rs_id", id))?;
         c.rng("rel_jitter", &mut self.jitter_rng)
     }
 }
@@ -180,7 +188,7 @@ mod tests {
 
     fn ledger() -> ReliableState {
         let plan = FaultPlan { jitter: 0.0, ..FaultPlan::default() };
-        ReliableState::new(&plan, 3, SimRng::seed_from_u64(1))
+        ReliableState::new(&plan, SimRng::seed_from_u64(1))
     }
 
     fn poll() -> Msg {
@@ -245,7 +253,15 @@ mod tests {
         let mut rel = ledger();
         assert!(rel.accept(NodeId(2), 7));
         assert!(!rel.accept(NodeId(2), 7), "second copy at the same node");
-        assert!(rel.accept(NodeId(1), 7), "another node has its own set");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not its destination")]
+    fn an_open_delivery_is_accepted_only_at_its_destination() {
+        let mut rel = ledger();
+        let (id, _) = rel.open(NodeId(1), NodeId(2), &poll());
+        rel.accept(NodeId(0), id);
     }
 
     #[test]

@@ -45,9 +45,6 @@ pub(super) struct NodeState {
     pub(super) fetch_token: u64,
     /// Whether the node is currently failed/overloaded.
     pub(super) absent: bool,
-    /// Provider-side publish instant of the current content (carried on
-    /// update messages — the Last-Modified analogue).
-    pub(super) content_modified_at: SimTime,
     /// Adaptive-TTL state: the current poll interval estimate, seconds.
     pub(super) adaptive_interval_s: f64,
     /// Downstream nodes whose on-demand polls wait on our fetch.
@@ -123,7 +120,6 @@ impl NodeState {
         c.u64("n_timer_gen", &mut self.timer_gen)?;
         c.u64("n_fetch_token", &mut self.fetch_token)?;
         c.bool("n_absent", &mut self.absent)?;
-        c.time("n_modified_at", &mut self.content_modified_at)?;
         c.f64("n_adaptive_s", &mut self.adaptive_interval_s)?;
         c.seq("n_waiting_children", &mut self.waiting_children, |kid, c| {
             c.index("n_wc", &mut kid.0, b.nodes)

@@ -3,23 +3,22 @@
 //! supernode failover, and the end-of-run convergence check.
 
 use super::reliable::Fired;
-use super::wire::{Bounds, Event, Msg};
+use super::wire::{Event, Msg};
 use super::CdnSimulation;
 use crate::method::{AdaptiveMode, MethodKind};
 use crate::topology::Topology;
 use cdnc_net::NodeId;
 use cdnc_obs::SpanKind;
-use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
 
 /// HAT cluster bookkeeping for graceful degradation (hybrid schemes under
-/// a [`FaultPlan`](crate::FaultPlan) with `hat_degradation` on).
+/// a [`FaultPlan`](crate::FaultPlan) with `hat_degradation` on). Cluster
+/// `k`'s current supernode is `Topology::supernodes[k]`, which failover
+/// updates; membership never changes, so nothing here is checkpointed.
 #[derive(Debug)]
 pub(super) struct ClusterState {
     /// `cluster_of[node.index()]`: the cluster a server belongs to.
     cluster_of: Vec<Option<usize>>,
-    /// The current supernode of each cluster (updated on failover).
-    supernode: Vec<NodeId>,
     /// The method demoted supernodes fall back to.
     member_method: MethodKind,
 }
@@ -27,40 +26,37 @@ pub(super) struct ClusterState {
 impl ClusterState {
     pub(super) fn from_topology(topo: &Topology, n: usize, member_method: MethodKind) -> Self {
         let mut cluster_of = vec![None; n];
-        let supernode = topo.supernodes.clone();
-        for (k, &sn) in supernode.iter().enumerate() {
+        for (k, &sn) in topo.supernodes.iter().enumerate() {
             cluster_of[sn.index()] = Some(k);
             // A supernode's downstream mixes its cluster members with its
             // child supernodes in the distribution tree — only the former
             // belong to the cluster.
             for &m in topo.downstream_of(sn) {
-                if !supernode.contains(&m) {
+                if !topo.is_supernode(m) {
                     cluster_of[m.index()] = Some(k);
                 }
             }
         }
-        ClusterState { cluster_of, supernode, member_method }
-    }
-
-    /// The current supernode of `node`'s cluster, if it belongs to one.
-    pub(super) fn supernode_of(&self, node: NodeId) -> Option<NodeId> {
-        self.cluster_of[node.index()].map(|c| self.supernode[c])
-    }
-
-    /// The cluster `node` currently leads, if any.
-    pub(super) fn led_by(&self, node: NodeId) -> Option<usize> {
-        self.cluster_of[node.index()].filter(|&c| self.supernode[c] == node)
-    }
-
-    /// Walks the supernode vector, the only part failover mutates;
-    /// membership is rebuilt from the checkpointed topology.
-    pub(super) fn persist(&mut self, c: &mut Ckpt, b: Bounds) -> Result<(), CkptError> {
-        c.fixed("cl_supernodes", self.supernode.len())?;
-        self.supernode.iter_mut().try_for_each(|sn| c.index("cl_sn", &mut sn.0, b.nodes))
+        ClusterState { cluster_of, member_method }
     }
 }
 
 impl CdnSimulation<'_> {
+    /// The cluster `node` belongs to under HAT degradation, if any.
+    fn cluster_of(&self, node: NodeId) -> Option<usize> {
+        self.clusters.as_ref().and_then(|cl| cl.cluster_of[node.index()])
+    }
+
+    /// The current supernode of `node`'s cluster, if it belongs to one.
+    pub(super) fn supernode_of(&self, node: NodeId) -> Option<NodeId> {
+        self.cluster_of(node).map(|c| self.topo.supernodes[c])
+    }
+
+    /// The cluster `node` currently leads, if any.
+    pub(super) fn led_by(&self, node: NodeId) -> Option<usize> {
+        self.cluster_of(node).filter(|&c| self.topo.supernodes[c] == node)
+    }
+
     /// Sends `msg` under ack/retransmit protection when a fault plan is
     /// attached (a plain [`CdnSimulation::send`] otherwise): the payload is
     /// wrapped in a [`Msg::Tracked`] envelope, a pending entry is recorded,
@@ -80,7 +76,9 @@ impl CdnSimulation<'_> {
 
     pub(super) fn on_retransmit(&mut self, now: SimTime, id: u64, attempt: u32) {
         let Some(rel) = self.reliable.as_mut() else { return };
-        match rel.fire(id, attempt, |n| self.net.is_departed(n), |n| self.nodes[n.index()].absent) {
+        let (lifecycle, nodes) = (&self.lifecycle, &self.nodes);
+        let departed = |n| lifecycle.as_ref().is_some_and(|lc| lc.departed(n));
+        match rel.fire(id, attempt, departed, |n| nodes[n.index()].absent) {
             Fired::Stale => {}
             Fired::SenderGone => self.obs.pending_retransmits.sub(1),
             Fired::Abandoned { dst, ctx, departed } => {
@@ -172,10 +170,7 @@ impl CdnSimulation<'_> {
     /// the probe chain keeps watching).
     fn on_upstream_suspect(&mut self, now: SimTime, node: NodeId, up: NodeId) {
         // The cluster `node` belongs to, if `up` is that cluster's supernode.
-        let led_by_up = self
-            .clusters
-            .as_ref()
-            .and_then(|cl| cl.cluster_of[node.index()].filter(|&c| cl.supernode[c] == up));
+        let led_by_up = self.cluster_of(node).filter(|&c| self.topo.supernodes[c] == up);
         match led_by_up {
             Some(c) if up != self.topo.provider => self.failover(now, c),
             _ => self.resync(now, node),
@@ -189,7 +184,7 @@ impl CdnSimulation<'_> {
     /// polling until Algorithm 1 switches them again.
     pub(super) fn failover(&mut self, now: SimTime, cluster: usize) {
         let cl = self.clusters.as_ref().expect("failover needs clusters");
-        let (old, member_method) = (cl.supernode[cluster], cl.member_method);
+        let (old, member_method) = (self.topo.supernodes[cluster], cl.member_method);
         let members: Vec<NodeId> = self
             .topo
             .servers
@@ -258,9 +253,7 @@ impl CdnSimulation<'_> {
         if member_method.polls() {
             self.sched.schedule_at(now + self.config.server_ttl, Event::PollTimer(old, old_gen));
         }
-        let slot = self.topo.supernodes.iter_mut().find(|s| **s == old);
-        *slot.expect("old supernode is registered") = promoted;
-        self.clusters.as_mut().expect("checked").supernode[cluster] = promoted;
+        self.topo.supernodes[cluster] = promoted;
         // The promotee announces itself upstream and re-synchronises.
         self.send(
             now,
@@ -314,7 +307,8 @@ impl CdnSimulation<'_> {
         let mut violations = 0u64;
         for &s in &self.topo.servers {
             let state = &self.nodes[s.index()];
-            if state.absent || self.net.is_departed(s) || state.content >= head {
+            // A departed server is absent too.
+            if state.absent || state.content >= head {
                 continue;
             }
             violations += 1;

@@ -5,7 +5,6 @@
 use cdnc_net::{NodeId, PacketKind};
 use cdnc_obs::TraceCtx;
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
-use cdnc_simcore::SimTime;
 use cdnc_trace::SnapshotId;
 use cdnc_workload::ObjectId;
 
@@ -168,12 +167,12 @@ impl Default for Event {
 
 #[derive(Debug, Clone)]
 pub(super) enum Msg {
-    /// Content (push, or poll/fetch response). `modified_at` is the
-    /// provider-side publish instant of the carried snapshot (the HTTP
-    /// Last-Modified analogue adaptive TTL keys off). `ctx` is the causal
-    /// trace context of the carried content ([`TraceCtx::NONE`] unless
-    /// tracing is on — observation-only, never read by handlers).
-    Update { snap: SnapshotId, modified_at: SimTime, ctx: TraceCtx },
+    /// Content (push, or poll/fetch response). Its Last-Modified instant,
+    /// which adaptive TTL keys off, is the snapshot's
+    /// [`SimConfig::published_at`](crate::SimConfig::published_at). `ctx` is
+    /// the causal trace context of the carried content ([`TraceCtx::NONE`]
+    /// unless tracing is on — observation-only, never read by handlers).
+    Update { snap: SnapshotId, ctx: TraceCtx },
     /// Invalidation notice for version `.0`, carrying the causal context of
     /// the update that triggered it.
     Invalidate(SnapshotId, TraceCtx),
@@ -211,6 +210,16 @@ impl Msg {
             Msg::TreeJoin { .. } => PacketKind::TreeMaintenance,
             Msg::Tracked { inner, .. } => inner.kind(),
             Msg::Ack { .. } => PacketKind::Ack,
+        }
+    }
+
+    /// The snapshot whose content this message carries, inside a tracked
+    /// envelope too.
+    pub(super) fn content(&self) -> Option<SnapshotId> {
+        match self {
+            Msg::Update { snap, .. } => Some(*snap),
+            Msg::Tracked { inner, .. } => inner.content(),
+            _ => None,
         }
     }
 
@@ -274,11 +283,7 @@ impl Msg {
         c.u64("msg", &mut tag)?;
         if c.is_reading() {
             *self = match tag {
-                0 => Msg::Update {
-                    snap: SnapshotId(0),
-                    modified_at: SimTime::ZERO,
-                    ctx: TraceCtx::NONE,
-                },
+                0 => Msg::Update { snap: SnapshotId(0), ctx: TraceCtx::NONE },
                 1 => Msg::Invalidate(SnapshotId(0), TraceCtx::NONE),
                 2 => Msg::Poll { from: NodeId(0), have: SnapshotId(0), conditional: false },
                 3 => Msg::Unchanged,
@@ -290,11 +295,9 @@ impl Msg {
             };
         }
         match self {
-            Msg::Update { snap, modified_at, .. } => {
-                c.index("a", &mut snap.0, b.snapshots)?;
-                c.time("b", modified_at)
+            Msg::Update { snap, .. } | Msg::Invalidate(snap, _) => {
+                c.index("a", &mut snap.0, b.snapshots)
             }
-            Msg::Invalidate(snap, _) => c.index("a", &mut snap.0, b.snapshots),
             Msg::Poll { from, have, conditional } => {
                 c.index("a", &mut from.0, b.nodes)?;
                 c.index("b", &mut have.0, b.snapshots)?;

@@ -187,8 +187,10 @@ impl Topology {
 
     /// Walks the mutable wiring (upstream, downstream in live order,
     /// methods, supernodes) as checkpoint state. Provider and server count
-    /// are stored for verification only: reading fails if they, or the node
-    /// count, disagree with this topology, or if a stored id is not a node.
+    /// are stored for verification only: reading fails if they, the node
+    /// count or the supernode count (failover replaces a supernode, never
+    /// adds or drops one) disagree with this topology, or if a stored id is
+    /// not a node.
     pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         let n = self.upstream.len();
         let mut provider = self.provider;
@@ -223,7 +225,8 @@ impl Topology {
                 ),
             };
         }
-        c.seq("topo_supernodes", &mut self.supernodes, |sn, c| c.index("topo_sn", &mut sn.0, n))
+        c.fixed("topo_supernodes", self.supernodes.len())?;
+        self.supernodes.iter_mut().try_for_each(|sn| c.index("topo_sn", &mut sn.0, n))
     }
 }
 

@@ -267,15 +267,16 @@ impl DistributionTree {
     }
 
     /// Walks the tree structure as checkpoint state; `nodes` bounds every
-    /// stored node id. The backing maps are unordered, so they are walked
-    /// as lists sorted by node — parents by member, child lists by parent —
-    /// and rebuilt on read. Each child list keeps its live order, which
-    /// repair and substitution iterate, so a restored tree replays them
-    /// identically.
+    /// stored node id. The child lists are walked sorted by parent, each in
+    /// its live order, which repair and substitution iterate, so a restored
+    /// tree replays them identically; the parent map is their inverse and
+    /// is rebuilt from them on read.
     ///
     /// Reading replaces the membership wholesale, and fails if the stored
     /// root or arity disagrees with this tree — those are construction
-    /// parameters, not dynamic state.
+    /// parameters, not dynamic state — if a node is listed as a child twice
+    /// (or the root as a child), or if a branch hangs outside the root's
+    /// tree.
     pub fn persist(&mut self, c: &mut Ckpt, nodes: usize) -> Result<(), CkptError> {
         let (mut root, mut arity) = (self.root, self.arity as u64);
         c.u32("tree_root", &mut root.0)?;
@@ -286,13 +287,6 @@ impl DistributionTree {
                 self.root, self.arity
             )));
         }
-        let mut members: Vec<(NodeId, NodeId)> =
-            self.parent.iter().map(|(&m, &p)| (m, p)).collect();
-        members.sort_unstable();
-        c.seq("tree_members", &mut members, |(member, parent), c| {
-            c.index("tree_node", &mut member.0, nodes)?;
-            c.index("tree_parent", &mut parent.0, nodes)
-        })?;
         let mut branches: Vec<(NodeId, Vec<NodeId>)> = self
             .children
             .iter()
@@ -305,8 +299,21 @@ impl DistributionTree {
             c.seq("tree_kids", kids, |kid, c| c.index("tree_kid", &mut kid.0, nodes))
         })?;
         if c.is_reading() {
-            self.parent = members.into_iter().collect();
+            self.parent = FixedMap::default();
+            for (parent, kids) in &branches {
+                for &kid in kids {
+                    if kid == self.root || self.parent.insert(kid, *parent).is_some() {
+                        return Err(CkptError(format!("tree_kid={} is listed twice", kid.0)));
+                    }
+                }
+            }
             self.children = branches.into_iter().collect();
+            let outside = self.len() - self.subtree_of(self.root).len();
+            if outside > 0 {
+                return Err(CkptError(format!(
+                    "tree_branch lists hang {outside} nodes outside the root's tree"
+                )));
+            }
         }
         Ok(())
     }

@@ -57,11 +57,6 @@ impl Default for NetworkConfig {
 pub struct Network {
     nodes: Vec<NetNode>,
     uplinks: Vec<Uplink>,
-    /// Long-term liveness: `true` for a node that has *departed* the system
-    /// (left or crashed and not yet rejoined). Stronger than a transient
-    /// absence window — a departed node's uplink backlog died with it and
-    /// senders may abandon tracked deliveries to it immediately.
-    departed: Vec<bool>,
     config: NetworkConfig,
     traffic: TrafficStats,
     rng: SimRng,
@@ -120,11 +115,17 @@ impl Sent {
 
 impl Network {
     /// Creates an empty network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.uplink_kb_per_s` is not strictly positive and
+    /// finite.
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
+        let kb_per_s = config.uplink_kb_per_s;
+        assert!(kb_per_s > 0.0 && kb_per_s.is_finite(), "bad bandwidth: {kb_per_s}");
         Network {
             nodes: Vec::new(),
             uplinks: Vec::new(),
-            departed: Vec::new(),
             config,
             traffic: TrafficStats::new(),
             rng: SimRng::seed_from_u64(seed ^ cdnc_simcore::stream_tag::NETWORK),
@@ -152,18 +153,8 @@ impl Network {
     pub fn add_node(&mut self, location: GeoPoint, isp: IspId) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NetNode::new(id, location, isp));
-        self.uplinks.push(Uplink::new(self.config.uplink_kb_per_s, self.config.processing));
-        self.departed.push(false);
+        self.uplinks.push(Uplink::default());
         id
-    }
-
-    /// Overrides one node's uplink bandwidth (e.g. a beefier provider).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or `kb_per_s` invalid.
-    pub fn set_uplink(&mut self, node: NodeId, kb_per_s: f64) {
-        self.uplinks[node.index()] = Uplink::new(kb_per_s, self.config.processing);
     }
 
     /// The node record for `id`.
@@ -235,18 +226,11 @@ impl Network {
         let _prof = cdnc_obs::profile::scope(cdnc_obs::profile::Subsystem::Net);
         let (distance, crosses_isp) = self.path(packet.src, packet.dst);
         self.traffic.record_with_isp(packet, distance, crosses_isp);
-        let queue_delay = self.uplinks[packet.src.index()].queueing_delay(now);
-        let departed = self.uplinks[packet.src.index()].transmit(now, packet.size_kb);
+        let uplink = &mut self.uplinks[packet.src.index()];
+        let queue_delay = uplink.queueing_delay(now);
+        let departed = uplink.transmit(now, packet.size_kb, &self.config);
         let arrival = departed + self.config.latency.delay(distance, crosses_isp, &mut self.rng);
         Sent { queue_delay, arrival, fault }
-    }
-
-    /// Deterministic round-trip estimate between two nodes (no jitter, no
-    /// queueing) — the `RTT` used by the trace crawler's clock-skew
-    /// correction (paper §3.1).
-    pub fn rtt_estimate(&self, a: NodeId, b: NodeId) -> SimDuration {
-        let (distance, crosses_isp) = self.path(a, b);
-        self.config.latency.deterministic_delay(distance, crosses_isp) * 2
     }
 
     /// The great-circle distance from `a` to `b`, km, and whether the path
@@ -262,55 +246,23 @@ impl Network {
         &self.traffic
     }
 
-    /// Clears traffic statistics (e.g. to exclude warm-up).
-    pub fn reset_traffic(&mut self) {
-        self.traffic = TrafficStats::new();
-    }
-
-    /// Clears one node's uplink backlog (recovery after absence).
+    /// Clears one node's uplink backlog: its queued transmissions died with
+    /// it (recovery after absence, departure, rejoin).
     pub fn reset_uplink(&mut self, node: NodeId, now: SimTime) {
         self.uplinks[node.index()].reset(now);
     }
 
-    /// The sender-side backlog a packet from `node` would face at `now`.
-    pub fn backlog(&self, node: NodeId, now: SimTime) -> SimDuration {
-        self.uplinks[node.index()].queueing_delay(now)
-    }
-
-    /// Marks `node` as departed (graceful leave or crash) and tears its
-    /// uplink down — queued transmissions die with the node. Departed is a
-    /// *long-term* liveness state, distinct from a transient absence window:
-    /// senders may abandon tracked deliveries to a departed node immediately
-    /// instead of retransmitting into the void.
-    pub fn depart(&mut self, node: NodeId, now: SimTime) {
-        self.departed[node.index()] = true;
-        self.uplinks[node.index()].reset(now);
-    }
-
-    /// Clears the departed mark — a joining or restarting node starts with
-    /// an idle uplink (its pre-departure backlog is gone, not resumed).
-    pub fn rejoin(&mut self, node: NodeId, now: SimTime) {
-        self.departed[node.index()] = false;
-        self.uplinks[node.index()].reset(now);
-    }
-
-    /// `true` while `node` has departed and not yet rejoined.
-    pub fn is_departed(&self, node: NodeId) -> bool {
-        self.departed[node.index()]
-    }
-
     /// Walks the network's dynamic state — the latency-jitter rng, each
-    /// node's uplink backlog and departure mark, traffic accounting, and the
-    /// fault plane's fence and decision streams — as checkpoint state.
-    /// Static structure (node attributes, latency model, uplink bandwidths)
-    /// is rebuilt from config by fresh construction, so reading fails if
-    /// the artifact disagrees about the node count or fault-plane presence.
+    /// node's uplink backlog, traffic accounting, and the fault plane's
+    /// fence and decision streams — as checkpoint state. Static structure
+    /// (node attributes, latency model, uplink bandwidth and processing) is
+    /// rebuilt from config by fresh construction, so reading fails if the
+    /// artifact disagrees about the node count or fault-plane presence.
     pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         c.rng("net_rng", &mut self.rng)?;
         c.fixed("net_nodes", self.nodes.len())?;
-        for (uplink, departed) in self.uplinks.iter_mut().zip(&mut self.departed) {
+        for uplink in &mut self.uplinks {
             uplink.persist(c)?;
-            c.bool("net_node_departed", departed)?;
         }
         self.traffic.persist(c)?;
         c.section("net_has_faults", self.faults.as_mut(), |plane, c| plane.persist(c))
@@ -325,7 +277,13 @@ mod tests {
     use cdnc_obs::{EventHook, Registry};
 
     fn two_node_net() -> (Network, NodeId, NodeId) {
-        let mut net = Network::new(NetworkConfig::default(), 9);
+        two_node_net_at(NetworkConfig::default().uplink_kb_per_s)
+    }
+
+    /// [`two_node_net`] with every uplink at `kb_per_s`.
+    fn two_node_net_at(kb_per_s: f64) -> (Network, NodeId, NodeId) {
+        let config = NetworkConfig { uplink_kb_per_s: kb_per_s, ..NetworkConfig::default() };
+        let mut net = Network::new(config, 9);
         let a = net.add_node(GeoPoint::new(33.7, -84.4).unwrap(), IspId(0));
         let b = net.add_node(GeoPoint::new(34.0, -118.2).unwrap(), IspId(1));
         (net, a, b)
@@ -509,33 +467,24 @@ mod tests {
         assert_eq!(net.traffic().light_messages(), 1);
         let d = net.distance_km(a, b);
         assert!((net.traffic().km_kb() - (2.0 * d + 1.0 * d)).abs() < 1e-6);
-        net.reset_traffic();
-        assert_eq!(net.traffic().total_messages(), 0);
-    }
-
-    #[test]
-    fn rtt_estimate_symmetric() {
-        let (net, a, b) = two_node_net();
-        assert_eq!(net.rtt_estimate(a, b), net.rtt_estimate(b, a));
-        assert!(net.rtt_estimate(a, b) > SimDuration::ZERO);
     }
 
     #[test]
     fn provider_uplink_override() {
-        let (mut net, a, b) = two_node_net();
-        net.set_uplink(a, 1.0); // 1 KB/s: a 10 KB packet takes 10 s
+        let (mut net, a, b) = two_node_net_at(1.0); // 1 KB/s: a 10 KB packet takes 10 s
         let arrival = net.send(SimTime::ZERO, &Packet::update(a, b, 10.0)).arrival;
         assert!(arrival.as_secs_f64() > 9.0);
     }
 
     #[test]
     fn reset_uplink_clears_backlog() {
-        let (mut net, a, b) = two_node_net();
-        net.set_uplink(a, 1.0);
+        let (mut net, a, b) = two_node_net_at(1.0);
         net.send(SimTime::ZERO, &Packet::update(a, b, 100.0)); // 100 s backlog
-        assert!(net.backlog(a, SimTime::from_secs(1)).as_secs() > 90);
+                                                               // A packet's queueing delay is the backlog it met at its send.
+        let probe = Packet::update(a, b, 0.0);
+        assert!(net.send(SimTime::from_secs(1), &probe).queue_delay.as_secs() > 90);
         net.reset_uplink(a, SimTime::from_secs(1));
-        assert_eq!(net.backlog(a, SimTime::from_secs(1)), SimDuration::ZERO);
+        assert_eq!(net.send(SimTime::from_secs(1), &probe).queue_delay, SimDuration::ZERO);
     }
 
     #[test]
@@ -623,26 +572,9 @@ mod tests {
     }
 
     #[test]
-    fn depart_tears_down_the_uplink_and_rejoin_clears_the_mark() {
-        let (mut net, a, b) = two_node_net();
-        net.set_uplink(a, 1.0);
-        net.send(SimTime::ZERO, &Packet::update(a, b, 100.0)); // 100 s backlog
-        assert!(!net.is_departed(a));
-        net.depart(a, SimTime::from_secs(1));
-        assert!(net.is_departed(a));
-        assert_eq!(net.backlog(a, SimTime::from_secs(1)), SimDuration::ZERO);
-        net.rejoin(a, SimTime::from_secs(9));
-        assert!(!net.is_departed(a));
-        assert_eq!(net.backlog(a, SimTime::from_secs(9)), SimDuration::ZERO);
-    }
-
-    #[test]
     fn checkpoint_round_trip_resumes_deliveries_exactly() {
         let (mut net, a, b) = two_node_net();
         net.set_fault_plane(crate::FaultPlane::new(crate::FaultConfig::at_intensity(0.5), 9, 2));
-        net.depart(b, SimTime::ZERO);
-        net.rejoin(b, SimTime::from_secs(1));
-        net.depart(a, SimTime::from_secs(2));
         for i in 0..30 {
             net.send_faulted(SimTime::from_secs(i), &Packet::update(a, b, 5.0));
         }
@@ -655,7 +587,6 @@ mod tests {
             2,
         ));
         Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();
-        assert!(restored.is_departed(a) && !restored.is_departed(b));
         assert_eq!(restored.traffic(), net.traffic());
         for i in 30..60 {
             let p = Packet::update(a, b, 5.0);

@@ -12,16 +12,13 @@ use crate::packet::{Packet, PacketKind, PACKET_KINDS};
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use serde::{Deserialize, Serialize};
 
-/// Accumulated traffic statistics.
+/// Accumulated traffic statistics. Message counts are kept per kind only;
+/// the update, light and total counts are their sums.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TrafficStats {
     km_kb: f64,
-    update_messages: u64,
-    light_messages: u64,
     update_km: f64,
     light_km: f64,
-    update_kb: f64,
-    light_kb: f64,
     inter_isp_messages: u64,
     inter_isp_km_kb: f64,
     /// Message counts indexed by `PacketKind as usize`.
@@ -34,18 +31,10 @@ impl TrafficStats {
         TrafficStats::default()
     }
 
-    /// Records a delivered packet that travelled `distance_km`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distance_km` is negative or non-finite.
-    pub fn record(&mut self, packet: &Packet, distance_km: f64) {
-        self.record_with_isp(packet, distance_km, false);
-    }
-
-    /// Records a delivered packet, noting whether it crossed an ISP
-    /// boundary (inter-ISP transit is the costly traffic class the paper's
-    /// reference \[38\] prices; HAT's proximity clusters exist to avoid it).
+    /// Records a delivered packet that travelled `distance_km`, noting
+    /// whether it crossed an ISP boundary (inter-ISP transit is the costly
+    /// traffic class the paper's reference \[38\] prices; HAT's proximity
+    /// clusters exist to avoid it).
     ///
     /// # Panics
     ///
@@ -58,13 +47,9 @@ impl TrafficStats {
             self.inter_isp_km_kb += distance_km * packet.size_kb;
         }
         if packet.kind.is_update() {
-            self.update_messages += 1;
             self.update_km += distance_km;
-            self.update_kb += packet.size_kb;
         } else {
-            self.light_messages += 1;
             self.light_km += distance_km;
-            self.light_kb += packet.size_kb;
         }
         self.by_kind[packet.kind as usize] += 1;
     }
@@ -76,17 +61,22 @@ impl TrafficStats {
 
     /// Number of update (content-carrying) messages (paper Fig. 22 metric).
     pub fn update_messages(&self) -> u64 {
-        self.update_messages
+        self.count_where(PacketKind::is_update)
     }
 
     /// Number of light (control) messages.
     pub fn light_messages(&self) -> u64 {
-        self.light_messages
+        self.count_where(PacketKind::is_light)
     }
 
     /// Total messages of all kinds.
     pub fn total_messages(&self) -> u64 {
-        self.update_messages + self.light_messages
+        self.by_kind.iter().sum()
+    }
+
+    /// Messages of the kinds `class` admits.
+    fn count_where(&self, class: fn(PacketKind) -> bool) -> u64 {
+        PacketKind::ALL.into_iter().filter(|&k| class(k)).map(|k| self.count_of(k)).sum()
     }
 
     /// Kilometres travelled by update messages (paper Fig. 23 metric).
@@ -97,16 +87,6 @@ impl TrafficStats {
     /// Kilometres travelled by light messages (paper Fig. 23 metric).
     pub fn light_km(&self) -> f64 {
         self.light_km
-    }
-
-    /// KB carried by update messages.
-    pub fn update_kb(&self) -> f64 {
-        self.update_kb
-    }
-
-    /// KB carried by light messages.
-    pub fn light_kb(&self) -> f64 {
-        self.light_kb
     }
 
     /// Messages that crossed an ISP boundary.
@@ -153,12 +133,8 @@ impl TrafficStats {
     /// rejects an unknown, repeated or out-of-order name.
     pub fn persist(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         c.f64("traffic_km_kb", &mut self.km_kb)?;
-        c.u64("traffic_update_messages", &mut self.update_messages)?;
-        c.u64("traffic_light_messages", &mut self.light_messages)?;
         c.f64("traffic_update_km", &mut self.update_km)?;
         c.f64("traffic_light_km", &mut self.light_km)?;
-        c.f64("traffic_update_kb", &mut self.update_kb)?;
-        c.f64("traffic_light_kb", &mut self.light_kb)?;
         c.u64("traffic_inter_isp_messages", &mut self.inter_isp_messages)?;
         c.f64("traffic_inter_isp_km_kb", &mut self.inter_isp_km_kb)?;
         let mut named: Vec<(String, u64)> = PacketKind::ALL
@@ -188,22 +164,6 @@ impl TrafficStats {
         }
         Ok(())
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        self.km_kb += other.km_kb;
-        self.inter_isp_messages += other.inter_isp_messages;
-        self.inter_isp_km_kb += other.inter_isp_km_kb;
-        self.update_messages += other.update_messages;
-        self.light_messages += other.light_messages;
-        self.update_km += other.update_km;
-        self.light_km += other.light_km;
-        self.update_kb += other.update_kb;
-        self.light_kb += other.light_kb;
-        for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind) {
-            *mine += theirs;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,17 +178,17 @@ mod tests {
     #[test]
     fn km_kb_accumulates() {
         let mut t = TrafficStats::new();
-        t.record(&update(2.0), 100.0);
-        t.record(&update(3.0), 10.0);
+        t.record_with_isp(&update(2.0), 100.0, false);
+        t.record_with_isp(&update(3.0), 10.0, false);
         assert!((t.km_kb() - 230.0).abs() < 1e-9);
     }
 
     #[test]
     fn classification_counts() {
         let mut t = TrafficStats::new();
-        t.record(&update(1.0), 50.0);
-        t.record(&Packet::poll(NodeId(0), NodeId(1)), 50.0);
-        t.record(&Packet::invalidation(NodeId(1), NodeId(0)), 50.0);
+        t.record_with_isp(&update(1.0), 50.0, false);
+        t.record_with_isp(&Packet::poll(NodeId(0), NodeId(1)), 50.0, false);
+        t.record_with_isp(&Packet::invalidation(NodeId(1), NodeId(0)), 50.0, false);
         assert_eq!(t.update_messages(), 1);
         assert_eq!(t.light_messages(), 2);
         assert_eq!(t.total_messages(), 3);
@@ -247,9 +207,7 @@ mod tests {
         assert_eq!(t.inter_isp_messages(), 1);
         assert!((t.inter_isp_km_kb() - 200.0).abs() < 1e-9);
         assert!((t.inter_isp_fraction() - 200.0 / 500.0).abs() < 1e-9);
-        let mut other = TrafficStats::new();
-        other.record_with_isp(&update(1.0), 50.0, true);
-        t.merge(&other);
+        t.record_with_isp(&update(1.0), 50.0, true);
         assert_eq!(t.inter_isp_messages(), 2);
         assert!((t.inter_isp_km_kb() - 250.0).abs() < 1e-9);
     }
@@ -260,36 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let mut a = TrafficStats::new();
-        let mut b = TrafficStats::new();
-        let mut whole = TrafficStats::new();
-        for i in 0..10 {
-            let p = if i % 2 == 0 { update(1.0) } else { Packet::poll(NodeId(0), NodeId(1)) };
-            let d = i as f64 * 10.0;
-            whole.record(&p, d);
-            if i < 5 {
-                a.record(&p, d);
-            } else {
-                b.record(&p, d);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
     #[should_panic(expected = "bad distance")]
     fn negative_distance_rejected() {
-        TrafficStats::new().record(&update(1.0), -1.0);
+        TrafficStats::new().record_with_isp(&update(1.0), -1.0, false);
     }
 
     #[test]
     fn checkpoint_round_trip_is_exact() {
         let mut t = TrafficStats::new();
         t.record_with_isp(&update(2.5), 123.456, true);
-        t.record(&Packet::poll(NodeId(0), NodeId(1)), 7.0);
-        t.record(&Packet::invalidation(NodeId(1), NodeId(0)), 0.125);
+        t.record_with_isp(&Packet::poll(NodeId(0), NodeId(1)), 7.0, false);
+        t.record_with_isp(&Packet::invalidation(NodeId(1), NodeId(0)), 0.125, false);
         let text = Ckpt::write("test", |c| t.persist(c));
         let mut restored = TrafficStats::new();
         Ckpt::read(&text, "test", |c| restored.persist(c)).unwrap();

@@ -117,9 +117,12 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Every pending event, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.slots.iter().flatten()
+    /// Every pending event with its time, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.heap.iter().map(|&Reverse(key)| {
+            let (time, _, slot) = unpack(key);
+            (time, self.slots[slot as usize].as_ref().expect("a heaped key names a filled slot"))
+        })
     }
 
     /// Drops all pending events.

@@ -78,9 +78,9 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    /// Every pending event, in no particular order (events past the
-    /// horizon included).
-    pub fn queued(&self) -> impl Iterator<Item = &E> {
+    /// Every pending event with its time, in no particular order (events
+    /// past the horizon included).
+    pub fn queued(&self) -> impl Iterator<Item = (SimTime, &E)> {
         self.queue.iter()
     }
 

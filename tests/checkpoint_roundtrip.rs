@@ -13,7 +13,7 @@ use cdnc_experiments::replay::{read_artifact, replay, take_checkpoint, ReplaySpe
 use cdnc_experiments::Scale;
 use cdnc_obs::{DigestConfig, Registry};
 use cdnc_simcore::{SimDuration, SimRng, SimTime};
-use cdnc_trace::UpdateSequence;
+use cdnc_trace::{SnapshotId, UpdateSequence};
 use proptest::prelude::*;
 
 /// The scheme palette the property sweeps (unicast, tree, hybrid).
@@ -121,30 +121,69 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     let head: u32 = field(&artifact, "n_content").parse().expect("a snapshot id");
     let past_head = (head + 1).to_string();
     assert!(head as usize + 1 < cell.updates.len(), "the cell pauses before its last publish");
-    for (key, value, why) in [
-        ("sched_next_seq", "0", "queued seqs not below the counter"),
-        ("sched_entries", "18446744073709551615", "queue count beyond the artifact"),
-        ("topo_down", "18446744073709551615", "child count beyond the artifact"),
-        ("topo_kid", "4000000000", "child id past the node table"),
-        ("ev_t", "0", "queued event before the restored clock"),
-        ("u_seen_max", "4294967296", "u32 field above u32::MAX"),
-        ("cache_slot", catalog.as_str(), "cached object past the catalog"),
-        ("cache_waiter_user", users.as_str(), "waiting user past the user table"),
-        ("n_resolved", past_head.as_str(), "adoption lag cursor past the provider's head"),
-        ("u_seen_max", past_head.as_str(), "observation lag cursor past the provider's head"),
+    // The queue holds the publishes after the head, each at its instant; the
+    // first one (an `ev=0` line, then its snapshot) moved four snapshots on
+    // is at the wrong instant and leaves a snapshot unpublished.
+    let lines: Vec<&str> = artifact.lines().collect();
+    let publish = lines.iter().position(|&l| l == "ev=0").expect("a queued publish") + 1;
+    let first: u32 = field(lines[publish], "a").parse().expect("a snapshot id");
+    assert!(first as usize + 4 < cell.updates.len(), "four publishes follow the first queued");
+    let nth_a = lines[..publish].iter().filter(|l| l.starts_with("a=")).count();
+    for (key, nth, value, why) in [
+        ("sched_next_seq", 0, "0", "queued seqs not below the counter"),
+        ("sched_entries", 0, "18446744073709551615", "queue count beyond the artifact"),
+        ("topo_down", 0, "18446744073709551615", "child count beyond the artifact"),
+        ("topo_kid", 0, "4000000000", "child id past the node table"),
+        ("ev_t", 0, "0", "queued event before the restored clock"),
+        ("u_seen_max", 0, "4294967296", "u32 field above u32::MAX"),
+        ("cache_slot", 0, catalog.as_str(), "cached object past the catalog"),
+        ("cache_waiter_user", 0, users.as_str(), "waiting user past the user table"),
+        ("n_resolved", 0, past_head.as_str(), "adoption lag cursor past the provider's head"),
+        ("u_seen_max", 0, past_head.as_str(), "observation lag cursor past the provider's head"),
+        ("n_content", 1, past_head.as_str(), "server content past the provider's head"),
+        ("a", nth_a, &(first + 4).to_string(), "queued publish out of the schedule"),
     ] {
-        let tampered = tamper(&artifact, key, value);
+        let tampered = tamper_nth(&artifact, key, nth, value);
         assert!(resume(&cell, &tampered).is_err(), "{key}={value} ({why}) must be rejected");
     }
     assert!(resume(&cell, &artifact).is_ok(), "the untampered artifact still resumes");
 
-    // An artifact of the earlier layout, which queued every publish at
-    // every server and user, is refused by its header.
-    let v1 = tamper(&artifact, "ckpt_version", "1");
-    assert_eq!(
-        resume(&cell, &v1).expect_err("a version-1 artifact must be rejected").0,
-        "unsupported checkpoint version 1 (this build reads 2)"
+    // Each dynamic fact is stored once, so the reader checks what the
+    // derivations from it assume, naming the key. A HAT cell has a
+    // supernode tree and supernodes; node 0, the provider, is never absent.
+    let hat = cfg(3, 0.5, false);
+    let hat_artifact = checkpoint(&hat, SimTime::from_secs(200));
+    let kids = hat_artifact.lines().filter(|l| l.starts_with("tree_kid=")).count();
+    assert!(kids > 4, "the supernode tree has branches below the root's");
+    let twice = tamper_nth(&hat_artifact, "tree_kid", kids - 1, field(&hat_artifact, "tree_kid"));
+    let supernodes: usize = field(&hat_artifact, "topo_supernodes").parse().expect("a count");
+    let short = tamper(&hat_artifact, "topo_supernodes", &(supernodes - 1).to_string()).replacen(
+        &format!("\ntopo_sn={}\n", field(&hat_artifact, "topo_sn")),
+        "\n",
+        1,
     );
+    let present_departed = tamper(&hat_artifact, "lc_down", "1");
+    for (tampered, key, why) in [
+        (twice, "tree_kid", "a supernode listed under two parents"),
+        (short, "topo_supernodes", "a supernode list one short"),
+        (present_departed, "lc_down", "a departure recorded on a present node"),
+    ] {
+        let err = resume(&hat, &tampered).expect_err(why);
+        assert!(err.0.contains(key), "{why}: {err} must name {key}");
+    }
+    assert!(resume(&hat, &hat_artifact).is_ok(), "the untampered HAT artifact still resumes");
+
+    // Artifacts of the earlier layouts are refused by their header: version
+    // 1 queued every publish at every server and user, and version 2 kept
+    // departures, cluster supernodes, tree parents and Last-Modified
+    // instants beside their sources.
+    for version in [1, 2] {
+        let old = tamper(&artifact, "ckpt_version", &version.to_string());
+        assert_eq!(
+            resume(&cell, &old).expect_err("an earlier version must be rejected").0,
+            format!("unsupported checkpoint version {version} (this build reads 3)")
+        );
+    }
 
     // After the last publish the edges cache the final snapshot, so a
     // provider head (node 0's content) past the update sequence would send
@@ -155,7 +194,27 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     let past_end = cell.updates.len().to_string();
     let tampered = tamper(&late, "n_content", &past_end);
     assert!(resume(&cell, &tampered).is_err(), "snapshot id past the updates must be rejected");
+    let rewound = tamper(&late, "sched_now", "0");
+    let err = resume(&cell, &rewound).expect_err("a head published after the clock");
+    assert!(err.0.contains("published after the clock"), "{err}");
     assert!(resume(&cell, &late).is_ok(), "the untampered late artifact still resumes");
+
+    // Just after the first publish its updates are on the wire, in tracked
+    // envelopes, and held by the reliable ledger for resending; one naming
+    // a later snapshot passes the provider's head.
+    let publishing =
+        checkpoint(&cell, cell.published_at(SnapshotId(1)) + SimDuration::from_millis(1));
+    let lines: Vec<&str> = publishing.lines().collect();
+    let ledger = lines.iter().position(|l| l.starts_with("rel_pending=")).expect("a ledger");
+    let updates: Vec<usize> = (1..lines.len()).filter(|&i| lines[i - 1] == "msg=0").collect();
+    let (queued, held) = (updates[0], updates[updates.len() - 1]);
+    assert!(queued < ledger && ledger < held, "updates both queued and held");
+    for (at, why) in [(queued, "a queued update"), (held, "a held update")] {
+        let nth_a = lines[..at].iter().filter(|l| l.starts_with("a=")).count();
+        let err = resume(&cell, &tamper_nth(&publishing, "a", nth_a, "2")).expect_err(why);
+        assert!(err.0.contains("passes the provider's head 1"), "{why}: {err}");
+    }
+    assert!(resume(&cell, &publishing).is_ok(), "the untampered artifact still resumes");
 }
 
 /// The value of the first `key=` line of `artifact`.
@@ -169,13 +228,20 @@ fn field<'a>(artifact: &'a str, key: &str) -> &'a str {
 
 /// `artifact` with the value of its first `key=` line replaced by `value`.
 fn tamper(artifact: &str, key: &str, value: &str) -> String {
+    tamper_nth(artifact, key, 0, value)
+}
+
+/// `artifact` with the value of its `nth` `key=` line (from 0) replaced by
+/// `value`.
+fn tamper_nth(artifact: &str, key: &str, nth: usize, value: &str) -> String {
     let prefix = format!("{key}=");
-    let at = artifact
-        .lines()
-        .position(|l| l.starts_with(&prefix))
-        .unwrap_or_else(|| panic!("artifact has no {key:?} line"));
     let mut lines: Vec<String> = artifact.lines().map(str::to_owned).collect();
-    lines[at] = format!("{prefix}{value}");
+    let line = lines
+        .iter_mut()
+        .filter(|l| l.starts_with(&prefix))
+        .nth(nth)
+        .unwrap_or_else(|| panic!("artifact has no {key:?} line {nth}"));
+    *line = format!("{prefix}{value}");
     lines.iter().map(|l| format!("{l}\n")).collect()
 }
 
