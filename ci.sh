@@ -35,8 +35,10 @@ cargo test --workspace --quiet
 echo "==> benchmark build + self-tests (perfbench)"
 # perfbench is its own workspace linking the crates by path, so a public-API
 # change in any of them must keep it building; --locked fails instead of
-# rewriting perfbench/Cargo.lock.
-cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+# rewriting perfbench/Cargo.lock. The self-tests run one at a time: they
+# read the process-wide live and peak heap counters of perfbench's
+# allocator, which tests on parallel threads would move under each other.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml -- --test-threads=1
 
 # Runs the release build of the experiments binary with the given arguments.
 exp() {

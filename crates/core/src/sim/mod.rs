@@ -549,11 +549,13 @@ impl<'a> CdnSimulation<'a> {
 
     /// Checks, after the [`CdnSimulation::persist`] walk, what the state's
     /// derivations assume. Pending publishes count as `head − cursor` and
-    /// lags count against `SimConfig::published_at`, so no content, lag
-    /// cursor or update in flight may pass the provider's head, the head
-    /// must be published by the clock, and the queue must hold exactly the
-    /// publishes after it, each at its instant. A recorded departure must be
-    /// on an absent node.
+    /// lags count against `SimConfig::published_at`, so no snapshot a node
+    /// holds, has counted or has been told of (content, lag cursor, last
+    /// invalidation, known-stale mark) and none a queued or ledger-held
+    /// update or invalidation carries may pass the provider's head; the
+    /// head must be published by the clock, and the queue must hold exactly
+    /// the publishes after it, each at its instant. A recorded departure
+    /// must be on an absent node.
     fn check_walked(&self) -> Result<(), CkptError> {
         let (config, head, now) = (self.config, self.head(), self.sched.now());
         let fail = |what: String| Err(CkptError(what));
@@ -564,18 +566,33 @@ impl<'a> CdnSimulation<'a> {
             ));
         }
         let queued = self.sched.queued().filter_map(|(_, ev)| match ev {
-            Event::Arrive(_, msg) => Some(("queued update a", msg)),
+            Event::Arrive(_, msg) => Some((true, msg)),
             _ => None,
         });
-        let held = self.reliable.iter().flat_map(ReliableState::held).map(|m| ("held update a", m));
-        let updates = queued.chain(held).filter_map(|(key, msg)| Some((key, msg.content()?)));
-        let nodes = self
-            .nodes
-            .iter()
-            .flat_map(|n| [("n_content", n.content), ("n_resolved", n.lag_cursor)]);
+        let held = self.reliable.iter().flat_map(ReliableState::held).map(|m| (false, m));
+        let messages = queued.chain(held).filter_map(|(queued, msg)| {
+            let key = match (queued, msg.kind()) {
+                (true, PacketKind::Update) => "queued update a",
+                (true, _) => "queued invalidation a",
+                (false, PacketKind::Update) => "held update a",
+                (false, _) => "held invalidation a",
+            };
+            Some((key, msg.snapshot()?))
+        });
+        let nodes = self.nodes.iter().flat_map(|n| {
+            let marks = [
+                ("n_content", n.content),
+                ("n_resolved", n.lag_cursor),
+                ("n_last_invalidated", n.last_invalidated),
+            ];
+            marks.into_iter().chain(n.known_stale.map(|s| ("n_known_stale", s)))
+        });
         let users = self.users.iter().map(|u| ("u_seen_max", u.seen_max));
-        if let Some((key, snap)) = nodes.chain(users).chain(updates).find(|&(_, s)| s > head) {
-            return fail(format!("{key}={} passes the provider's head {}", snap.0, head.0));
+        if let Some((key, snap)) = nodes.chain(users).chain(messages).find(|&(_, s)| s > head) {
+            return fail(format!(
+                "{key}: snapshot {} passes the provider's head {}",
+                snap.0, head.0
+            ));
         }
         let mut publishes = Vec::new();
         for (at, ev) in self.sched.queued() {
@@ -610,7 +627,6 @@ impl<'a> CdnSimulation<'a> {
         if !self.obs.hook.is_armed() {
             return Ok(());
         }
-        let obs = &self.obs;
         let fetch_kb = self.config.workload.as_ref().map_or(0.0, |plan| plan.object_kb);
         for (_, ev) in self.sched.queued() {
             let (kind, kb) = match ev {
@@ -618,8 +634,9 @@ impl<'a> CdnSimulation<'a> {
                 Event::Fill(..) => (PacketKind::OriginFetch, fetch_kb),
                 _ => continue,
             };
-            obs.hook.in_flight(kind as usize, kb);
+            self.obs.hook.in_flight(kind as usize, kb);
         }
+        let obs = &self.obs;
         let head = self.head();
         for &s in &self.topo.servers {
             obs.pending(self.topo.method_of(s)).add(self.nodes[s.index()].pending(head));

@@ -207,7 +207,9 @@ impl SimObs {
     /// Walks the determinism-digest segment, so a restored run continues
     /// the saved run's chain and the audit trail stays bit-identical. Its
     /// presence follows the saving run's registry, not the configuration.
-    pub(super) fn persist_digest(&self, c: &mut Ckpt) -> Result<(), CkptError> {
+    /// The writer reads the registry's segment, which the hook stored back
+    /// when the run paused; the reader overwrites it and the hook reloads it.
+    pub(super) fn persist_digest(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         let mut digest = if c.is_reading() { None } else { self.registry.digest_local_state() };
         let mut present = digest.is_some();
         c.bool("digest", &mut present)?;
@@ -229,6 +231,7 @@ impl SimObs {
                     *stride,
                     std::mem::take(checkpoints),
                 );
+                self.hook.reload_digest();
             }
         }
         Ok(())
@@ -293,7 +296,7 @@ mod tests {
     fn hops_record_each_copy_without_changing_delivery() {
         let (mut plain, a, b) = two_node_net();
         let (mut wired, _, _) = two_node_net();
-        let (obs, t) = traced();
+        let (mut obs, t) = traced();
         let root = t.publish(0, a.0, 0, "net-test");
         let p = Packet::update(a, b, 10.0);
         let plain_arrival = plain.send(SimTime::ZERO, &p).arrival;

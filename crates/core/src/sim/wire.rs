@@ -213,12 +213,12 @@ impl Msg {
         }
     }
 
-    /// The snapshot whose content this message carries, inside a tracked
-    /// envelope too.
-    pub(super) fn content(&self) -> Option<SnapshotId> {
+    /// The snapshot this message carries or announces — an update's
+    /// content, an invalidation's news — inside a tracked envelope too.
+    pub(super) fn snapshot(&self) -> Option<SnapshotId> {
         match self {
-            Msg::Update { snap, .. } => Some(*snap),
-            Msg::Tracked { inner, .. } => inner.content(),
+            Msg::Update { snap, .. } | Msg::Invalidate(snap, _) => Some(*snap),
+            Msg::Tracked { inner, .. } => inner.snapshot(),
             _ => None,
         }
     }

@@ -295,7 +295,7 @@ mod tests {
     }
 
     /// Sends `p` at `now` through the fault plane, recording it into `hook`.
-    fn observed(net: &mut Network, hook: &EventHook, now: SimTime, p: &Packet) -> Sent {
+    fn observed(net: &mut Network, hook: &mut EventHook, now: SimTime, p: &Packet) -> Sent {
         let sent = net.send_faulted(now, p);
         hook.send(|| sent.record(now, p));
         sent
@@ -343,11 +343,12 @@ mod tests {
     #[test]
     fn obs_metrics_track_sends_and_backlog() {
         let reg = Registry::enabled();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
         for _ in 0..10 {
-            observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 100.0));
+            observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 100.0));
         }
+        hook.close(0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("net_packets_enqueued"), 10);
         let delays = snap.histogram("net_uplink_queue_delay_s").unwrap();
@@ -363,10 +364,11 @@ mod tests {
     fn uplink_bytes_counted_and_series_sources_registered() {
         let reg = Registry::enabled();
         reg.enable_series(1000);
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
-        observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
-        observed(&mut net, &hook, SimTime::ZERO, &Packet::poll(b, a));
+        observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        observed(&mut net, &mut hook, SimTime::ZERO, &Packet::poll(b, a));
+        hook.close(0);
         assert_eq!(reg.snapshot().counter("net_uplink_bytes"), 2048 + 1024);
         reg.sampler().tick(0);
         let series = reg.series_snapshot();
@@ -378,9 +380,10 @@ mod tests {
     #[test]
     fn per_kind_accounting_requires_profiling_arming() {
         let reg = Registry::enabled();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
-        observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        hook.close(0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim_msgs_update"), 1, "per-kind counts are always armed");
         assert_eq!(snap.counter("net_bytes_update"), 0, "byte probes stay dark without profiling");
@@ -391,11 +394,12 @@ mod tests {
     fn per_kind_accounting_tracks_sends_and_deliveries() {
         let reg = Registry::enabled();
         reg.enable_profiling();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
-        observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
-        observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
-        observed(&mut net, &hook, SimTime::ZERO, &Packet::poll(b, a));
+        observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        observed(&mut net, &mut hook, SimTime::ZERO, &Packet::poll(b, a));
+        hook.close(0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim_msgs_update"), 2);
         assert_eq!(snap.counter("net_bytes_update"), 2 * 2048);
@@ -407,6 +411,7 @@ mod tests {
         // Deliver the poll and one update: levels fall, high water stays.
         hook.deliver(PacketKind::Poll as usize, LIGHT_PACKET_KB);
         hook.deliver(PacketKind::Update as usize, 2.0);
+        hook.close(0);
         let snap = reg.snapshot();
         let inflight = snap.gauges.iter().find(|(n, _)| n == "net_inflight_bytes").unwrap().1;
         assert_eq!(inflight.value, 2048);
@@ -419,12 +424,13 @@ mod tests {
     fn dropped_and_duplicated_packets_balance_inflight() {
         let reg = Registry::enabled();
         reg.enable_profiling();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
         let cfg = crate::FaultConfig { loss_prob: 1.0, ..crate::FaultConfig::none() };
         net.set_fault_plane(crate::FaultPlane::new(cfg, 1, 2));
-        let sent = observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        let sent = observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
         assert_eq!(sent.deliveries().count(), 0);
+        hook.close(0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim_msgs_update"), 1, "the drop still left the sender");
         for name in ["net_inflight_bytes", "sim_inflight_update"] {
@@ -434,11 +440,12 @@ mod tests {
 
         let cfg = crate::FaultConfig { dup_prob: 1.0, ..crate::FaultConfig::none() };
         net.set_fault_plane(crate::FaultPlane::new(cfg, 1, 2));
-        let sent = observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        let sent = observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
         assert_eq!(sent.deliveries().count(), 2);
         for _ in sent.deliveries() {
             hook.deliver(PacketKind::Update as usize, 2.0);
         }
+        hook.close(0);
         let snap = reg.snapshot();
         let inflight = snap.gauges.iter().find(|(n, _)| n == "net_inflight_bytes").unwrap().1;
         assert_eq!(inflight.value, 0, "both copies of a duplicate retire one in-flight slot");
@@ -448,12 +455,12 @@ mod tests {
     fn obs_does_not_change_delivery() {
         let (mut plain, a, b) = two_node_net();
         let (mut wired, _, _) = two_node_net();
-        let hook = hook(&Registry::enabled());
+        let mut hook = hook(&Registry::enabled());
         for _ in 0..5 {
             let p = Packet::update(a, b, 10.0);
             assert_eq!(
                 plain.send(SimTime::ZERO, &p),
-                observed(&mut wired, &hook, SimTime::ZERO, &p)
+                observed(&mut wired, &mut hook, SimTime::ZERO, &p)
             );
         }
     }
@@ -515,15 +522,16 @@ mod tests {
     #[test]
     fn certain_loss_drops_but_still_charges_traffic() {
         let reg = Registry::enabled();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
         let cfg = crate::FaultConfig { loss_prob: 1.0, ..crate::FaultConfig::none() };
         net.set_fault_plane(crate::FaultPlane::new(cfg, 1, 2));
         for _ in 0..4 {
-            let sent = observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+            let sent = observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
             assert_eq!(sent.deliveries().count(), 0, "certain loss delivers nothing");
         }
         assert_eq!(net.traffic().update_messages(), 4, "dropped packets still left the sender");
+        hook.close(0);
         assert_eq!(reg.snapshot().counter("net_fault_dropped"), 4);
         assert_eq!(reg.snapshot().counter("net_fault_partitioned"), 0);
     }
@@ -531,22 +539,23 @@ mod tests {
     #[test]
     fn certain_duplication_delivers_twice() {
         let reg = Registry::enabled();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
         let cfg = crate::FaultConfig { dup_prob: 1.0, ..crate::FaultConfig::none() };
         net.set_fault_plane(crate::FaultPlane::new(cfg, 1, 2));
-        let sent = observed(&mut net, &hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
+        let sent = observed(&mut net, &mut hook, SimTime::ZERO, &Packet::update(a, b, 2.0));
         let out: Vec<SimTime> = sent.deliveries().collect();
         assert_eq!(out.len(), 2);
         assert!(out[1] >= out[0], "the copy trails the original");
         assert_eq!(net.traffic().update_messages(), 1, "a duplicate is copied in-network");
+        hook.close(0);
         assert_eq!(reg.snapshot().counter("net_fault_duplicated"), 1);
     }
 
     #[test]
     fn partition_window_drops_and_tags_the_trace() {
         let reg = Registry::enabled();
-        let hook = hook(&reg);
+        let mut hook = hook(&reg);
         let (mut net, a, b) = two_node_net();
         let cfg = crate::FaultConfig {
             link_partitions: vec![crate::LinkPartition {
@@ -559,13 +568,14 @@ mod tests {
         };
         net.set_fault_plane(crate::FaultPlane::new(cfg, 1, 2));
         let p = Packet::update(a, b, 2.0);
-        let sent = observed(&mut net, &hook, SimTime::from_secs(5), &p);
+        let sent = observed(&mut net, &mut hook, SimTime::from_secs(5), &p);
         assert_eq!(sent.fault, FaultDecision::Drop { partitioned: true });
         assert_eq!(
             sent.record(SimTime::from_secs(5), &p).fate,
             Fate::Dropped { partitioned: true }
         );
         assert_eq!(sent.deliveries().count(), 0);
+        hook.close(0);
         assert_eq!(reg.snapshot().counter("net_fault_partitioned"), 1);
         // After the window the same link delivers.
         assert_eq!(net.send_faulted(SimTime::from_secs(10), &p).deliveries().count(), 1);

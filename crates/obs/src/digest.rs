@@ -2,8 +2,12 @@
 //! structural event stream.
 //!
 //! Every fold point (each pop and event dispatch, through
-//! [`EventHook`](crate::EventHook), and each network send) mixes the event's *structural identity* — sim-time,
-//! event/message kind label, node ids, payload tags — into a running chain.
+//! [`EventHook`](crate::EventHook), and each network send) mixes the
+//! event's *structural identity* — sim-time, event/message kind label, node
+//! ids, payload tags — into a running chain. While a simulation runs, its
+//! event hook holds the recording segment and folds into it without a lock,
+//! from label words computed once; [`Digest::fold`] folds into the shared
+//! segment under its lock.
 //! Wall-clock readings, pointer values and trace contexts are never folded,
 //! so two runs of the same scenario produce bit-identical chains regardless
 //! of machine, worker count, or which other observability subsystems are
@@ -146,7 +150,7 @@ pub fn mix(h: u64, v: u64) -> u64 {
 
 /// FNV-1a over a label's bytes — the word a fold starts from.
 #[inline]
-fn label_word(label: &str) -> u64 {
+pub(crate) fn label_word(label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in label.bytes() {
         h ^= u64::from(b);
@@ -174,7 +178,7 @@ pub fn parse_chain_hex(s: &str) -> Option<u64> {
 }
 
 /// The currently-recording local chain of one registry (parent or shard).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SegmentState {
     events: u64,
     chain: u64,
@@ -191,6 +195,49 @@ impl SegmentState {
             stride: stride.max(1),
             checkpoints: Vec::new(),
             trap: Vec::new(),
+        }
+    }
+
+    /// Folds one event whose fold starts from `word` (its label's
+    /// [`label_word`]) into the chain: the word mixes in the node, the time
+    /// and the tags, `config.perturb` flips it at its index, and the fold
+    /// counts toward checkpoints and the trap window.
+    #[inline]
+    fn fold(
+        &mut self,
+        config: &DigestConfig,
+        mut w: u64,
+        label: &'static str,
+        node: u32,
+        t_us: u64,
+        tags: &[u64],
+    ) {
+        w = mix(w, u64::from(node));
+        w = mix(w, t_us);
+        for &tag in tags {
+            w = mix(w, tag);
+        }
+        let index = self.events;
+        if config.perturb == Some(index) {
+            w ^= PERTURB_FLIP;
+        }
+        let before = self.chain;
+        let after = mix(before, w);
+        self.chain = after;
+        self.events = index + 1;
+        if self.events.is_multiple_of(self.stride) {
+            self.checkpoints.push(Checkpoint { index: self.events, chain: after });
+            if self.checkpoints.len() > MAX_CHECKPOINTS_PER_SEGMENT {
+                // Double the stride; keep only checkpoints on the new grid.
+                self.stride *= 2;
+                let stride = self.stride;
+                self.checkpoints.retain(|c| c.index.is_multiple_of(stride));
+            }
+        }
+        if let Some(tw) = config.trap {
+            if index >= tw.lo && index < tw.hi && self.trap.len() < MAX_TRAP_ENTRIES {
+                self.trap.push(TrapEntry { index, label, node, t_us, before, after });
+            }
         }
     }
 }
@@ -225,36 +272,8 @@ impl DigestCore {
 
     /// Folds one event into the local chain (see [`Digest::fold`]).
     fn fold(&self, label: &'static str, node: u32, t_us: u64, tags: &[u64]) {
-        let mut w = label_word(label);
-        w = mix(w, u64::from(node));
-        w = mix(w, t_us);
-        for &tag in tags {
-            w = mix(w, tag);
-        }
-        let mut s = self.local.lock();
-        let index = s.events;
-        if self.config.perturb == Some(index) {
-            w ^= PERTURB_FLIP;
-        }
-        let before = s.chain;
-        let after = mix(before, w);
-        s.chain = after;
-        s.events = index + 1;
-        if s.events.is_multiple_of(s.stride) {
-            let checkpoint = Checkpoint { index: s.events, chain: after };
-            s.checkpoints.push(checkpoint);
-            if s.checkpoints.len() > MAX_CHECKPOINTS_PER_SEGMENT {
-                // Double the stride; keep only checkpoints on the new grid.
-                s.stride *= 2;
-                let stride = s.stride;
-                s.checkpoints.retain(|c| c.index.is_multiple_of(stride));
-            }
-        }
-        if let Some(tw) = self.config.trap {
-            if index >= tw.lo && index < tw.hi && s.trap.len() < MAX_TRAP_ENTRIES {
-                s.trap.push(TrapEntry { index, label, node, t_us, before, after });
-            }
-        }
+        let word = label_word(label);
+        self.local.lock().fold(&self.config, word, label, node, t_us, tags);
     }
 
     /// Checkpoint view of the currently-recording local segment, as
@@ -395,6 +414,50 @@ impl DigestSnapshot {
         }
         let events = segments.iter().map(|s| s.events).sum();
         Ok(DigestSnapshot { events, chain, segments, trap: Vec::new() })
+    }
+}
+
+/// The local segment held by its one writer, the event hook (see
+/// [`EventHook`](crate::EventHook)): loaded from the core when the hook is
+/// minted and when a restored run has overwritten the core's segment, and
+/// stored back at the hook's write-back points.
+#[derive(Debug)]
+pub(crate) struct OwnedSegment {
+    core: Arc<DigestCore>,
+    config: DigestConfig,
+    state: SegmentState,
+}
+
+impl OwnedSegment {
+    /// Takes over `digest`'s local segment; `None` for an inert handle.
+    pub(crate) fn own(digest: Digest) -> Option<Self> {
+        let core = digest.0?;
+        let state = core.local.lock().clone();
+        Some(OwnedSegment { config: core.config, state, core })
+    }
+
+    /// Folds one event whose label's [`label_word`] is `word`; the chain
+    /// and every checkpoint equal [`Digest::fold`]'s.
+    #[inline]
+    pub(crate) fn fold(
+        &mut self,
+        word: u64,
+        label: &'static str,
+        node: u32,
+        t_us: u64,
+        tags: &[u64],
+    ) {
+        self.state.fold(&self.config, word, label, node, t_us, tags);
+    }
+
+    /// Reloads the segment from the core.
+    pub(crate) fn reload(&mut self) {
+        self.state.clone_from(&self.core.local.lock());
+    }
+
+    /// Writes the segment back into the core.
+    pub(crate) fn store(&self) {
+        self.core.local.lock().clone_from(&self.state);
     }
 }
 

@@ -3,9 +3,17 @@
 //!
 //! Every handle is an `Option<Arc<..>>`: a handle minted from a disabled
 //! registry holds `None`, so the cost of an update on the disabled path is
-//! a single branch. Enabled updates use relaxed atomics — metrics are
-//! monotone accumulations read only at snapshot time, so no ordering is
-//! required.
+//! a single branch. Enabled updates through a handle use relaxed atomics —
+//! metrics are monotone accumulations read only at snapshot time, so no
+//! ordering is required.
+//!
+//! The event hook is the exception: while a simulation runs it is the one
+//! writer of the instruments it feeds, so it holds each one as an owned
+//! value (`OwnedCounter`, `OwnedGauge`, `OwnedHistogram`) loaded from
+//! the cell when the hook is minted, updates it with plain arithmetic and
+//! stores it back at the hook's write-back points (see
+//! [`EventHook`](crate::EventHook)). A store, not an add, so every f64 sum
+//! keeps its addition order and reads bit-identical to atomic recording.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -197,6 +205,139 @@ impl Histogram {
                 max: f64::from_bits(core.max_bits.load(Relaxed)),
             },
         }
+    }
+}
+
+/// A counter's value held by its one writer. See the module docs.
+#[derive(Debug)]
+pub(crate) struct OwnedCounter {
+    cell: Option<Arc<AtomicU64>>,
+    value: u64,
+}
+
+impl OwnedCounter {
+    /// Takes over `counter`, starting from its current value. A disabled
+    /// handle counts into the owned value only.
+    pub(crate) fn own(counter: Counter) -> Self {
+        OwnedCounter { value: counter.get(), cell: counter.0 }
+    }
+
+    /// Increments by one.
+    #[inline]
+    pub(crate) fn inc(&mut self) {
+        self.add(1);
+    }
+
+    /// Increments by `n`, saturating like [`Counter::add`].
+    #[inline]
+    pub(crate) fn add(&mut self, n: u64) {
+        self.value = self.value.saturating_add(n);
+    }
+
+    /// Writes the value back into the cell.
+    pub(crate) fn store(&self) {
+        if let Some(cell) = &self.cell {
+            cell.store(self.value, Relaxed);
+        }
+    }
+}
+
+/// A gauge's level and high-water mark held by their one writer. See the
+/// module docs.
+#[derive(Debug)]
+pub(crate) struct OwnedGauge {
+    cell: Option<Arc<GaugeCore>>,
+    value: u64,
+    high_water: u64,
+}
+
+impl OwnedGauge {
+    /// Takes over `gauge`, starting from its current level and mark. A
+    /// disabled handle moves the owned values only.
+    pub(crate) fn own(gauge: Gauge) -> Self {
+        OwnedGauge { value: gauge.get(), high_water: gauge.high_water(), cell: gauge.0 }
+    }
+
+    /// Sets the level to `v` and raises the high-water mark if needed.
+    #[inline]
+    pub(crate) fn set(&mut self, v: u64) {
+        self.value = v;
+        self.high_water = self.high_water.max(v);
+    }
+
+    /// Adds `n` to the level, saturating like [`Gauge::add`].
+    #[inline]
+    pub(crate) fn add(&mut self, n: u64) {
+        self.set(self.value.saturating_add(n));
+    }
+
+    /// Subtracts `n` from the level (saturating at zero).
+    #[inline]
+    pub(crate) fn sub(&mut self, n: u64) {
+        self.value = self.value.saturating_sub(n);
+    }
+
+    /// Writes the level and the high-water mark back into the cell.
+    pub(crate) fn store(&self) {
+        if let Some(core) = &self.cell {
+            core.value.store(self.value, Relaxed);
+            core.high_water.store(self.high_water, Relaxed);
+        }
+    }
+}
+
+/// A histogram's contents held by their one writer. See the module docs.
+#[derive(Debug)]
+pub(crate) struct OwnedHistogram {
+    cell: Arc<HistogramCore>,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl OwnedHistogram {
+    /// Takes over `histogram`, starting from its contents; `None` for a
+    /// disabled handle.
+    pub(crate) fn own(histogram: Histogram) -> Option<Self> {
+        let cell = histogram.0?;
+        let float = |bits: &AtomicU64| f64::from_bits(bits.load(Relaxed));
+        Some(OwnedHistogram {
+            buckets: std::array::from_fn(|i| cell.buckets[i].load(Relaxed)),
+            count: cell.count.load(Relaxed),
+            sum: float(&cell.sum_bits),
+            min: float(&cell.min_bits),
+            max: float(&cell.max_bits),
+            cell,
+        })
+    }
+
+    /// Records one observation exactly as [`Histogram::record`] does.
+    #[inline]
+    pub(crate) fn record(&mut self, v: f64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        let v = if v.is_finite() { v } else { bucket_floor(HISTOGRAM_BUCKETS - 1) };
+        self.sum += v;
+        if v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
+    }
+
+    /// Writes the contents back into the cell.
+    pub(crate) fn store(&self) {
+        let core = &self.cell;
+        for (cell, &n) in core.buckets.iter().zip(&self.buckets) {
+            cell.store(n, Relaxed);
+        }
+        core.count.store(self.count, Relaxed);
+        core.sum_bits.store(self.sum.to_bits(), Relaxed);
+        core.min_bits.store(self.min.to_bits(), Relaxed);
+        core.max_bits.store(self.max.to_bits(), Relaxed);
     }
 }
 

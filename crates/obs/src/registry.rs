@@ -19,6 +19,22 @@
 //! Tracing, series, profiling, timeprof, digest and health are opt-in
 //! planes, each armed at most once through its `enable_*` method (the
 //! first arming wins) and read without a lock afterwards.
+//!
+//! # One simulation at a time
+//!
+//! One simulation records into a registry (or a shard) at a time: figure
+//! batches give each task its own [`Registry::shard`] through `cdnc-par`,
+//! and the entry points of `cdnc-core` run one simulation to its end before
+//! the next starts. While it runs, the simulation's armed
+//! [`EventHook`](crate::EventHook) is the only writer of the instruments it
+//! feeds and holds their values itself; a read of the registry sees them as
+//! of the hook's last write-back (a series sample, [`EventHook::close`] or
+//! the hook's drop). Every other writer — the simulator's protocol
+//! instruments, health, phase spans and [`Registry::absorb`] — updates the
+//! shared cells directly. Minting a second armed hook on a registry while
+//! one is live breaks the rule and fails a debug assertion.
+//!
+//! [`EventHook::close`]: crate::EventHook::close
 
 use crate::digest::{Digest, DigestConfig, DigestCore, DigestSnapshot};
 use crate::health::{Health, HealthSnapshot, HealthState};
@@ -28,11 +44,13 @@ use crate::series::{Sampler, SeriesCore, SeriesKind, SeriesSnapshot, SourceCell}
 use crate::timeprof::{FrameTree, PhaseTiming, SpanGuard, TimeProfCore, TimeProfSnapshot};
 use crate::trace::{Tracer, TracerCore};
 use parking_lot::Mutex;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
 #[derive(Default)]
 struct Inner {
+    /// Whether an armed event hook is live on this registry.
+    hook_live: AtomicBool,
     counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     gauges: Mutex<Vec<(String, Arc<GaugeCore>)>>,
     histograms: Mutex<Vec<(String, Arc<HistogramCore>)>>,
@@ -100,6 +118,23 @@ impl Registry {
     /// The plane in `slot`, if this registry is enabled and the plane armed.
     fn armed<T>(&self, slot: fn(&Inner) -> &OnceLock<T>) -> Option<&T> {
         self.0.as_deref().and_then(|inner| slot(inner).get())
+    }
+
+    /// Marks an armed event hook live on this registry until
+    /// [`Registry::release_hook`]. A debug assertion fails when one is
+    /// live already (see the module docs).
+    pub(crate) fn claim_hook(&self) {
+        if let Some(inner) = &self.0 {
+            let live = inner.hook_live.swap(true, std::sync::atomic::Ordering::Relaxed);
+            debug_assert!(!live, "a second event hook minted while one records into the registry");
+        }
+    }
+
+    /// Marks the registry's event hook gone.
+    pub(crate) fn release_hook(&self) {
+        if let Some(inner) = &self.0 {
+            inner.hook_live.store(false, std::sync::atomic::Ordering::Relaxed);
+        }
     }
 
     /// The counter named `name` (inert handle when disabled).

@@ -285,6 +285,14 @@ impl Sampler {
         }
     }
 
+    /// Whether a [`Sampler::tick`] at `now_us` would take a sample: the
+    /// event hook stores the instruments it owns back into their cells
+    /// first. One branch when disabled; one relaxed load when enabled.
+    #[inline]
+    pub(crate) fn due(&self, now_us: u64) -> bool {
+        self.0.as_ref().is_some_and(|core| now_us >= core.next_due.load(Relaxed))
+    }
+
     /// Whether sampling is live behind this handle.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()

@@ -368,6 +368,7 @@ mod tests {
             step(&mut s, &mut hook).unwrap();
         }
         assert!(step(&mut s, &mut hook).is_none(), "an empty queue must not record a sample");
+        hook.close(s.pending());
         let snap = reg.snapshot();
         let h = snap.histogram("sched_queue_depth_at_pop").expect("armed probe records");
         assert_eq!(h.count, expected.len() as u64);

@@ -41,6 +41,66 @@ pub struct Waiter {
     pub requested_at: SimTime,
 }
 
+/// The requests queued behind one in-flight fetch, in arrival order. A
+/// miss starts the queue with its requester inline, so it allocates
+/// nothing; the first delayed hit moves the queue into a `Vec`, which the
+/// fill hands back as it is. Either form keeps an in-flight entry at the
+/// size of an object id and a `Vec`.
+#[derive(Debug, Clone)]
+enum Waiters {
+    One(Waiter),
+    Many(Vec<Waiter>),
+}
+
+impl Waiters {
+    /// Queues `waiter` behind the others.
+    fn push(&mut self, waiter: Waiter) {
+        match self {
+            Waiters::One(first) => {
+                let mut many = Vec::with_capacity(4);
+                many.extend([*first, waiter]);
+                *self = Waiters::Many(many);
+            }
+            Waiters::Many(many) => many.push(waiter),
+        }
+    }
+
+    /// Every waiter, in arrival order.
+    fn into_vec(self) -> Vec<Waiter> {
+        match self {
+            Waiters::One(first) => vec![first],
+            Waiters::Many(many) => many,
+        }
+    }
+}
+
+/// The empty queue, which only a checkpoint reader holds, as the
+/// placeholder it reads into.
+impl Default for Waiters {
+    fn default() -> Self {
+        Waiters::Many(Vec::new())
+    }
+}
+
+impl IntoIterator for Waiters {
+    type Item = Waiter;
+    type IntoIter = std::vec::IntoIter<Waiter>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.into_vec().into_iter()
+    }
+}
+
+impl FromIterator<Waiter> for Waiters {
+    fn from_iter<I: IntoIterator<Item = Waiter>>(iter: I) -> Self {
+        let many = Vec::from_iter(iter);
+        match many[..] {
+            [one] => Waiters::One(one),
+            _ => Waiters::Many(many),
+        }
+    }
+}
+
 /// The outcome of one cache request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -130,7 +190,7 @@ pub struct LruCache {
     /// The first free slot, or [`NIL`].
     free: u32,
     /// In-flight fetches with their waiter queues, sorted by object.
-    inflight: Vec<(ObjectId, Vec<Waiter>)>,
+    inflight: Vec<(ObjectId, Waiters)>,
 }
 
 impl LruCache {
@@ -202,7 +262,7 @@ impl LruCache {
                 Lookup::Delayed
             }
             Err(at) => {
-                self.inflight.insert(at, (id, vec![waiter]));
+                self.inflight.insert(at, (id, Waiters::One(waiter)));
                 Lookup::Miss
             }
         }
@@ -235,7 +295,7 @@ impl LruCache {
         _now: SimTime,
     ) -> (Vec<Waiter>, Option<ObjectId>) {
         let Ok(at) = self.fetch(id) else { panic!("fill without an in-flight fetch") };
-        let (_, waiters) = self.inflight.remove(at);
+        let waiters = self.inflight.remove(at).1.into_vec();
         self.tick += 1;
         self.insert(Entry { id, snap, tick: self.tick, uses: 0, older: NIL, newer: NIL });
         let evicted = if self.index.len() > self.capacity { Some(self.evict()) } else { None };
@@ -273,7 +333,7 @@ impl LruCache {
     /// ticks; it rejects a catalog slot not below `slots`, a snapshot not
     /// below `snapshots`, a waiting user not below `users`, more entries
     /// than the capacity, an object cached twice, in flight twice or both,
-    /// and a tick repeated or past the clock.
+    /// a tick repeated or past the clock, and a fetch without waiters.
     pub fn persist(
         &mut self,
         c: &mut Ckpt,
@@ -330,6 +390,9 @@ impl LruCache {
         self.inflight.sort_unstable_by_key(|(id, _)| *id);
         if self.inflight.windows(2).any(|w| w[0].0 == w[1].0) {
             return bad("an object is in flight twice");
+        }
+        if self.inflight.iter().any(|(_, w)| matches!(w, Waiters::Many(many) if many.is_empty())) {
+            return bad("a fetch is in flight without waiters");
         }
         self.clear_entries();
         for entry in entries {
@@ -789,6 +852,11 @@ mod tests {
             ("cache_slot=3\n", "cache_slot=1\n", "an object both cached and in flight"),
             ("cache_entry_tick=2\n", "cache_entry_tick=3\n", "a tick repeated"),
             ("cache_tick=3\n", "cache_tick=2\n", "a tick past the clock"),
+            (
+                "cache_waiters=1\ncache_waiter_user=0\ncache_waiter_at=0\n",
+                "cache_waiters=0\n",
+                "a fetch without waiters",
+            ),
         ] {
             assert!(read(&text.replacen(from, to, 1), 4).is_err(), "{why} must be rejected");
         }

@@ -215,6 +215,32 @@ fn structural_mismatch_and_tampering_fail_loudly() {
         assert!(err.0.contains("passes the provider's head 1"), "{why}: {err}");
     }
     assert!(resume(&cell, &publishing).is_ok(), "the untampered artifact still resumes");
+
+    // Invalidation state names snapshots too: the provider's last
+    // invalidation, its known-stale mark (stored as the snapshot + 1) and
+    // the news of a queued and of a held invalidation may not pass the head
+    // either, just after the first publish of an invalidation tree.
+    let inval = cfg(2, 0.5, false);
+    let invalidating =
+        checkpoint(&inval, inval.published_at(SnapshotId(1)) + SimDuration::from_millis(1));
+    let lines: Vec<&str> = invalidating.lines().collect();
+    let ledger = lines.iter().position(|l| l.starts_with("rel_pending=")).expect("a ledger");
+    let news: Vec<usize> = (1..lines.len()).filter(|&i| lines[i - 1] == "msg=1").collect();
+    let (queued, held) = (news[0], news[news.len() - 1]);
+    assert!(queued < ledger && ledger < held, "invalidations both queued and held");
+    let nth_a = |at: usize| lines[..at].iter().filter(|l| l.starts_with("a=")).count();
+    for (key, nth, value, named) in [
+        ("n_last_invalidated", 0, "2", "n_last_invalidated"),
+        ("n_known_stale", 0, "3", "n_known_stale"),
+        ("a", nth_a(queued), "2", "queued invalidation a"),
+        ("a", nth_a(held), "2", "held invalidation a"),
+    ] {
+        let tampered = tamper_nth(&invalidating, key, nth, value);
+        let err = resume(&inval, &tampered).expect_err(named);
+        assert!(err.0.contains(named), "{err} must name {named}");
+        assert!(err.0.contains("passes the provider's head 1"), "{named}: {err}");
+    }
+    assert!(resume(&inval, &invalidating).is_ok(), "the untampered artifact still resumes");
 }
 
 /// The value of the first `key=` line of `artifact`.
