@@ -128,6 +128,14 @@ for scheme in push invalidation ttl push-mcast invalidation-mcast ttl-mcast hat;
     grep -q 'replay_report_match=true' "$CHURN_DIR/$out.txt"
   done
 done
+# The reader rejects a digest segment that folding cannot build: the push
+# artifact with a zero digest stride must fail to decode (exit 1, naming
+# the key), not replay.
+sed 's/^dg_stride=.*/dg_stride=0/' "$CHURN_DIR/push.ckpt" > "$CHURN_DIR/bad_stride.ckpt"
+status=0
+exp replay "$CHURN_DIR/bad_stride.ckpt" > "$CHURN_DIR/bad_stride.txt" 2>&1 || status=$?
+test "$status" -eq 1
+grep -q 'checkpoint decode error: dg_stride' "$CHURN_DIR/bad_stride.txt"
 rm -rf "$CHURN_DIR"
 
 echo "==> request-plane smoke: workload curves, serial vs --jobs 4 diff, report section"

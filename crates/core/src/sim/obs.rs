@@ -5,8 +5,10 @@ use super::wire::Event;
 use crate::method::MethodKind;
 use crate::metrics::SimReport;
 use cdnc_net::{FaultDecision, NodeId, Packet, Sent};
+use cdnc_obs::digest::MAX_CHECKPOINTS_PER_SEGMENT;
 use cdnc_obs::{
-    Counter, EventHook, EventRecord, Gauge, Histogram, Registry, SpanKind, TraceCtx, Tracer,
+    Checkpoint, Counter, EventHook, EventRecord, Gauge, Histogram, Registry, SpanKind, TraceCtx,
+    Tracer,
 };
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
@@ -207,34 +209,62 @@ impl SimObs {
     /// Walks the determinism-digest segment, so a restored run continues
     /// the saved run's chain and the audit trail stays bit-identical. Its
     /// presence follows the saving run's registry, not the configuration.
-    /// The writer reads the registry's segment, which the hook stored back
-    /// when the run paused; the reader overwrites it and the hook reloads it.
+    /// The walk reads and writes the hook's segment in place; reading into
+    /// a run without a digest reads into scratch, and either way rejects a
+    /// segment no run can hold (see [`check_segment`]).
     pub(super) fn persist_digest(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
-        let mut digest = if c.is_reading() { None } else { self.registry.digest_local_state() };
-        let mut present = digest.is_some();
+        let reading = c.is_reading();
+        let mut present = self.hook.digest_segment(false).is_some();
         c.bool("digest", &mut present)?;
-        if present {
-            let (events, chain, stride, checkpoints) = digest.get_or_insert_with(Default::default);
-            c.u64("dg_events", events)?;
-            c.u64("dg_chain", chain)?;
-            c.u64("dg_stride", stride)?;
-            c.seq("dg_checkpoints", checkpoints, |cp, c| {
-                c.u64("dg_idx", &mut cp.index)?;
-                c.u64("dg_val", &mut cp.chain)
-            })?;
-            if c.is_reading() {
-                // `false` just means this run's registry has no digest armed
-                // — the chain continuation is then irrelevant, not an error.
-                let _ = self.registry.restore_digest_local(
-                    *events,
-                    *chain,
-                    *stride,
-                    std::mem::take(checkpoints),
-                );
-                self.hook.reload_digest();
-            }
+        if !present {
+            return Ok(());
+        }
+        let mut scratch = (0, 0, 0, Vec::new());
+        let (events, chain, stride, checkpoints) = match self.hook.digest_segment(reading) {
+            Some(segment) => segment,
+            None => (&mut scratch.0, &mut scratch.1, &mut scratch.2, &mut scratch.3),
+        };
+        c.u64("dg_events", events)?;
+        c.u64("dg_chain", chain)?;
+        c.u64("dg_stride", stride)?;
+        c.seq("dg_checkpoints", checkpoints, |cp, c| {
+            c.u64("dg_idx", &mut cp.index)?;
+            c.u64("dg_val", &mut cp.chain)
+        })?;
+        if reading {
+            check_segment(*events, *stride, checkpoints)?;
         }
         Ok(())
+    }
+}
+
+/// Checks a restored digest segment against what folding builds: a
+/// nonzero stride, at most [`MAX_CHECKPOINTS_PER_SEGMENT`] checkpoints,
+/// strictly ascending, each on the stride's grid and none past the fold
+/// count. Errors name the key.
+fn check_segment(events: u64, stride: u64, checkpoints: &[Checkpoint]) -> Result<(), CkptError> {
+    let fail = |what: String| Err(CkptError(what));
+    if stride == 0 {
+        return fail("dg_stride: a zero stride".into());
+    }
+    if checkpoints.len() > MAX_CHECKPOINTS_PER_SEGMENT {
+        return fail(format!(
+            "dg_checkpoints: {} checkpoints pass the cap of {MAX_CHECKPOINTS_PER_SEGMENT}",
+            checkpoints.len()
+        ));
+    }
+    if let Some(w) = checkpoints.windows(2).find(|w| w[1].index <= w[0].index) {
+        let (prev, next) = (w[0].index, w[1].index);
+        return fail(format!("dg_idx: checkpoint {next} does not follow checkpoint {prev}"));
+    }
+    if let Some(cp) = checkpoints.iter().find(|cp| !cp.index.is_multiple_of(stride)) {
+        return fail(format!("dg_idx: checkpoint {} is off the stride {stride}", cp.index));
+    }
+    match checkpoints.last() {
+        Some(last) if last.index > events => {
+            fail(format!("dg_idx: checkpoint {} passes dg_events={events}", last.index))
+        }
+        _ => Ok(()),
     }
 }
 

@@ -4,10 +4,12 @@
 //! Every fold point (each pop and event dispatch, through
 //! [`EventHook`](crate::EventHook), and each network send) mixes the
 //! event's *structural identity* — sim-time, event/message kind label, node
-//! ids, payload tags — into a running chain. While a simulation runs, its
-//! event hook holds the recording segment and folds into it without a lock,
-//! from label words computed once; [`Digest::fold`] folds into the shared
-//! segment under its lock.
+//! ids, payload tags — into a running chain. The recording segment has one
+//! writer at a time: while a simulation runs, its event hook holds the
+//! segment and folds into it without a lock, from label words computed
+//! once, and stores it back when the run ends or pauses; [`Digest::fold`]
+//! folds into the shared segment under its lock. A checkpoint carries the
+//! segment, which it walks inside the hook.
 //! Wall-clock readings, pointer values and trace contexts are never folded,
 //! so two runs of the same scenario produce bit-identical chains regardless
 //! of machine, worker count, or which other observability subsystems are
@@ -276,33 +278,6 @@ impl DigestCore {
         self.local.lock().fold(&self.config, word, label, node, t_us, tags);
     }
 
-    /// Checkpoint view of the currently-recording local segment, as
-    /// `(events, chain, stride, checkpoints)` — everything a restored run
-    /// needs to keep folding where a saved run left off. Trap entries are
-    /// not part of the view: divergence traps are re-armed per run.
-    pub(crate) fn export_local(&self) -> (u64, u64, u64, Vec<Checkpoint>) {
-        let s = self.local.lock();
-        (s.events, s.chain, s.stride, s.checkpoints.clone())
-    }
-
-    /// Overwrites the local segment with state captured by
-    /// [`DigestCore::export_local`], so subsequent folds continue the saved
-    /// run's chain exactly.
-    pub(crate) fn restore_local(
-        &self,
-        events: u64,
-        chain: u64,
-        stride: u64,
-        checkpoints: Vec<Checkpoint>,
-    ) {
-        let mut s = self.local.lock();
-        s.events = events;
-        s.chain = chain;
-        s.stride = stride.max(1);
-        s.checkpoints = checkpoints;
-        s.trap.clear();
-    }
-
     /// Absorbs a shard's segment: assign it the next absorb-order index,
     /// snapshot its chain + checkpoints, and keep its trap entries when the
     /// trap targets that segment. Shards that folded nothing leave no
@@ -419,8 +394,7 @@ impl DigestSnapshot {
 
 /// The local segment held by its one writer, the event hook (see
 /// [`EventHook`](crate::EventHook)): loaded from the core when the hook is
-/// minted and when a restored run has overwritten the core's segment, and
-/// stored back at the hook's write-back points.
+/// minted and stored back when the run ends or pauses.
 #[derive(Debug)]
 pub(crate) struct OwnedSegment {
     core: Arc<DigestCore>,
@@ -450,9 +424,17 @@ impl OwnedSegment {
         self.state.fold(&self.config, word, label, node, t_us, tags);
     }
 
-    /// Reloads the segment from the core.
-    pub(crate) fn reload(&mut self) {
-        self.state.clone_from(&self.core.local.lock());
+    /// The fold count, chain, stride and checkpoints, for a checkpoint
+    /// walk; `restoring` clears the trap entries first.
+    pub(crate) fn fields(
+        &mut self,
+        restoring: bool,
+    ) -> (&mut u64, &mut u64, &mut u64, &mut Vec<Checkpoint>) {
+        let s = &mut self.state;
+        if restoring {
+            s.trap.clear();
+        }
+        (&mut s.events, &mut s.chain, &mut s.stride, &mut s.checkpoints)
     }
 
     /// Writes the segment back into the core.
@@ -486,11 +468,26 @@ impl Digest {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn core(config: DigestConfig) -> DigestCore {
         DigestCore::new(config)
+    }
+
+    /// Overwrites `digest`'s shared segment as a checkpoint read through
+    /// [`EventHook::digest_segment`](crate::EventHook::digest_segment)
+    /// overwrites the hook's: the trap entries go.
+    pub(crate) fn restore(
+        digest: &Digest,
+        events: u64,
+        chain: u64,
+        stride: u64,
+        checkpoints: Vec<Checkpoint>,
+    ) {
+        let mut s = digest.0.as_ref().expect("an armed digest").local.lock();
+        (s.events, s.chain, s.stride, s.checkpoints) = (events, chain, stride, checkpoints);
+        s.trap.clear();
     }
 
     #[test]

@@ -13,32 +13,22 @@
 //! between. [`EventHook::close`] charges the last event when the run ends
 //! or pauses, so each label's count equals its dispatch counter.
 //!
-//! # The hook owns its instruments
+//! # One writer per cell
 //!
 //! One simulation records into a registry at a time (see the registry's
-//! module docs), so while it runs its armed hook is the only writer of
-//! everything it feeds and holds plain values instead of writing shared
-//! cells: its counters, each gauge's level and high-water mark, each
-//! histogram's buckets, count, sum, min and max, timeprof's handler
-//! histograms, the digest segment (fold count, chain, stride, checkpoints
-//! and trap entries) and the tracer horizon. Minting the hook loads them
-//! from the registry; each fold starts from a label word computed then,
-//! once per event kind, packet kind and `sched_pop`. The hook writes the
-//! values back:
-//!
-//! - its counters and gauges before each series sample, which reads them;
-//! - everything at [`EventHook::close`] (the run ends or pauses) and when
-//!   the hook is dropped, the tracer horizon raised to the latest event.
-//!
-//! Write-back stores, never adds, so every f64 sum keeps its addition
-//! order and each artifact reads bit-identical to recording through the
-//! cells. A restored run calls [`EventHook::reload_digest`] once the
-//! checkpoint reader has overwritten the registry's digest segment.
-//! Health, the memory probe and the sampler keep writing their own shared
-//! state per event.
+//! module docs), so the hook writes its counters, gauges and histograms,
+//! timeprof's handler histograms among them, through plain handles that
+//! update each cell with a load and a store; a registry read sees every
+//! update so far. Two values stay in the hook until [`EventHook::close`]
+//! (the run ends or pauses) or its drop: the digest segment (fold count,
+//! chain, stride, checkpoints and trap entries), whose folds start from
+//! label words computed once per event kind, packet kind and `sched_pop`
+//! when the hook is minted, and the tracer horizon, raised to the latest
+//! event then. A checkpoint walks the segment in place through
+//! [`EventHook::digest_segment`].
 
-use crate::digest::{label_word, OwnedSegment};
-use crate::metrics::{Counter, Gauge, Histogram, OwnedCounter, OwnedGauge, OwnedHistogram};
+use crate::digest::{label_word, Checkpoint, OwnedSegment};
+use crate::metrics::{Counter, Gauge, Histogram};
 use crate::profile::{MemProbe, DEFAULT_SPIKE_MULTIPLE};
 use crate::series::DEFAULT_CADENCE_US;
 use crate::{Health, Registry, Sampler, Tracer};
@@ -106,9 +96,9 @@ pub struct EventHook(Option<Box<Armed>>);
 struct Armed {
     registry: Registry,
     kinds: Vec<KindObs>,
-    processed: OwnedCounter,
-    depth: OwnedGauge,
-    pop_depth: Option<OwnedHistogram>,
+    processed: Counter,
+    depth: Gauge,
+    pop_depth: Histogram,
     tracer: Tracer,
     /// The latest event's sim time, µs: the tracer horizon to raise.
     horizon_us: u64,
@@ -127,7 +117,7 @@ struct Armed {
 struct KindObs {
     label: &'static str,
     word: u64,
-    dispatched: OwnedCounter,
+    dispatched: Counter,
 }
 
 /// The instruments packet records feed. `backlog` holds the last packet's
@@ -137,16 +127,16 @@ struct KindObs {
 /// armed only when the registry has profiling enabled.
 #[derive(Debug)]
 struct Packets {
-    enqueued: OwnedCounter,
-    backlog: OwnedGauge,
-    queue_delay: Option<OwnedHistogram>,
-    uplink_bytes: OwnedCounter,
-    dropped: OwnedCounter,
-    partitioned: OwnedCounter,
-    duplicated: OwnedCounter,
-    delayed: OwnedCounter,
+    enqueued: Counter,
+    backlog: Gauge,
+    queue_delay: Histogram,
+    uplink_bytes: Counter,
+    dropped: Counter,
+    partitioned: Counter,
+    duplicated: Counter,
+    delayed: Counter,
     kinds: Vec<PacketKindObs>,
-    inflight_bytes: OwnedGauge,
+    inflight_bytes: Gauge,
 }
 
 /// One packet kind's fold label and word, and its instruments.
@@ -154,9 +144,9 @@ struct Packets {
 struct PacketKindObs {
     label: &'static str,
     word: u64,
-    sent: OwnedCounter,
-    inflight: OwnedGauge,
-    bytes: OwnedCounter,
+    sent: Counter,
+    inflight: Gauge,
+    bytes: Counter,
 }
 
 impl Packets {
@@ -165,7 +155,6 @@ impl Packets {
     /// in-flight level as series.
     fn new(registry: &Registry, names: &[PacketNames]) -> Packets {
         let profiled = registry.profiling_enabled();
-        let counter = |name| OwnedCounter::own(registry.counter(name));
         registry.series_gauge("net_uplink_backlog_ms");
         registry.series_rate("net_packets_enqueued");
         registry.series_rate("net_uplink_bytes");
@@ -175,45 +164,26 @@ impl Packets {
             PacketKindObs {
                 label,
                 word: label_word(label),
-                sent: counter(sent),
-                inflight: OwnedGauge::own(registry.gauge(inflight)),
-                bytes: OwnedCounter::own(if profiled {
-                    registry.counter(bytes)
-                } else {
-                    Counter::default()
-                }),
+                sent: registry.counter(sent),
+                inflight: registry.gauge(inflight),
+                bytes: if profiled { registry.counter(bytes) } else { Counter::default() },
             }
         };
         Packets {
-            enqueued: counter("net_packets_enqueued"),
-            backlog: OwnedGauge::own(registry.gauge("net_uplink_backlog_ms")),
-            queue_delay: OwnedHistogram::own(registry.histogram("net_uplink_queue_delay_s")),
-            uplink_bytes: counter("net_uplink_bytes"),
-            dropped: counter("net_fault_dropped"),
-            partitioned: counter("net_fault_partitioned"),
-            duplicated: counter("net_fault_duplicated"),
-            delayed: counter("net_fault_delayed"),
+            enqueued: registry.counter("net_packets_enqueued"),
+            backlog: registry.gauge("net_uplink_backlog_ms"),
+            queue_delay: registry.histogram("net_uplink_queue_delay_s"),
+            uplink_bytes: registry.counter("net_uplink_bytes"),
+            dropped: registry.counter("net_fault_dropped"),
+            partitioned: registry.counter("net_fault_partitioned"),
+            duplicated: registry.counter("net_fault_duplicated"),
+            delayed: registry.counter("net_fault_delayed"),
             kinds: names.iter().map(kind).collect(),
-            inflight_bytes: OwnedGauge::own(if profiled {
+            inflight_bytes: if profiled {
                 registry.gauge("net_inflight_bytes")
             } else {
                 Gauge::default()
-            }),
-        }
-    }
-
-    /// Stores the counters and gauges back into their cells.
-    fn store_levels(&self) {
-        let counters = [&self.enqueued, &self.uplink_bytes, &self.dropped, &self.partitioned];
-        counters.into_iter().for_each(OwnedCounter::store);
-        self.duplicated.store();
-        self.delayed.store();
-        self.backlog.store();
-        self.inflight_bytes.store();
-        for kind in &self.kinds {
-            kind.sent.store();
-            kind.bytes.store();
-            kind.inflight.store();
+            },
         }
     }
 }
@@ -222,7 +192,7 @@ impl Packets {
 /// previous record's kind and clock reading.
 #[derive(Debug)]
 struct Boundaries {
-    handlers: Vec<OwnedHistogram>,
+    handlers: Vec<Histogram>,
     open: Option<(usize, Instant)>,
 }
 
@@ -242,8 +212,8 @@ impl EventHook {
     /// kinds `packets` and clock horizon `horizon_us`: registers the network
     /// instruments and the `sched_queue_depth` and `sched_events_processed`
     /// series, starts a sampling segment (the simulation's clock starts at
-    /// zero), declares the horizon to health and loads every instrument the
-    /// hook owns. Inert on a disabled registry.
+    /// zero), declares the horizon to health and takes over the digest
+    /// segment. Inert on a disabled registry.
     pub fn new(
         registry: &Registry,
         kinds: &'static [EventKind],
@@ -261,9 +231,9 @@ impl EventHook {
         registry.series_rate("sched_events_processed");
         let health = registry.health();
         health.set_horizon(horizon_us);
-        let (mut pop_depth, mut mem_probe) = (None, MemProbe::default());
+        let (mut pop_depth, mut mem_probe) = (Histogram::default(), MemProbe::default());
         if registry.profiling_enabled() {
-            pop_depth = OwnedHistogram::own(registry.histogram("sched_queue_depth_at_pop"));
+            pop_depth = registry.histogram("sched_queue_depth_at_pop");
             let spikes = registry.counter("profile_mem_spikes");
             mem_probe = MemProbe::armed(
                 DEFAULT_CADENCE_US,
@@ -275,13 +245,13 @@ impl EventHook {
         let kind = |&(counter, label): &EventKind| KindObs {
             label,
             word: label_word(label),
-            dispatched: OwnedCounter::own(registry.counter(counter)),
+            dispatched: registry.counter(counter),
         };
         EventHook(Some(Box::new(Armed {
             registry: registry.clone(),
             kinds: kinds.iter().map(kind).collect(),
-            processed: OwnedCounter::own(registry.counter("sched_events_processed")),
-            depth: OwnedGauge::own(registry.gauge("sched_queue_depth")),
+            processed: registry.counter("sched_events_processed"),
+            depth: registry.gauge("sched_queue_depth"),
             pop_depth,
             tracer: registry.tracer(),
             horizon_us: 0,
@@ -291,10 +261,7 @@ impl EventHook {
             pop_word: label_word("sched_pop"),
             health,
             timeprof: registry.timeprof_core().map(|core| {
-                let cell = |&(_, label): &EventKind| {
-                    OwnedHistogram::own(Histogram(Some(core.handlers.cell(label))))
-                        .expect("an armed cell")
-                };
+                let cell = |&(_, label): &EventKind| Histogram(Some(core.handlers.cell(label)));
                 Boundaries { handlers: kinds.iter().map(cell).collect(), open: None }
             }),
             packets,
@@ -344,19 +311,25 @@ impl EventHook {
         }
     }
 
-    /// Reloads the digest segment from the registry, which a checkpoint
-    /// reader has just overwritten: a restored run continues the saved
-    /// chain.
-    pub fn reload_digest(&mut self) {
-        if let Some(digest) = self.0.as_mut().and_then(|armed| armed.digest.as_mut()) {
-            digest.reload();
-        }
+    /// Lends the digest segment's fold count, chain, stride and
+    /// checkpoints to a checkpoint walk, which reads them in place when it
+    /// writes an artifact and overwrites them when it reads one
+    /// (`restoring`): a restored run continues the saved chain. Restoring
+    /// clears the trap entries, since the saved run's folds are not this
+    /// run's. `None` without an armed digest.
+    pub fn digest_segment(
+        &mut self,
+        restoring: bool,
+    ) -> Option<(&mut u64, &mut u64, &mut u64, &mut Vec<Checkpoint>)> {
+        let digest = self.0.as_mut()?.digest.as_mut()?;
+        Some(digest.fields(restoring))
     }
 
     /// Ends or pauses the run with `depth` events still queued: the depth
     /// gauge takes that level (pushes after the last pop included), the
-    /// last event is charged and every owned value is written back.
-    /// Recording may resume afterwards.
+    /// last event is charged, the digest segment is stored into the
+    /// registry and the tracer horizon raised. Recording may resume
+    /// afterwards.
     pub fn close(&mut self, depth: usize) {
         let Some(armed) = &mut self.0 else { return };
         armed.depth.set(depth as u64);
@@ -369,31 +342,25 @@ impl EventHook {
 
 impl Armed {
     /// Feeds, in order: `sched_queue_depth_at_pop`, `sched_events_processed`,
-    /// `sched_queue_depth`, the tracer horizon, the sampler (after storing
-    /// the counters and gauges when a sample is due), the memory probe,
-    /// health, the `sched_pop` digest fold, then the event's own digest fold
-    /// and dispatch counter.
+    /// `sched_queue_depth`, the tracer horizon, the sampler, the memory
+    /// probe, health, the `sched_pop` digest fold, then the event's own
+    /// digest fold and dispatch counter.
     fn record(&mut self, rec: EventRecord) {
         if let Some(b) = &mut self.timeprof {
             b.cross(Some(rec.kind));
         }
         let (t, depth) = (rec.t_us, rec.depth as u64);
-        if let Some(h) = &mut self.pop_depth {
-            h.record((depth + 1) as f64);
-        }
+        self.pop_depth.record((depth + 1) as f64);
         self.processed.inc();
         // Between two pops the queue only grows, so it peaked just before
         // this one.
         self.depth.set(depth + 1);
         self.depth.set(depth);
         self.horizon_us = self.horizon_us.max(t);
-        if self.sampler.due(t) {
-            self.store_levels();
-            self.sampler.tick(t);
-        }
+        self.sampler.tick(t);
         self.mem_probe.tick(t);
         self.health.tick(t);
-        let kind = &mut self.kinds[rec.kind];
+        let kind = &self.kinds[rec.kind];
         if let Some(digest) = &mut self.digest {
             // Structural identity only: sim time and the backlog left behind.
             digest.fold(self.pop_word, "sched_pop", 0, t, &[depth]);
@@ -407,18 +374,16 @@ impl Armed {
     /// and byte counters, the in-flight levels (raised by every copy in
     /// flight), the send's digest fold, then its fault counter.
     fn send(&mut self, rec: SendRecord) {
-        let (p, bytes) = (&mut self.packets, bytes(rec.size_kb));
+        let (p, bytes) = (&self.packets, bytes(rec.size_kb));
         let copies = match rec.fate {
             Fate::Delivered { duplicated, .. } => 1 + u64::from(duplicated),
             Fate::Dropped { .. } => 0,
         };
         p.enqueued.inc();
         p.uplink_bytes.add(bytes);
-        if let Some(h) = &mut p.queue_delay {
-            h.record(rec.queue_delay_s);
-        }
+        p.queue_delay.record(rec.queue_delay_s);
         p.backlog.set((rec.queue_delay_s * 1e3) as u64);
-        let kind = &mut p.kinds[rec.kind];
+        let kind = &p.kinds[rec.kind];
         kind.sent.inc();
         kind.bytes.add(bytes);
         kind.inflight.add(copies);
@@ -444,23 +409,9 @@ impl Armed {
         }
     }
 
-    /// Stores the counters and gauges, what a series sample reads, back
-    /// into their cells.
-    fn store_levels(&self) {
-        for kind in &self.kinds {
-            kind.dispatched.store();
-        }
-        self.processed.store();
-        self.depth.store();
-        self.packets.store_levels();
-    }
-
-    /// Stores every owned value back and raises the tracer horizon.
+    /// Stores the digest segment into the registry and raises the tracer
+    /// horizon.
     fn store(&self) {
-        self.store_levels();
-        let histograms = self.timeprof.iter().flat_map(|b| &b.handlers);
-        let histograms = histograms.chain(&self.pop_depth).chain(&self.packets.queue_delay);
-        histograms.for_each(OwnedHistogram::store);
         if let Some(digest) = &self.digest {
             digest.store();
         }
@@ -483,6 +434,7 @@ fn bytes(size_kb: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::tests::restore;
     use crate::{Digest, DigestConfig, TrapWindow};
     use proptest::prelude::*;
 
@@ -493,11 +445,11 @@ mod tests {
     ];
     const CADENCE_US: u64 = 1_000;
 
-    /// The hook as it fed the shared cells before it owned its
-    /// instruments: every update an atomic read-modify-write on a handle,
-    /// every fold through [`Digest::fold`], the tracer horizon raised per
-    /// event. The owned hook must leave its registry as this feed leaves
-    /// an identically armed one at every `close`.
+    /// The hook's feed through shared handles alone: every update through
+    /// a registry handle, every fold through [`Digest::fold`], the tracer
+    /// horizon raised per event. The hook, with its owned digest segment
+    /// and horizon, must leave its registry as this feed leaves an
+    /// identically armed one at every `close`.
     struct AtomicFeed {
         dispatched: Vec<Counter>,
         processed: Counter,
@@ -702,11 +654,12 @@ mod tests {
     }
 
     proptest! {
-        /// The owned hook and the atomic feed take one random stream each,
+        /// The hook and the atomic feed take one random stream each,
         /// on identically armed registries: event records of every kind,
         /// sends of every `Fate` (queue delays include infinities and
         /// NaNs), deliveries, in-flight counts, pauses (`close`, then more
-        /// records) and digest restores. After every `close`, and after
+        /// records) and digest restores, the hook's through
+        /// [`EventHook::digest_segment`]. After every `close`, and after
         /// the hook is dropped, both registries hold the same counters,
         /// gauges, bit-identical histograms, series points, digest,
         /// timeprof handler counts and tracer horizon.
@@ -778,10 +731,10 @@ mod tests {
                             .map(|k| crate::Checkpoint { index: k * 8, chain: k ^ c })
                             .collect::<Vec<_>>();
                         let (events, chain, stride) = (c % 40, c.wrapping_mul(0x9E37), 1 << (a % 4));
-                        for r in [&reg, &oracle_reg] {
-                            r.restore_digest_local(events, chain, stride, checkpoints.clone());
-                        }
-                        hook.reload_digest();
+                        let segment = hook.digest_segment(true).expect("a digest is armed");
+                        (*segment.0, *segment.1, *segment.2) = (events, chain, stride);
+                        segment.3.clone_from(&checkpoints);
+                        restore(&oracle.digest, events, chain, stride, checkpoints);
                     }
                 }
             }
@@ -805,11 +758,18 @@ mod tests {
     #[test]
     fn hooks_minted_in_turn_continue_each_other() {
         let reg = Registry::enabled();
+        reg.enable_profiling();
         for t_us in [1, 2] {
             let mut hook = EventHook::new(&reg, KINDS, PACKETS, 0);
-            hook.record(EventRecord { t_us, kind: 0, node: 0, tags: &[], depth: 0 });
-            assert_eq!(reg.counter("t_ev_a").get(), t_us - 1, "read before the write-back");
+            hook.record(EventRecord { t_us, kind: 0, node: 0, tags: &[], depth: t_us as usize });
+            // A read while the hook is live sees every update so far.
+            assert_eq!(reg.counter("t_ev_a").get(), t_us);
+            assert_eq!(reg.counter("sched_events_processed").get(), t_us);
+            let depth = reg.gauge("sched_queue_depth");
+            assert_eq!((depth.get(), depth.high_water()), (t_us, t_us + 1));
+            let pops = reg.snapshot().histogram("sched_queue_depth_at_pop").map(|h| h.count);
+            assert_eq!(pops, Some(t_us));
         }
-        assert_eq!(reg.counter("t_ev_a").get(), 2, "the drop wrote the count back");
+        assert_eq!(reg.counter("t_ev_a").get(), 2, "the second hook continued the first");
     }
 }

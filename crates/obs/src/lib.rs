@@ -3,8 +3,9 @@
 //! One [`Registry`] handle per run gives instrumented code:
 //!
 //! - **Counters, gauges, histograms** ([`Counter`], [`Gauge`],
-//!   [`Histogram`]): named, interned, updated with relaxed atomics through
-//!   their handles. The histogram uses 64 fixed doubling buckets (log
+//!   [`Histogram`]): named, interned, updated through their handles. Each
+//!   cell has one writer at a time, so an update is a relaxed load and a
+//!   relaxed store. The histogram uses 64 fixed doubling buckets (log
 //!   scale) plus exact count / sum / min / max.
 //! - **Phase timers** ([`Registry::span`]): scoped guards that nest, so
 //!   `build_tree` containing `flush` records `build_tree/flush`.
@@ -26,9 +27,9 @@
 //!   per-event-kind handler time with worker utilization.
 //! - **The event hook** ([`EventHook`]): the simulation's one observation
 //!   point, feeding every armed plane from one record per popped event and
-//!   one per packet sent or delivered. While the simulation runs the hook
-//!   is the only writer of the instruments it feeds: it holds them as
-//!   plain values and writes them back at sample boundaries and `close`.
+//!   one per packet sent or delivered. It writes the instrument cells
+//!   directly and holds only the digest segment and the tracer horizon
+//!   until `close`.
 //! - **Run health** ([`Registry::enable_health`]): wall-clock progress
 //!   counters, a heartbeat file writer, and a stall watchdog.
 //!

@@ -3,17 +3,18 @@
 //!
 //! Every handle is an `Option<Arc<..>>`: a handle minted from a disabled
 //! registry holds `None`, so the cost of an update on the disabled path is
-//! a single branch. Enabled updates through a handle use relaxed atomics —
-//! metrics are monotone accumulations read only at snapshot time, so no
-//! ordering is required.
+//! a single branch.
 //!
-//! The event hook is the exception: while a simulation runs it is the one
-//! writer of the instruments it feeds, so it holds each one as an owned
-//! value (`OwnedCounter`, `OwnedGauge`, `OwnedHistogram`) loaded from
-//! the cell when the hook is minted, updates it with plain arithmetic and
-//! stores it back at the hook's write-back points (see
-//! [`EventHook`](crate::EventHook)). A store, not an add, so every f64 sum
-//! keeps its addition order and reads bit-identical to atomic recording.
+//! # One writer per cell
+//!
+//! An instrument cell has one writer at a time: one simulation records
+//! into a registry or shard at a time (see the registry's module docs), and
+//! parallel callers count per task and fold the counts after the join. So
+//! an update is one relaxed load and one relaxed store per word it moves,
+//! never an atomic read-modify-write: a reader on another thread still sees
+//! whole words, and every f64 sum keeps its addition order. Two concurrent
+//! writers could lose updates, so state several threads write — run health,
+//! the profiler's process-wide cells — keeps its own atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -44,8 +45,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(cell) = &self.0 {
-            // fetch_update never fails with a Relaxed pair and a Some return.
-            let _ = cell.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_add(n)));
+            cell.store(cell.load(Relaxed).saturating_add(n), Relaxed);
         }
     }
 
@@ -61,6 +61,16 @@ pub(crate) struct GaugeCore {
     pub(crate) high_water: AtomicU64,
 }
 
+impl GaugeCore {
+    /// Raises the high-water mark to `v` if `v` is higher.
+    #[inline]
+    pub(crate) fn raise(&self, v: u64) {
+        if v > self.high_water.load(Relaxed) {
+            self.high_water.store(v, Relaxed);
+        }
+    }
+}
+
 /// A level indicator that also tracks its high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(pub(crate) Option<Arc<GaugeCore>>);
@@ -71,7 +81,7 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         if let Some(core) = &self.0 {
             core.value.store(v, Relaxed);
-            core.high_water.fetch_max(v, Relaxed);
+            core.raise(v);
         }
     }
 
@@ -80,12 +90,9 @@ impl Gauge {
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(core) = &self.0 {
-            let mut now = 0;
-            let _ = core.value.fetch_update(Relaxed, Relaxed, |v| {
-                now = v.saturating_add(n);
-                Some(now)
-            });
-            core.high_water.fetch_max(now, Relaxed);
+            let now = core.value.load(Relaxed).saturating_add(n);
+            core.value.store(now, Relaxed);
+            core.raise(now);
         }
     }
 
@@ -93,8 +100,7 @@ impl Gauge {
     #[inline]
     pub fn sub(&self, n: u64) {
         if let Some(core) = &self.0 {
-            // fetch_update never fails with a Relaxed pair and a Some return.
-            let _ = core.value.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n)));
+            core.value.store(core.value.load(Relaxed).saturating_sub(n), Relaxed);
         }
     }
 
@@ -148,25 +154,6 @@ pub fn bucket_floor(i: usize) -> f64 {
     HISTOGRAM_MIN * (i as f64).exp2()
 }
 
-/// Folds an owned snapshot into a live histogram core as if its stream had
-/// been recorded there: buckets and count add, sum accumulates, min/max
-/// extend. Shared by registry absorb and the timeprof handler merge.
-pub(crate) fn merge_into_core(dst: &HistogramCore, src: &HistogramSnapshot) {
-    for (d, s) in dst.buckets.iter().zip(src.buckets.iter()) {
-        d.fetch_add(*s, Relaxed);
-    }
-    dst.count.fetch_add(src.count, Relaxed);
-    let _ = dst
-        .sum_bits
-        .fetch_update(Relaxed, Relaxed, |b| Some((f64::from_bits(b) + src.sum).to_bits()));
-    let _ = dst.min_bits.fetch_update(Relaxed, Relaxed, |b| {
-        (src.min < f64::from_bits(b)).then(|| src.min.to_bits())
-    });
-    let _ = dst.max_bits.fetch_update(Relaxed, Relaxed, |b| {
-        (src.max > f64::from_bits(b)).then(|| src.max.to_bits())
-    });
-}
-
 /// A fixed-bucket log-scale histogram of non-negative values.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(pub(crate) Option<Arc<HistogramCore>>);
@@ -177,19 +164,19 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: f64) {
         if let Some(core) = &self.0 {
-            core.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-            core.count.fetch_add(1, Relaxed);
+            let bucket = &core.buckets[bucket_index(v)];
+            bucket.store(bucket.load(Relaxed) + 1, Relaxed);
+            core.count.store(core.count.load(Relaxed) + 1, Relaxed);
             let v = if v.is_finite() { v } else { bucket_floor(HISTOGRAM_BUCKETS - 1) };
-            // CAS loops: f64 cells updated through their bit patterns.
-            let _ = core
-                .sum_bits
-                .fetch_update(Relaxed, Relaxed, |bits| Some((f64::from_bits(bits) + v).to_bits()));
-            let _ = core.min_bits.fetch_update(Relaxed, Relaxed, |bits| {
-                (v < f64::from_bits(bits)).then(|| v.to_bits())
-            });
-            let _ = core.max_bits.fetch_update(Relaxed, Relaxed, |bits| {
-                (v > f64::from_bits(bits)).then(|| v.to_bits())
-            });
+            // f64 cells hold their bit patterns.
+            let float = |cell: &AtomicU64| f64::from_bits(cell.load(Relaxed));
+            core.sum_bits.store((float(&core.sum_bits) + v).to_bits(), Relaxed);
+            if v < float(&core.min_bits) {
+                core.min_bits.store(v.to_bits(), Relaxed);
+            }
+            if v > float(&core.max_bits) {
+                core.max_bits.store(v.to_bits(), Relaxed);
+            }
         }
     }
 
@@ -206,138 +193,21 @@ impl Histogram {
             },
         }
     }
-}
 
-/// A counter's value held by its one writer. See the module docs.
-#[derive(Debug)]
-pub(crate) struct OwnedCounter {
-    cell: Option<Arc<AtomicU64>>,
-    value: u64,
-}
-
-impl OwnedCounter {
-    /// Takes over `counter`, starting from its current value. A disabled
-    /// handle counts into the owned value only.
-    pub(crate) fn own(counter: Counter) -> Self {
-        OwnedCounter { value: counter.get(), cell: counter.0 }
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub(crate) fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Increments by `n`, saturating like [`Counter::add`].
-    #[inline]
-    pub(crate) fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Writes the value back into the cell.
-    pub(crate) fn store(&self) {
-        if let Some(cell) = &self.cell {
-            cell.store(self.value, Relaxed);
-        }
-    }
-}
-
-/// A gauge's level and high-water mark held by their one writer. See the
-/// module docs.
-#[derive(Debug)]
-pub(crate) struct OwnedGauge {
-    cell: Option<Arc<GaugeCore>>,
-    value: u64,
-    high_water: u64,
-}
-
-impl OwnedGauge {
-    /// Takes over `gauge`, starting from its current level and mark. A
-    /// disabled handle moves the owned values only.
-    pub(crate) fn own(gauge: Gauge) -> Self {
-        OwnedGauge { value: gauge.get(), high_water: gauge.high_water(), cell: gauge.0 }
-    }
-
-    /// Sets the level to `v` and raises the high-water mark if needed.
-    #[inline]
-    pub(crate) fn set(&mut self, v: u64) {
-        self.value = v;
-        self.high_water = self.high_water.max(v);
-    }
-
-    /// Adds `n` to the level, saturating like [`Gauge::add`].
-    #[inline]
-    pub(crate) fn add(&mut self, n: u64) {
-        self.set(self.value.saturating_add(n));
-    }
-
-    /// Subtracts `n` from the level (saturating at zero).
-    #[inline]
-    pub(crate) fn sub(&mut self, n: u64) {
-        self.value = self.value.saturating_sub(n);
-    }
-
-    /// Writes the level and the high-water mark back into the cell.
-    pub(crate) fn store(&self) {
-        if let Some(core) = &self.cell {
-            core.value.store(self.value, Relaxed);
-            core.high_water.store(self.high_water, Relaxed);
-        }
-    }
-}
-
-/// A histogram's contents held by their one writer. See the module docs.
-#[derive(Debug)]
-pub(crate) struct OwnedHistogram {
-    cell: Arc<HistogramCore>,
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OwnedHistogram {
-    /// Takes over `histogram`, starting from its contents; `None` for a
-    /// disabled handle.
-    pub(crate) fn own(histogram: Histogram) -> Option<Self> {
-        let cell = histogram.0?;
-        let float = |bits: &AtomicU64| f64::from_bits(bits.load(Relaxed));
-        Some(OwnedHistogram {
-            buckets: std::array::from_fn(|i| cell.buckets[i].load(Relaxed)),
-            count: cell.count.load(Relaxed),
-            sum: float(&cell.sum_bits),
-            min: float(&cell.min_bits),
-            max: float(&cell.max_bits),
-            cell,
-        })
-    }
-
-    /// Records one observation exactly as [`Histogram::record`] does.
-    #[inline]
-    pub(crate) fn record(&mut self, v: f64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        let v = if v.is_finite() { v } else { bucket_floor(HISTOGRAM_BUCKETS - 1) };
-        self.sum += v;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Writes the contents back into the cell.
-    pub(crate) fn store(&self) {
-        let core = &self.cell;
-        for (cell, &n) in core.buckets.iter().zip(&self.buckets) {
+    /// Folds `other` into this histogram as if its stream had been
+    /// recorded here ([`HistogramSnapshot::merge`]): the shard and timeprof
+    /// handler absorbs.
+    pub(crate) fn absorb(&self, other: &HistogramSnapshot) {
+        let Some(core) = &self.0 else { return };
+        let mut merged = self.snapshot();
+        merged.merge(other);
+        for (cell, &n) in core.buckets.iter().zip(&merged.buckets) {
             cell.store(n, Relaxed);
         }
-        core.count.store(self.count, Relaxed);
-        core.sum_bits.store(self.sum.to_bits(), Relaxed);
-        core.min_bits.store(self.min.to_bits(), Relaxed);
-        core.max_bits.store(self.max.to_bits(), Relaxed);
+        core.count.store(merged.count, Relaxed);
+        core.sum_bits.store(merged.sum.to_bits(), Relaxed);
+        core.min_bits.store(merged.min.to_bits(), Relaxed);
+        core.max_bits.store(merged.max.to_bits(), Relaxed);
     }
 }
 
@@ -369,15 +239,21 @@ impl HistogramSnapshot {
     }
 
     /// Folds `other` into this snapshot as if both streams had been
-    /// recorded into one histogram.
+    /// recorded into one histogram. Min and max move only to a strictly
+    /// smaller or larger value, as in [`Histogram::record`], so of two zeros
+    /// the first kept stays.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        if other.min < self.min {
+            self.min = other.min;
+        }
+        if other.max > self.max {
+            self.max = other.max;
+        }
     }
 
     /// Mean of observed values, if any.
@@ -416,9 +292,126 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn enabled_histogram() -> Histogram {
         Histogram(Some(Arc::new(HistogramCore::default())))
+    }
+
+    /// The cells' updates as atomic read-modify-writes, safe under any
+    /// number of writers: the oracle the single-writer updates must match
+    /// bit for bit.
+    mod rmw {
+        use super::*;
+
+        pub(super) fn counter_add(cell: &AtomicU64, n: u64) {
+            let _ = cell.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_add(n)));
+        }
+
+        pub(super) fn gauge_set(core: &GaugeCore, v: u64) {
+            core.value.store(v, Relaxed);
+            core.high_water.fetch_max(v, Relaxed);
+        }
+
+        pub(super) fn gauge_add(core: &GaugeCore, n: u64) {
+            let mut now = 0;
+            let _ = core.value.fetch_update(Relaxed, Relaxed, |v| {
+                now = v.saturating_add(n);
+                Some(now)
+            });
+            core.high_water.fetch_max(now, Relaxed);
+        }
+
+        pub(super) fn gauge_sub(core: &GaugeCore, n: u64) {
+            let _ = core.value.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n)));
+        }
+
+        pub(super) fn record(core: &HistogramCore, v: f64) {
+            core.buckets[bucket_index(v)].fetch_add(1, Relaxed);
+            core.count.fetch_add(1, Relaxed);
+            let v = if v.is_finite() { v } else { bucket_floor(HISTOGRAM_BUCKETS - 1) };
+            let _ = core
+                .sum_bits
+                .fetch_update(Relaxed, Relaxed, |bits| Some((f64::from_bits(bits) + v).to_bits()));
+            let _ = core.min_bits.fetch_update(Relaxed, Relaxed, |bits| {
+                (v < f64::from_bits(bits)).then(|| v.to_bits())
+            });
+            let _ = core.max_bits.fetch_update(Relaxed, Relaxed, |bits| {
+                (v > f64::from_bits(bits)).then(|| v.to_bits())
+            });
+        }
+    }
+
+    /// A counter's value, a gauge's level and mark, and a histogram's
+    /// contents with its floats as bits.
+    fn contents(c: &Counter, g: &Gauge, h: &Histogram) -> (u64, u64, u64, Vec<u64>, u64, [u64; 3]) {
+        let s = h.snapshot();
+        let floats = [s.sum, s.min, s.max].map(f64::to_bits);
+        (c.get(), g.get(), g.high_water(), s.buckets, s.count, floats)
+    }
+
+    /// Amounts near both ends of `u64`, where saturation shows.
+    fn amount() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..1_000, (u64::MAX - 1_000)..=u64::MAX, 0u64..=u64::MAX]
+    }
+
+    /// Histogram values, the ones `record` clamps included.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            -1e3f64..1e3,
+            1e-12f64..1e12,
+            (0u64..=u64::MAX).prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        /// One random stream of counter adds, gauge sets, adds and subs and
+        /// histogram records goes through the single-writer updates and
+        /// through the read-modify-write oracle; after every step the
+        /// counters, the gauge levels with their high-water marks and the
+        /// histogram snapshots match bit for bit.
+        #[test]
+        fn prop_single_writer_cells_match_the_rmw_oracle(
+            steps in proptest::collection::vec((0u8..5, amount(), value()), 1..200),
+        ) {
+            let cells = || {
+                let (c, g) = (Counter(Some(Arc::default())), Gauge(Some(Arc::default())));
+                (c, g, enabled_histogram())
+            };
+            let ((c, g, h), (oc, og, oh)) = (cells(), cells());
+            let (ocell, ogauge) = (oc.0.as_deref().unwrap(), og.0.as_deref().unwrap());
+            let ohist = oh.0.as_deref().unwrap();
+            for (i, &(op, n, v)) in steps.iter().enumerate() {
+                match op {
+                    0 => {
+                        c.add(n);
+                        rmw::counter_add(ocell, n);
+                    }
+                    1 => {
+                        g.set(n);
+                        rmw::gauge_set(ogauge, n);
+                    }
+                    2 => {
+                        g.add(n);
+                        rmw::gauge_add(ogauge, n);
+                    }
+                    3 => {
+                        g.sub(n);
+                        rmw::gauge_sub(ogauge, n);
+                    }
+                    _ => {
+                        h.record(v);
+                        rmw::record(ohist, v);
+                    }
+                }
+                prop_assert_eq!(contents(&c, &g, &h), contents(&oc, &og, &oh), "step {}", i);
+            }
+        }
     }
 
     #[test]
@@ -489,6 +482,26 @@ mod tests {
         let p50 = s.quantile(0.5).unwrap();
         assert!((0.001..=0.004).contains(&p50), "p50 {p50}");
         assert_eq!(s.quantile(1.0), Some(1.0));
+    }
+
+    /// An absorb moves min and max only to a strictly smaller or larger
+    /// value, as `record` does, so of two zeros the first stays.
+    #[test]
+    fn absorb_keeps_the_first_of_two_zeros_as_record_does() {
+        let bits = |h: &Histogram| {
+            let s = h.snapshot();
+            (s.buckets, s.count, [s.sum, s.min, s.max].map(f64::to_bits))
+        };
+        for (first, second) in [(0.0, -0.0), (-0.0, 0.0)] {
+            let (merged, shard, both) =
+                (enabled_histogram(), enabled_histogram(), enabled_histogram());
+            merged.record(first);
+            shard.record(second);
+            merged.absorb(&shard.snapshot());
+            both.record(first);
+            both.record(second);
+            assert_eq!(bits(&merged), bits(&both), "{first} then {second}");
+        }
     }
 
     #[test]

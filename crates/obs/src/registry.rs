@@ -20,19 +20,19 @@
 //! planes, each armed at most once through its `enable_*` method (the
 //! first arming wins) and read without a lock afterwards.
 //!
-//! # One simulation at a time
+//! # One writer per cell
 //!
-//! One simulation records into a registry (or a shard) at a time: figure
-//! batches give each task its own [`Registry::shard`] through `cdnc-par`,
-//! and the entry points of `cdnc-core` run one simulation to its end before
-//! the next starts. While it runs, the simulation's armed
-//! [`EventHook`](crate::EventHook) is the only writer of the instruments it
-//! feeds and holds their values itself; a read of the registry sees them as
-//! of the hook's last write-back (a series sample, [`EventHook::close`] or
-//! the hook's drop). Every other writer — the simulator's protocol
-//! instruments, health, phase spans and [`Registry::absorb`] — updates the
-//! shared cells directly. Minting a second armed hook on a registry while
-//! one is live breaks the rule and fails a debug assertion.
+//! Each instrument cell has one writer at a time, so updates are plain
+//! loads and stores (see the `metrics` module docs). One simulation
+//! records into a registry (or a shard) at a time: figure batches give
+//! each task its own [`Registry::shard`] through `cdnc-par`, the entry
+//! points of `cdnc-core` run one simulation to its end before the next
+//! starts, and [`Registry::absorb`] runs after the pool joins. A read of
+//! the registry sees every update so far, a live simulation's included,
+//! except its digest segment, which the simulation's armed
+//! [`EventHook`](crate::EventHook) holds until [`EventHook::close`] or
+//! its drop. Minting a second armed hook on a registry while one is live
+//! breaks the rule and fails a debug assertion.
 //!
 //! [`EventHook::close`]: crate::EventHook::close
 
@@ -277,34 +277,6 @@ impl Registry {
         Some(self.armed(|i| &i.digest)?.snapshot())
     }
 
-    /// Checkpoint view of the digest's currently-recording local segment as
-    /// `(events, chain, stride, checkpoints)`, or `None` when disabled or
-    /// digest not armed. Together with [`Registry::restore_digest_local`]
-    /// this lets a restored simulation continue the saved run's chain, so a
-    /// restore-then-run audit trail is bit-identical to the straight run.
-    pub fn digest_local_state(&self) -> Option<(u64, u64, u64, Vec<crate::digest::Checkpoint>)> {
-        Some(self.armed(|i| &i.digest)?.export_local())
-    }
-
-    /// Overwrites the digest's local segment with state captured by
-    /// [`Registry::digest_local_state`]. Returns `false` (and does nothing)
-    /// when disabled or digest not armed.
-    pub fn restore_digest_local(
-        &self,
-        events: u64,
-        chain: u64,
-        stride: u64,
-        checkpoints: Vec<crate::digest::Checkpoint>,
-    ) -> bool {
-        match self.armed(|i| &i.digest) {
-            Some(core) => {
-                core.restore_local(events, chain, stride, checkpoints);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Arms the run-health counters: [`Registry::health`] handles start
     /// recording and [`Registry::health_snapshot`] returns `Some`. Health
     /// is wall-clock telemetry — shards *share* the parent's state (live
@@ -466,14 +438,11 @@ impl Registry {
             }
             if let Some(mine) = self.gauge(name).0 {
                 mine.value.store(value, Relaxed);
-                mine.high_water.fetch_max(high, Relaxed);
+                mine.raise(high);
             }
         }
         for (name, core) in other.histograms.lock().iter() {
-            if let Some(mine) = self.histogram(name).0 {
-                let snap = Histogram(Some(Arc::clone(core))).snapshot();
-                crate::metrics::merge_into_core(&mine, &snap);
-            }
+            self.histogram(name).absorb(&Histogram(Some(Arc::clone(core))).snapshot());
         }
         for (path, timing) in other.spans.snapshot() {
             inner.spans.absorb(&path, timing);

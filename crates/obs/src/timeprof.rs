@@ -29,7 +29,7 @@
 //! *counts* are deterministic and survive `shard`/`absorb` bit-identically
 //! at any `--jobs`; the nanosecond moments are volatile telemetry.
 
-use crate::metrics::{merge_into_core, Histogram, HistogramCore, HistogramSnapshot};
+use crate::metrics::{Histogram, HistogramCore, HistogramSnapshot};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -339,7 +339,7 @@ impl HandlerStats {
     pub(crate) fn absorb(&self, other: &HandlerStats) {
         for (label, snap) in other.snapshot() {
             if snap.count > 0 {
-                merge_into_core(&self.cell(&label), &snap);
+                Histogram(Some(self.cell(&label))).absorb(&snap);
             }
         }
     }

@@ -41,14 +41,17 @@ pub struct Waiter {
     pub requested_at: SimTime,
 }
 
-/// The requests queued behind one in-flight fetch, in arrival order. A
-/// miss starts the queue with its requester inline, so it allocates
-/// nothing; the first delayed hit moves the queue into a `Vec`, which the
-/// fill hands back as it is. Either form keeps an in-flight entry at the
-/// size of an object id and a `Vec`.
+/// The requests queued behind one in-flight fetch, in arrival order, as
+/// [`LruCache::fill`] releases them. A miss starts the queue with its
+/// requester inline, so a fetch without delayed hits allocates nothing from
+/// its miss to its fill; the first delayed hit moves the queue into a
+/// `Vec`. Either form keeps an in-flight entry at the size of an object id
+/// and a `Vec`.
 #[derive(Debug, Clone)]
-enum Waiters {
+pub enum Waiters {
+    /// The miss's requester alone.
     One(Waiter),
+    /// The requester and the delayed hits behind it.
     Many(Vec<Waiter>),
 }
 
@@ -64,14 +67,6 @@ impl Waiters {
             Waiters::Many(many) => many.push(waiter),
         }
     }
-
-    /// Every waiter, in arrival order.
-    fn into_vec(self) -> Vec<Waiter> {
-        match self {
-            Waiters::One(first) => vec![first],
-            Waiters::Many(many) => many,
-        }
-    }
 }
 
 /// The empty queue, which only a checkpoint reader holds, as the
@@ -82,12 +77,18 @@ impl Default for Waiters {
     }
 }
 
+/// Every waiter, in arrival order; a `One` yields its waiter without a
+/// heap block.
 impl IntoIterator for Waiters {
     type Item = Waiter;
-    type IntoIter = std::vec::IntoIter<Waiter>;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Waiter>, std::vec::IntoIter<Waiter>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.into_vec().into_iter()
+        let (first, rest) = match self {
+            Waiters::One(first) => (Some(first), Vec::new()),
+            Waiters::Many(many) => (None, many),
+        };
+        first.into_iter().chain(rest)
     }
 }
 
@@ -170,7 +171,7 @@ impl Hasher for IdHasher {
 /// assert_eq!(cache.request(id, 1, t), Lookup::Miss);
 /// assert_eq!(cache.request(id, 2, t), Lookup::Delayed);
 /// let (waiters, evicted) = cache.fill(id, 5, t);
-/// assert_eq!(waiters.len(), 2, "initiator + delayed hit released together");
+/// assert_eq!(waiters.into_iter().count(), 2, "initiator + delayed hit released together");
 /// assert_eq!(evicted, None);
 /// assert_eq!(cache.request(id, 3, t), Lookup::Hit { snap: 5 });
 /// ```
@@ -288,14 +289,9 @@ impl LruCache {
     /// # Panics
     ///
     /// Panics if no fetch for `id` is in flight.
-    pub fn fill(
-        &mut self,
-        id: ObjectId,
-        snap: u32,
-        _now: SimTime,
-    ) -> (Vec<Waiter>, Option<ObjectId>) {
+    pub fn fill(&mut self, id: ObjectId, snap: u32, _now: SimTime) -> (Waiters, Option<ObjectId>) {
         let Ok(at) = self.fetch(id) else { panic!("fill without an in-flight fetch") };
-        let waiters = self.inflight.remove(at).1.into_vec();
+        let waiters = self.inflight.remove(at).1;
         self.tick += 1;
         self.insert(Entry { id, snap, tick: self.tick, uses: 0, older: NIL, newer: NIL });
         let evicted = if self.index.len() > self.capacity { Some(self.evict()) } else { None };
@@ -640,7 +636,9 @@ mod tests {
                         let Some(&id) = oracle.inflight.keys().nth(arg as usize % 4) else {
                             continue;
                         };
-                        prop_assert_eq!(cache.fill(id, arg, now), oracle.fill(id, arg));
+                        let (waiters, evicted) = cache.fill(id, arg, now);
+                        let released = (waiters.into_iter().collect(), evicted);
+                        prop_assert_eq!(released, oracle.fill(id, arg));
                     }
                     52..=56 => prop_assert_eq!(cache.invalidate(id), oracle.invalidate(id)),
                     57 => prop_assert_eq!(cache.abort_inflight(), oracle.abort_inflight()),
@@ -694,7 +692,7 @@ mod tests {
         assert_eq!(cache.inflight(), 1, "one fetch serves all three");
         let (waiters, _) = cache.fill(id(9), 7, SimTime::from_secs(4));
         assert_eq!(
-            waiters,
+            waiters.into_iter().collect::<Vec<_>>(),
             vec![
                 Waiter { user: 1, requested_at: SimTime::from_secs(1) },
                 Waiter { user: 2, requested_at: SimTime::from_secs(2) },
@@ -790,7 +788,7 @@ mod tests {
         // The in-flight fetch still carries both waiters…
         let (waiters, evicted) = restored.fill(id(8), 9, SimTime::from_secs(4));
         let (expect_waiters, expect_evicted) = cache.fill(id(8), 9, SimTime::from_secs(4));
-        assert_eq!(waiters, expect_waiters);
+        assert!(waiters.into_iter().eq(expect_waiters));
         // …and the MAD eviction decision sees identical uses/recency state.
         assert_eq!(evicted, expect_evicted);
     }

@@ -18,5 +18,5 @@
 pub mod cache;
 pub mod catalog;
 
-pub use cache::{Lookup, LruCache, Waiter};
+pub use cache::{Lookup, LruCache, Waiter, Waiters};
 pub use catalog::{Catalog, ObjectId};

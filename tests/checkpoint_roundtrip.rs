@@ -11,6 +11,7 @@ use cdnc_core::{
 };
 use cdnc_experiments::replay::{read_artifact, replay, take_checkpoint, ReplaySpec};
 use cdnc_experiments::Scale;
+use cdnc_obs::digest::MAX_CHECKPOINTS_PER_SEGMENT;
 use cdnc_obs::{DigestConfig, Registry};
 use cdnc_simcore::{SimDuration, SimRng, SimTime};
 use cdnc_trace::{SnapshotId, UpdateSequence};
@@ -241,6 +242,38 @@ fn structural_mismatch_and_tampering_fail_loudly() {
         assert!(err.0.contains("passes the provider's head 1"), "{named}: {err}");
     }
     assert!(resume(&inval, &invalidating).is_ok(), "the untampered artifact still resumes");
+
+    // The digest segment must be one folding builds: a nonzero stride, at
+    // most the cap of checkpoints, strictly ascending on the stride's grid
+    // and none past the fold count. The reader checks it whether or not the
+    // resuming registry arms a digest.
+    let digested = checkpoint_with_obs(&cell, &digest_registry(), SimTime::from_secs(200));
+    let stride: u64 = field(&digested, "dg_stride").parse().expect("a stride");
+    let events: u64 = field(&digested, "dg_events").parse().expect("a fold count");
+    assert!(events >= 3 * stride, "three checkpoints: {events} folds, stride {stride}");
+    let (off_grid, past_end) = (2 * stride + 1, (events / stride + 2) * stride);
+    let cap = MAX_CHECKPOINTS_PER_SEGMENT as u64 + 1;
+    let list = tamper(&digested, "dg_stride", "1");
+    let list = &list[..list.find("dg_checkpoints=").expect("a checkpoint list")];
+    let over_cap = (1..=cap).fold(format!("{list}dg_checkpoints={cap}\n"), |text, index| {
+        text + &format!("dg_idx={index}\ndg_val=0\n")
+    });
+    for (tampered, named, why) in [
+        (tamper(&digested, "dg_stride", "0"), "dg_stride", "a zero stride"),
+        (tamper_nth(&digested, "dg_idx", 1, &off_grid.to_string()), "dg_idx", "off the grid"),
+        (tamper_nth(&digested, "dg_idx", 2, &past_end.to_string()), "dg_idx", "past the folds"),
+        (tamper(&digested, "dg_events", "100"), "dg_events", "fewer folds than checkpoints"),
+        (over_cap, "dg_checkpoints", "more checkpoints than the cap"),
+    ] {
+        for err in [resume(&cell, &tampered), resume_with_obs(&cell, &digest_registry(), &tampered)]
+        {
+            let err = err.expect_err(why);
+            assert!(err.0.contains(named), "{why}: {err} must name {named}");
+        }
+    }
+    assert!(resume(&cell, &digested).is_ok(), "the untampered digest artifact still resumes");
+    let resumed = resume_with_obs(&cell, &digest_registry(), &digested);
+    assert!(resumed.is_ok(), "and resumes into a digest");
 }
 
 /// The value of the first `key=` line of `artifact`.
